@@ -3,7 +3,7 @@
 Library layout:
 
 * :mod:`tempalign.core` -- domain types, cosine kernels, canonicalization
-* :mod:`tempalign.align` -- DTW / OTAM alignment plus a brute-force oracle
+* :mod:`tempalign.align` -- one batched DTW / OTAM alignment kernel
 * :mod:`tempalign.negatives` -- temporal-shuffle negative sampling
 * :mod:`tempalign.loss` -- unit and sequence InfoNCE with analytic gradients
 * :mod:`tempalign.train` -- projection head, Adam, training loop, checkpoints
@@ -13,7 +13,7 @@ Library layout:
 * :mod:`tempalign.cli` -- the ``tempalign`` command
 """
 
-from .align import AlignmentResult, alignment_score, brute_force_align, dtw, otam, score_stack
+from .align import Alignments, align_stack, pad_costs
 from .core import (
     DataError,
     DegeneratePairError,

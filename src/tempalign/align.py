@@ -1,10 +1,11 @@
 """Dynamic-programming sequence alignment over pairwise cost matrices.
 
-Two measures are provided:
+One batched kernel, :func:`align_stack`, aligns every matrix of a batch under
+one of two measures:
 
 * ``dtw`` -- classic dynamic time warping: the path is anchored at both
   corners, every row and every column of the cost matrix is visited, and the
-  cumulative cost follows C(i, j) = D(i, j) + min of the three predecessors.
+  accumulated cost follows C(i, j) = D(i, j) + min of the three predecessors.
 * ``otam`` -- boundary-relaxed alignment realized as subsequence DTW on the
   second (clip) axis: the path may start at any column of the first row and
   end at any column of the last row, so a prefix/suffix of the clip sequence
@@ -20,242 +21,147 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, EmbeddingSequence, cost_matrix
+from .core import DataError
 
 MEASURES = ("dtw", "otam")
 
-# Backtracking preference on exact ties: diagonal, then vertical (previous
-# row, same column), then horizontal (same row, previous column).
-_STEPS = ((1, 1), (1, 0), (0, 1))
+# Back-pointer codes.  The order is the tie-break: on equal accumulated cost a
+# cell prefers its diagonal, then its vertical (previous row, same column),
+# then its horizontal (same row, previous column) predecessor.
+_DIAG, _VERT, _HORIZ, _START = 0, 1, 2, 3
+_DI = np.array([1, 1, 0, 0])
+_DJ = np.array([1, 0, 1, 0])
 
-_BRUTE_FORCE_MAX_CELLS = 30
 
+@dataclass(frozen=True)
+class Alignments:
+    """Optimal warping paths of a batch of cost matrices.
 
-@dataclass
-class AlignmentResult:
-    """Cumulative-cost matrix, warping path, path cost and similarity score.
-
-    ``path`` holds (row, column) pairs in increasing order; consecutive pairs
-    differ by (1, 1), (1, 0) or (0, 1).  ``distance`` is the summed cost over
-    path entries and ``score`` the summed similarity ``len(path) - distance``
-    under the cost = 1 - similarity convention.
+    ``distances[b]`` is the summed cost over item b's path and ``lengths[b]``
+    its number of cells.  ``path(b)`` lists the cells as (row, column) pairs in
+    increasing order; consecutive pairs differ by (1, 1), (1, 0) or (0, 1).
     """
 
-    cumulative: np.ndarray
-    path: list[tuple[int, int]]
-    distance: float
-    score: float
+    distances: np.ndarray
+    lengths: np.ndarray
+    # (max length, batch) cells visited, walking back from each path's end;
+    # item b's path is the first lengths[b] entries of its column, reversed.
+    _rows: np.ndarray
+    _cols: np.ndarray
+
+    def path(self, b: int) -> list[tuple[int, int]]:
+        n = int(self.lengths[b])
+        return list(zip(self._rows[n - 1 :: -1, b].tolist(), self._cols[n - 1 :: -1, b].tolist()))
+
+    def scores(self, normalize: bool = True) -> np.ndarray:
+        """Summed path similarity ``length - distance`` under cost = 1 - similarity,
+        divided by the path length when ``normalize``."""
+        raw = self.lengths - self.distances
+        return raw / self.lengths if normalize else raw
 
 
-def _check_cost_matrix(cost: np.ndarray) -> np.ndarray:
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.size == 0:
-        raise DataError(f"alignment: cost matrix must be 2-d and nonempty, got shape {cost.shape}")
-    if not np.all(np.isfinite(cost)):
+def pad_costs(costs) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-pad 2-d cost matrices of any shapes into one (batch, n, m) stack.
+
+    Returns the stack and the (batch, 2) array of each item's (rows, columns),
+    the two arguments :func:`align_stack` takes for a ragged batch.
+    """
+    mats = [np.asarray(c, dtype=np.float64) for c in costs]
+    if not mats:
+        raise DataError("alignment: no cost matrices")
+    for c in mats:
+        if c.ndim != 2 or c.size == 0:
+            raise DataError(f"alignment: cost matrix must be 2-d and nonempty, got shape {c.shape}")
+    shapes = np.array([c.shape for c in mats])
+    stack = np.zeros((len(mats), *shapes.max(axis=0)))
+    for b, c in enumerate(mats):
+        stack[b, : c.shape[0], : c.shape[1]] = c
+    return stack, shapes
+
+
+def align_stack(costs: np.ndarray, measure: str = "dtw", shapes: np.ndarray | None = None) -> Alignments:
+    """Align every cost matrix of a (batch, n, m) stack in one wavefront pass.
+
+    ``shapes`` gives each item's (rows, columns) when the stack holds ragged
+    matrices zero-padded to a common shape (see :func:`pad_costs`).  Padding
+    is exact because a cell only reads cells above and left of it, so item b's
+    result is read at its own (n_b - 1, m_b - 1) corner (dtw) or from the
+    first m_b columns of its row n_b - 1 (otam, the end going to the smallest
+    column on ties).  The recursion runs along anti-diagonals, vectorized over
+    the batch and the diagonal's cells, and stores a back-pointer per cell
+    from which the paths are read.
+    """
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
+    costs = np.asarray(costs, dtype=np.float64)
+    if costs.ndim != 3 or costs.size == 0:
+        raise DataError(f"alignment: expected a nonempty (batch, n, m) stack, got shape {costs.shape}")
+    if not np.all(np.isfinite(costs)):
         raise DataError("alignment: cost matrix contains non-finite values")
-    return cost
-
-
-def _backtrack(cost: np.ndarray, cum: np.ndarray, end: tuple[int, int], *, free_first_row: bool) -> list[tuple[int, int]]:
-    i, j = end
-    path = [(i, j)]
-    while (i, j) != (0, 0):
-        if i == 0:
-            if free_first_row:
-                break
-            j -= 1
-        elif j == 0 and free_first_row:
-            i -= 1
-        else:
-            best = np.inf
-            pick = None
-            for di, dj in _STEPS:
-                pi, pj = i - di, j - dj
-                if pi < 0 or pj < 0:
-                    continue
-                if cum[pi, pj] < best:
-                    best = cum[pi, pj]
-                    pick = (pi, pj)
-            i, j = pick
-        path.append((i, j))
-    path.reverse()
-    return path
-
-
-def dtw(cost) -> AlignmentResult:
-    """Boundary-anchored DTW over a cost matrix, with path backtracking."""
-    cost = _check_cost_matrix(cost)
-    n, m = cost.shape
-    cum = np.empty_like(cost)
-    cum[0, 0] = cost[0, 0]
-    for j in range(1, m):
-        cum[0, j] = cost[0, j] + cum[0, j - 1]
-    for i in range(1, n):
-        cum[i, 0] = cost[i, 0] + cum[i - 1, 0]
-        row = cum[i]
-        prev = cum[i - 1]
-        ci = cost[i]
-        for j in range(1, m):
-            best = prev[j - 1]
-            if prev[j] < best:
-                best = prev[j]
-            if row[j - 1] < best:
-                best = row[j - 1]
-            row[j] = ci[j] + best
-    path = _backtrack(cost, cum, (n - 1, m - 1), free_first_row=False)
-    distance = float(cum[n - 1, m - 1])
-    return AlignmentResult(cumulative=cum, path=path, distance=distance, score=len(path) - distance)
-
-
-def otam(cost) -> AlignmentResult:
-    """Subsequence DTW: free start/end on the column (clip) axis only.
-
-    The first row is initialized cell-by-cell (no horizontal accumulation
-    there), so each path enters row 0 at exactly one column; the distance is
-    the minimum over the last row, ties resolved to the smallest column.
-    """
-    cost = _check_cost_matrix(cost)
-    n, m = cost.shape
-    cum = np.empty_like(cost)
-    cum[0, :] = cost[0, :]
-    for i in range(1, n):
-        cum[i, 0] = cost[i, 0] + cum[i - 1, 0]
-        row = cum[i]
-        prev = cum[i - 1]
-        ci = cost[i]
-        for j in range(1, m):
-            best = prev[j - 1]
-            if prev[j] < best:
-                best = prev[j]
-            if row[j - 1] < best:
-                best = row[j - 1]
-            row[j] = ci[j] + best
-    end_col = int(np.argmin(cum[n - 1]))
-    path = _backtrack(cost, cum, (n - 1, end_col), free_first_row=True)
-    distance = float(cum[n - 1, end_col])
-    return AlignmentResult(cumulative=cum, path=path, distance=distance, score=len(path) - distance)
-
-
-def _align(cost: np.ndarray, measure: str) -> AlignmentResult:
-    if measure == "dtw":
-        return dtw(cost)
-    if measure == "otam":
-        return otam(cost)
-    raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
-
-
-def brute_force_align(cost, measure: str = "dtw") -> AlignmentResult:
-    """Exhaustive minimum over all admissible warping paths (test oracle).
-
-    Enumerates every monotone path satisfying the measure's boundary rule and
-    returns the cheapest one, breaking exact-cost ties by the
-    lexicographically smallest path.  Limited to cost matrices of at most
-    30 cells.
-    """
-    cost = _check_cost_matrix(cost)
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
-    n, m = cost.shape
-    if n * m > _BRUTE_FORCE_MAX_CELLS:
-        raise DataError(f"brute_force_align: {n}x{m} exceeds the {_BRUTE_FORCE_MAX_CELLS}-cell bound")
-
-    best_cost = np.inf
-    best_path: tuple[tuple[int, int], ...] | None = None
-
-    def consider(path: tuple[tuple[int, int], ...], total: float) -> None:
-        nonlocal best_cost, best_path
-        if total < best_cost or (total == best_cost and (best_path is None or path < best_path)):
-            best_cost = total
-            best_path = path
-
-    def extend(i: int, j: int, path: tuple[tuple[int, int], ...], total: float) -> None:
-        if i == n - 1:
-            if measure == "otam" or j == m - 1:
-                consider(path, total)
-        for di, dj in _STEPS:
-            # A path occupies exactly one cell of row 0 under otam.
-            if measure == "otam" and i == 0 and (di, dj) == (0, 1):
-                continue
-            ni, nj = i + di, j + dj
-            if ni >= n or nj >= m:
-                continue
-            extend(ni, nj, path + ((ni, nj),), total + cost[ni, nj])
-
-    starts = [(0, 0)] if measure == "dtw" else [(0, j) for j in range(m)]
-    for si, sj in starts:
-        extend(si, sj, ((si, sj),), float(cost[si, sj]))
-
-    path = list(best_path)
-    cum = dtw(cost).cumulative if measure == "dtw" else otam(cost).cumulative
-    return AlignmentResult(cumulative=cum, path=path, distance=float(best_cost), score=len(path) - float(best_cost))
-
-
-def alignment_score(
-    anchor: EmbeddingSequence,
-    candidate: EmbeddingSequence,
-    measure: str = "dtw",
-    normalize: bool = True,
-) -> tuple[float, AlignmentResult]:
-    """Align two sequences on cosine cost; score = summed path similarity.
-
-    With ``normalize`` the similarity sum is divided by the path length, so
-    candidates whose optimal paths differ in length stay comparable.
-    """
-    cost = cost_matrix(anchor, candidate)
-    result = _align(cost, measure)
-    score = result.score / len(result.path) if normalize else result.score
-    result.score = score
-    return score, result
-
-
-def align_stack(cost_stack: np.ndarray, measure: str = "dtw") -> tuple[np.ndarray, np.ndarray]:
-    """Distances and path lengths for a (batch, n, m) stack of cost matrices.
-
-    Vectorizes the recursion across the batch axis; predecessor ties resolve
-    in the same diagonal/vertical/horizontal order as the single-matrix
-    functions, so path lengths match them entry for entry.  Backtracking is
-    skipped, which makes this the fast route for scoring many alignments of
-    equal shape (episodic evaluation, batched training negatives).
-    """
-    stack = np.asarray(cost_stack, dtype=np.float64)
-    if stack.ndim != 3 or stack.size == 0:
-        raise DataError(f"align_stack: expected nonempty (batch, n, m) stack, got shape {stack.shape}")
-    if not np.all(np.isfinite(stack)):
-        raise DataError("align_stack: non-finite costs")
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
-    b, n, m = stack.shape
-    cum = np.empty_like(stack)
-    length = np.empty((b, n, m), dtype=np.int64)
-    cum[:, 0, 0] = stack[:, 0, 0]
-    length[:, 0, 0] = 1
-    if measure == "dtw":
-        for j in range(1, m):
-            cum[:, 0, j] = stack[:, 0, j] + cum[:, 0, j - 1]
-            length[:, 0, j] = j + 1
+    batch, n, m = costs.shape
+    if shapes is None:
+        rows, cols = np.full(batch, n), np.full(batch, m)
     else:
-        cum[:, 0, :] = stack[:, 0, :]
-        length[:, 0, :] = 1
-    for i in range(1, n):
-        cum[:, i, 0] = stack[:, i, 0] + cum[:, i - 1, 0]
-        length[:, i, 0] = length[:, i - 1, 0] + 1
-        for j in range(1, m):
-            cand = np.stack((cum[:, i - 1, j - 1], cum[:, i - 1, j], cum[:, i, j - 1]))
-            pick = np.argmin(cand, axis=0)  # first minimum = preference order
-            cum[:, i, j] = stack[:, i, j] + cand[pick, np.arange(b)]
-            lens = np.stack((length[:, i - 1, j - 1], length[:, i - 1, j], length[:, i, j - 1]))
-            length[:, i, j] = lens[pick, np.arange(b)] + 1
+        rows, cols = np.asarray(shapes, dtype=np.int64).T
+        if rows.shape != (batch,) or np.any((rows < 1) | (rows > n) | (cols < 1) | (cols > m)):
+            raise DataError(f"alignment: item shapes do not fit the {n}x{m} stack")
+    cost = costs.transpose(1, 2, 0)
+    items = np.arange(batch)
+
+    # cum[i + 1, j + 1] is the accumulated cost of cell (i, j); the extra first
+    # row and column are +inf so that border cells see only real predecessors.
+    cum = np.full((n + 1, m + 1, batch), np.inf)
+    ptr = np.empty((n, m, batch), dtype=np.int8)
     if measure == "dtw":
-        return cum[:, n - 1, m - 1].copy(), length[:, n - 1, m - 1].copy()
-    end = np.argmin(cum[:, n - 1, :], axis=1)
-    rows = np.arange(b)
-    return cum[:, n - 1, :][rows, end], length[:, n - 1, :][rows, end]
+        cum[1, 1:] = np.cumsum(cost[0], axis=0)
+        ptr[0] = _HORIZ
+        ptr[0, 0] = _START
+    else:
+        cum[1, 1:] = cost[0]
+        ptr[0] = _START
+    for d in range(1, n + m - 1):
+        i = np.arange(max(1, d - m + 1), min(d, n - 1) + 1)
+        j = d - i
+        diag, up, left = cum[i, j], cum[i, j + 1], cum[i + 1, j]
+        vert = up < diag  # strict comparisons keep the earlier step on ties
+        best = np.where(vert, up, diag)
+        horiz = left < best
+        cum[i + 1, j + 1] = cost[i, j] + np.where(horiz, left, best)
+        ptr[i, j] = np.where(horiz, _HORIZ, vert)  # vert is _VERT (1) or _DIAG (0)
+
+    last = cum[rows, 1:, items]  # (batch, m): each item's last row
+    if measure == "dtw":
+        end = cols - 1
+    else:
+        last[np.arange(m) >= cols[:, None]] = np.inf
+        end = np.argmin(last, axis=1)
+    distances = last[items, end]
+
+    # Walk every path back from its end at once; an item that reached its
+    # start keeps repeating that cell, which the length count ignores.
+    i, j = rows - 1, end
+    trail_i, trail_j = [i], [j]
+    lengths = np.ones(batch, dtype=np.int64)
+    step = ptr[i, j, items]
+    while np.any(step != _START):
+        lengths += step != _START
+        i = i - _DI[step]
+        j = j - _DJ[step]
+        trail_i.append(i)
+        trail_j.append(j)
+        step = ptr[i, j, items]
+    return Alignments(distances, lengths, np.array(trail_i), np.array(trail_j))
 
 
-def score_stack(sim_stack: np.ndarray, measure: str = "dtw", normalize: bool = True) -> np.ndarray:
-    """Alignment scores for a stack of similarity matrices (cost = 1 - sim)."""
-    distances, lengths = align_stack(1.0 - np.asarray(sim_stack, dtype=np.float64), measure)
-    scores = lengths - distances
-    if normalize:
-        scores = scores / lengths
-    return scores
+# Single-matrix entry points named by the benchmark's per-layer hook table
+# (perfbench/layertrace.py, layer align.single) and its tests.
+
+
+def dtw(cost) -> Alignments:
+    """:func:`align_stack` of one matrix under dtw."""
+    return align_stack(np.asarray(cost, dtype=np.float64)[None], "dtw")
+
+
+def otam(cost) -> Alignments:
+    """:func:`align_stack` of one matrix under otam."""
+    return align_stack(np.asarray(cost, dtype=np.float64)[None], "otam")

@@ -14,12 +14,12 @@ from dataclasses import asdict
 
 import numpy as np
 
+from . import align
 from . import evaluate as ev
-from .core import DataError
+from .core import DataError, cost_matrix
 from .io import dump_json, fmt9, load_dataset, load_pair, write_csv
 from .loss import LossConfig
 from .negatives import STRATEGY_NAMES
-from .align import alignment_score
 from .synth import FewshotSynthConfig, SynthConfig, gen_corpus, gen_fewshot_corpus
 from .train import ProjectionModel, TrainConfig, fit, load_checkpoint, save_checkpoint
 from . import io as tio
@@ -64,10 +64,11 @@ def _emit_report(report, out_csv: str | None, dump: str | None) -> None:
 
 def cmd_align(args) -> int:
     pair = load_pair(args.pair)
-    score, result = alignment_score(pair.anchor, pair.positive, measure=args.measure, normalize=args.normalize)
-    record = {"pair": pair.id, "measure": args.measure, "score": score, "distance": result.distance}
+    result = align.align_stack(cost_matrix(pair.anchor, pair.positive)[None], args.measure)
+    record = {"pair": pair.id, "measure": args.measure, "score": result.scores(args.normalize)[0],
+              "distance": result.distances[0]}
     if args.emit_path:
-        record["path"] = [list(step) for step in result.path]
+        record["path"] = [list(step) for step in result.path(0)]
     print(dump_json(record))
     return 0
 
@@ -284,7 +285,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

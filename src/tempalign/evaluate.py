@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .align import _align, score_stack
+from . import align
 from .core import DataError, LabeledVideo, SegmentedPair, similarity_matrix, unit_normalize
 
 RETRIEVAL_MEASURES = ("dtw", "otam", "capavg", "dtw+capavg", "otam+capavg")
@@ -56,11 +56,6 @@ def _check_ks(ks, n_candidates: int) -> tuple[int, ...]:
     if ks[-1] > n_candidates:
         raise DataError(f"recall@{ks[-1]} needs at least {ks[-1]} candidates, corpus has {n_candidates}")
     return ks
-
-
-def _aligned_score(a_units: np.ndarray, b_units: np.ndarray, measure: str) -> float:
-    res = _align(1.0 - similarity_matrix(a_units, b_units), measure)
-    return res.score / len(res.path)
 
 
 def _minmax(x: np.ndarray) -> np.ndarray:
@@ -120,7 +115,8 @@ def retrieval_full(
     per_query = [] if dump_scores else None
     for q in range(n):
         if need_align:
-            align_scores = np.array([_aligned_score(anchors[q], clips[v], align_measure) for v in range(n)])
+            stack, shapes = align.pad_costs([1.0 - similarity_matrix(anchors[q], c) for c in clips])
+            align_scores = align.align_stack(stack, align_measure, shapes).scores()
         if need_votes:
             sims = similarity_matrix(anchors[q], pool)
             best = np.argmax(sims, axis=1)  # first max = stable clip order
@@ -201,24 +197,32 @@ def localization_recall(pair: SegmentedPair, model=None) -> float:
 def pair_match_percentage(pair: SegmentedPair, model=None, measure: str = "dtw") -> float:
     """Fraction of warping-path entries whose clip lies in the matched
     caption's ground-truth range (alignment restricted to covered clips)."""
-    pair.require_canonical()
-    f_anchor, f_clips = _transforms(model)
-    anchor = f_anchor(pair.anchor.units)
-    covered = f_clips(pair.covered_units())
-    covered_index = pair.covered_indices
-    res = _align(1.0 - similarity_matrix(anchor, covered), measure)
-    spans = {caption: (start, end) for caption, start, end in pair.segments}
-    correct = sum(
-        1 for i, q in res.path if spans[i][0] <= int(covered_index[q]) < spans[i][1]
-    )
-    return correct / len(res.path)
+    return float(_pair_match([pair], model, measure)[0])
 
 
 def corpus_pair_match(corpus: list[SegmentedPair], model=None, measure: str = "dtw") -> float:
     """pair_match_percentage averaged over all videos of a corpus."""
     if not corpus:
         raise DataError("empty corpus")
-    return float(np.mean([pair_match_percentage(p, model, measure) for p in corpus]))
+    return float(np.mean(_pair_match(corpus, model, measure)))
+
+
+def _pair_match(corpus: list[SegmentedPair], model, measure: str) -> np.ndarray:
+    """Per-pair match fractions, from one alignment call for the whole corpus."""
+    f_anchor, f_clips = _transforms(model)
+    costs = []
+    for pair in corpus:
+        pair.require_canonical()
+        costs.append(1.0 - similarity_matrix(f_anchor(pair.anchor.units), f_clips(pair.covered_units())))
+    stack, shapes = align.pad_costs(costs)
+    res = align.align_stack(stack, measure, shapes)
+    matched = np.empty(len(corpus))
+    for b, pair in enumerate(corpus):
+        spans = {caption: (start, end) for caption, start, end in pair.segments}
+        covered_index = pair.covered_indices
+        correct = sum(1 for i, q in res.path(b) if spans[i][0] <= int(covered_index[q]) < spans[i][1])
+        matched[b] = correct / int(res.lengths[b])
+    return matched
 
 
 def _episode_scores(q_units, s_units, measure: str) -> np.ndarray:
@@ -232,9 +236,10 @@ def _episode_scores(q_units, s_units, measure: str) -> np.ndarray:
         q_hat = np.stack([unit_normalize(u)[0] for u in q_units])
         s_hat = np.stack([unit_normalize(u)[0] for u in s_units])
         sims = np.clip(np.einsum("qid,sjd->qsij", q_hat, s_hat), -1.0, 1.0)
-        flat = sims.reshape(-1, sims.shape[2], sims.shape[3])
-        return score_stack(flat, measure=measure, normalize=True).reshape(len(q_units), len(s_units))
-    return np.array([[_aligned_score(q, s, measure) for s in s_units] for q in q_units])
+        stack, shapes = 1.0 - sims.reshape(-1, sims.shape[2], sims.shape[3]), None
+    else:
+        stack, shapes = align.pad_costs([1.0 - similarity_matrix(q, s) for q in q_units for s in s_units])
+    return align.align_stack(stack, measure, shapes).scores().reshape(len(q_units), len(s_units))
 
 
 def fewshot_eval(

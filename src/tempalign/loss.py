@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .align import _align
+from . import align
 from .core import SegmentedPair, similarity_matrix
 from .negatives import NegativePermutation
 
@@ -39,11 +39,6 @@ class LossConfig:
             raise ValueError(f"measure must be 'dtw' or 'otam', got {self.measure!r}")
 
 
-def _logsumexp(z: np.ndarray) -> float:
-    m = float(np.max(z))
-    return m + float(np.log(np.sum(np.exp(z - m))))
-
-
 def unit_infonce(pos_score: float, neg_scores, tau: float = 1.0) -> float:
     """-log( e^{pos/tau} / (e^{pos/tau} + sum_k e^{neg_k/tau}) ), stably.
 
@@ -52,22 +47,20 @@ def unit_infonce(pos_score: float, neg_scores, tau: float = 1.0) -> float:
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    scores = np.concatenate(([float(pos_score)], np.asarray(neg_scores, dtype=np.float64).ravel()))
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("unit_infonce: non-finite score")
-    z = scores / tau
-    return _logsumexp(z) - float(z[0])
+    return infonce_with_grad(pos_score, neg_scores, tau)[0]
 
 
 def infonce_with_grad(pos_score: float, neg_scores, tau: float) -> tuple[float, float, np.ndarray]:
     """Loss plus d(loss)/d(pos) and d(loss)/d(neg_k) in closed form."""
     scores = np.concatenate(([float(pos_score)], np.asarray(neg_scores, dtype=np.float64).ravel()))
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("infonce: non-finite score")
     z = scores / tau
     z -= z.max()
     w = np.exp(z)
-    w /= w.sum()
-    loss = unit_infonce(pos_score, neg_scores, tau)
-    return loss, (w[0] - 1.0) / tau, w[1:] / tau
+    total = w.sum()
+    w /= total
+    return float(np.log(total) - z[0]), (w[0] - 1.0) / tau, w[1:] / tau
 
 
 @dataclass
@@ -93,12 +86,10 @@ class CandidateScore:
 class SeqLossResult:
     loss: float
     candidates: list[CandidateScore]
-    #: d(loss)/d(similarity entry), keyed (candidate_index, anchor_i, source_j);
-    #: candidate 0 is the positive.  Populated when gradients are requested.
-    grad_entries: dict[tuple[int, int, int], float] = field(default_factory=dict)
-    #: Same gradient accumulated per source pair id as dense
-    #: (n_anchor, n_source_covered) matrices in covered-position space;
-    #: the pair's own id keys the matrix over its own covered clips.
+    #: d(loss)/d(similarity entry) accumulated per source pair id as dense
+    #: (n_anchor, n_source_covered) matrices in covered-position space; the
+    #: pair's own id keys the matrix over its own covered clips.  Populated
+    #: when gradients are requested.
     grad_by_source: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
@@ -112,22 +103,16 @@ SourceResolver = Callable[[str], tuple[np.ndarray, np.ndarray]]
 
 
 def _corpus_resolver(pair: SegmentedPair, corpus) -> SourceResolver:
-    if callable(corpus):
-        base = corpus
-    else:
-        lookup: dict[str, SegmentedPair] = {}
-        if corpus is not None:
-            for p in corpus if not isinstance(corpus, dict) else corpus.values():
-                lookup[p.id] = p
-        lookup[pair.id] = pair
+    lookup = {p.id: p for p in corpus or ()}
+    lookup[pair.id] = pair
 
-        def base(source_id: str) -> tuple[np.ndarray, np.ndarray]:
-            if source_id not in lookup:
-                raise ValueError(f"negative references unknown pair {source_id!r}; pass the corpus")
-            p = lookup[source_id]
-            return p.covered_units(), p.covered_indices
+    def resolve(source_id: str) -> tuple[np.ndarray, np.ndarray]:
+        if source_id not in lookup:
+            raise ValueError(f"negative references unknown pair {source_id!r}; pass the corpus")
+        p = lookup[source_id]
+        return p.covered_units(), p.covered_indices
 
-    return base
+    return resolve
 
 
 def seq_grad_core(
@@ -145,83 +130,61 @@ def seq_grad_core(
 
     ``covered_index`` maps similarity-matrix columns back to original unit
     indices of the positive sequence.  Negatives referencing other sources
-    are resolved through ``resolve``.
+    are resolved through ``resolve``.  The positive and every negative are
+    aligned in one batched call.
     """
-    base_self = similarity_matrix(anchor_units, covered_units)
-    self_col = {int(j): q for q, j in enumerate(covered_index)}
-    foreign: dict[str, tuple[np.ndarray, dict[int, int]]] = {}
+    # source id -> (similarity matrix, original unit index of each column,
+    # column of each original unit index)
+    sources = {source_id: (similarity_matrix(anchor_units, covered_units), np.asarray(covered_index),
+                           {int(j): q for q, j in enumerate(covered_index)})}
+    all_rows, all_cols = np.arange(anchor_units.shape[0]), np.arange(len(covered_index))
 
-    # Per record: (label, source_key, score, distance, length,
-    #              entries=(anchor_i, source_j) list, cells=(row, col) into the
-    #              source's base similarity matrix).
-    records = []
-
-    def add(label: str, source_key: str, mat: np.ndarray, path_to_cell, path_to_entry):
-        res = _align(1.0 - mat, cfg.measure)
-        score = res.score / len(res.path) if cfg.normalize_score else res.score
-        entries = [path_to_entry(r, c) for r, c in res.path]
-        cells = [path_to_cell(r, c) for r, c in res.path]
-        records.append((label, source_key, score, res.distance, len(res.path), entries, cells))
-
-    add(
-        "positive", source_id, base_self,
-        lambda r, c: (r, c),
-        lambda r, c: (r, int(covered_index[c])),
-    )
+    # Per candidate: (label, source id, rows, columns) selecting its
+    # similarity matrix from the source's.
+    specs = [("positive", source_id, all_rows, all_cols)]
     for neg in negs:
         if neg.strategy == "visual_anchor":
-            rows = np.asarray(neg.perm, dtype=np.int64)
-            add(
-                neg.strategy, source_id, base_self[rows, :],
-                lambda r, c, rows=rows: (int(rows[r]), c),
-                lambda r, c, rows=rows: (int(rows[r]), int(covered_index[c])),
-            )
-        else:
-            if neg.source_id == source_id:
-                base, col_of = base_self, self_col
-            else:
-                if neg.source_id not in foreign:
-                    units, orig = resolve(neg.source_id)
-                    foreign[neg.source_id] = (
-                        similarity_matrix(anchor_units, units),
-                        {int(j): q for q, j in enumerate(orig)},
-                    )
-                base, col_of = foreign[neg.source_id]
-            try:
-                cols = np.asarray([col_of[int(j)] for j in neg.perm], dtype=np.int64)
-            except KeyError as exc:
-                raise ValueError(f"negative for {neg.source_id!r} references uncovered unit {exc}") from exc
-            add(
-                neg.strategy, neg.source_id, base[:, cols],
-                lambda r, c, cols=cols: (r, int(cols[c])),
-                lambda r, c, perm=neg.perm: (r, int(perm[c])),
-            )
+            specs.append((neg.strategy, source_id, neg.perm, all_cols))
+            continue
+        if neg.source_id not in sources:
+            units, orig = resolve(neg.source_id)
+            sources[neg.source_id] = (similarity_matrix(anchor_units, units), np.asarray(orig),
+                                      {int(j): q for q, j in enumerate(orig)})
+        col_of = sources[neg.source_id][2]
+        try:
+            cols = np.asarray([col_of[int(j)] for j in neg.perm], dtype=np.int64)
+        except KeyError as exc:
+            raise ValueError(f"negative for {neg.source_id!r} references uncovered unit {exc}") from exc
+        specs.append((neg.strategy, neg.source_id, all_rows, cols))
 
-    candidates = [
-        CandidateScore(label=lab, source_id=src, score=score, distance=dist, length=length, entries=entries)
-        for lab, src, score, dist, length, entries, _ in records
-    ]
+    stack, shapes = align.pad_costs([1.0 - sources[src][0][np.ix_(rows, cols)] for _, src, rows, cols in specs])
+    aligned = align.align_stack(stack, cfg.measure, shapes)
+    scores = aligned.scores(cfg.normalize_score)
+    candidates = []
+    cells = []  # per candidate: path cells as (rows, columns) of its source's similarity matrix
+    for k, (label, src, rows, cols) in enumerate(specs):
+        path = np.array(aligned.path(k))
+        r, c = rows[path[:, 0]], cols[path[:, 1]]
+        cells.append((r, c))
+        candidates.append(CandidateScore(
+            label=label, source_id=src, score=float(scores[k]), distance=float(aligned.distances[k]),
+            length=int(aligned.lengths[k]), entries=list(zip(r.tolist(), sources[src][1][c].tolist())),
+        ))
     if not negs:
         return SeqLossResult(loss=0.0, candidates=candidates)
 
-    scores = np.array([r[2] for r in records])
     loss, dpos, dnegs = infonce_with_grad(scores[0], scores[1:], cfg.tau)
     out = SeqLossResult(loss=loss, candidates=candidates)
     if not want_grad:
         return out
 
     dscore = np.concatenate(([dpos], dnegs))
-    shapes = {source_id: base_self.shape, **{k: v[0].shape for k, v in foreign.items()}}
-    by_source = {src: np.zeros(shape) for src, shape in shapes.items()}
-    grad_entries: dict[tuple[int, int, int], float] = {}
-    for idx, (lab, src, score, dist, length, entries, cells) in enumerate(records):
-        g = dscore[idx] / length if cfg.normalize_score else dscore[idx]
-        mat = by_source[src]
-        for (i, j), (mi, mj) in zip(entries, cells):
-            key = (idx, i, j)
-            grad_entries[key] = grad_entries.get(key, 0.0) + g
-            mat[mi, mj] += g
-    out.grad_entries = grad_entries
+    if cfg.normalize_score:
+        dscore = dscore / aligned.lengths
+    by_source = {src: np.zeros(sim.shape) for src, (sim, _, _) in sources.items()}
+    for k, (_, src, _, _) in enumerate(specs):
+        # the cells of one path are distinct: permutations never repeat an index
+        by_source[src][cells[k]] += dscore[k]
     out.grad_by_source = by_source
     return out
 

@@ -1,77 +1,97 @@
 import numpy as np
 import pytest
 
-from conftest import basis, check_path, seq
-from tempalign.align import (
-    AlignmentResult,
-    align_stack,
-    alignment_score,
-    brute_force_align,
-    dtw,
-    otam,
-    score_stack,
-)
-from tempalign.core import DataError
+from conftest import basis, brute_force_align, check_path, seq
+from tempalign.align import align_stack, pad_costs
+from tempalign.core import DataError, cost_matrix, similarity_matrix
+
+
+def align_one(cost, measure="dtw"):
+    """(distance, path) of one matrix aligned alone."""
+    res = align_stack(np.asarray(cost, dtype=float)[None], measure)
+    return float(res.distances[0]), res.path(0)
+
+
+def sequence_score(a, b, measure="dtw", normalize=True):
+    """(score, path) of two sequences aligned on cosine cost."""
+    res = align_stack(cost_matrix(a, b)[None], measure)
+    return float(res.scores(normalize)[0]), res.path(0)
 
 
 class TestDtw:
     def test_perfect_diagonal(self):
-        res = dtw([[0.0, 1.0], [1.0, 0.0]])
-        assert res.distance == pytest.approx(0.0)
-        assert res.path == [(0, 0), (1, 1)]
+        distance, path = align_one([[0.0, 1.0], [1.0, 0.0]])
+        assert distance == pytest.approx(0.0)
+        assert path == [(0, 0), (1, 1)]
 
     def test_single_row_covers_all_columns(self):
-        res = dtw([[1.0, 1.0, 1.0]])
-        assert res.distance == pytest.approx(3.0)
-        assert res.path == [(0, 0), (0, 1), (0, 2)]
+        distance, path = align_one([[1.0, 1.0, 1.0]])
+        assert distance == pytest.approx(3.0)
+        assert path == [(0, 0), (0, 1), (0, 2)]
 
     def test_three_by_three_against_oracle(self):
         d = [[0.2, 0.9, 0.8], [0.7, 0.1, 0.9], [0.8, 0.7, 0.3]]
         oracle = brute_force_align(d, "dtw")
-        res = dtw(d)
+        distance, path = align_one(d)
         assert oracle.distance == pytest.approx(0.6, abs=1e-12)
-        assert res.distance == pytest.approx(oracle.distance, abs=1e-12)
-        assert res.path == [(0, 0), (1, 1), (2, 2)]
+        assert distance == pytest.approx(oracle.distance, abs=1e-12)
+        assert path == [(0, 0), (1, 1), (2, 2)]
 
     def test_empty_matrix(self):
         with pytest.raises(DataError):
-            dtw(np.empty((0, 0)))
+            align_one(np.empty((0, 0)))
 
     def test_cumulative_recursion_value(self, rng):
         d = rng.random((4, 5))
-        res = dtw(d)
-        # spot-check one interior cell of the cumulative matrix
+        # The cumulative cost of cell (i, j) is the distance of the prefix
+        # matrix ending there; spot-check the recursion at one interior cell.
         i, j = 2, 3
-        expected = d[i, j] + min(res.cumulative[i - 1, j - 1], res.cumulative[i - 1, j], res.cumulative[i, j - 1])
-        assert res.cumulative[i, j] == pytest.approx(expected)
-        assert res.distance == pytest.approx(sum(d[i, j] for i, j in res.path))
+        prefixes = [d[: i + 1, : j + 1], d[:i, :j], d[:i, : j + 1], d[: i + 1, :j], d]
+        stack, shapes = pad_costs(prefixes)
+        res = align_stack(stack, "dtw", shapes)
+        cell, diag, up, left, full = res.distances
+        assert cell == pytest.approx(d[i, j] + min(diag, up, left))
+        assert full == pytest.approx(sum(d[p] for p in res.path(4)))
+
+    def test_rejects_malformed_input(self):
+        for bad in ([np.zeros(3)], [[[0.0, np.nan]]], [[[np.inf]]], [], [np.zeros((2, 0))]):
+            with pytest.raises(DataError):
+                stack, shapes = pad_costs(bad)
+                align_stack(stack, "dtw", shapes)
+        for bad in (np.zeros((0, 2, 2)), np.zeros((2, 2)), [[[0.0, np.nan]]]):
+            with pytest.raises(DataError):
+                align_stack(bad)
+        with pytest.raises(DataError):
+            align_stack(np.zeros((2, 3, 3)), "dtw", [[3, 3], [4, 3]])
+        with pytest.raises(ValueError):
+            align_stack(np.zeros((1, 1, 1)), "soft-dtw")
 
 
 class TestOtam:
     def test_free_start_end_skips_padding(self):
-        res = otam([[1.0, 0.0, 1.0]])
-        assert res.distance == pytest.approx(0.0)
-        assert res.path == [(0, 1)]
+        distance, path = align_one([[1.0, 0.0, 1.0]], "otam")
+        assert distance == pytest.approx(0.0)
+        assert path == [(0, 1)]
 
     def test_embedded_diagonal(self):
         d = [[1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 1.0]]
         oracle = brute_force_align(d, "otam")
-        res = otam(d)
+        distance, path = align_one(d, "otam")
         assert oracle.distance == pytest.approx(0.0)
-        assert res.distance == pytest.approx(0.0)
-        assert res.path == [(0, 1), (1, 2)] == oracle.path
+        assert distance == pytest.approx(0.0)
+        assert path == [(0, 1), (1, 2)] == oracle.path
 
     def test_square_zero_diagonal_matches_dtw(self, rng):
         d = rng.uniform(0.2, 1.0, size=(4, 4))
         np.fill_diagonal(d, 0.0)
-        res_d, res_o = dtw(d), otam(d)
-        assert res_o.distance == pytest.approx(res_d.distance)
-        assert res_o.path == res_d.path
+        (dist_d, path_d), (dist_o, path_o) = align_one(d, "dtw"), align_one(d, "otam")
+        assert dist_o == pytest.approx(dist_d)
+        assert path_o == path_d
 
     def test_column_zero_accumulates(self):
-        res = otam([[0.5], [0.25]])
-        assert res.distance == pytest.approx(0.75)
-        assert res.path == [(0, 0), (1, 0)]
+        distance, path = align_one([[0.5], [0.25]], "otam")
+        assert distance == pytest.approx(0.75)
+        assert path == [(0, 0), (1, 0)]
 
 
 class TestBruteForceOracle:
@@ -91,40 +111,38 @@ class TestBruteForceOracle:
 
     @pytest.mark.parametrize("measure", ["dtw", "otam"])
     def test_dp_matches_oracle_on_random_matrices(self, measure, rng):
-        solver = dtw if measure == "dtw" else otam
         for _ in range(60):
             n = int(rng.integers(1, 6))
             m = int(rng.integers(1, 7))
             d = rng.random((n, m))
-            res = solver(d)
+            distance, path = align_one(d, measure)
             oracle = brute_force_align(d, measure)
-            assert res.distance == pytest.approx(oracle.distance, abs=1e-9)
-            check_path(res.path, (n, m), measure)
+            assert distance == pytest.approx(oracle.distance, abs=1e-9)
+            check_path(path, (n, m), measure)
 
     @pytest.mark.parametrize("measure", ["dtw", "otam"])
     def test_dp_matches_oracle_with_signed_costs(self, measure, rng):
-        solver = dtw if measure == "dtw" else otam
         for _ in range(30):
             d = rng.normal(size=(3, 5))
-            assert solver(d).distance == pytest.approx(brute_force_align(d, measure).distance, abs=1e-9)
+            assert align_one(d, measure)[0] == pytest.approx(brute_force_align(d, measure).distance, abs=1e-9)
 
     def test_otam_never_worse_than_dtw_on_squares(self, rng):
         for _ in range(50):
             d = rng.random((4, 4))
-            assert otam(d).distance <= dtw(d).distance + 1e-12
+            assert align_one(d, "otam")[0] <= align_one(d, "dtw")[0] + 1e-12
 
 
 class TestAlignmentScore:
     def test_self_alignment_raw(self):
         a = seq([basis(0, 2), basis(1, 2)])
-        score, res = alignment_score(a, a, "dtw", normalize=False)
+        score, path = sequence_score(a, a, "dtw", normalize=False)
         assert score == pytest.approx(2.0)
-        assert res.path == [(0, 0), (1, 1)]
+        assert path == [(0, 0), (1, 1)]
 
     def test_self_alignment_normalized_any_length(self, rng):
         for n in (1, 3, 7):
             a = seq(rng.normal(size=(n, 5)))
-            score, _ = alignment_score(a, a, "dtw", normalize=True)
+            score, _ = sequence_score(a, a, "dtw", normalize=True)
             assert score == pytest.approx(1.0)
 
     def test_swapped_candidate_oracle_score(self):
@@ -132,14 +150,12 @@ class TestAlignmentScore:
         # smallest is the upper elbow with similarities 0, 1, 0 -> raw 1.0.
         a = seq([basis(0, 2), basis(1, 2)])
         b = seq([basis(1, 2), basis(0, 2)])
-        from tempalign.core import cost_matrix
-
         oracle = brute_force_align(cost_matrix(a, b), "dtw")
         assert len(oracle.path) == 3
         assert oracle.score == pytest.approx(1.0)
         # The DP resolves the same tie diagonal-first (documented behavior).
-        dp_score, dp_res = alignment_score(a, b, "dtw", normalize=False)
-        assert dp_res.path == [(0, 0), (1, 1)]
+        dp_score, dp_path = sequence_score(a, b, "dtw", normalize=False)
+        assert dp_path == [(0, 0), (1, 1)]
         assert dp_score == pytest.approx(0.0)
 
     def test_identity_permutation_leaves_score_unchanged(self, rng):
@@ -147,36 +163,53 @@ class TestAlignmentScore:
         b_units = rng.normal(size=(5, 4))
         b = seq(b_units)
         b_same = seq(b_units[np.arange(5)])
-        s1, _ = alignment_score(a, b, "dtw")
-        s2, _ = alignment_score(a, b_same, "dtw")
+        s1, _ = sequence_score(a, b, "dtw")
+        s2, _ = sequence_score(a, b_same, "dtw")
         assert s1 == pytest.approx(s2)
 
     def test_otam_score(self):
         a = seq([basis(0, 3)])
         b = seq([basis(2, 3), basis(0, 3), basis(1, 3)])
-        score, res = alignment_score(a, b, "otam", normalize=True)
+        score, path = sequence_score(a, b, "otam", normalize=True)
         assert score == pytest.approx(1.0)
-        assert res.path == [(0, 1)]
+        assert path == [(0, 1)]
 
 
 class TestStackKernels:
     @pytest.mark.parametrize("measure", ["dtw", "otam"])
     def test_matches_single_matrix_solver(self, measure, rng):
-        solver = dtw if measure == "dtw" else otam
         stack = rng.random((40, 4, 6))
-        distances, lengths = align_stack(stack, measure)
+        res = align_stack(stack, measure)
         for b in range(stack.shape[0]):
-            res = solver(stack[b])
-            assert distances[b] == pytest.approx(res.distance, abs=1e-12)
-            assert lengths[b] == len(res.path)
+            distance, path = align_one(stack[b], measure)
+            assert res.distances[b] == distance
+            assert res.lengths[b] == len(path)
+            assert res.path(b) == path
 
-    def test_score_stack_matches_alignment_score(self, rng):
+    def test_stack_scores_match_sequence_scores(self, rng):
         a_units = rng.normal(size=(8, 3, 5))
         b_units = rng.normal(size=(8, 4, 5))
-        from tempalign.core import similarity_matrix
-
         sims = np.stack([similarity_matrix(a_units[i], b_units[i]) for i in range(8)])
-        scores = score_stack(sims, "dtw", normalize=True)
+        scores = align_stack(1.0 - sims, "dtw").scores(normalize=True)
         for i in range(8):
-            expect, _ = alignment_score(seq(a_units[i]), seq(b_units[i]), "dtw", normalize=True)
+            expect, _ = sequence_score(seq(a_units[i]), seq(b_units[i]), "dtw", normalize=True)
             assert scores[i] == pytest.approx(expect, abs=1e-12)
+
+    @pytest.mark.parametrize("measure", ["dtw", "otam"])
+    def test_ragged_batch_matches_oracle_and_lone_alignment(self, measure, rng):
+        shapes = [(1, 1), (6, 7), (1, 5), (4, 1), (2, 3), (5, 6), (3, 3), (6, 2), (1, 7), (4, 6)]
+        mats = []
+        for n, m in shapes:
+            mats.append(rng.random((n, m)))
+            mats.append(rng.integers(0, 3, size=(n, m)).astype(float))  # integer costs: many exact ties
+        stack, shapes = pad_costs(mats)
+        res = align_stack(stack, measure, shapes)
+        assert len(res.distances) == len(mats)
+        for b, d in enumerate(mats):
+            path = res.path(b)
+            check_path(path, d.shape, measure)
+            assert res.lengths[b] == len(path)
+            assert res.distances[b] == pytest.approx(sum(d[p] for p in path), abs=1e-12)
+            if d.size <= 30:
+                assert res.distances[b] == pytest.approx(brute_force_align(d, measure).distance, abs=1e-12)
+            assert (float(res.distances[b]), path) == align_one(d, measure)

@@ -124,13 +124,17 @@ class TestSeqInfonce:
 
 
 class TestSeqGradOracle:
+    # The toy positive's path and the swapped negative's path touch disjoint
+    # similarity entries, so each entry's gradient is one candidate's alone.
     def test_symmetric_case_values(self):
         pair = toy_pair(1.0, 0.0, 0.0, 1.0)
         res = seq_infonce_grad(pair, [swap_negative()], RAW_CFG)
+        assert not set(res.candidates[0].entries) & set(res.candidates[1].entries)
+        grad = res.grad_by_source["toy"]
         expected = 1.0 / (math.e**2 + 1.0)
-        assert res.grad_entries[(0, 0, 0)] == pytest.approx(-expected, abs=1e-9)
-        assert res.grad_entries[(1, 0, 1)] == pytest.approx(expected, abs=1e-9)
-        assert res.grad_entries[(0, 0, 0)] == pytest.approx(-0.1192029, abs=1e-7)
+        assert grad[0, 0] == pytest.approx(-expected, abs=1e-9)
+        assert grad[0, 1] == pytest.approx(expected, abs=1e-9)
+        assert grad[0, 0] == pytest.approx(-0.1192029, abs=1e-7)
 
     def test_closed_forms_on_random_settings(self, rng):
         # d(loss)/d(m1.n1) = -e^{m1.n2} / (e^{m1.n1} e^{m2.n2 - m2.n1} + e^{m1.n2})
@@ -139,10 +143,11 @@ class TestSeqGradOracle:
             s11, s12, s21, s22 = rng.uniform(-0.7, 0.7, size=4)
             pair = toy_pair(s11, s12, s21, s22)
             res = seq_infonce_grad(pair, [swap_negative()], RAW_CFG)
+            assert not set(res.candidates[0].entries) & set(res.candidates[1].entries)
             g11 = -math.exp(s12) / (math.exp(s11) * math.exp(s22 - s21) + math.exp(s12))
             g12 = math.exp(s12 + s21) / (math.exp(s11 + s22) + math.exp(s12 + s21))
-            assert res.grad_entries[(0, 0, 0)] == pytest.approx(g11, abs=1e-9)
-            assert res.grad_entries[(1, 0, 1)] == pytest.approx(g12, abs=1e-9)
+            assert res.grad_by_source["toy"][0, 0] == pytest.approx(g11, abs=1e-9)
+            assert res.grad_by_source["toy"][0, 1] == pytest.approx(g12, abs=1e-9)
             # the loss itself matches the two-candidate closed form
             expected_loss = math.log(1.0 + math.exp((s12 + s21) - (s11 + s22)))
             assert res.loss == pytest.approx(expected_loss, abs=1e-9)
@@ -152,11 +157,16 @@ class TestSeqGradOracle:
         pair = toy_pair(*s)
         res = seq_infonce_grad(pair, [swap_negative()], RAW_CFG)
         dense = res.grad_by_source["toy"]
-        total = {}
-        for (cand, i, j), g in res.grad_entries.items():
-            total[(i, j)] = total.get((i, j), 0.0) + g
-        for (i, j), g in total.items():
-            assert dense[i, j] == pytest.approx(g, abs=1e-12)
+        # Raw scores at tau = 1: d(loss)/d(score_k) = softmax_k - [k == 0],
+        # and every entry on candidate k's path carries that value.
+        weights = np.exp(res.scores - res.scores.max())
+        dscore = weights / weights.sum() - np.eye(len(res.candidates))[0]
+        total = np.zeros_like(dense)
+        for cand, g in zip(res.candidates, dscore):
+            for i, j in cand.entries:
+                total[i, j] += g
+        assert np.abs(total).sum() > 0
+        np.testing.assert_allclose(dense, total, rtol=0, atol=1e-12)
 
 
 def random_pair(rng, n_captions=3, clips_per=2, dim=6, pid="fd"):
