@@ -130,13 +130,6 @@ class SegmentedPair:
     def covered_units(self) -> np.ndarray:
         return self.positive.units[self.covered_indices]
 
-    def is_canonical(self) -> bool:
-        try:
-            self.segments.validate(len(self.anchor), len(self.positive), require_disjoint=True)
-        except DataError:
-            return False
-        return len(self.segments) == len(self.anchor)
-
     def require_canonical(self) -> None:
         self.segments.validate(len(self.anchor), len(self.positive), require_disjoint=True)
         if len(self.segments) != len(self.anchor):

@@ -9,6 +9,7 @@ the ``.bin`` extension for larger corpora.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -137,19 +138,54 @@ def _write_binary(path, meta: dict, blocks: list[np.ndarray]) -> None:
             fh.write(np.ascontiguousarray(block, dtype="<f4").tobytes())
 
 
-def _read_binary(path) -> tuple[dict, list[np.ndarray]]:
+def read_float32_container(path, magic: bytes, header_fmt: str, shapes_key: str):
+    """Read ``magic``, a little-endian struct ``header_fmt`` whose last field
+    is the metadata length, a JSON object, then one float32 block per entry
+    of ``meta[shapes_key]`` (a shape list, or an object with a ``shape``
+    list), and nothing after.
+
+    Returns (the header fields before the length, metadata, float64 blocks).
+    Every malformed or truncated header and block raises DataError.
+    """
     with open(path, "rb") as fh:
-        if fh.read(len(_BIN_MAGIC)) != _BIN_MAGIC:
-            raise DataError(f"{path}: bad magic, not a binary record")
-        (meta_len,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        blocks = []
-        for shape in meta["shapes"]:
-            n = int(np.prod(shape))
-            raw = fh.read(4 * n)
-            if len(raw) != 4 * n:
-                raise DataError(f"{path}: truncated block")
-            blocks.append(np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape))
+        data = fh.read()
+    if data[: len(magic)] != magic:
+        raise DataError(f"{path}: bad magic {data[: len(magic)]!r}")
+    meta_start = len(magic) + struct.calcsize(header_fmt)
+    if len(data) < meta_start:
+        raise DataError(f"{path}: truncated header")
+    *fields, meta_len = struct.unpack_from(header_fmt, data, len(magic))
+    offset = meta_start + meta_len
+    if len(data) < offset:
+        raise DataError(f"{path}: truncated metadata")
+    try:
+        meta = json.loads(data[meta_start:offset].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: invalid metadata: {exc}") from exc
+    if not isinstance(meta, dict) or not isinstance(meta.get(shapes_key), list):
+        raise DataError(f"{path}: metadata is not an object with a {shapes_key!r} list")
+    blocks = []
+    for entry in meta[shapes_key]:
+        shape = entry.get("shape") if isinstance(entry, dict) else entry
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise DataError(f"{path}: block shape {shape!r} is not a list of non-negative integers")
+        n = math.prod(shape)
+        if len(data) < offset + 4 * n:
+            raise DataError(f"{path}: truncated block")
+        blocks.append(np.frombuffer(data, dtype="<f4", count=n, offset=offset).astype(np.float64).reshape(shape))
+        offset += 4 * n
+    if offset != len(data):
+        raise DataError(f"{path}: {len(data) - offset} trailing bytes")
+    return fields, meta, blocks
+
+
+def _read_binary(path, kind: str, fields: tuple[str, ...], n_blocks: int) -> tuple[dict, list[np.ndarray]]:
+    _, meta, blocks = read_float32_container(path, _BIN_MAGIC, "<I", "shapes")
+    if meta.get("kind") != kind:
+        raise DataError(f"{path}: expected a {kind} record, got kind {meta.get('kind')!r}")
+    missing = [key for key in fields if key not in meta]
+    if missing or len(blocks) != n_blocks:
+        raise DataError(f"{path}: {kind} record lacks fields {missing} or has {len(blocks)} blocks, not {n_blocks}")
     return meta, blocks
 
 
@@ -173,15 +209,17 @@ def save_pair(pair: SegmentedPair, path) -> None:
 def load_pair(path) -> SegmentedPair:
     path = str(path)
     if path.endswith(".bin"):
-        meta, (anchor, clips) = _read_binary(path)
-        if meta.get("kind") != "pair":
-            raise DataError(f"{path}: expected a pair record, got kind {meta.get('kind')!r}")
+        meta, (anchor, clips) = _read_binary(path, "pair", ("id", "segments"), 2)
         pid = str(meta["id"])
+        try:
+            segments = SegmentMap(tuple(tuple(e) for e in meta["segments"]))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: field 'segments' malformed: {exc}") from exc
         return SegmentedPair(
             id=pid,
             anchor=EmbeddingSequence(f"{pid}-captions", anchor),
             positive=EmbeddingSequence(f"{pid}-clips", clips),
-            segments=SegmentMap(tuple(tuple(e) for e in meta["segments"])),
+            segments=segments,
         )
     with open(path, encoding="utf-8") as fh:
         try:
@@ -211,9 +249,7 @@ def save_video(video: LabeledVideo, path) -> None:
 def load_video(path) -> LabeledVideo:
     path = str(path)
     if path.endswith(".bin"):
-        meta, (frames,) = _read_binary(path)
-        if meta.get("kind") != "video":
-            raise DataError(f"{path}: expected a video record, got kind {meta.get('kind')!r}")
+        meta, (frames,) = _read_binary(path, "video", ("id", "label"), 1)
         vid = str(meta["id"])
         return LabeledVideo(id=vid, label=str(meta["label"]), frames=EmbeddingSequence(vid, frames))
     with open(path, encoding="utf-8") as fh:

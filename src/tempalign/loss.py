@@ -11,7 +11,6 @@ piecewise objective, and at ties it is a subgradient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -97,24 +96,6 @@ class SeqLossResult:
         return np.array([c.score for c in self.candidates])
 
 
-#: A resolver maps a source id to (units, original_indices) of the sequence a
-#: negative permutation applies to.
-SourceResolver = Callable[[str], tuple[np.ndarray, np.ndarray]]
-
-
-def _corpus_resolver(pair: SegmentedPair, corpus) -> SourceResolver:
-    lookup = {p.id: p for p in corpus or ()}
-    lookup[pair.id] = pair
-
-    def resolve(source_id: str) -> tuple[np.ndarray, np.ndarray]:
-        if source_id not in lookup:
-            raise ValueError(f"negative references unknown pair {source_id!r}; pass the corpus")
-        p = lookup[source_id]
-        return p.covered_units(), p.covered_indices
-
-    return resolve
-
-
 def seq_grad_core(
     anchor_units: np.ndarray,
     covered_units: np.ndarray,
@@ -122,16 +103,16 @@ def seq_grad_core(
     source_id: str,
     negs: list[NegativePermutation],
     cfg: LossConfig,
-    resolve: SourceResolver,
+    others: dict[str, tuple[np.ndarray, np.ndarray]],
     *,
     want_grad: bool = True,
 ) -> SeqLossResult:
-    """Array-level engine behind seq_infonce / seq_infonce_grad.
+    """Array-level engine behind seq_infonce / seq_infonce_grad and training.
 
     ``covered_index`` maps similarity-matrix columns back to original unit
-    indices of the positive sequence.  Negatives referencing other sources
-    are resolved through ``resolve``.  The positive and every negative are
-    aligned in one batched call.
+    indices of the positive sequence.  Negatives drawn from other sources
+    read ``others[source_id] = (units, original_indices)``.  The positive and
+    every negative are aligned in one batched call.
     """
     # source id -> (similarity matrix, original unit index of each column,
     # column of each original unit index)
@@ -147,7 +128,9 @@ def seq_grad_core(
             specs.append((neg.strategy, source_id, neg.perm, all_cols))
             continue
         if neg.source_id not in sources:
-            units, orig = resolve(neg.source_id)
+            if neg.source_id not in others:
+                raise ValueError(f"negative references unknown pair {neg.source_id!r}; pass the corpus")
+            units, orig = others[neg.source_id]
             sources[neg.source_id] = (similarity_matrix(anchor_units, units), np.asarray(orig),
                                       {int(j): q for q, j in enumerate(orig)})
         col_of = sources[neg.source_id][2]
@@ -210,21 +193,17 @@ def seq_infonce_grad(
 ) -> SeqLossResult:
     """Loss and fixed-path gradient w.r.t. every touched similarity entry."""
     pair.require_canonical()
+    drawn_from = {neg.source_id for neg in negs}
+    others = {p.id: (p.covered_units(), p.covered_indices) for p in corpus or () if p.id in drawn_from}
     return seq_grad_core(
-        pair.anchor.units,
-        pair.covered_units(),
-        pair.covered_indices,
-        pair.id,
-        negs,
-        cfg,
-        _corpus_resolver(pair, corpus),
+        pair.anchor.units, pair.covered_units(), pair.covered_indices, pair.id, negs, cfg, others,
         want_grad=want_grad,
     )
 
 
 def unit_term_video_text(
     sims_covered: np.ndarray,
-    segment_spans: list[tuple[int, int]],
+    segment_ranges: list[tuple[int, int]],
     tau: float,
 ) -> tuple[float, np.ndarray]:
     """Per-unit InfoNCE for a caption/clip pair, with gradient.
@@ -238,7 +217,7 @@ def unit_term_video_text(
     grad = np.zeros_like(sims)
     losses = []
     terms = []
-    for i, (lo, hi) in enumerate(segment_spans):
+    for i, (lo, hi) in enumerate(segment_ranges):
         out_cols = np.concatenate((np.arange(0, lo), np.arange(hi, n_clips)))
         for q in range(lo, hi):
             loss, dpos, dnegs = infonce_with_grad(sims[i, q], sims[i, out_cols], tau)

@@ -61,6 +61,14 @@ class NegativePermutation:
             raise DataError("permutation repeats an index")
 
 
+def _non_identity_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniform permutation of range(n), redrawn until it is not the identity (n >= 2)."""
+    perm = rng.permutation(n)
+    while np.array_equal(perm, np.arange(n)):
+        perm = rng.permutation(n)
+    return perm
+
+
 def _segment_blocks(pair: SegmentedPair) -> list[np.ndarray]:
     return [np.arange(s, e, dtype=np.int64) for _, s, e in pair.segments]
 
@@ -73,11 +81,8 @@ def permute_segments(pair: SegmentedPair, shuffle_within: bool, rng: np.random.G
     k = len(blocks)
     if k < 2:
         raise DegeneratePairError(f"pair {pair.id!r}: degenerate pair ({k} segment)")
-    order = rng.permutation(k)
-    while np.array_equal(order, np.arange(k)):
-        order = rng.permutation(k)
     pieces = []
-    for b in order:
+    for b in _non_identity_permutation(k, rng):
         block = blocks[b]
         if shuffle_within and block.size > 1:
             block = block[rng.permutation(block.size)]
@@ -109,9 +114,7 @@ def permute_all_units(pair: SegmentedPair, rng: np.random.Generator) -> Negative
     covered = pair.covered_indices
     if covered.size < 2:
         raise DegeneratePairError(f"pair {pair.id!r}: degenerate pair ({covered.size} covered clip)")
-    perm = covered[rng.permutation(covered.size)]
-    while np.array_equal(perm, covered):
-        perm = covered[rng.permutation(covered.size)]
+    perm = covered[_non_identity_permutation(covered.size, rng)]
     return NegativePermutation(strategy="all_unit", perm=perm, source_id=pair.id)
 
 
@@ -121,10 +124,7 @@ def permute_anchor_segments(pair: SegmentedPair, rng: np.random.Generator) -> Ne
     n = len(pair.anchor)
     if n < 2:
         raise DegeneratePairError(f"pair {pair.id!r}: degenerate pair ({n} caption)")
-    perm = rng.permutation(n)
-    while np.array_equal(perm, np.arange(n)):
-        perm = rng.permutation(n)
-    return NegativePermutation(strategy="visual_anchor", perm=perm, source_id=pair.id)
+    return NegativePermutation(strategy="visual_anchor", perm=_non_identity_permutation(n, rng), source_id=pair.id)
 
 
 def sample_unpaired(corpus: list[SegmentedPair], anchor_id: str, rng: np.random.Generator) -> NegativePermutation:
@@ -162,11 +162,8 @@ def generate_negatives(
         except DegeneratePairError:
             return []
 
-    if strategy == "seg_only":
-        out = draw(lambda: permute_segments(pair, False, rng))
-        return out if out else draw(lambda: permute_all_units(pair, rng))
-    if strategy == "seg_unit":
-        out = draw(lambda: permute_segments(pair, True, rng))
+    if strategy in ("seg_only", "seg_unit"):
+        out = draw(lambda: permute_segments(pair, strategy == "seg_unit", rng))
         return out if out else draw(lambda: permute_all_units(pair, rng))
     if strategy == "within_seg":
         return draw(lambda: permute_within_segments(pair, rng))
@@ -210,8 +207,5 @@ def video_only_negatives(
         n = len(other.frames)
         if n < 2:
             raise DegeneratePairError(f"video {other.id!r}: single frame cannot be shuffled")
-        perm = rng.permutation(n)
-        while np.array_equal(perm, np.arange(n)):
-            perm = rng.permutation(n)
-        out.append(NegativePermutation(strategy="all_unit", perm=perm, source_id=other.id))
+        out.append(NegativePermutation(strategy="all_unit", perm=_non_identity_permutation(n, rng), source_id=other.id))
     return out

@@ -1,9 +1,12 @@
 """Trainable per-unit projection head, optimized with Adam on the joint loss.
 
 The projection is applied independently to every unit embedding before
-alignment.  Gradients flow from the InfoNCE losses through the fixed warping
-paths, the cosine normalization Jacobian, and the affine head; everything is
-plain numpy and deterministic given the config seed.
+alignment.  Video-text pairs and video-only instances share one per-item
+step (``_item_grads``): the mode only picks the negative drawer, the anchor
+units and the unit term.  Gradients flow from the InfoNCE losses through the
+fixed warping paths, the cosine normalization Jacobian, and the affine head;
+everything is plain numpy and deterministic given the config seed.
+Checkpoints are float32 containers read through ``io.read_float32_container``.
 """
 
 from __future__ import annotations
@@ -12,12 +15,15 @@ import copy
 import json
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .core import DataError, LabeledVideo, SegmentedPair, similarity_matrix, unit_normalize
+from .core import DataError, SegmentedPair, similarity_matrix, unit_normalize
+from .io import read_float32_container
 from .loss import (
     LossConfig,
+    joint_loss,
     seq_grad_core,
     unit_term_video_only,
     unit_term_video_text,
@@ -88,12 +94,6 @@ class AffineHead:
             yield prefix + "w_in", self.w_in
             yield prefix + "b_in", self.b_in
 
-    def set_param(self, name: str, value: np.ndarray) -> None:
-        current = getattr(self, name)
-        if current.shape != value.shape:
-            raise DataError(f"parameter {name} shape mismatch: {current.shape} vs {value.shape}")
-        setattr(self, name, np.asarray(value, dtype=np.float64))
-
 
 @dataclass
 class ProjectionModel:
@@ -155,14 +155,6 @@ class ProjectionModel:
             out.update(self.clip_head.param_items("clip."))
         return out
 
-    def set_params(self, params: dict[str, np.ndarray]) -> None:
-        for name, value in params.items():
-            scope, _, pname = name.partition(".")
-            head = self.anchor_head if scope == "anchor" else self.clip_head
-            if head is None:
-                raise DataError(f"parameter {name} targets a missing head")
-            head.set_param(pname, value)
-
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {name: np.zeros_like(arr) for name, arr in self.params().items()}
 
@@ -219,7 +211,6 @@ class TrainConfig:
     neg_count: int = 32
     loss: LossConfig = field(default_factory=LossConfig)
     seed: int = 0
-    eval_every: int = 0  # 0 disables snapshots
 
     def __post_init__(self):
         if self.lr < 0:
@@ -234,9 +225,7 @@ class TrainConfig:
 @dataclass
 class TrainReport:
     loss_curve: list[float]
-    eval_snapshots: list[dict]
     final_model: ProjectionModel
-    seed: int
     skipped_pairs: int
 
 
@@ -258,85 +247,40 @@ def cosine_backward(u: np.ndarray, v: np.ndarray, g: np.ndarray) -> tuple[np.nda
     return du, dv
 
 
-def _spans(view: SegmentedPair) -> list[tuple[int, int]]:
-    return [(s, e) for _, s, e in view.segments]
+def _item_grads(anchor_units, self_id, negs, units_of, unit_term, model, cfg, grads):
+    """Joint loss terms and parameter-gradient contribution of one item.
 
+    The anchor is projected once and every source the positive or a negative
+    draws from once (own source first, then in order of first use).  The
+    sequence gradient of each source and, on the own source, the unit
+    gradient from ``unit_term(sims) -> (loss, d_sims)`` are routed through
+    the cosine Jacobian and both heads into ``grads``.  Returns (unit_loss,
+    seq_loss, path signature).
+    """
+    y_a, fwd_a = model.anchor_head.forward(anchor_units)
+    clip_head = model._clip()
+    projected = {}  # source id -> (projected units, forward cache)
+    for src in [self_id, *(neg.source_id for neg in negs)]:
+        if src not in projected:
+            projected[src] = clip_head.forward(units_of[src])
+    y_p = projected[self_id][0]
+    others = {src: (y, np.arange(y.shape[0])) for src, (y, _) in projected.items()}
+    seq = seq_grad_core(y_a, y_p, np.arange(y_p.shape[0]), self_id, negs, cfg.loss, others)
+    unit_loss, unit_grad = unit_term(similarity_matrix(y_a, y_p))
 
-class _Projector:
-    """Caches projected clip/frame units per source id within one item step."""
-
-    def __init__(self, model: ProjectionModel, raw_units):
-        self.model = model
-        self.raw_units = raw_units  # source_id -> raw (n, d) array
-        self.cache: dict[str, tuple[np.ndarray, np.ndarray, tuple]] = {}
-
-    def clips(self, source_id: str):
-        if source_id not in self.cache:
-            x = self.raw_units(source_id)
-            y, fwd = self.model._clip().forward(x)
-            self.cache[source_id] = (x, y, fwd)
-        return self.cache[source_id]
-
-    def resolver(self, source_id: str) -> tuple[np.ndarray, np.ndarray]:
-        _, y, _ = self.clips(source_id)
-        return y, np.arange(y.shape[0])
-
-
-def _backprop_item(model, grads, cfg, projector, fwd_a, y_a, seq, unit_grad, self_id):
-    """Route d(loss)/d(sims) through cosine and both heads for one item."""
-    by_source = dict(seq.grad_by_source)
-    g_self = cfg.loss.w_seq * by_source.pop(self_id, 0.0) + cfg.loss.w_unit * unit_grad
     d_ya = np.zeros_like(y_a)
-    d_clip: list[tuple[str, np.ndarray]] = []
-    _, y_p, _ = projector.clips(self_id)
-    du, dv = cosine_backward(y_a, y_p, g_self)
-    d_ya += du
-    d_clip.append((self_id, dv))
-    for src, g_mat in by_source.items():
-        _, y_src, _ = projector.clips(src)
-        du, dv = cosine_backward(y_a, y_src, cfg.loss.w_seq * g_mat)
+    d_clips = []
+    for src, (y_src, _) in projected.items():
+        g = cfg.loss.w_seq * seq.grad_by_source.get(src, 0.0)
+        if src == self_id:
+            g = g + cfg.loss.w_unit * unit_grad
+        du, dv = cosine_backward(y_a, y_src, g)
         d_ya += du
-        d_clip.append((src, dv))
+        d_clips.append(dv)
     model.anchor_head.backward(fwd_a, d_ya, grads, "anchor.")
     clip_prefix = "clip." if model.twin else "anchor."
-    for src, dv in d_clip:
-        _, _, fwd_src = projector.clips(src)
-        model._clip().backward(fwd_src, dv, grads, clip_prefix)
-
-
-def _item_grads_video_text(pair_view, model, cfg, rng, view_list, views_by_id, grads):
-    """Joint loss and parameter-gradient contribution of one caption/clip pair.
-
-    Returns None when the pair yields no negatives (skipped).
-    """
-    negs = generate_negatives(pair_view, view_list, cfg.neg_strategy, cfg.neg_count, rng)
-    if not negs:
-        return None
-    projector = _Projector(model, lambda sid: views_by_id[sid].positive.units)
-    y_a, fwd_a = model.anchor_head.forward(pair_view.anchor.units)
-    _, y_p, _ = projector.clips(pair_view.id)
-
-    seq = seq_grad_core(
-        y_a, y_p, np.arange(y_p.shape[0]), pair_view.id, negs, cfg.loss, projector.resolver,
-    )
-    unit_loss, unit_grad = unit_term_video_text(similarity_matrix(y_a, y_p), _spans(pair_view), cfg.loss.tau)
-    _backprop_item(model, grads, cfg, projector, fwd_a, y_a, seq, unit_grad, pair_view.id)
-    return unit_loss, seq.loss, tuple(tuple(c.entries) for c in seq.candidates)
-
-
-def _item_grads_video_only(index, model, cfg, rng, videos, by_id, grads):
-    """Joint loss and gradient contribution of one video (self-supervised)."""
-    video = videos[index]
-    negs = video_only_negatives(videos, index, cfg.neg_count, rng)
-    projector = _Projector(model, lambda sid: by_id[sid].frames.units)
-    y_a, fwd_a = model.anchor_head.forward(video.frames.units)
-    _, y_p, _ = projector.clips(video.id)
-
-    seq = seq_grad_core(
-        y_a, y_p, np.arange(y_p.shape[0]), video.id, negs, cfg.loss, projector.resolver,
-    )
-    unit_loss, unit_grad = unit_term_video_only(similarity_matrix(y_a, y_p), cfg.loss.tau)
-    _backprop_item(model, grads, cfg, projector, fwd_a, y_a, seq, unit_grad, video.id)
+    for (_, fwd_src), dv in zip(projected.values(), d_clips):
+        clip_head.backward(fwd_src, dv, grads, clip_prefix)
     return unit_loss, seq.loss, tuple(tuple(c.entries) for c in seq.candidates)
 
 
@@ -351,43 +295,38 @@ def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConf
     ``rng``) and detect when a perturbation moved an optimal path.
     """
     video_text = isinstance(corpus[0], SegmentedPair)
+    units_of = {item.id: item.positive.units if video_text else item.frames.units for item in corpus}
     grads = model.zero_grads()
     unit_losses: list[float] = []
     seq_losses: list[float] = []
     signatures = []
-    by_id = {item.id: item for item in corpus}
-    view_list = list(corpus)
-    used = 0
     for idx in batch_indices:
-        item_grads = model.zero_grads()
+        item = corpus[idx]
         if video_text:
-            res = _item_grads_video_text(corpus[idx], model, cfg, rng, view_list, by_id, item_grads)
+            negs = generate_negatives(item, corpus, cfg.neg_strategy, cfg.neg_count, rng)
+            anchor_units = item.anchor.units
+            unit_term = partial(unit_term_video_text, segment_ranges=item.segments.ranges(), tau=cfg.loss.tau)
         else:
-            res = _item_grads_video_only(idx, model, cfg, rng, corpus, by_id, item_grads)
-        if res is None:
+            negs = video_only_negatives(corpus, idx, cfg.neg_count, rng)
+            anchor_units = item.frames.units
+            unit_term = partial(unit_term_video_only, tau=cfg.loss.tau)
+        if not negs:
             continue
-        unit_loss, seq_loss, signature = res
+        item_grads = model.zero_grads()
+        unit_loss, seq_loss, signature = _item_grads(
+            anchor_units, item.id, negs, units_of, unit_term, model, cfg, item_grads,
+        )
         unit_losses.append(unit_loss)
         seq_losses.append(seq_loss)
         signatures.append(signature)
         for name in grads:
             grads[name] += item_grads[name]
-        used += 1
+    used = len(seq_losses)
     if used == 0:
         return None, grads, 0, ()
     for name in grads:
         grads[name] /= used
-    loss = cfg.loss.w_unit * float(np.mean(unit_losses)) + cfg.loss.w_seq * float(np.mean(seq_losses))
-    return loss, grads, used, tuple(signatures)
-
-
-def _snapshot(corpus, model, cfg, epoch) -> dict:
-    from .evaluate import corpus_pair_match
-
-    if isinstance(corpus[0], SegmentedPair):
-        sample = corpus[: min(len(corpus), 32)]
-        return {"epoch": epoch, "pair_match": corpus_pair_match(sample, model, cfg.loss.measure)}
-    return {"epoch": epoch}
+    return joint_loss(unit_losses, seq_losses, cfg.loss), grads, used, tuple(signatures)
 
 
 def fit(corpus, model: ProjectionModel, cfg: TrainConfig) -> TrainReport:
@@ -413,7 +352,6 @@ def fit(corpus, model: ProjectionModel, cfg: TrainConfig) -> TrainReport:
     state = AdamState.init(params)
     rng = np.random.default_rng(cfg.seed)
     curve: list[float] = []
-    snapshots: list[dict] = []
     total_skipped = 0
     trained_any = False
 
@@ -430,17 +368,9 @@ def fit(corpus, model: ProjectionModel, cfg: TrainConfig) -> TrainReport:
             epoch_losses.append(loss)
             adam_step(params, grads, state, cfg.lr, cfg.adam_betas)
         curve.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))
-        if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
-            snapshots.append(_snapshot(corpus, model, cfg, epoch + 1))
     if not trained_any:
         raise DataError("fit: no trainable pairs (all degenerate for the chosen strategy)")
-    return TrainReport(
-        loss_curve=curve,
-        eval_snapshots=snapshots,
-        final_model=model,
-        seed=cfg.seed,
-        skipped_pairs=total_skipped,
-    )
+    return TrainReport(loss_curve=curve, final_model=model, skipped_pairs=total_skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -472,22 +402,9 @@ def save_checkpoint(model: ProjectionModel, path, *, seed: int = 0) -> None:
 
 
 def load_checkpoint(path) -> ProjectionModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_CKPT_MAGIC))
-        if magic != _CKPT_MAGIC:
-            raise DataError(f"checkpoint {path}: bad magic {magic!r}")
-        version, meta_len = struct.unpack("<II", fh.read(8))
-        if version != _CKPT_VERSION:
-            raise DataError(f"checkpoint {path}: unsupported version {version}")
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        blocks = {}
-        for block in meta["blocks"]:
-            shape = tuple(block["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            raw = fh.read(4 * n)
-            if len(raw) != 4 * n:
-                raise DataError(f"checkpoint {path}: truncated block {block['name']}")
-            blocks[block["name"]] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+    (version,), meta, arrays = read_float32_container(path, _CKPT_MAGIC, "<II", "blocks")
+    if version != _CKPT_VERSION:
+        raise DataError(f"checkpoint {path}: unsupported version {version}")
 
     def head(prefix: str) -> AffineHead:
         return AffineHead(
@@ -498,4 +415,8 @@ def load_checkpoint(path) -> ProjectionModel:
             activation=meta["activation"],
         )
 
-    return ProjectionModel(head("anchor."), head("clip.") if meta["twin"] else None)
+    try:
+        blocks = {block["name"]: arr for block, arr in zip(meta["blocks"], arrays)}
+        return ProjectionModel(head("anchor."), head("clip.") if meta["twin"] else None)
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"checkpoint {path}: malformed metadata: {exc!r}") from exc

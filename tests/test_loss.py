@@ -122,6 +122,16 @@ class TestSeqInfonce:
         assert loss == 0.0
         assert len(details.candidates) == 1
 
+    def test_other_source_is_read_from_the_corpus(self):
+        pair = toy_pair(1.0, 0.0, 0.0, 1.0)
+        other = make_pair([basis(0, 4), basis(1, 4)], [basis(1, 4), basis(0, 4)], [(0, 0, 1), (1, 1, 2)], pid="other")
+        neg = NegativePermutation("unpaired", other.covered_indices, "other")
+        with pytest.raises(ValueError, match="unknown pair 'other'"):
+            seq_infonce(pair, [neg], RAW_CFG)
+        loss, details = seq_infonce(pair, [neg], RAW_CFG, corpus=[pair, other])
+        assert details.candidates[1].source_id == "other"
+        assert loss == pytest.approx(math.log(1.0 + math.exp(-2.0)), abs=1e-12)
+
 
 class TestSeqGradOracle:
     # The toy positive's path and the swapped negative's path touch disjoint

@@ -213,45 +213,74 @@ class TestFit:
         assert all(np.isfinite(x) for x in report.loss_curve)
 
 
+def video_text_views():
+    train, _, _ = small_corpus()
+    return [p.covered_view() for p in train[:4]]
+
+
+def base_videos():
+    from tempalign.synth import FewshotSynthConfig, gen_fewshot_corpus
+
+    videos, meta = gen_fewshot_corpus(FewshotSynthConfig(n_classes=4, videos_per_class=4, dim=16, seed=2))
+    return [v for v in videos if v.label in meta["base_labels"]]
+
+
+# corpus, model, negative strategy, checked parameters, draws per parameter
+GRADIENT_CASES = {
+    "video-text-linear-seg-unit": (video_text_views, lambda: ProjectionModel.linear(24, 24), "seg-unit", ["anchor.w_out"], 12),
+    "video-text-twin-mlp-joint": (
+        video_text_views, lambda: ProjectionModel.mlp(24, 16, 24, twin=True), "joint",
+        ["anchor.w_in", "anchor.b_out", "clip.w_in", "clip.w_out"], 12,
+    ),
+    "video-only-linear": (base_videos, lambda: ProjectionModel.linear(16, 16), "seg-unit", ["anchor.w_out"], 24),
+}
+
+
 class TestEndToEndGradient:
     def test_parameter_gradients_match_finite_differences(self):
-        train, _, _ = small_corpus()
-        views = [p.covered_view() for p in train[:4]]
-        cfg = TrainConfig(neg_count=3, neg_strategy="seg-unit", lr=0.01, seed=0,
-                          loss=LossConfig(tau=0.8))
+        self.check_against_finite_differences("video-text-linear-seg-unit")
+
+    @pytest.mark.parametrize("case", ["video-text-twin-mlp-joint", "video-only-linear"])
+    def test_other_sources_and_video_only_match_finite_differences(self, case):
+        self.check_against_finite_differences(case)
+
+    @staticmethod
+    def check_against_finite_differences(case):
+        make_corpus, make_model, strategy, names, draws = GRADIENT_CASES[case]
+        corpus = make_corpus()
+        cfg = TrainConfig(neg_count=3, neg_strategy=strategy, lr=0.01, seed=0, loss=LossConfig(tau=0.8))
         rng = np.random.default_rng(9)
-        model = ProjectionModel.linear(24, 24)
+        model = make_model()
         # move off the exact identity so the configuration is generic
         params = model.params()
         params["anchor.w_out"] += 0.01 * rng.normal(size=params["anchor.w_out"].shape)
 
         def run(m):
-            return evaluate_batch([0, 1, 2], views, m, cfg, np.random.default_rng(77))
+            return evaluate_batch([0, 1, 2], corpus, m, cfg, np.random.default_rng(77))
 
         base_loss, grads, used, base_sig = run(model)
         assert used == 3
         h = 1e-6
         checked = 0
-        for _ in range(12):
-            name = "anchor.w_out"
-            r = int(rng.integers(24))
-            c = int(rng.integers(24))
+        for name in names:
+            for _ in range(draws):
+                at = tuple(int(rng.integers(d)) for d in params[name].shape)
 
-            def loss_at(eps):
-                m = model.copy()
-                m.params()[name][r, c] += eps
-                loss, _, _, sig = run(m)
-                return loss, sig
+                def loss_at(eps):
+                    m = model.copy()
+                    m.params()[name][at] += eps
+                    loss, _, _, sig = run(m)
+                    return loss, sig
 
-            up, sig_up = loss_at(h)
-            down, sig_dn = loss_at(-h)
-            if sig_up != base_sig or sig_dn != base_sig:
-                continue
-            numeric = (up - down) / (2 * h)
-            analytic = grads[name][r, c]
-            denom = max(abs(numeric), abs(analytic))
-            if denom < 1e-9:
-                continue
-            assert abs(numeric - analytic) / denom < 1e-3
-            checked += 1
+                up, sig_up = loss_at(h)
+                down, sig_dn = loss_at(-h)
+                if sig_up != base_sig or sig_dn != base_sig:
+                    continue
+                numeric = (up - down) / (2 * h)
+                analytic = grads[name][at]
+                denom = max(abs(numeric), abs(analytic))
+                if denom < 1e-9:
+                    continue
+                assert abs(numeric - analytic) / denom < 1e-3
+                checked += 1
         assert checked >= 6
