@@ -18,6 +18,11 @@ from .core import DataError, LabeledVideo, SegmentedPair, similarity_matrix, uni
 RETRIEVAL_MEASURES = ("dtw", "otam", "capavg", "dtw+capavg", "otam+capavg")
 FEWSHOT_MEASURES = ("dtw", "otam", "bag")
 
+# Most cost matrices one align.align_stack call of _cross_scores holds: enough
+# to amortize the kernel's per-call Python work, few enough to keep its
+# (batch, n, m) working arrays small.  At 200 candidates that is 2 queries.
+STACK_MATRICES = 400
+
 
 @dataclass
 class EvalReport:
@@ -73,6 +78,61 @@ def _rank_order(primary: np.ndarray, secondary: np.ndarray | None = None) -> np.
     return np.lexsort((np.arange(n), -secondary, -primary))
 
 
+def _normalized(*groups) -> tuple[list[np.ndarray], ...]:
+    """Row-normalized float64 copies of iterables of unit stacks, one list each.
+
+    Makes the checks :func:`similarity_matrix` makes on each pair it is given,
+    once for all stacks: every stack is 2-d and finite, and all share one
+    dimension.  Each stack is normalized as the iterable yields it, so raw
+    copies made by a generator do not accumulate.
+    """
+    out = tuple([] for _ in groups)
+    ref = None
+    for group, normed in zip(groups, out):
+        for u in group:
+            u = np.asarray(u, dtype=np.float64)
+            ref = u.shape if ref is None else ref
+            if u.ndim != 2 or u.shape[1] != ref[1]:
+                raise DataError(f"similarity: dimension mismatch {ref} vs {u.shape}")
+            if not np.all(np.isfinite(u)):
+                raise DataError("similarity: non-finite input")
+            normed.append(unit_normalize(u)[0])
+    return out
+
+
+def _cross_scores(rows: list[np.ndarray], cols: list[np.ndarray], measure: str) -> np.ndarray:
+    """(len(rows), len(cols)) alignment scores of every row stack against every
+    column stack, both row-normalized (see :func:`_normalized`).
+
+    Each cost matrix is ``1 - clip(row @ col.T)``, the product
+    :func:`similarity_matrix` forms for that pair, so the scores equal aligning
+    pair by pair.  Consecutive rows share one padded ``align.align_stack``
+    call of at most STACK_MATRICES matrices, or of one row's matrices when
+    there are more columns than that.
+    """
+    n_rows = np.array([len(u) for u in rows])
+    n_cols = np.array([len(u) for u in cols])
+    per_call = max(1, STACK_MATRICES // len(cols))
+    scores = np.empty((len(rows), len(cols)))
+    # One buffer for every call's stack: allocating a fresh one per call costs
+    # page faults and, through heap fragmentation, peak memory.
+    buffer = np.empty(min(per_call, len(rows)) * len(cols) * n_rows.max() * n_cols.max())
+    for start in range(0, len(rows), per_call):
+        block = rows[start : start + per_call]
+        shape = (len(block), len(cols), max(len(a) for a in block), n_cols.max())
+        stack = buffer[: np.prod(shape)].reshape(shape)
+        stack.fill(0.0)
+        for qi, a in enumerate(block):
+            for c, b in enumerate(cols):
+                stack[qi, c, : len(a), : len(b)] = a @ b.T
+        np.clip(stack, -1.0, 1.0, out=stack)
+        np.subtract(1.0, stack, out=stack)
+        shapes = np.column_stack((np.repeat(n_rows[start : start + len(block)], len(cols)), np.tile(n_cols, len(block))))
+        res = align.align_stack(stack.reshape(-1, *stack.shape[2:]), measure, shapes)
+        scores[start : start + len(block)] = res.scores().reshape(len(block), len(cols))
+    return scores
+
+
 def retrieval_full(
     corpus: list[SegmentedPair],
     model=None,
@@ -98,36 +158,38 @@ def retrieval_full(
     ks = _check_ks(ks, len(corpus))
     f_anchor, f_clips = _transforms(model)
 
-    anchors = [f_anchor(p.anchor.units) for p in corpus]
-    clips = [f_clips(p.positive.units if background == "keep" else p.covered_units()) for p in corpus]
+    anchors, clips = _normalized(
+        (f_anchor(p.anchor.units) for p in corpus),
+        (f_clips(p.positive.units if background == "keep" else p.covered_units()) for p in corpus),
+    )
     n = len(corpus)
 
     need_align = measure in ("dtw", "otam", "dtw+capavg", "otam+capavg")
     need_votes = measure in ("capavg", "dtw+capavg", "otam+capavg")
-    align_measure = "otam" if measure.startswith("otam") else "dtw"
 
+    if need_align:
+        align_scores = _cross_scores(anchors, clips, "otam" if measure.startswith("otam") else "dtw")
     if need_votes:
         pool = np.concatenate(clips, axis=0)
         owner = np.concatenate([np.full(len(c), v) for v, c in enumerate(clips)])
-        bounds = np.cumsum([0] + [len(c) for c in clips])
+        starts = np.cumsum([0] + [len(c) for c in clips[:-1]])
 
     ranks = np.empty(n, dtype=np.int64)
     per_query = [] if dump_scores else None
     for q in range(n):
-        if need_align:
-            stack, shapes = align.pad_costs([1.0 - similarity_matrix(anchors[q], c) for c in clips])
-            align_scores = align.align_stack(stack, align_measure, shapes).scores()
         if need_votes:
-            sims = similarity_matrix(anchors[q], pool)
+            sims = np.clip(anchors[q] @ pool.T, -1.0, 1.0)
             best = np.argmax(sims, axis=1)  # first max = stable clip order
             votes = np.bincount(owner[best], minlength=n).astype(np.float64)
-            sumsim = np.array([sims[:, bounds[v] : bounds[v + 1]].max(axis=1).sum() for v in range(n)])
+            # each caption's best clip in each video, summed over captions
+            # along a contiguous axis so it rounds like a 1-d sum per video
+            sumsim = np.ascontiguousarray(np.maximum.reduceat(sims, starts, axis=1).T).sum(axis=1)
         if measure in ("dtw", "otam"):
-            order = _rank_order(align_scores)
+            order = _rank_order(align_scores[q])
         elif measure == "capavg":
             order = _rank_order(votes, sumsim)
         else:
-            combined = (_minmax(align_scores) + _minmax(votes)) / 2.0
+            combined = (_minmax(align_scores[q]) + _minmax(votes)) / 2.0
             order = _rank_order(combined)
         ranks[q] = int(np.flatnonzero(order == q)[0])
         if per_query is not None:
@@ -232,14 +294,13 @@ def _episode_scores(q_units, s_units, measure: str) -> np.ndarray:
         s_means, _ = unit_normalize(np.stack([u.mean(axis=0) for u in s_units]))
         return q_means @ s_means.T
     lengths = {u.shape[0] for u in q_units} | {u.shape[0] for u in s_units}
-    if len(lengths) == 1:
-        q_hat = np.stack([unit_normalize(u)[0] for u in q_units])
-        s_hat = np.stack([unit_normalize(u)[0] for u in s_units])
-        sims = np.clip(np.einsum("qid,sjd->qsij", q_hat, s_hat), -1.0, 1.0)
-        stack, shapes = 1.0 - sims.reshape(-1, sims.shape[2], sims.shape[3]), None
-    else:
-        stack, shapes = align.pad_costs([1.0 - similarity_matrix(q, s) for q in q_units for s in s_units])
-    return align.align_stack(stack, measure, shapes).scores().reshape(len(q_units), len(s_units))
+    if len(lengths) > 1:
+        return _cross_scores(*_normalized(q_units, s_units), measure)
+    q_hat = np.stack([unit_normalize(u)[0] for u in q_units])
+    s_hat = np.stack([unit_normalize(u)[0] for u in s_units])
+    sims = np.clip(np.einsum("qid,sjd->qsij", q_hat, s_hat), -1.0, 1.0)
+    stack = 1.0 - sims.reshape(-1, sims.shape[2], sims.shape[3])
+    return align.align_stack(stack, measure).scores().reshape(len(q_units), len(s_units))
 
 
 def fewshot_eval(

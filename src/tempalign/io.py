@@ -61,6 +61,22 @@ def _embedding_rows(units: np.ndarray, with_ids: list[str] | None = None) -> lis
     return rows
 
 
+def _require(rec, keys: tuple[str, ...], where: str) -> None:
+    """Raise DataError unless ``rec`` is a JSON object holding every key."""
+    if not isinstance(rec, dict):
+        raise DataError(f"{where}: expected a JSON object, got {type(rec).__name__}")
+    for key in keys:
+        if key not in rec:
+            raise DataError(f"{where}: missing field {key!r}")
+
+
+def _int_field(rec: dict, key: str, where: str) -> int:
+    try:
+        return int(rec[key])
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{where}: field {key!r} is not an integer: {exc}") from exc
+
+
 def pair_to_record(pair: SegmentedPair) -> dict:
     caption_ids = [f"{pair.id}-c{i}" for i in range(len(pair.anchor))]
     return {
@@ -73,10 +89,8 @@ def pair_to_record(pair: SegmentedPair) -> dict:
 
 
 def record_to_pair(rec: dict, *, where: str = "pair record") -> SegmentedPair:
-    for key in ("id", "dim", "captions", "clips", "segments"):
-        if key not in rec:
-            raise DataError(f"{where}: missing field {key!r}")
-    dim = int(rec["dim"])
+    _require(rec, ("id", "dim", "captions", "clips", "segments"), where)
+    dim = _int_field(rec, "dim", where)
 
     def rows(entries, what):
         try:
@@ -87,12 +101,10 @@ def record_to_pair(rec: dict, *, where: str = "pair record") -> SegmentedPair:
             raise DataError(f"{where}: field {what!r} does not match dim={dim}")
         return arr
 
-    segments = []
-    for seg in rec["segments"]:
-        try:
-            segments.append((int(seg["caption_index"]), int(seg["start"]), int(seg["end"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{where}: field 'segments' malformed: {exc}") from exc
+    try:
+        segments = [(int(seg["caption_index"]), int(seg["start"]), int(seg["end"])) for seg in rec["segments"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{where}: field 'segments' malformed: {exc}") from exc
     pid = str(rec["id"])
     return SegmentedPair(
         id=pid,
@@ -112,15 +124,14 @@ def video_to_record(video: LabeledVideo) -> dict:
 
 
 def record_to_video(rec: dict, *, where: str = "video record") -> LabeledVideo:
-    for key in ("id", "label", "dim", "frames"):
-        if key not in rec:
-            raise DataError(f"{where}: missing field {key!r}")
+    _require(rec, ("id", "label", "dim", "frames"), where)
+    dim = _int_field(rec, "dim", where)
     try:
         frames = np.asarray([e["embedding"] for e in rec["frames"]], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{where}: field 'frames' malformed: {exc}") from exc
-    if frames.ndim != 2 or frames.shape[1] != int(rec["dim"]):
-        raise DataError(f"{where}: field 'frames' does not match dim={rec['dim']}")
+    if frames.ndim != 2 or frames.shape[1] != dim:
+        raise DataError(f"{where}: field 'frames' does not match dim={dim}")
     vid = str(rec["id"])
     return LabeledVideo(id=vid, label=str(rec["label"]), frames=EmbeddingSequence(vid, frames))
 
@@ -319,14 +330,22 @@ def load_dataset(data_dir):
             rec = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{manifest_path}: invalid JSON: {exc}") from exc
-    for key in ("format_version", "kind", "dim", "entries"):
-        if key not in rec:
-            raise DataError(f"{manifest_path}: missing field {key!r}")
-    if int(rec["format_version"]) != FORMAT_VERSION:
+    _require(rec, ("format_version", "kind", "dim", "entries"), manifest_path)
+    if _int_field(rec, "format_version", manifest_path) != FORMAT_VERSION:
         raise DataError(f"{manifest_path}: unsupported format_version {rec['format_version']}")
-    manifest = DatasetManifest(kind=rec["kind"], dim=int(rec["dim"]), entries=list(rec["entries"]))
+    if rec["kind"] not in ("pairs", "videos"):
+        raise DataError(f"{manifest_path}: kind must be 'pairs' or 'videos', got {rec['kind']!r}")
+    if not isinstance(rec["entries"], list):
+        raise DataError(f"{manifest_path}: field 'entries' must be a list")
+    manifest = DatasetManifest(kind=rec["kind"], dim=_int_field(rec, "dim", manifest_path), entries=rec["entries"])
     by_split: dict[str, list] = {}
-    for entry in manifest.entries:
+    for i, entry in enumerate(manifest.entries):
+        if not isinstance(entry, dict):
+            raise DataError(f"{manifest_path}: entry {i} is not an object")
+        if not isinstance(entry.get("path"), str):
+            raise DataError(f"{manifest_path}: entry {i} needs a string 'path'")
+        if not isinstance(entry.get("split", "train"), str):
+            raise DataError(f"{manifest_path}: entry {i} has a non-string 'split'")
         path = os.path.join(data_dir, entry["path"])
         if not os.path.exists(path):
             raise DataError(f"{manifest_path}: entry path {entry['path']!r} does not exist")

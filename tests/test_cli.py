@@ -115,3 +115,34 @@ def test_garbled_binary_header_is_a_data_error(capsys, tmp_path, change):
     code, out, err = run_align(capsys, "--pair", str(path))
     assert (code, out) == (3, "")
     assert err.startswith("data error:")
+
+
+@pytest.mark.parametrize("change", [{"segments": 5}, {"segments": None}, {"segments": "0-2"}, {"dim": [3]}, 5])
+def test_malformed_json_pair_is_a_data_error(capsys, tmp_path, change):
+    path = tmp_path / "toy.json"
+    save_pair(make_pair(CAPTIONS, CLIPS, [(0, 1, 2)], pid="toy"), path)
+    record = {**json.loads(path.read_text()), **change} if isinstance(change, dict) else change
+    path.write_text(json.dumps(record))
+    code, out, err = run_align(capsys, "--pair", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("data error:")
+
+
+@pytest.mark.parametrize("change", [
+    {"entries": [5]},
+    {"entries": [{"id": "toy", "split": "test"}]},
+    {"entries": [{"id": "toy", "path": 7, "split": "test"}]},
+    {"entries": [{"id": "toy", "path": "pairs/toy.json", "split": ["test"]}]},
+    {"entries": {"path": "pairs/toy.json"}},
+    {"kind": "clips"},
+    {"format_version": [1]},
+    {"dim": [3]},
+    5,
+])
+def test_malformed_manifest_is_a_data_error(capsys, tmp_path, change):
+    save_dataset(tmp_path, [(make_pair(CAPTIONS, CLIPS, [(0, 1, 2)], pid="toy"), "test")], kind="pairs")
+    manifest = tmp_path / "manifest.json"
+    record = {**json.loads(manifest.read_text()), **change} if isinstance(change, dict) else change
+    manifest.write_text(json.dumps(record))
+    assert cli.main(["eval", "localize", "--data", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("data error:")

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import basis, make_pair
-from tempalign.core import DataError, EmbeddingSequence, LabeledVideo
+from tempalign import align
+from tempalign.core import DataError, EmbeddingSequence, LabeledVideo, similarity_matrix
 from tempalign.evaluate import (
+    RETRIEVAL_MEASURES,
+    STACK_MATRICES,
     EvalReport,
+    _episode_scores,
     corpus_pair_match,
     fewshot_eval,
     localization_recall,
@@ -25,6 +29,69 @@ def self_identical_corpus(n_videos=4, n_caps=3, dim=16):
 
 def scaled(corpus, alpha):
     return [p.with_units(alpha * p.anchor.units, alpha * p.positive.units) for p in corpus]
+
+
+def ragged_corpus(n_videos=23, dim=6, seed=5):
+    """Paragraphs of 1-11 captions; each caption's clips are the caption plus
+    noise, with background clips between and after the segments."""
+    rng = np.random.default_rng(seed)
+    corpus = []
+    for v in range(n_videos):
+        captions = rng.normal(size=(int(rng.integers(1, 12)), dim))
+        clips, segments = [], []
+        for i, caption in enumerate(captions):
+            clips.extend(rng.normal(size=(int(rng.integers(0, 2)), dim)))
+            start = len(clips)
+            clips.extend(caption + rng.normal(scale=1.5, size=(int(rng.integers(1, 3)), dim)))
+            segments.append((i, start, len(clips)))
+        clips.extend(rng.normal(size=(int(rng.integers(0, 2)), dim)))
+        corpus.append(make_pair(captions, clips, segments, pid=f"g{v}"))
+    return corpus
+
+
+def minmax(x):
+    lo, hi = x.min(), x.max()
+    return np.full_like(x, 0.5) if hi == lo else (x - lo) / (hi - lo)
+
+
+def per_pair_ranks(corpus, measure, background):
+    """1-based rank of each paragraph's own video, scoring one query/candidate
+    pair at a time through similarity_matrix and align.pad_costs."""
+    anchors = [p.anchor.units for p in corpus]
+    clips = [p.positive.units if background == "keep" else p.covered_units() for p in corpus]
+    n = len(corpus)
+    pool = np.concatenate(clips)
+    owner = np.concatenate([np.full(len(c), v) for v, c in enumerate(clips)])
+    bounds = np.cumsum([0] + [len(c) for c in clips])
+    ranks = []
+    for q in range(n):
+        stack, shapes = align.pad_costs([1.0 - similarity_matrix(anchors[q], c) for c in clips])
+        aligned = align.align_stack(stack, "otam" if measure.startswith("otam") else "dtw", shapes).scores()
+        sims = similarity_matrix(anchors[q], pool)
+        votes = np.bincount(owner[np.argmax(sims, axis=1)], minlength=n).astype(np.float64)
+        sumsim = [sims[:, bounds[v] : bounds[v + 1]].max(axis=1).sum() for v in range(n)]
+        if measure in ("dtw", "otam"):
+            keys = [(-aligned[v], v) for v in range(n)]
+        elif measure == "capavg":
+            keys = [(-votes[v], -sumsim[v], v) for v in range(n)]
+        else:
+            combined = (minmax(aligned) + minmax(votes)) / 2.0
+            keys = [(-combined[v], v) for v in range(n)]
+        ranks.append(sorted(range(n), key=keys.__getitem__).index(q) + 1)
+    return ranks
+
+
+class NonFiniteProjection:
+    """A model whose paragraph or video projection yields NaN."""
+
+    def __init__(self, side):
+        self.side = side
+
+    def transform_anchor(self, units):
+        return np.full_like(units, np.nan) if self.side == "anchor" else units
+
+    def transform_clips(self, units):
+        return np.full_like(units, np.nan) if self.side == "clips" else units
 
 
 class TestRetrievalFull:
@@ -81,6 +148,24 @@ class TestRetrievalFull:
     def test_unknown_measure(self):
         with pytest.raises(DataError):
             retrieval_full(self_identical_corpus(3), measure="cosine", ks=(1,))
+
+    @pytest.mark.parametrize("background", ["keep", "remove"])
+    @pytest.mark.parametrize("measure", RETRIEVAL_MEASURES)
+    def test_matches_per_pair_reference(self, measure, background):
+        corpus = ragged_corpus()
+        n = len(corpus)
+        assert n % (STACK_MATRICES // n) != 0  # the last alignment call holds fewer queries
+        report = retrieval_full(corpus, measure=measure, background=background, ks=(1, 3, 10), dump_scores=True)
+        ranks = per_pair_ranks(corpus, measure, background)
+        assert [entry["rank"] for entry in report.per_query] == ranks
+        assert report.recalls == {k: float(np.mean(np.array(ranks) <= k)) for k in (1, 3, 10)}
+        assert 1 < max(ranks)  # the corpus does not saturate
+
+    @pytest.mark.parametrize("side", ["anchor", "clips"])
+    @pytest.mark.parametrize("measure", ["dtw", "capavg"])
+    def test_non_finite_projection_rejected(self, side, measure):
+        with pytest.raises(DataError, match="non-finite"):
+            retrieval_full(self_identical_corpus(3), NonFiniteProjection(side), measure=measure, ks=(1,))
 
 
 class TestRetrievalClip:
@@ -229,6 +314,21 @@ class TestFewshot:
         videos = class_corpus(n_classes=3)
         with pytest.raises(DataError):
             fewshot_eval(None, videos, way=5, shot=1, queries_per_class=5, episodes=5)
+
+    @pytest.mark.parametrize("measure", ["dtw", "otam"])
+    def test_ragged_scores_match_per_pair_reference(self, rng, measure):
+        queries = [rng.normal(size=(int(rng.integers(1, 9)), 6)) for _ in range(9)]
+        supports = [rng.normal(size=(int(rng.integers(1, 9)), 6)) for _ in range(70)]
+        assert len(queries) % (STACK_MATRICES // len(supports)) != 0
+        stack, shapes = align.pad_costs([1.0 - similarity_matrix(q, s) for q in queries for s in supports])
+        expected = align.align_stack(stack, measure, shapes).scores().reshape(len(queries), len(supports))
+        assert np.array_equal(_episode_scores(queries, supports, measure), expected)
+
+    def test_non_finite_projection_of_ragged_videos_rejected(self):
+        videos = [LabeledVideo(v.id, v.label, EmbeddingSequence(v.id, v.frames.units[: 1 + i % 4]))
+                  for i, v in enumerate(class_corpus())]
+        with pytest.raises(DataError, match="similarity: non-finite"):
+            fewshot_eval(NonFiniteProjection("clips"), videos, way=5, shot=1, queries_per_class=5, episodes=2)
 
     def test_bag_measure_ignores_order(self):
         videos = class_corpus()
