@@ -38,20 +38,20 @@ class Alignments:
     """Optimal warping paths of a batch of cost matrices.
 
     ``distances[b]`` is the summed cost over item b's path and ``lengths[b]``
-    its number of cells.  ``path(b)`` lists the cells as (row, column) pairs in
-    increasing order; consecutive pairs differ by (1, 1), (1, 0) or (0, 1).
+    its number of cells.  ``path(b)`` is the (lengths[b], 2) int array of its
+    (row, column) cells in increasing order; consecutive cells differ by
+    (1, 1), (1, 0) or (0, 1).
     """
 
     distances: np.ndarray
     lengths: np.ndarray
-    # (max length, batch) cells visited, walking back from each path's end;
-    # item b's path is the first lengths[b] entries of its column, reversed.
-    _rows: np.ndarray
-    _cols: np.ndarray
+    #: (steps, batch, 2) read-only cells visited walking back from each
+    #: path's end; an item that reached its start repeats that cell, so item
+    #: b's path is ``walk[lengths[b] - 1 :: -1, b]``.
+    walk: np.ndarray
 
-    def path(self, b: int) -> list[tuple[int, int]]:
-        n = int(self.lengths[b])
-        return list(zip(self._rows[n - 1 :: -1, b].tolist(), self._cols[n - 1 :: -1, b].tolist()))
+    def path(self, b: int) -> np.ndarray:
+        return self.walk[self.lengths[b] - 1 :: -1, b]
 
     def scores(self, normalize: bool = True) -> np.ndarray:
         """Summed path similarity ``length - distance`` under cost = 1 - similarity,
@@ -136,21 +136,27 @@ def align_stack(costs: np.ndarray, measure: str = "dtw", shapes: np.ndarray | No
         last[np.arange(m) >= cols[:, None]] = np.inf
         end = np.argmin(last, axis=1)
     distances = last[items, end]
+    del cum, last
 
     # Walk every path back from its end at once; an item that reached its
-    # start keeps repeating that cell, which the length count ignores.
+    # start keeps repeating that cell, which the length count ignores.  No
+    # path has more than n + m - 1 cells.
+    walk = np.empty((n + m - 1, batch, 2), dtype=np.int64)
     i, j = rows - 1, end
-    trail_i, trail_j = [i], [j]
+    walk[0, :, 0], walk[0, :, 1] = i, j
     lengths = np.ones(batch, dtype=np.int64)
     step = ptr[i, j, items]
+    steps = 1
     while np.any(step != _START):
         lengths += step != _START
         i = i - _DI[step]
         j = j - _DJ[step]
-        trail_i.append(i)
-        trail_j.append(j)
+        walk[steps, :, 0], walk[steps, :, 1] = i, j
+        steps += 1
         step = ptr[i, j, items]
-    return Alignments(distances, lengths, np.array(trail_i), np.array(trail_j))
+    walk = walk[:steps]
+    walk.setflags(write=False)
+    return Alignments(distances, lengths, walk)
 
 
 # Single-matrix entry points named by the benchmark's per-layer hook table

@@ -22,6 +22,10 @@ class DegeneratePairError(DataError):
     """A pair lacks the structure an operation needs (e.g. too few segments)."""
 
 
+class NumericalError(RuntimeError):
+    """A computation overflowed or produced a non-finite value."""
+
+
 def _validate_units(units, *, what: str) -> np.ndarray:
     arr = np.asarray(units, dtype=np.float64)
     if arr.ndim != 2:
@@ -130,6 +134,15 @@ class SegmentedPair:
     def covered_units(self) -> np.ndarray:
         return self.positive.units[self.covered_indices]
 
+    def covered_spans(self) -> list[tuple[int, int]]:
+        """Start and end of each segment among the covered clips (disjoint
+        segments assumed), i.e. its range in :meth:`covered_view`."""
+        spans, cursor = [], 0
+        for _, start, end in self.segments:
+            spans.append((cursor, cursor + end - start))
+            cursor += end - start
+        return spans
+
     def require_canonical(self) -> None:
         self.segments.validate(len(self.anchor), len(self.positive), require_disjoint=True)
         if len(self.segments) != len(self.anchor):
@@ -148,11 +161,7 @@ class SegmentedPair:
         """Background-free copy: clips restricted to segment-covered ones,
         segment ranges remapped to the compacted positions."""
         self.require_canonical()
-        entries = []
-        cursor = 0
-        for caption, start, end in self.segments:
-            entries.append((caption, cursor, cursor + (end - start)))
-            cursor += end - start
+        entries = [(caption, lo, hi) for (caption, _, _), (lo, hi) in zip(self.segments, self.covered_spans())]
         return SegmentedPair(
             id=self.id,
             anchor=self.anchor,

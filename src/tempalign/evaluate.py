@@ -280,10 +280,10 @@ def _pair_match(corpus: list[SegmentedPair], model, measure: str) -> np.ndarray:
     res = align.align_stack(stack, measure, shapes)
     matched = np.empty(len(corpus))
     for b, pair in enumerate(corpus):
-        spans = {caption: (start, end) for caption, start, end in pair.segments}
-        covered_index = pair.covered_indices
-        correct = sum(1 for i, q in res.path(b) if spans[i][0] <= int(covered_index[q]) < spans[i][1])
-        matched[b] = correct / int(res.lengths[b])
+        # caption i of a canonical pair owns segment i
+        path = res.path(b)
+        lo, hi = np.array(pair.covered_spans())[path[:, 0]].T
+        matched[b] = np.count_nonzero((lo <= path[:, 1]) & (path[:, 1] < hi)) / int(res.lengths[b])
     return matched
 
 

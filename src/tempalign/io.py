@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, EmbeddingSequence, LabeledVideo, SegmentMap, SegmentedPair
+from .core import DataError, EmbeddingSequence, LabeledVideo, NumericalError, SegmentMap, SegmentedPair
 
 FORMAT_VERSION = 1
 _BIN_MAGIC = b"TALNBIN1"
@@ -139,12 +139,21 @@ def record_to_video(rec: dict, *, where: str = "video record") -> LabeledVideo:
 # -- binary variant ---------------------------------------------------------
 
 
-def _write_binary(path, meta: dict, blocks: list[np.ndarray]) -> None:
+def write_float32_container(path, magic: bytes, header_fmt: str, fields, meta: dict, blocks) -> None:
+    """Write what :func:`read_float32_container` reads: ``magic``, the header
+    ``fields`` and the metadata length packed as ``header_fmt``, ``meta`` as
+    sorted-key JSON, then each block as little-endian float32.
+
+    Raises NumericalError, before the file is opened, if a block holds a
+    value that is not finite or lies outside the float32 range.
+    """
+    limit = np.finfo(np.float32).max
+    for block in blocks:
+        if not np.all(np.abs(block) <= limit):
+            raise NumericalError(f"{path}: a block holds a value that is not finite or outside the float32 range")
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_BIN_MAGIC)
-        fh.write(struct.pack("<I", len(meta_bytes)))
-        fh.write(meta_bytes)
+        fh.write(magic + struct.pack(header_fmt, *fields, len(meta_bytes)) + meta_bytes)
         for block in blocks:
             fh.write(np.ascontiguousarray(block, dtype="<f4").tobytes())
 
@@ -156,7 +165,8 @@ def read_float32_container(path, magic: bytes, header_fmt: str, shapes_key: str)
     list), and nothing after.
 
     Returns (the header fields before the length, metadata, float64 blocks).
-    Every malformed or truncated header and block raises DataError.
+    Every malformed or truncated header and every block holding a non-finite
+    value raises DataError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -183,7 +193,10 @@ def read_float32_container(path, magic: bytes, header_fmt: str, shapes_key: str)
         n = math.prod(shape)
         if len(data) < offset + 4 * n:
             raise DataError(f"{path}: truncated block")
-        blocks.append(np.frombuffer(data, dtype="<f4", count=n, offset=offset).astype(np.float64).reshape(shape))
+        block = np.frombuffer(data, dtype="<f4", count=n, offset=offset)
+        if not np.all(np.isfinite(block)):
+            raise DataError(f"{path}: block holds non-finite values")
+        blocks.append(block.astype(np.float64).reshape(shape))
         offset += 4 * n
     if offset != len(data):
         raise DataError(f"{path}: {len(data) - offset} trailing bytes")
@@ -210,7 +223,7 @@ def save_pair(pair: SegmentedPair, path) -> None:
             "segments": [list(e) for e in pair.segments],
             "shapes": [list(pair.anchor.units.shape), list(pair.positive.units.shape)],
         }
-        _write_binary(path, meta, [pair.anchor.units, pair.positive.units])
+        write_float32_container(path, _BIN_MAGIC, "<I", (), meta, [pair.anchor.units, pair.positive.units])
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dump_json(pair_to_record(pair)))
@@ -250,7 +263,7 @@ def save_video(video: LabeledVideo, path) -> None:
             "dim": video.frames.dim,
             "shapes": [list(video.frames.units.shape)],
         }
-        _write_binary(path, meta, [video.frames.units])
+        write_float32_container(path, _BIN_MAGIC, "<I", (), meta, [video.frames.units])
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dump_json(video_to_record(video)))
@@ -313,7 +326,7 @@ def save_dataset(out_dir, items: list[tuple[object, str]], kind: str, fmt: str =
         entries.append({"id": item.id, "path": rel, "split": split})
     if len(dims) != 1:
         raise DataError(f"dataset mixes dims {sorted(dims)}")
-    manifest = DatasetManifest(kind=kind, dim=dims.pop(), entries=entries)
+    manifest = DatasetManifest(kind, dims.pop(), entries)
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         fh.write(dump_json(manifest.to_record()))
         fh.write("\n")
@@ -337,7 +350,7 @@ def load_dataset(data_dir):
         raise DataError(f"{manifest_path}: kind must be 'pairs' or 'videos', got {rec['kind']!r}")
     if not isinstance(rec["entries"], list):
         raise DataError(f"{manifest_path}: field 'entries' must be a list")
-    manifest = DatasetManifest(kind=rec["kind"], dim=_int_field(rec, "dim", manifest_path), entries=rec["entries"])
+    manifest = DatasetManifest(rec["kind"], _int_field(rec, "dim", manifest_path), rec["entries"])
     by_split: dict[str, list] = {}
     for i, entry in enumerate(manifest.entries):
         if not isinstance(entry, dict):

@@ -10,7 +10,7 @@ piecewise objective, and at ties it is a subgradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,113 +63,62 @@ def infonce_with_grad(pos_score: float, neg_scores, tau: float) -> tuple[float, 
 
 
 @dataclass
-class CandidateScore:
-    """One scored candidate: its path and the unit indices it touches.
-
-    ``entries[k] = (anchor_index, source_index)`` identifies the similarity
-    entry behind path step k; source indices refer to the candidate's source
-    sequence.  For visual-anchor negatives the anchor index is the permuted
-    caption and the source index the covered clip, so anchor always comes
-    first.
-    """
-
-    label: str
-    source_id: str
-    score: float
-    distance: float
-    length: int
-    entries: list[tuple[int, int]]
-
-
-@dataclass
 class SeqLossResult:
     loss: float
-    candidates: list[CandidateScore]
-    #: d(loss)/d(similarity entry) accumulated per source pair id as dense
-    #: (n_anchor, n_source_covered) matrices in covered-position space; the
-    #: pair's own id keys the matrix over its own covered clips.  Populated
-    #: when gradients are requested.
-    grad_by_source: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def scores(self) -> np.ndarray:
-        return np.array([c.score for c in self.candidates])
+    #: alignment score of each candidate, positive first
+    scores: np.ndarray
+    #: source id of each candidate, positive first
+    candidates: list[str]
+    #: the candidates' optimal paths, in the same order
+    paths: align.Alignments
+    #: d(loss)/d(similarity entry) per source id, as dense (n_anchor,
+    #: n_covered) matrices over the source's covered positions; the own id
+    #: keys the matrix over the positive's covered clips.
+    grad_by_source: dict[str, np.ndarray]
 
 
 def seq_grad_core(
     anchor_units: np.ndarray,
-    covered_units: np.ndarray,
-    covered_index: np.ndarray,
-    source_id: str,
+    units_of: dict[str, np.ndarray],
+    self_id: str,
     negs: list[NegativePermutation],
     cfg: LossConfig,
-    others: dict[str, tuple[np.ndarray, np.ndarray]],
-    *,
-    want_grad: bool = True,
 ) -> SeqLossResult:
-    """Array-level engine behind seq_infonce / seq_infonce_grad and training.
+    """Loss and fixed-path gradient of one anchor against its positive and negatives.
 
-    ``covered_index`` maps similarity-matrix columns back to original unit
-    indices of the positive sequence.  Negatives drawn from other sources
-    read ``others[source_id] = (units, original_indices)``.  The positive and
-    every negative are aligned in one batched call.
+    ``units_of[source_id]`` holds each source's covered units: the positive
+    is ``units_of[self_id]``, and a negative's ``perm`` names columns of its
+    source (rows of the anchor for visual-anchor).  The positive and every
+    negative are aligned in one batched call.
     """
-    # source id -> (similarity matrix, original unit index of each column,
-    # column of each original unit index)
-    sources = {source_id: (similarity_matrix(anchor_units, covered_units), np.asarray(covered_index),
-                           {int(j): q for q, j in enumerate(covered_index)})}
-    all_rows, all_cols = np.arange(anchor_units.shape[0]), np.arange(len(covered_index))
-
-    # Per candidate: (label, source id, rows, columns) selecting its
-    # similarity matrix from the source's.
-    specs = [("positive", source_id, all_rows, all_cols)]
+    sims = {self_id: similarity_matrix(anchor_units, units_of[self_id])}
+    all_rows, all_cols = np.arange(anchor_units.shape[0]), np.arange(sims[self_id].shape[1])
+    # Per candidate: (source id, rows, columns) selecting its similarity
+    # matrix from the source's.
+    specs = [(self_id, all_rows, all_cols)]
     for neg in negs:
         if neg.strategy == "visual_anchor":
-            specs.append((neg.strategy, source_id, neg.perm, all_cols))
+            specs.append((self_id, neg.perm, all_cols))
             continue
-        if neg.source_id not in sources:
-            if neg.source_id not in others:
+        if neg.source_id not in sims:
+            if neg.source_id not in units_of:
                 raise ValueError(f"negative references unknown pair {neg.source_id!r}; pass the corpus")
-            units, orig = others[neg.source_id]
-            sources[neg.source_id] = (similarity_matrix(anchor_units, units), np.asarray(orig),
-                                      {int(j): q for q, j in enumerate(orig)})
-        col_of = sources[neg.source_id][2]
-        try:
-            cols = np.asarray([col_of[int(j)] for j in neg.perm], dtype=np.int64)
-        except KeyError as exc:
-            raise ValueError(f"negative for {neg.source_id!r} references uncovered unit {exc}") from exc
-        specs.append((neg.strategy, neg.source_id, all_rows, cols))
+            sims[neg.source_id] = similarity_matrix(anchor_units, units_of[neg.source_id])
+        specs.append((neg.source_id, all_rows, neg.perm))
 
-    stack, shapes = align.pad_costs([1.0 - sources[src][0][np.ix_(rows, cols)] for _, src, rows, cols in specs])
-    aligned = align.align_stack(stack, cfg.measure, shapes)
-    scores = aligned.scores(cfg.normalize_score)
-    candidates = []
-    cells = []  # per candidate: path cells as (rows, columns) of its source's similarity matrix
-    for k, (label, src, rows, cols) in enumerate(specs):
-        path = np.array(aligned.path(k))
-        r, c = rows[path[:, 0]], cols[path[:, 1]]
-        cells.append((r, c))
-        candidates.append(CandidateScore(
-            label=label, source_id=src, score=float(scores[k]), distance=float(aligned.distances[k]),
-            length=int(aligned.lengths[k]), entries=list(zip(r.tolist(), sources[src][1][c].tolist())),
-        ))
-    if not negs:
-        return SeqLossResult(loss=0.0, candidates=candidates)
-
+    stack, shapes = align.pad_costs([1.0 - sims[src][np.ix_(rows, cols)] for src, rows, cols in specs])
+    paths = align.align_stack(stack, cfg.measure, shapes)
+    scores = paths.scores(cfg.normalize_score)
     loss, dpos, dnegs = infonce_with_grad(scores[0], scores[1:], cfg.tau)
-    out = SeqLossResult(loss=loss, candidates=candidates)
-    if not want_grad:
-        return out
-
     dscore = np.concatenate(([dpos], dnegs))
     if cfg.normalize_score:
-        dscore = dscore / aligned.lengths
-    by_source = {src: np.zeros(sim.shape) for src, (sim, _, _) in sources.items()}
-    for k, (_, src, _, _) in enumerate(specs):
+        dscore = dscore / paths.lengths
+    grad_by_source = {src: np.zeros(sim.shape) for src, sim in sims.items()}
+    for k, (src, rows, cols) in enumerate(specs):
+        path = paths.path(k)
         # the cells of one path are distinct: permutations never repeat an index
-        by_source[src][cells[k]] += dscore[k]
-    out.grad_by_source = by_source
-    return out
+        grad_by_source[src][rows[path[:, 0]], cols[path[:, 1]]] += dscore[k]
+    return SeqLossResult(loss, scores, [src for src, _, _ in specs], paths, grad_by_source)
 
 
 def seq_infonce(
@@ -177,28 +126,18 @@ def seq_infonce(
     negs: list[NegativePermutation],
     cfg: LossConfig,
     corpus=None,
-) -> tuple[float, SeqLossResult]:
-    """Sequence-level InfoNCE for one pair; loss 0 when there are no negatives."""
-    result = seq_infonce_grad(pair, negs, cfg, corpus, want_grad=False)
-    return result.loss, result
-
-
-def seq_infonce_grad(
-    pair: SegmentedPair,
-    negs: list[NegativePermutation],
-    cfg: LossConfig,
-    corpus=None,
-    *,
-    want_grad: bool = True,
 ) -> SeqLossResult:
-    """Loss and fixed-path gradient w.r.t. every touched similarity entry."""
+    """Sequence-level InfoNCE of one pair and its fixed-path gradient w.r.t.
+    every touched similarity entry; loss 0 when there are no negatives.
+
+    Negatives drawn from other pairs read those pairs' covered units from
+    ``corpus``.
+    """
     pair.require_canonical()
     drawn_from = {neg.source_id for neg in negs}
-    others = {p.id: (p.covered_units(), p.covered_indices) for p in corpus or () if p.id in drawn_from}
-    return seq_grad_core(
-        pair.anchor.units, pair.covered_units(), pair.covered_indices, pair.id, negs, cfg, others,
-        want_grad=want_grad,
-    )
+    units_of = {p.id: p.covered_units() for p in corpus or () if p.id in drawn_from}
+    units_of[pair.id] = pair.covered_units()
+    return seq_grad_core(pair.anchor.units, units_of, pair.id, negs, cfg)
 
 
 def unit_term_video_text(

@@ -1,11 +1,15 @@
 """Temporal-shuffle negative generation from a positive clip sequence.
 
-Negatives are expressed as index permutations over the segment-covered clips
-of a pair (background clips never enter a training sequence), or over the
-anchor captions for the visual-anchor strategy, or as another pair's clips in
-original order for unpaired sampling.  Identity permutations of the positive
-are never returned: a negative that equals the positive would contradict the
-contrastive objective, so draws are rejected and retried.
+Negatives are index permutations in one index space: positions among a
+source's segment-covered clips, 0 ... n_covered - 1.  Background clips never
+enter a training sequence, so these positions are the columns the sequence
+loss aligns.  The shuffle strategies permute the pair's own covered
+positions, unpaired sampling takes another pair's covered positions in
+order, and the visual-anchor strategy permutes the anchor captions instead.
+On a background-free pair, such as every pair ``fit`` trains on, covered
+positions are the clip indices themselves.  Identity permutations of the
+positive are never returned: a negative that equals the positive would
+contradict the contrastive objective, so draws are rejected and retried.
 """
 
 from __future__ import annotations
@@ -41,10 +45,12 @@ def canonical_strategy(name: str) -> str:
 class NegativePermutation:
     """A drawn negative: strategy tag, index permutation, and its source.
 
-    ``perm`` lists original unit indices of the source sequence in their new
-    order: covered clip indices for the shuffle strategies, the other pair's
-    covered clips (unchanged order) for unpaired, anchor caption indices for
-    visual-anchor.  ``source_id`` names the pair the permutation applies to.
+    ``perm`` lists positions of the source sequence in their new order:
+    positions among the pair's covered clips for the shuffle strategies, the
+    other pair's covered positions in order (``arange(n_covered)``) for
+    unpaired, a video's frame indices for video-only negatives, anchor
+    caption indices for visual-anchor.  ``source_id`` names the pair or video
+    the permutation applies to.
     """
 
     strategy: str
@@ -70,7 +76,8 @@ def _non_identity_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _segment_blocks(pair: SegmentedPair) -> list[np.ndarray]:
-    return [np.arange(s, e, dtype=np.int64) for _, s, e in pair.segments]
+    """Each segment's covered positions."""
+    return [np.arange(lo, hi, dtype=np.int64) for lo, hi in pair.covered_spans()]
 
 
 def permute_segments(pair: SegmentedPair, shuffle_within: bool, rng: np.random.Generator) -> NegativePermutation:
@@ -109,13 +116,12 @@ def permute_within_segments(pair: SegmentedPair, rng: np.random.Generator) -> Ne
 
 
 def permute_all_units(pair: SegmentedPair, rng: np.random.Generator) -> NegativePermutation:
-    """Uniform non-identity permutation of all segment-covered clips."""
+    """Uniform non-identity permutation of all covered positions."""
     pair.require_canonical()
-    covered = pair.covered_indices
-    if covered.size < 2:
-        raise DegeneratePairError(f"pair {pair.id!r}: degenerate pair ({covered.size} covered clip)")
-    perm = covered[_non_identity_permutation(covered.size, rng)]
-    return NegativePermutation(strategy="all_unit", perm=perm, source_id=pair.id)
+    n = pair.covered_indices.size
+    if n < 2:
+        raise DegeneratePairError(f"pair {pair.id!r}: degenerate pair ({n} covered clip)")
+    return NegativePermutation(strategy="all_unit", perm=_non_identity_permutation(n, rng), source_id=pair.id)
 
 
 def permute_anchor_segments(pair: SegmentedPair, rng: np.random.Generator) -> NegativePermutation:
@@ -128,12 +134,12 @@ def permute_anchor_segments(pair: SegmentedPair, rng: np.random.Generator) -> Ne
 
 
 def sample_unpaired(corpus: list[SegmentedPair], anchor_id: str, rng: np.random.Generator) -> NegativePermutation:
-    """Pick another pair uniformly; its covered clips in original order."""
+    """Pick another pair uniformly; its covered positions in order."""
     others = [p for p in corpus if p.id != anchor_id]
     if not others:
         raise DataError(f"unpaired sampling needs a corpus with at least 2 distinct pairs (got {len(corpus)})")
     other = others[int(rng.integers(len(others)))]
-    return NegativePermutation(strategy="unpaired", perm=other.covered_indices, source_id=other.id)
+    return NegativePermutation(strategy="unpaired", perm=np.arange(other.covered_indices.size), source_id=other.id)
 
 
 def generate_negatives(

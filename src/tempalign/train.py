@@ -6,21 +6,19 @@ step (``_item_grads``): the mode only picks the negative drawer, the anchor
 units and the unit term.  Gradients flow from the InfoNCE losses through the
 fixed warping paths, the cosine normalization Jacobian, and the affine head;
 everything is plain numpy and deterministic given the config seed.
-Checkpoints are float32 containers read through ``io.read_float32_container``.
+Checkpoints are float32 containers written and read through ``io``.
 """
 
 from __future__ import annotations
 
 import copy
-import json
-import struct
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .core import DataError, SegmentedPair, similarity_matrix, unit_normalize
-from .io import read_float32_container
+from .core import DataError, NumericalError, SegmentedPair, similarity_matrix, unit_normalize
+from .io import read_float32_container, write_float32_container
 from .loss import (
     LossConfig,
     joint_loss,
@@ -255,7 +253,8 @@ def _item_grads(anchor_units, self_id, negs, units_of, unit_term, model, cfg, gr
     sequence gradient of each source and, on the own source, the unit
     gradient from ``unit_term(sims) -> (loss, d_sims)`` are routed through
     the cosine Jacobian and both heads into ``grads``.  Returns (unit_loss,
-    seq_loss, path signature).
+    seq_loss, path signature), the signature being the bytes of every
+    candidate's path cells.
     """
     y_a, fwd_a = model.anchor_head.forward(anchor_units)
     clip_head = model._clip()
@@ -263,15 +262,13 @@ def _item_grads(anchor_units, self_id, negs, units_of, unit_term, model, cfg, gr
     for src in [self_id, *(neg.source_id for neg in negs)]:
         if src not in projected:
             projected[src] = clip_head.forward(units_of[src])
-    y_p = projected[self_id][0]
-    others = {src: (y, np.arange(y.shape[0])) for src, (y, _) in projected.items()}
-    seq = seq_grad_core(y_a, y_p, np.arange(y_p.shape[0]), self_id, negs, cfg.loss, others)
-    unit_loss, unit_grad = unit_term(similarity_matrix(y_a, y_p))
+    seq = seq_grad_core(y_a, {src: y for src, (y, _) in projected.items()}, self_id, negs, cfg.loss)
+    unit_loss, unit_grad = unit_term(similarity_matrix(y_a, projected[self_id][0]))
 
     d_ya = np.zeros_like(y_a)
     d_clips = []
     for src, (y_src, _) in projected.items():
-        g = cfg.loss.w_seq * seq.grad_by_source.get(src, 0.0)
+        g = cfg.loss.w_seq * seq.grad_by_source[src]
         if src == self_id:
             g = g + cfg.loss.w_unit * unit_grad
         du, dv = cosine_backward(y_a, y_src, g)
@@ -281,7 +278,7 @@ def _item_grads(anchor_units, self_id, negs, units_of, unit_term, model, cfg, gr
     clip_prefix = "clip." if model.twin else "anchor."
     for (_, fwd_src), dv in zip(projected.values(), d_clips):
         clip_head.backward(fwd_src, dv, grads, clip_prefix)
-    return unit_loss, seq.loss, tuple(tuple(c.entries) for c in seq.candidates)
+    return unit_loss, seq.loss, seq.paths.walk.tobytes()
 
 
 def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConfig, rng: np.random.Generator):
@@ -291,7 +288,7 @@ def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConf
     (video-text mode) or a list of LabeledVideo (video-only).  Returns
     (joint_loss, grads, n_used, path_signature); grads are averaged over the
     non-skipped items and the signature records every candidate's path
-    entries, so a gradient check can both pin the negatives (by reseeding
+    cells, so a gradient check can both pin the negatives (by reseeding
     ``rng``) and detect when a perturbation moved an optimal path.
     """
     video_text = isinstance(corpus[0], SegmentedPair)
@@ -335,6 +332,8 @@ def fit(corpus, model: ProjectionModel, cfg: TrainConfig) -> TrainReport:
     Pairs are shuffled each epoch with the seeded generator, negatives are
     drawn per pair according to ``cfg.neg_strategy``, and one Adam step is
     taken per batch on the joint objective.  Deterministic given the config.
+    Raises NumericalError, naming the epoch and batch, at the first step that
+    overflows or produces a non-finite value.
     """
     if not corpus:
         raise DataError("fit: empty corpus")
@@ -358,15 +357,19 @@ def fit(corpus, model: ProjectionModel, cfg: TrainConfig) -> TrainReport:
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(corpus))
         epoch_losses: list[float] = []
-        for lo in range(0, len(order), cfg.batch_pairs):
+        for step, lo in enumerate(range(0, len(order), cfg.batch_pairs)):
             batch = order[lo : lo + cfg.batch_pairs]
-            loss, grads, used, _ = evaluate_batch(batch, corpus, model, cfg, rng)
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    loss, grads, used, _ = evaluate_batch(batch, corpus, model, cfg, rng)
+                    if used:
+                        adam_step(params, grads, state, cfg.lr, cfg.adam_betas)
+            except FloatingPointError as exc:
+                raise NumericalError(f"fit: epoch {epoch + 1}, batch {step + 1}: {exc}") from exc
             total_skipped += len(batch) - used
-            if used == 0:
-                continue
-            trained_any = True
-            epoch_losses.append(loss)
-            adam_step(params, grads, state, cfg.lr, cfg.adam_betas)
+            if used:
+                trained_any = True
+                epoch_losses.append(loss)
         curve.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))
     if not trained_any:
         raise DataError("fit: no trainable pairs (all degenerate for the chosen strategy)")
@@ -374,7 +377,8 @@ def fit(corpus, model: ProjectionModel, cfg: TrainConfig) -> TrainReport:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: magic, version, JSON metadata, float32 LE blocks.
+# Checkpoint format: a float32 container (see ``io.write_float32_container``)
+# with a version field before the metadata length.
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"TALNPROJ"
@@ -392,13 +396,7 @@ def save_checkpoint(model: ProjectionModel, path, *, seed: int = 0) -> None:
         "seed": seed,
         "blocks": [{"name": k, "shape": list(v.shape)} for k, v in params.items()],
     }
-    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<II", _CKPT_VERSION, len(meta_bytes)))
-        fh.write(meta_bytes)
-        for _, arr in params.items():
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    write_float32_container(path, _CKPT_MAGIC, "<II", (_CKPT_VERSION,), meta, list(params.values()))
 
 
 def load_checkpoint(path) -> ProjectionModel:

@@ -6,16 +6,23 @@ from tempalign.align import align_stack, pad_costs
 from tempalign.core import DataError, cost_matrix, similarity_matrix
 
 
+def cells(res, b):
+    """Item b's path as a list of (row, column) tuples."""
+    path = res.path(b)
+    assert path.shape == (res.lengths[b], 2) and path.dtype.kind == "i"
+    return [tuple(cell) for cell in path.tolist()]
+
+
 def align_one(cost, measure="dtw"):
     """(distance, path) of one matrix aligned alone."""
     res = align_stack(np.asarray(cost, dtype=float)[None], measure)
-    return float(res.distances[0]), res.path(0)
+    return float(res.distances[0]), cells(res, 0)
 
 
 def sequence_score(a, b, measure="dtw", normalize=True):
     """(score, path) of two sequences aligned on cosine cost."""
     res = align_stack(cost_matrix(a, b)[None], measure)
-    return float(res.scores(normalize)[0]), res.path(0)
+    return float(res.scores(normalize)[0]), cells(res, 0)
 
 
 class TestDtw:
@@ -51,7 +58,7 @@ class TestDtw:
         res = align_stack(stack, "dtw", shapes)
         cell, diag, up, left, full = res.distances
         assert cell == pytest.approx(d[i, j] + min(diag, up, left))
-        assert full == pytest.approx(sum(d[p] for p in res.path(4)))
+        assert full == pytest.approx(sum(d[p] for p in cells(res, 4)))
 
     def test_rejects_malformed_input(self):
         for bad in ([np.zeros(3)], [[[0.0, np.nan]]], [[[np.inf]]], [], [np.zeros((2, 0))]):
@@ -184,7 +191,7 @@ class TestStackKernels:
             distance, path = align_one(stack[b], measure)
             assert res.distances[b] == distance
             assert res.lengths[b] == len(path)
-            assert res.path(b) == path
+            assert cells(res, b) == path
 
     def test_stack_scores_match_sequence_scores(self, rng):
         a_units = rng.normal(size=(8, 3, 5))
@@ -206,7 +213,7 @@ class TestStackKernels:
         res = align_stack(stack, measure, shapes)
         assert len(res.distances) == len(mats)
         for b, d in enumerate(mats):
-            path = res.path(b)
+            path = cells(res, b)
             check_path(path, d.shape, measure)
             assert res.lengths[b] == len(path)
             assert res.distances[b] == pytest.approx(sum(d[p] for p in path), abs=1e-12)

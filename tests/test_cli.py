@@ -8,6 +8,7 @@ from conftest import make_pair, seq
 from tempalign import cli
 from tempalign.core import LabeledVideo
 from tempalign.io import save_dataset, save_pair, save_video
+from tempalign.synth import SynthConfig, gen_corpus
 from tempalign.train import ProjectionModel, save_checkpoint
 
 # Values exact in float32, so the .json and .bin copies print the same record.
@@ -146,3 +147,25 @@ def test_malformed_manifest_is_a_data_error(capsys, tmp_path, change):
     manifest.write_text(json.dumps(record))
     assert cli.main(["eval", "localize", "--data", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("data error:")
+
+
+@pytest.mark.parametrize("lr", ["1e308", "1e200"])
+def test_diverging_training_is_a_numerical_failure(capsys, tmp_path, lr):
+    train, test, _ = gen_corpus(SynthConfig(n_tasks=4, videos_per_task=3, seed=1))
+    save_dataset(tmp_path / "data", [(p, "train") for p in train] + [(p, "test") for p in test], kind="pairs")
+    out = tmp_path / "model.ckpt"
+    code = cli.main(["train", "--data", str(tmp_path / "data"), "--lr", lr, "--epochs", "3", "--out", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
+def test_checkpoint_with_an_infinite_block_is_a_data_error(capsys, tmp_path):
+    save_dataset(tmp_path / "pairs", [(make_pair(CAPTIONS, CLIPS, [(0, 1, 2)]), "test")], kind="pairs")
+    target = tmp_path / "model.ckpt"
+    save_checkpoint(ProjectionModel.identity(3), target)
+    data = target.read_bytes()
+    # The last block is anchor.b_out: three float32 zeros.
+    target.write_bytes(data[:-4] + np.float32(np.inf).tobytes())
+    assert cli.main(["eval", "localize", "--data", str(tmp_path / "pairs"), "--model", str(target)]) == 3
+    assert "non-finite" in capsys.readouterr().err

@@ -270,6 +270,22 @@ class TestPairMatch:
         corpus = self_identical_corpus(3)
         assert corpus_pair_match(corpus, measure="otam") == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("measure", ["dtw", "otam"])
+    def test_matches_per_step_reference(self, measure):
+        # Reference: align each pair alone and check every path step's
+        # original clip index against its caption's segment.
+        corpus = ragged_corpus()
+        fractions = []
+        for pair in corpus:
+            sims = similarity_matrix(pair.anchor.units, pair.covered_units())
+            res = align.align_stack((1.0 - sims)[None], measure)
+            spans = {caption: (start, end) for caption, start, end in pair.segments}
+            clip_of = pair.covered_indices
+            correct = sum(spans[i][0] <= clip_of[q] < spans[i][1] for i, q in res.path(0).tolist())
+            fractions.append(correct / int(res.lengths[0]))
+            assert pair_match_percentage(pair, measure=measure) == fractions[-1]
+        assert corpus_pair_match(corpus, measure=measure) == float(np.mean(fractions))
+
 
 def class_corpus(n_classes=5, per_class=7, frames=4, dim=16, noise=0.0, seed=0):
     """Identical-within-class, orthogonal-across-class frame sequences."""

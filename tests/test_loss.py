@@ -12,10 +12,9 @@ from tempalign.loss import (
     infonce_with_grad,
     joint_loss,
     seq_infonce,
-    seq_infonce_grad,
     unit_infonce,
 )
-from tempalign.negatives import NegativePermutation, generate_negatives
+from tempalign.negatives import STRATEGY_NAMES, NegativePermutation, generate_negatives
 from tempalign.train import cosine_backward
 
 
@@ -92,6 +91,19 @@ def swap_negative():
 RAW_CFG = LossConfig(tau=1.0, normalize_score=False, measure="dtw")
 
 
+def path_entries(res, negs):
+    """Per candidate, the set of (anchor row, source column) similarity
+    entries on its path; a shuffle negative's perm maps its path columns to
+    positions of its source."""
+    out = []
+    for k, neg in enumerate([None, *negs]):
+        rows, cols = res.paths.path(k).T
+        if neg is not None:
+            cols = neg.perm[cols]
+        out.append(set(zip(rows.tolist(), cols.tolist())))
+    return out
+
+
 class TestSeqInfonce:
     def test_equal_score_degenerate(self, rng):
         # 32 negatives with identical scores to the positive -> ln 33.
@@ -100,7 +112,7 @@ class TestSeqInfonce:
         clips = [basis(0, 2 * k) for _ in range(k)]  # all clips identical
         pair = make_pair(captions, clips, [(i, i, i + 1) for i in range(k)])
         negs = generate_negatives(pair, None, "all-unit", 32, rng)
-        loss, _ = seq_infonce(pair, negs, LossConfig(tau=1.0))
+        loss = seq_infonce(pair, negs, LossConfig(tau=1.0)).loss
         assert loss == pytest.approx(math.log(33.0), abs=1e-9)
 
     def test_saturation_at_large_margin(self):
@@ -111,26 +123,61 @@ class TestSeqInfonce:
         # sims m1n1 = m2n2 = 1, m1n2 = m2n1 = 0, raw score, one swapped
         # negative: loss = ln(1 + e^-2).
         pair = toy_pair(1.0, 0.0, 0.0, 1.0)
-        loss, details = seq_infonce(pair, [swap_negative()], RAW_CFG)
-        assert loss == pytest.approx(math.log(1.0 + math.exp(-2.0)), abs=1e-12)
-        assert details.candidates[0].score == pytest.approx(2.0)
-        assert details.candidates[1].score == pytest.approx(0.0)
+        details = seq_infonce(pair, [swap_negative()], RAW_CFG)
+        assert details.loss == pytest.approx(math.log(1.0 + math.exp(-2.0)), abs=1e-12)
+        assert details.scores[0] == pytest.approx(2.0)
+        assert details.scores[1] == pytest.approx(0.0)
 
     def test_no_negatives_skipped(self):
         pair = toy_pair(0.5, 0.1, -0.2, 0.4)
-        loss, details = seq_infonce(pair, [], LossConfig())
-        assert loss == 0.0
+        details = seq_infonce(pair, [], LossConfig())
+        assert details.loss == 0.0
         assert len(details.candidates) == 1
 
     def test_other_source_is_read_from_the_corpus(self):
         pair = toy_pair(1.0, 0.0, 0.0, 1.0)
         other = make_pair([basis(0, 4), basis(1, 4)], [basis(1, 4), basis(0, 4)], [(0, 0, 1), (1, 1, 2)], pid="other")
-        neg = NegativePermutation("unpaired", other.covered_indices, "other")
+        neg = NegativePermutation("unpaired", np.arange(2), "other")
         with pytest.raises(ValueError, match="unknown pair 'other'"):
             seq_infonce(pair, [neg], RAW_CFG)
-        loss, details = seq_infonce(pair, [neg], RAW_CFG, corpus=[pair, other])
-        assert details.candidates[1].source_id == "other"
-        assert loss == pytest.approx(math.log(1.0 + math.exp(-2.0)), abs=1e-12)
+        details = seq_infonce(pair, [neg], RAW_CFG, corpus=[pair, other])
+        assert details.candidates == ["toy", "other"]
+        assert details.loss == pytest.approx(math.log(1.0 + math.exp(-2.0)), abs=1e-12)
+
+
+# Three 9-clip pairs whose background clips (0, 3, 6 / 2, 8 / 0, 1) sit
+# before, between and after their segments.
+BACKGROUND_SEGMENTS = (
+    [(0, 1, 3), (1, 4, 6), (2, 7, 9)],
+    [(0, 0, 2), (1, 3, 5), (2, 5, 8)],
+    [(0, 2, 4), (1, 4, 7), (2, 7, 9)],
+)
+
+
+class TestCoveredPositions:
+    @pytest.mark.parametrize("measure", ["dtw", "otam"])
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_background_pair_scores_as_its_covered_view(self, strategy, measure, rng):
+        corpus = [
+            make_pair(rng.normal(size=(3, 6)), rng.normal(size=(9, 6)), segments, pid=f"bg{i}")
+            for i, segments in enumerate(BACKGROUND_SEGMENTS)
+        ]
+        pair = corpus[0]
+        negs = generate_negatives(pair, corpus, strategy, 6, rng)
+        assert len(negs) == 6
+        n_covered = {p.id: p.covered_indices.size for p in corpus}
+        for neg in negs:
+            n = len(pair.anchor) if neg.strategy == "visual_anchor" else n_covered[neg.source_id]
+            assert sorted(neg.perm.tolist()) == list(range(n))
+        cfg = LossConfig(tau=0.7, measure=measure)
+        res = seq_infonce(pair, negs, cfg, corpus=corpus)
+        view = seq_infonce(pair.covered_view(), negs, cfg, corpus=[p.covered_view() for p in corpus])
+        assert res.loss == view.loss
+        np.testing.assert_array_equal(res.scores, view.scores)
+        assert list(res.grad_by_source) == list(view.grad_by_source)
+        for src, grad in res.grad_by_source.items():
+            assert grad.shape == (3, n_covered[src])
+            np.testing.assert_array_equal(grad, view.grad_by_source[src])
 
 
 class TestSeqGradOracle:
@@ -138,8 +185,9 @@ class TestSeqGradOracle:
     # similarity entries, so each entry's gradient is one candidate's alone.
     def test_symmetric_case_values(self):
         pair = toy_pair(1.0, 0.0, 0.0, 1.0)
-        res = seq_infonce_grad(pair, [swap_negative()], RAW_CFG)
-        assert not set(res.candidates[0].entries) & set(res.candidates[1].entries)
+        res = seq_infonce(pair, [swap_negative()], RAW_CFG)
+        positive, negative = path_entries(res, [swap_negative()])
+        assert not positive & negative
         grad = res.grad_by_source["toy"]
         expected = 1.0 / (math.e**2 + 1.0)
         assert grad[0, 0] == pytest.approx(-expected, abs=1e-9)
@@ -152,8 +200,9 @@ class TestSeqGradOracle:
         for _ in range(100):
             s11, s12, s21, s22 = rng.uniform(-0.7, 0.7, size=4)
             pair = toy_pair(s11, s12, s21, s22)
-            res = seq_infonce_grad(pair, [swap_negative()], RAW_CFG)
-            assert not set(res.candidates[0].entries) & set(res.candidates[1].entries)
+            res = seq_infonce(pair, [swap_negative()], RAW_CFG)
+            positive, negative = path_entries(res, [swap_negative()])
+            assert not positive & negative
             g11 = -math.exp(s12) / (math.exp(s11) * math.exp(s22 - s21) + math.exp(s12))
             g12 = math.exp(s12 + s21) / (math.exp(s11 + s22) + math.exp(s12 + s21))
             assert res.grad_by_source["toy"][0, 0] == pytest.approx(g11, abs=1e-9)
@@ -165,15 +214,15 @@ class TestSeqGradOracle:
     def test_grad_by_source_aggregates_entries(self, rng):
         s = rng.uniform(-0.6, 0.6, size=4)
         pair = toy_pair(*s)
-        res = seq_infonce_grad(pair, [swap_negative()], RAW_CFG)
+        res = seq_infonce(pair, [swap_negative()], RAW_CFG)
         dense = res.grad_by_source["toy"]
         # Raw scores at tau = 1: d(loss)/d(score_k) = softmax_k - [k == 0],
         # and every entry on candidate k's path carries that value.
         weights = np.exp(res.scores - res.scores.max())
         dscore = weights / weights.sum() - np.eye(len(res.candidates))[0]
         total = np.zeros_like(dense)
-        for cand, g in zip(res.candidates, dscore):
-            for i, j in cand.entries:
+        for entries, g in zip(path_entries(res, [swap_negative()]), dscore):
+            for i, j in entries:
                 total[i, j] += g
         assert np.abs(total).sum() > 0
         np.testing.assert_allclose(dense, total, rtol=0, atol=1e-12)
@@ -187,8 +236,8 @@ def random_pair(rng, n_captions=3, clips_per=2, dim=6, pid="fd"):
 
 
 def candidate_paths(pair, negs, cfg):
-    res = seq_infonce_grad(pair, negs, cfg, want_grad=False)
-    return [tuple(c.entries) for c in res.candidates]
+    res = seq_infonce(pair, negs, cfg)
+    return [res.paths.path(k).tolist() for k in range(len(res.candidates))]
 
 
 class TestSeqGradFiniteDifference:
@@ -199,7 +248,7 @@ class TestSeqGradFiniteDifference:
         for trial in range(12):
             pair = random_pair(rng, pid=f"fd{trial}")
             negs = generate_negatives(pair, None, "seg-unit", 4, rng)
-            base = seq_infonce_grad(pair, negs, cfg)
+            base = seq_infonce(pair, negs, cfg)
             g_anchor, g_clips = cosine_backward(
                 pair.anchor.units, pair.covered_units(), base.grad_by_source[pair.id]
             )
@@ -214,8 +263,7 @@ class TestSeqGradFiniteDifference:
                     p = pair.positive.units.copy()
                     (a if side == 0 else p)[r, c] += eps
                     mod = pair.with_units(a, p)
-                    loss, _ = seq_infonce(mod, negs, cfg)
-                    return loss, candidate_paths(mod, negs, cfg)
+                    return seq_infonce(mod, negs, cfg).loss, candidate_paths(mod, negs, cfg)
 
                 up, paths_up = perturbed_loss(h)
                 down, paths_down = perturbed_loss(-h)

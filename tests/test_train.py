@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_pair
-from tempalign.core import DataError
+from tempalign.core import DataError, NumericalError
 from tempalign.loss import LossConfig
 from tempalign.synth import SynthConfig, gen_corpus
 from tempalign.train import (
@@ -112,6 +112,15 @@ class TestProjectionModel:
         save_checkpoint(model.copy(), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_weights_outside_float32_range_are_not_written(self, tmp_path):
+        model = ProjectionModel.identity(4)
+        path = tmp_path / "model.ckpt"
+        for value in (4e38, -np.inf, np.nan):
+            model.params()["anchor.b_out"][2] = value
+            with pytest.raises(NumericalError, match="float32 range"):
+                save_checkpoint(model, path)
+            assert not path.exists()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint")
@@ -183,6 +192,13 @@ class TestFit:
         cfg = TrainConfig(epochs=20, neg_count=8, batch_pairs=8, lr=0.01, seed=0)
         report = fit(train, ProjectionModel.identity(24), cfg)
         assert report.loss_curve[-1] < report.loss_curve[0]
+
+    def test_divergence_is_a_numerical_error_at_its_step(self):
+        # The first step moves every weight by about lr; the next projection overflows.
+        train, _, _ = small_corpus()
+        cfg = TrainConfig(lr=1e308, epochs=2, neg_count=2, batch_pairs=4, seed=0)
+        with pytest.raises(NumericalError, match=r"^fit: epoch 1, batch 2: overflow"):
+            fit(train[:8], ProjectionModel.identity(24), cfg)
 
     def test_all_degenerate_corpus_rejected(self):
         # single-caption single-clip pairs cannot produce shuffle negatives
