@@ -75,6 +75,8 @@ def cmd_synth(args) -> int:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{args.config}: invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DataError(f"{args.config}: config must be a JSON object, got {type(raw).__name__}")
     kind = raw.pop("kind", "video-text")
     fmt = raw.pop("format", "json")
     try:
@@ -151,20 +153,23 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_pairs(args) -> list:
-    _, by_split = load_dataset(_data_dir(args))
+def _eval_items(args, kind: str) -> list:
+    """The items of ``--split`` (of every split for ``all``) of a ``kind`` dataset."""
+    manifest, by_split = load_dataset(_data_dir(args))
+    if manifest.kind != kind:
+        raise DataError(f"eval {args.protocol} needs a {kind} dataset, got {manifest.kind}")
     if args.split == "all":
-        corpus = [p for split in sorted(by_split) for p in by_split[split]]
+        items = [p for split in sorted(by_split) for p in by_split[split]]
     else:
-        corpus = by_split.get(args.split, [])
-    if not corpus:
+        items = by_split.get(args.split, [])
+    if not items:
         raise DataError(f"no items in split {args.split!r}")
-    return corpus
+    return items
 
 
 def cmd_eval_retrieval_full(args) -> int:
     report = ev.retrieval_full(
-        _eval_pairs(args), _model(args), measure=args.measure,
+        _eval_items(args, "pairs"), _model(args), measure=args.measure,
         background=args.background, ks=_parse_ks(args.ks), dump_scores=bool(args.dump),
     )
     _emit_report(report, args.out_csv, args.dump)
@@ -172,13 +177,14 @@ def cmd_eval_retrieval_full(args) -> int:
 
 
 def cmd_eval_retrieval_clip(args) -> int:
-    report = ev.retrieval_clip(_eval_pairs(args), _model(args), ks=_parse_ks(args.ks), dump_scores=bool(args.dump))
+    report = ev.retrieval_clip(_eval_items(args, "pairs"), _model(args), ks=_parse_ks(args.ks),
+                               dump_scores=bool(args.dump))
     _emit_report(report, args.out_csv, args.dump)
     return 0
 
 
 def cmd_eval_localize(args) -> int:
-    corpus = _eval_pairs(args)
+    corpus = _eval_items(args, "pairs")
     model = _model(args)
     value = float(np.mean([ev.localization_recall(p, model) for p in corpus]))
     report = ev.EvalReport(task="localize", measure="cosine", recalls={1: value},
@@ -188,12 +194,8 @@ def cmd_eval_localize(args) -> int:
 
 
 def cmd_eval_fewshot(args) -> int:
-    _, by_split = load_dataset(_data_dir(args))
-    novel = by_split.get(args.split, [])
-    if not novel:
-        raise DataError(f"no items in split {args.split!r}")
     report = ev.fewshot_eval(
-        _model(args), novel, way=args.way, shot=args.shot,
+        _model(args), _eval_items(args, "videos"), way=args.way, shot=args.shot,
         queries_per_class=args.queries, episodes=args.episodes,
         measure=args.measure, seed=args.seed,
     )

@@ -18,9 +18,10 @@ from .core import DataError, LabeledVideo, SegmentedPair, similarity_matrix, uni
 RETRIEVAL_MEASURES = ("dtw", "otam", "capavg", "dtw+capavg", "otam+capavg")
 FEWSHOT_MEASURES = ("dtw", "otam", "bag")
 
-# Most cost matrices one align.align_stack call of _cross_scores holds: enough
-# to amortize the kernel's per-call Python work, few enough to keep its
-# (batch, n, m) working arrays small.  At 200 candidates that is 2 queries.
+# Most (row, column) pairs one align.align_stack call of _cross_scores aligns:
+# enough to amortize the kernel's per-call Python work, few enough to keep its
+# (batch, n, m) working arrays small.  Retrieval over 200 candidates puts 2
+# queries' pairs in each call.
 STACK_MATRICES = 400
 
 
@@ -100,36 +101,33 @@ def _normalized(*groups) -> tuple[list[np.ndarray], ...]:
     return out
 
 
-def _cross_scores(rows: list[np.ndarray], cols: list[np.ndarray], measure: str) -> np.ndarray:
-    """(len(rows), len(cols)) alignment scores of every row stack against every
-    column stack, both row-normalized (see :func:`_normalized`).
+def _cross_scores(rows: list[np.ndarray], cols: list[np.ndarray], pairs: np.ndarray, measure: str) -> np.ndarray:
+    """(P,) alignment scores of the (row index, column index) pairs of a (P, 2)
+    array, over row-normalized row and column stacks (see :func:`_normalized`).
 
     Each cost matrix is ``1 - clip(row @ col.T)``, the product
     :func:`similarity_matrix` forms for that pair, so the scores equal aligning
-    pair by pair.  Consecutive rows share one padded ``align.align_stack``
-    call of at most STACK_MATRICES matrices, or of one row's matrices when
-    there are more columns than that.
+    pair by pair.  Consecutive pairs share one padded ``align.align_stack``
+    call of at most STACK_MATRICES matrices.
     """
     n_rows = np.array([len(u) for u in rows])
     n_cols = np.array([len(u) for u in cols])
-    per_call = max(1, STACK_MATRICES // len(cols))
-    scores = np.empty((len(rows), len(cols)))
+    scores = np.empty(len(pairs))
     # One buffer for every call's stack: allocating a fresh one per call costs
     # page faults and, through heap fragmentation, peak memory.
-    buffer = np.empty(min(per_call, len(rows)) * len(cols) * n_rows.max() * n_cols.max())
-    for start in range(0, len(rows), per_call):
-        block = rows[start : start + per_call]
-        shape = (len(block), len(cols), max(len(a) for a in block), n_cols.max())
-        stack = buffer[: np.prod(shape)].reshape(shape)
+    buffer = np.empty(min(STACK_MATRICES, len(pairs)) * n_rows.max() * n_cols.max())
+    for start in range(0, len(pairs), STACK_MATRICES):
+        chunk = pairs[start : start + STACK_MATRICES]
+        shapes = np.column_stack((n_rows[chunk[:, 0]], n_cols[chunk[:, 1]]))
+        dims = (len(chunk), *shapes.max(axis=0))
+        stack = buffer[: np.prod(dims)].reshape(dims)
         stack.fill(0.0)
-        for qi, a in enumerate(block):
-            for c, b in enumerate(cols):
-                stack[qi, c, : len(a), : len(b)] = a @ b.T
+        for b, (r, c) in enumerate(chunk.tolist()):
+            a, o = rows[r], cols[c]
+            stack[b, : len(a), : len(o)] = a @ o.T
         np.clip(stack, -1.0, 1.0, out=stack)
         np.subtract(1.0, stack, out=stack)
-        shapes = np.column_stack((np.repeat(n_rows[start : start + len(block)], len(cols)), np.tile(n_cols, len(block))))
-        res = align.align_stack(stack.reshape(-1, *stack.shape[2:]), measure, shapes)
-        scores[start : start + len(block)] = res.scores().reshape(len(block), len(cols))
+        scores[start : start + len(chunk)] = align.align_stack(stack, measure, shapes).scores()
     return scores
 
 
@@ -168,7 +166,9 @@ def retrieval_full(
     need_votes = measure in ("capavg", "dtw+capavg", "otam+capavg")
 
     if need_align:
-        align_scores = _cross_scores(anchors, clips, "otam" if measure.startswith("otam") else "dtw")
+        grid = np.indices((n, n)).reshape(2, -1).T  # every (query, candidate), row-major
+        align_measure = "otam" if measure.startswith("otam") else "dtw"
+        align_scores = _cross_scores(anchors, clips, grid, align_measure).reshape(n, n)
     if need_votes:
         pool = np.concatenate(clips, axis=0)
         owner = np.concatenate([np.full(len(c), v) for v, c in enumerate(clips)])
@@ -256,14 +256,10 @@ def localization_recall(pair: SegmentedPair, model=None) -> float:
     return correct / len(pair.segments)
 
 
-def pair_match_percentage(pair: SegmentedPair, model=None, measure: str = "dtw") -> float:
-    """Fraction of warping-path entries whose clip lies in the matched
-    caption's ground-truth range (alignment restricted to covered clips)."""
-    return float(_pair_match([pair], model, measure)[0])
-
-
 def corpus_pair_match(corpus: list[SegmentedPair], model=None, measure: str = "dtw") -> float:
-    """pair_match_percentage averaged over all videos of a corpus."""
+    """Fraction of warping-path entries whose clip lies in the matched
+    caption's ground-truth range (alignment restricted to covered clips),
+    averaged over all videos of a corpus."""
     if not corpus:
         raise DataError("empty corpus")
     return float(np.mean(_pair_match(corpus, model, measure)))
@@ -287,22 +283,6 @@ def _pair_match(corpus: list[SegmentedPair], model, measure: str) -> np.ndarray:
     return matched
 
 
-def _episode_scores(q_units, s_units, measure: str) -> np.ndarray:
-    """(n_queries, n_supports) alignment or bag scores."""
-    if measure == "bag":
-        q_means, _ = unit_normalize(np.stack([u.mean(axis=0) for u in q_units]))
-        s_means, _ = unit_normalize(np.stack([u.mean(axis=0) for u in s_units]))
-        return q_means @ s_means.T
-    lengths = {u.shape[0] for u in q_units} | {u.shape[0] for u in s_units}
-    if len(lengths) > 1:
-        return _cross_scores(*_normalized(q_units, s_units), measure)
-    q_hat = np.stack([unit_normalize(u)[0] for u in q_units])
-    s_hat = np.stack([unit_normalize(u)[0] for u in s_units])
-    sims = np.clip(np.einsum("qid,sjd->qsij", q_hat, s_hat), -1.0, 1.0)
-    stack = 1.0 - sims.reshape(-1, sims.shape[2], sims.shape[3])
-    return align.align_stack(stack, measure).scores().reshape(len(q_units), len(s_units))
-
-
 def fewshot_eval(
     base_model,
     novel: list[LabeledVideo],
@@ -319,6 +299,9 @@ def fewshot_eval(
     matter): sample ``way`` classes, disjoint supports and queries per class,
     score each query against every support, average scores per class, and
     predict the argmax class with ties going to the lowest class slot.
+    Every episode is drawn first, and each distinct (query, support) pair
+    they draw is scored once, through retrieval's :func:`_cross_scores` or,
+    for ``bag``, as the dot product of the two videos' normalized mean frames.
     Reports mean accuracy over episodes with a 95% normal-approximation CI.
     """
     if measure not in FEWSHOT_MEASURES:
@@ -326,34 +309,40 @@ def fewshot_eval(
     if way < 2 or shot < 1 or queries_per_class < 1 or episodes < 1:
         raise DataError("fewshot_eval: way >= 2, shot >= 1, queries_per_class >= 1, episodes >= 1")
     labels = sorted({v.label for v in novel})
-    groups = {lab: [v for v in novel if v.label == lab] for lab in labels}
+    members = [np.array([i for i, v in enumerate(novel) if v.label == lab]) for lab in labels]
     if len(labels) < way:
         raise DataError(f"need at least {way} classes, got {len(labels)}")
     needed = shot + queries_per_class
-    for lab in labels:
-        if len(groups[lab]) < needed:
-            raise DataError(f"class {lab!r} has {len(groups[lab])} videos, needs {needed}")
+    for lab, idx in zip(labels, members):
+        if len(idx) < needed:
+            raise DataError(f"class {lab!r} has {len(idx)} videos, needs {needed}")
 
-    _, f_clips = _transforms(base_model)
-    projected = {lab: [f_clips(v.frames.units) for v in groups[lab]] for lab in labels}
-
-    accuracies = np.empty(episodes)
+    queries = np.empty((episodes, way, queries_per_class), dtype=np.int64)
+    supports = np.empty((episodes, way, shot), dtype=np.int64)
     for ep in range(episodes):
         rng = np.random.default_rng((seed, ep))
         class_pick = rng.choice(len(labels), size=way, replace=False)
-        supports: list[np.ndarray] = []
-        queries: list[np.ndarray] = []
-        q_class: list[int] = []
         for slot, ci in enumerate(class_pick):
-            vids = projected[labels[ci]]
-            perm = rng.permutation(len(vids))
-            supports.extend(vids[j] for j in perm[:shot])
-            queries.extend(vids[j] for j in perm[shot : shot + queries_per_class])
-            q_class.extend([slot] * queries_per_class)
-        scores = _episode_scores(queries, supports, measure)
-        class_means = scores.reshape(len(queries), way, shot).mean(axis=2)
-        pred = np.argmax(class_means, axis=1)  # first max = lowest class slot
-        accuracies[ep] = float(np.mean(pred == np.asarray(q_class)))
+            perm = members[ci][rng.permutation(len(members[ci]))]
+            supports[ep, slot] = perm[:shot]
+            queries[ep, slot] = perm[shot:needed]
+    queries = queries.reshape(episodes, -1)
+    supports = supports.reshape(episodes, -1)
+
+    _, f_clips = _transforms(base_model)
+    n = len(novel)
+    drawn, inverse = np.unique(queries[:, :, None] * n + supports[:, None, :], return_inverse=True)
+    pairs = np.column_stack(np.divmod(drawn, n))
+    if measure == "bag":
+        (means,) = _normalized(f_clips(v.frames.units).mean(axis=0, keepdims=True) for v in novel)
+        means = np.concatenate(means)
+        drawn_scores = np.sum(means[pairs[:, 0]] * means[pairs[:, 1]], axis=1)
+    else:
+        (units,) = _normalized(f_clips(v.frames.units) for v in novel)
+        drawn_scores = _cross_scores(units, units, pairs, measure)
+    scores = drawn_scores[inverse].reshape(episodes, way * queries_per_class, way, shot)
+    pred = np.argmax(scores.mean(axis=3), axis=2)  # first max = lowest class slot
+    accuracies = np.mean(pred == np.arange(way).repeat(queries_per_class), axis=1)
 
     acc = float(np.mean(accuracies))
     ci = float(1.96 * np.std(accuracies, ddof=1) / np.sqrt(episodes)) if episodes > 1 else 0.0

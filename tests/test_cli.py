@@ -169,3 +169,29 @@ def test_checkpoint_with_an_infinite_block_is_a_data_error(capsys, tmp_path):
     target.write_bytes(data[:-4] + np.float32(np.inf).tobytes())
     assert cli.main(["eval", "localize", "--data", str(tmp_path / "pairs"), "--model", str(target)]) == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("protocol, kind, split", [
+    ("fewshot", "pairs", "test"),
+    ("retrieval-full", "videos", "novel"),
+    ("retrieval-clip", "videos", "novel"),
+    ("localize", "videos", "novel"),
+])
+def test_protocol_on_the_wrong_dataset_kind_is_a_data_error(capsys, tmp_path, protocol, kind, split):
+    if kind == "pairs":
+        items = [(make_pair(CAPTIONS, CLIPS, [(0, 1, 2)], pid=f"p{i}"), split) for i in range(2)]
+    else:
+        items = [(LabeledVideo(f"v{i}", "walk", seq(CLIPS, f"v{i}")), split) for i in range(2)]
+    save_dataset(tmp_path, items, kind=kind)
+    assert cli.main(["eval", protocol, "--data", str(tmp_path), "--split", split]) == 3
+    expected = "videos" if kind == "pairs" else "pairs"
+    assert capsys.readouterr().err == f"data error: eval {protocol} needs a {expected} dataset, got {kind}\n"
+
+
+@pytest.mark.parametrize("config", ["[1, 2]", '"abc"'])
+def test_synth_config_that_is_not_an_object_is_a_data_error(capsys, tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "data")]) == 3
+    assert "config must be a JSON object" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]

@@ -3,16 +3,17 @@ import pytest
 
 from conftest import basis, make_pair
 from tempalign import align
-from tempalign.core import DataError, EmbeddingSequence, LabeledVideo, similarity_matrix
+from tempalign.core import DataError, EmbeddingSequence, LabeledVideo, similarity_matrix, unit_normalize
 from tempalign.evaluate import (
+    FEWSHOT_MEASURES,
     RETRIEVAL_MEASURES,
     STACK_MATRICES,
     EvalReport,
-    _episode_scores,
+    _cross_scores,
+    _normalized,
     corpus_pair_match,
     fewshot_eval,
     localization_recall,
-    pair_match_percentage,
     retrieval_clip,
     retrieval_full,
 )
@@ -154,7 +155,7 @@ class TestRetrievalFull:
     def test_matches_per_pair_reference(self, measure, background):
         corpus = ragged_corpus()
         n = len(corpus)
-        assert n % (STACK_MATRICES // n) != 0  # the last alignment call holds fewer queries
+        assert n * n % STACK_MATRICES != 0  # the last alignment call holds fewer pairs
         report = retrieval_full(corpus, measure=measure, background=background, ks=(1, 3, 10), dump_scores=True)
         ranks = per_pair_ranks(corpus, measure, background)
         assert [entry["rank"] for entry in report.per_query] == ranks
@@ -236,11 +237,11 @@ class TestLocalization:
 class TestPairMatch:
     def test_identity_aligned(self):
         pair = self_identical_corpus(1)[0]
-        assert pair_match_percentage(pair, measure="dtw") == pytest.approx(1.0)
+        assert corpus_pair_match([pair], measure="dtw") == pytest.approx(1.0)
 
     def test_single_segment_always_correct(self, rng):
         pair = make_pair(rng.normal(size=(1, 6)), rng.normal(size=(4, 6)), [(0, 0, 4)])
-        assert pair_match_percentage(pair, measure="dtw") == pytest.approx(1.0)
+        assert corpus_pair_match([pair], measure="dtw") == pytest.approx(1.0)
 
     def test_reversed_content_is_path_based_not_semantic(self):
         # Clips reversed against the segment map: the cost ties resolve
@@ -250,7 +251,7 @@ class TestPairMatch:
         caps = [basis(0, 4), basis(1, 4)]
         clips = [basis(1, 4), basis(0, 4)]
         pair = make_pair(caps, clips, [(0, 0, 1), (1, 1, 2)])
-        assert pair_match_percentage(pair, measure="dtw") == pytest.approx(1.0)
+        assert corpus_pair_match([pair], measure="dtw") == pytest.approx(1.0)
 
     def test_floor_first_entry_always_correct(self, rng):
         for trial in range(10):
@@ -258,13 +259,13 @@ class TestPairMatch:
                 rng.normal(size=(3, 6)), rng.normal(size=(6, 6)),
                 [(0, 0, 2), (1, 2, 4), (2, 4, 6)], pid=f"f{trial}",
             )
-            assert pair_match_percentage(pair, measure="dtw") > 0.0
+            assert corpus_pair_match([pair], measure="dtw") > 0.0
 
     def test_consistency_with_localization_on_singletons(self):
         corpus = self_identical_corpus(2, n_caps=4)
         for pair in corpus:
             assert localization_recall(pair) == pytest.approx(1.0)
-            assert pair_match_percentage(pair, measure="dtw") == pytest.approx(1.0)
+            assert corpus_pair_match([pair], measure="dtw") == pytest.approx(1.0)
 
     def test_corpus_average(self):
         corpus = self_identical_corpus(3)
@@ -283,7 +284,7 @@ class TestPairMatch:
             clip_of = pair.covered_indices
             correct = sum(spans[i][0] <= clip_of[q] < spans[i][1] for i, q in res.path(0).tolist())
             fractions.append(correct / int(res.lengths[0]))
-            assert pair_match_percentage(pair, measure=measure) == fractions[-1]
+            assert corpus_pair_match([pair], measure=measure) == fractions[-1]
         assert corpus_pair_match(corpus, measure=measure) == float(np.mean(fractions))
 
 
@@ -297,6 +298,48 @@ def class_corpus(n_classes=5, per_class=7, frames=4, dim=16, noise=0.0, seed=0):
             vid = f"c{c}v{v}"
             videos.append(LabeledVideo(vid, f"class{c}", EmbeddingSequence(vid, units)))
     return videos
+
+
+def noisy_class_corpus(ragged, n_classes=5, per_class=6, dim=8, seed=2):
+    """Noisy copies of one random frame sequence per class, cut to 2-7 frames
+    when ``ragged`` and otherwise all 5 frames long."""
+    rng = np.random.default_rng(seed)
+    videos = []
+    for c in range(n_classes):
+        pattern = rng.normal(size=(7, dim))
+        for v in range(per_class):
+            frames = int(rng.integers(2, 8)) if ragged else 5
+            vid = f"c{c}v{v}"
+            units = pattern[:frames] + 1.5 * rng.normal(size=(frames, dim))
+            videos.append(LabeledVideo(vid, f"class{c}", EmbeddingSequence(vid, units)))
+    return videos
+
+
+def per_episode_reference(videos, measure, way, shot, queries_per_class, episodes, seed):
+    """Accuracy and ci95 of few-shot episodes scored one episode at a time:
+    per (query, support) pair through similarity_matrix and align.pad_costs,
+    or, for bag, as a dot product of the normalized mean frames."""
+    labels = sorted({v.label for v in videos})
+    groups = {lab: [v.frames.units for v in videos if v.label == lab] for lab in labels}
+    accuracies = []
+    for ep in range(episodes):
+        rng = np.random.default_rng((seed, ep))
+        supports, queries = [], []
+        for ci in rng.choice(len(labels), size=way, replace=False):
+            vids = groups[labels[ci]]
+            perm = rng.permutation(len(vids))
+            supports.extend(vids[j] for j in perm[:shot])
+            queries.extend(vids[j] for j in perm[shot : shot + queries_per_class])
+        if measure == "bag":
+            q_means = [unit_normalize(q.mean(axis=0))[0] for q in queries]
+            s_means = [unit_normalize(s.mean(axis=0))[0] for s in supports]
+            scores = np.array([[q @ s for s in s_means] for q in q_means])
+        else:
+            stack, shapes = align.pad_costs([1.0 - similarity_matrix(q, s) for q in queries for s in supports])
+            scores = align.align_stack(stack, measure, shapes).scores().reshape(len(queries), len(supports))
+        pred = np.argmax(scores.reshape(len(queries), way, shot).mean(axis=2), axis=1)
+        accuracies.append(np.mean(pred == np.repeat(np.arange(way), queries_per_class)))
+    return float(np.mean(accuracies)), float(1.96 * np.std(accuracies, ddof=1) / np.sqrt(episodes))
 
 
 class TestFewshot:
@@ -333,12 +376,47 @@ class TestFewshot:
 
     @pytest.mark.parametrize("measure", ["dtw", "otam"])
     def test_ragged_scores_match_per_pair_reference(self, rng, measure):
-        queries = [rng.normal(size=(int(rng.integers(1, 9)), 6)) for _ in range(9)]
-        supports = [rng.normal(size=(int(rng.integers(1, 9)), 6)) for _ in range(70)]
-        assert len(queries) % (STACK_MATRICES // len(supports)) != 0
-        stack, shapes = align.pad_costs([1.0 - similarity_matrix(q, s) for q in queries for s in supports])
-        expected = align.align_stack(stack, measure, shapes).scores().reshape(len(queries), len(supports))
-        assert np.array_equal(_episode_scores(queries, supports, measure), expected)
+        rows = [rng.normal(size=(int(rng.integers(1, 9)), 6)) for _ in range(9)]
+        cols = [rng.normal(size=(int(rng.integers(1, 9)), 6)) for _ in range(70)]
+        pairs = np.column_stack((rng.integers(0, len(rows), 1000), rng.integers(0, len(cols), 1000)))
+        assert len(pairs) % STACK_MATRICES != 0  # the last alignment call holds fewer pairs
+        stack, shapes = align.pad_costs([1.0 - similarity_matrix(rows[r], cols[c]) for r, c in pairs])
+        expected = align.align_stack(stack, measure, shapes).scores()
+        assert np.array_equal(_cross_scores(*_normalized(rows, cols), pairs, measure), expected)
+
+    @pytest.mark.parametrize("ragged", [False, True])
+    @pytest.mark.parametrize("measure", FEWSHOT_MEASURES)
+    def test_matches_per_episode_reference(self, measure, ragged):
+        videos = noisy_class_corpus(ragged)
+        settings = dict(way=4, shot=2, queries_per_class=3, episodes=30, seed=4)
+        report = fewshot_eval(None, videos, measure=measure, **settings)
+        accuracy, ci95 = per_episode_reference(videos, measure, **settings)
+        assert (report.aux["accuracy"], report.aux["ci95"]) == (accuracy, ci95)
+        assert 0.3 < accuracy < 1.0  # neither chance nor saturated
+
+    def test_scores_each_drawn_pair_once(self, monkeypatch):
+        videos = class_corpus(noise=0.2)
+        n = len(videos)
+        way, queries_per_class, shot, episodes = 5, 5, 1, 20
+        assert episodes * way * queries_per_class * way * shot > n * (n - 1)
+        aligned = []
+        kernel = align.align_stack
+
+        def counting(costs, measure, shapes=None):
+            aligned.append(len(costs))
+            return kernel(costs, measure, shapes)
+
+        monkeypatch.setattr(align, "align_stack", counting)
+        fewshot_eval(None, videos, way=way, shot=shot, queries_per_class=queries_per_class, episodes=episodes)
+        assert 0 < sum(aligned) <= n * (n - 1)
+
+    @pytest.mark.parametrize("ragged", [False, True])
+    @pytest.mark.parametrize("measure", FEWSHOT_MEASURES)
+    def test_non_finite_projection_rejected(self, measure, ragged):
+        videos = noisy_class_corpus(ragged)
+        with pytest.raises(DataError, match="similarity: non-finite"):
+            fewshot_eval(NonFiniteProjection("clips"), videos, way=4, shot=1, queries_per_class=2, episodes=2,
+                         measure=measure)
 
     def test_non_finite_projection_of_ragged_videos_rejected(self):
         videos = [LabeledVideo(v.id, v.label, EmbeddingSequence(v.id, v.frames.units[: 1 + i % 4]))
