@@ -25,6 +25,11 @@ from .core import DataError
 
 MEASURES = ("dtw", "otam")
 
+# Most matrices retrieval, few-shot scoring and training give one align_stack
+# call: enough to amortize its per-call Python work, few enough to keep its
+# (batch, n, m) arrays small.  A default training batch (8 x 33) fits in one.
+STACK_MATRICES = 400
+
 # Back-pointer codes.  The order is the tie-break: on equal accumulated cost a
 # cell prefers its diagonal, then its vertical (previous row, same column),
 # then its horizontal (same row, previous column) predecessor.
@@ -49,6 +54,15 @@ class Alignments:
     #: path's end; an item that reached its start repeats that cell, so item
     #: b's path is ``walk[lengths[b] - 1 :: -1, b]``.
     walk: np.ndarray
+
+    @staticmethod
+    def concat(parts: list["Alignments"]) -> "Alignments":
+        """The alignments of several batches as one, in order."""
+        steps = max(p.walk.shape[0] for p in parts)
+        # a finished walk repeats its start cell, so padding repeats the last step
+        walk = np.concatenate([np.pad(p.walk, ((0, steps - len(p.walk)), (0, 0), (0, 0)), mode="edge") for p in parts], axis=1)
+        walk.setflags(write=False)
+        return Alignments(np.concatenate([p.distances for p in parts]), np.concatenate([p.lengths for p in parts]), walk)
 
     def path(self, b: int) -> np.ndarray:
         return self.walk[self.lengths[b] - 1 :: -1, b]

@@ -18,10 +18,6 @@ class DataError(ValueError):
     """Malformed domain data: bad shapes, non-finite values, invalid segments."""
 
 
-class DegeneratePairError(DataError):
-    """A pair lacks the structure an operation needs (e.g. too few segments)."""
-
-
 class NumericalError(RuntimeError):
     """A computation overflowed or produced a non-finite value."""
 
@@ -185,21 +181,6 @@ def unit_normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms = np.linalg.norm(x, axis=-1)
     safe = np.where(norms > 0.0, norms, 1.0)
     return x / safe[..., None], norms
-
-
-def cosine_similarity(u, v) -> float:
-    """Cosine similarity in [-1, 1]; zero-norm inputs yield 0 by convention."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-        raise DataError(f"cosine_similarity: dimension mismatch {u.shape} vs {v.shape}")
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise DataError("cosine_similarity: non-finite input")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
 def similarity_matrix(a_units: np.ndarray, b_units: np.ndarray) -> np.ndarray:

@@ -18,11 +18,8 @@ from .core import DataError, LabeledVideo, SegmentedPair, similarity_matrix, uni
 RETRIEVAL_MEASURES = ("dtw", "otam", "capavg", "dtw+capavg", "otam+capavg")
 FEWSHOT_MEASURES = ("dtw", "otam", "bag")
 
-# Most (row, column) pairs one align.align_stack call of _cross_scores aligns:
-# enough to amortize the kernel's per-call Python work, few enough to keep its
-# (batch, n, m) working arrays small.  Retrieval over 200 candidates puts 2
-# queries' pairs in each call.
-STACK_MATRICES = 400
+# Episodes fewshot_eval draws and scores at a time: its memory stays flat in the episode count.
+EPISODE_BLOCK = 200
 
 
 @dataclass
@@ -108,16 +105,16 @@ def _cross_scores(rows: list[np.ndarray], cols: list[np.ndarray], pairs: np.ndar
     Each cost matrix is ``1 - clip(row @ col.T)``, the product
     :func:`similarity_matrix` forms for that pair, so the scores equal aligning
     pair by pair.  Consecutive pairs share one padded ``align.align_stack``
-    call of at most STACK_MATRICES matrices.
+    call of at most align.STACK_MATRICES matrices.
     """
     n_rows = np.array([len(u) for u in rows])
     n_cols = np.array([len(u) for u in cols])
     scores = np.empty(len(pairs))
     # One buffer for every call's stack: allocating a fresh one per call costs
     # page faults and, through heap fragmentation, peak memory.
-    buffer = np.empty(min(STACK_MATRICES, len(pairs)) * n_rows.max() * n_cols.max())
-    for start in range(0, len(pairs), STACK_MATRICES):
-        chunk = pairs[start : start + STACK_MATRICES]
+    buffer = np.empty(min(align.STACK_MATRICES, len(pairs)) * n_rows.max() * n_cols.max())
+    for start in range(0, len(pairs), align.STACK_MATRICES):
+        chunk = pairs[start : start + align.STACK_MATRICES]
         shapes = np.column_stack((n_rows[chunk[:, 0]], n_cols[chunk[:, 1]]))
         dims = (len(chunk), *shapes.max(axis=0))
         stack = buffer[: np.prod(dims)].reshape(dims)
@@ -299,9 +296,10 @@ def fewshot_eval(
     matter): sample ``way`` classes, disjoint supports and queries per class,
     score each query against every support, average scores per class, and
     predict the argmax class with ties going to the lowest class slot.
-    Every episode is drawn first, and each distinct (query, support) pair
-    they draw is scored once, through retrieval's :func:`_cross_scores` or,
-    for ``bag``, as the dot product of the two videos' normalized mean frames.
+    Episodes are drawn EPISODE_BLOCK at a time, and each distinct (query,
+    support) pair they draw is scored once, through retrieval's
+    :func:`_cross_scores` or, for ``bag``, as the dot product of the two
+    videos' normalized mean frames.
     Reports mean accuracy over episodes with a 95% normal-approximation CI.
     """
     if measure not in FEWSHOT_MEASURES:
@@ -317,32 +315,39 @@ def fewshot_eval(
         if len(idx) < needed:
             raise DataError(f"class {lab!r} has {len(idx)} videos, needs {needed}")
 
-    queries = np.empty((episodes, way, queries_per_class), dtype=np.int64)
-    supports = np.empty((episodes, way, shot), dtype=np.int64)
-    for ep in range(episodes):
-        rng = np.random.default_rng((seed, ep))
-        class_pick = rng.choice(len(labels), size=way, replace=False)
-        for slot, ci in enumerate(class_pick):
-            perm = members[ci][rng.permutation(len(members[ci]))]
-            supports[ep, slot] = perm[:shot]
-            queries[ep, slot] = perm[shot:needed]
-    queries = queries.reshape(episodes, -1)
-    supports = supports.reshape(episodes, -1)
-
     _, f_clips = _transforms(base_model)
     n = len(novel)
-    drawn, inverse = np.unique(queries[:, :, None] * n + supports[:, None, :], return_inverse=True)
-    pairs = np.column_stack(np.divmod(drawn, n))
     if measure == "bag":
         (means,) = _normalized(f_clips(v.frames.units).mean(axis=0, keepdims=True) for v in novel)
         means = np.concatenate(means)
-        drawn_scores = np.sum(means[pairs[:, 0]] * means[pairs[:, 1]], axis=1)
     else:
         (units,) = _normalized(f_clips(v.frames.units) for v in novel)
-        drawn_scores = _cross_scores(units, units, pairs, measure)
-    scores = drawn_scores[inverse].reshape(episodes, way * queries_per_class, way, shot)
-    pred = np.argmax(scores.mean(axis=3), axis=2)  # first max = lowest class slot
-    accuracies = np.mean(pred == np.arange(way).repeat(queries_per_class), axis=1)
+    # keys (query * n + support) of the pairs scored so far, sorted, and their scores
+    known, known_scores = np.empty(0, dtype=np.int64), np.empty(0)
+    accuracies = np.empty(episodes)
+    for start in range(0, episodes, EPISODE_BLOCK):
+        block = range(start, min(start + EPISODE_BLOCK, episodes))
+        queries = np.empty((len(block), way, queries_per_class), dtype=np.int64)
+        supports = np.empty((len(block), way, shot), dtype=np.int64)
+        for row, ep in enumerate(block):
+            rng = np.random.default_rng((seed, ep))
+            class_pick = rng.choice(len(labels), size=way, replace=False)
+            for slot, ci in enumerate(class_pick):
+                perm = members[ci][rng.permutation(len(members[ci]))]
+                supports[row, slot] = perm[:shot]
+                queries[row, slot] = perm[shot:needed]
+        drawn, inverse = np.unique(queries.reshape(len(block), -1, 1) * n + supports.reshape(len(block), 1, -1), return_inverse=True)
+        new = drawn[~np.isin(drawn, known, assume_unique=True)]
+        pairs = np.column_stack(np.divmod(new, n))
+        if measure == "bag":
+            new_scores = np.sum(means[pairs[:, 0]] * means[pairs[:, 1]], axis=1)
+        else:
+            new_scores = _cross_scores(units, units, pairs, measure)
+        order = np.argsort(np.concatenate((known, new)), kind="stable")
+        known, known_scores = np.concatenate((known, new))[order], np.concatenate((known_scores, new_scores))[order]
+        scores = known_scores[np.searchsorted(known, drawn)][inverse].reshape(len(block), way * queries_per_class, way, shot)
+        pred = np.argmax(scores.mean(axis=3), axis=2)  # first max = lowest class slot
+        accuracies[start : block.stop] = np.mean(pred == np.arange(way).repeat(queries_per_class), axis=1)
 
     acc = float(np.mean(accuracies))
     ci = float(1.96 * np.std(accuracies, ddof=1) / np.sqrt(episodes)) if episodes > 1 else 0.0

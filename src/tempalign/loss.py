@@ -16,7 +16,7 @@ import numpy as np
 
 from . import align
 from .core import SegmentedPair, similarity_matrix
-from .negatives import NegativePermutation
+from .negatives import Negatives
 
 
 @dataclass
@@ -38,95 +38,141 @@ class LossConfig:
             raise ValueError(f"measure must be 'dtw' or 'otam', got {self.measure!r}")
 
 
-def unit_infonce(pos_score: float, neg_scores, tau: float = 1.0) -> float:
-    """-log( e^{pos/tau} / (e^{pos/tau} + sum_k e^{neg_k/tau}) ), stably.
-
-    Always >= 0; equals log(1 + K) when all K + 1 scores are equal, and 0
-    when there are no negatives.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    return infonce_with_grad(pos_score, neg_scores, tau)[0]
+def _masked_infonce(z: np.ndarray, mask: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """InfoNCE of entry ``pos[r]`` of each row r of a logit matrix against the
+    row's other entries where ``mask`` holds; each row's loss and d(loss)/d(z)."""
+    z = np.where(mask, z, -np.inf)
+    z -= z.max(axis=1, keepdims=True)
+    w = np.exp(z)
+    total = w.sum(axis=1, keepdims=True)
+    w /= total
+    rows = np.arange(len(z))
+    w[rows, pos] -= 1.0
+    return np.log(total[:, 0]) - z[rows, pos], w
 
 
 def infonce_with_grad(pos_score: float, neg_scores, tau: float) -> tuple[float, float, np.ndarray]:
-    """Loss plus d(loss)/d(pos) and d(loss)/d(neg_k) in closed form."""
+    """-log( e^{pos/tau} / (e^{pos/tau} + sum_k e^{neg_k/tau}) ), stably, plus
+    d(loss)/d(pos) and d(loss)/d(neg_k) in closed form.
+
+    The loss is always >= 0; it equals log(1 + K) when all K + 1 scores are
+    equal, and 0 when there are no negatives.
+    """
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
     scores = np.concatenate(([float(pos_score)], np.asarray(neg_scores, dtype=np.float64).ravel()))
     if not np.all(np.isfinite(scores)):
         raise ValueError("infonce: non-finite score")
-    z = scores / tau
-    z -= z.max()
-    w = np.exp(z)
-    total = w.sum()
-    w /= total
-    return float(np.log(total) - z[0]), (w[0] - 1.0) / tau, w[1:] / tau
+    loss, dz = _masked_infonce(scores[None] / tau, np.ones((1, scores.size), dtype=bool), np.zeros(1, dtype=np.int64))
+    return float(loss[0]), dz[0, 0] / tau, dz[0, 1:] / tau
+
+
+def column_spans(ids, lengths) -> dict:
+    """Consecutive ranges of the given lengths from 0, keyed by ``ids`` in order."""
+    ends = np.cumsum(lengths, dtype=np.int64).tolist()
+    return dict(zip(ids, zip([0] + ends[:-1], ends)))
 
 
 @dataclass
 class SeqLossResult:
-    loss: float
-    #: alignment score of each candidate, positive first
+    """Sequence InfoNCE of every item of a batch."""
+
+    #: each item's loss
+    losses: np.ndarray
+    #: alignment score of each candidate, item by item, each item's positive first
     scores: np.ndarray
-    #: source id of each candidate, positive first
+    #: source id of each candidate, in the same order
     candidates: list[str]
     #: the candidates' optimal paths, in the same order
     paths: align.Alignments
-    #: d(loss)/d(similarity entry) per source id, as dense (n_anchor,
-    #: n_covered) matrices over the source's covered positions; the own id
-    #: keys the matrix over the positive's covered clips.
+    #: d(loss_b)/d(sims[b]) for each item b, in the shape of its similarity block
+    grads: list[np.ndarray]
+
+
+def seq_grad_core(sims: list[np.ndarray], spans: list[dict], negs: list[Negatives], cfg: LossConfig) -> SeqLossResult:
+    """Loss and fixed-path gradient of every item of a batch against its
+    positive and negatives.
+
+    ``sims[b]`` holds item b's anchor rows against the covered units of every
+    source it draws from, side by side, and ``spans[b]`` maps each source id
+    to its column range, own source first.  The positive is the own range; a
+    negative permutes its source's range (the anchor rows for visual-anchor).
+    All candidates are aligned in one padded stack, ``align.STACK_MATRICES``
+    per ``align_stack`` call, and all path gradients scattered by one
+    ``bincount``.
+    """
+    rows, cols, n_rows, n_cols, candidates = [], [], [], [], []
+    for sim, span, neg in zip(sims, spans, negs):
+        n_anchor, k = sim.shape[0], len(neg)
+        self_id, (lo, hi) = next(iter(span.items()))
+        all_rows, own_cols = np.arange(n_anchor), np.arange(lo, hi)
+        if neg.permutes_anchor:
+            rows += [all_rows, neg.perms]
+            n_rows += [[n_anchor], neg.lengths]
+            cols.append(np.tile(own_cols, k + 1))
+            n_cols.append(np.full(k + 1, hi - lo))
+        else:
+            starts = np.array([span[src][0] for src in neg.sources], dtype=np.int64)
+            rows.append(np.tile(all_rows, k + 1))
+            n_rows.append(np.full(k + 1, n_anchor))
+            cols += [own_cols, neg.perms + np.repeat(starts, neg.lengths)]
+            n_cols += [[hi - lo], neg.lengths]
+        candidates += [self_id, *neg.sources]
+    shapes = np.column_stack((np.concatenate(n_rows), np.concatenate(n_cols)))
+    counts = np.array([len(neg) + 1 for neg in negs])
+    # Candidate c's (row, column) cell is sims[b][row_at[c, i], col_at[c, j]];
+    # padding points at an in-range entry, which align_stack never reads
+    # into the candidate's own result.
+    n, m = shapes.max(axis=0)
+    row_at = np.zeros((len(shapes), n), dtype=np.int64)
+    row_at[np.arange(n) < shapes[:, :1]] = np.concatenate(rows)
+    col_at = np.zeros((len(shapes), m), dtype=np.int64)
+    col_at[np.arange(m) < shapes[:, 1:]] = np.concatenate(cols)
+    costs = np.empty((len(shapes), n, m))
+    for sim, lo, k in zip(sims, np.cumsum(counts) - counts, counts):
+        costs[lo : lo + k] = sim[row_at[lo : lo + k, :, None], col_at[lo : lo + k, None, :]]
+    np.subtract(1.0, costs, out=costs)
+    cap = align.STACK_MATRICES
+    paths = align.Alignments.concat(
+        [align.align_stack(costs[lo : lo + cap], cfg.measure, shapes[lo : lo + cap]) for lo in range(0, len(costs), cap)]
+    )
+    del costs
+    scores = paths.scores(cfg.normalize_score)
+
+    # InfoNCE per item over its candidates' scores, positive first
+    mask = np.arange(counts.max()) < counts[:, None]
+    z = np.zeros(mask.shape)
+    z[mask] = scores / cfg.tau
+    losses, dz = _masked_infonce(z, mask, np.zeros(len(counts), dtype=np.int64))
+    dscore = dz[mask] / cfg.tau
+    if cfg.normalize_score:
+        dscore = dscore / paths.lengths
+    # Every path cell as an offset into the items' blocks laid end to end,
+    # candidate by candidate so that each entry sums its candidates in order.
+    walk = paths.walk.transpose(1, 0, 2)[np.arange(paths.walk.shape[0]) < paths.lengths[:, None]]
+    owner = np.repeat(np.arange(len(shapes)), paths.lengths)
+    bounds = np.cumsum([0] + [sim.size for sim in sims])
+    base = np.repeat(bounds[:-1], counts)[owner]
+    width = np.repeat([sim.shape[1] for sim in sims], counts)[owner]
+    at = base + row_at[owner, walk[:, 0]] * width + col_at[owner, walk[:, 1]]
+    grad = np.bincount(at, weights=dscore[owner], minlength=bounds[-1])
+    grads = [grad[lo:hi].reshape(sim.shape) for sim, lo, hi in zip(sims, bounds[:-1], bounds[1:])]
+    return SeqLossResult(losses, scores, candidates, paths, grads)
+
+
+@dataclass
+class PairSeqLoss:
+    """Sequence InfoNCE of one pair (see :func:`seq_infonce`)."""
+
+    loss: float
+    scores: np.ndarray
+    candidates: list[str]
+    paths: align.Alignments
+    #: d(loss)/d(similarity) per source id, an (n_anchor, n_covered) matrix each
     grad_by_source: dict[str, np.ndarray]
 
 
-def seq_grad_core(
-    anchor_units: np.ndarray,
-    units_of: dict[str, np.ndarray],
-    self_id: str,
-    negs: list[NegativePermutation],
-    cfg: LossConfig,
-) -> SeqLossResult:
-    """Loss and fixed-path gradient of one anchor against its positive and negatives.
-
-    ``units_of[source_id]`` holds each source's covered units: the positive
-    is ``units_of[self_id]``, and a negative's ``perm`` names columns of its
-    source (rows of the anchor for visual-anchor).  The positive and every
-    negative are aligned in one batched call.
-    """
-    sims = {self_id: similarity_matrix(anchor_units, units_of[self_id])}
-    all_rows, all_cols = np.arange(anchor_units.shape[0]), np.arange(sims[self_id].shape[1])
-    # Per candidate: (source id, rows, columns) selecting its similarity
-    # matrix from the source's.
-    specs = [(self_id, all_rows, all_cols)]
-    for neg in negs:
-        if neg.strategy == "visual_anchor":
-            specs.append((self_id, neg.perm, all_cols))
-            continue
-        if neg.source_id not in sims:
-            if neg.source_id not in units_of:
-                raise ValueError(f"negative references unknown pair {neg.source_id!r}; pass the corpus")
-            sims[neg.source_id] = similarity_matrix(anchor_units, units_of[neg.source_id])
-        specs.append((neg.source_id, all_rows, neg.perm))
-
-    stack, shapes = align.pad_costs([1.0 - sims[src][np.ix_(rows, cols)] for src, rows, cols in specs])
-    paths = align.align_stack(stack, cfg.measure, shapes)
-    scores = paths.scores(cfg.normalize_score)
-    loss, dpos, dnegs = infonce_with_grad(scores[0], scores[1:], cfg.tau)
-    dscore = np.concatenate(([dpos], dnegs))
-    if cfg.normalize_score:
-        dscore = dscore / paths.lengths
-    grad_by_source = {src: np.zeros(sim.shape) for src, sim in sims.items()}
-    for k, (src, rows, cols) in enumerate(specs):
-        path = paths.path(k)
-        # the cells of one path are distinct: permutations never repeat an index
-        grad_by_source[src][rows[path[:, 0]], cols[path[:, 1]]] += dscore[k]
-    return SeqLossResult(loss, scores, [src for src, _, _ in specs], paths, grad_by_source)
-
-
-def seq_infonce(
-    pair: SegmentedPair,
-    negs: list[NegativePermutation],
-    cfg: LossConfig,
-    corpus=None,
-) -> SeqLossResult:
+def seq_infonce(pair: SegmentedPair, negs: Negatives, cfg: LossConfig, corpus=None) -> PairSeqLoss:
     """Sequence-level InfoNCE of one pair and its fixed-path gradient w.r.t.
     every touched similarity entry; loss 0 when there are no negatives.
 
@@ -134,60 +180,43 @@ def seq_infonce(
     ``corpus``.
     """
     pair.require_canonical()
-    drawn_from = {neg.source_id for neg in negs}
-    units_of = {p.id: p.covered_units() for p in corpus or () if p.id in drawn_from}
-    units_of[pair.id] = pair.covered_units()
-    return seq_grad_core(pair.anchor.units, units_of, pair.id, negs, cfg)
+    by_id = {p.id: p for p in corpus or ()} | {pair.id: pair}
+    order = list(dict.fromkeys((pair.id, *negs.sources)))
+    for src in order:
+        if src not in by_id:
+            raise ValueError(f"negative references unknown pair {src!r}; pass the corpus")
+    units = [by_id[src].covered_units() for src in order]
+    spans = column_spans(order, [len(u) for u in units])
+    res = seq_grad_core([similarity_matrix(pair.anchor.units, np.concatenate(units))], [spans], [negs], cfg)
+    by_source = {src: res.grads[0][:, lo:hi] for src, (lo, hi) in spans.items()}
+    return PairSeqLoss(float(res.losses[0]), res.scores, res.candidates, res.paths, by_source)
 
 
-def unit_term_video_text(
-    sims_covered: np.ndarray,
-    segment_ranges: list[tuple[int, int]],
-    tau: float,
-) -> tuple[float, np.ndarray]:
+def unit_term_video_text(sims_covered: np.ndarray, segment_ranges: list[tuple[int, int]], tau: float) -> tuple[float, np.ndarray]:
     """Per-unit InfoNCE for a caption/clip pair, with gradient.
 
     One term per (caption i, clip q inside caption i's span); its negatives
     are this video's covered clips outside the span (intra-video).  Returns
-    the mean term loss and d(loss)/d(sims) of the same shape.
+    the mean term loss and d(loss)/d(sims), from one masked log-sum-exp.
     """
     sims = np.asarray(sims_covered, dtype=np.float64)
-    n_anchor, n_clips = sims.shape
     grad = np.zeros_like(sims)
-    losses = []
-    terms = []
-    for i, (lo, hi) in enumerate(segment_ranges):
-        out_cols = np.concatenate((np.arange(0, lo), np.arange(hi, n_clips)))
-        for q in range(lo, hi):
-            loss, dpos, dnegs = infonce_with_grad(sims[i, q], sims[i, out_cols], tau)
-            losses.append(loss)
-            terms.append((i, q, out_cols, dpos, dnegs))
-    if not losses:
+    lo, hi = np.array(segment_ranges, dtype=np.int64).reshape(-1, 2).T
+    caption = np.repeat(np.arange(lo.size), hi - lo)
+    if not caption.size:
         return 0.0, grad
-    scale = 1.0 / len(losses)
-    for i, q, out_cols, dpos, dnegs in terms:
-        grad[i, q] += dpos * scale
-        if out_cols.size:
-            grad[i, out_cols] += dnegs * scale
+    clip = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
+    cols = np.arange(sims.shape[1])
+    mask = (cols < lo[caption, None]) | (cols >= hi[caption, None]) | (cols == clip[:, None])
+    losses, dz = _masked_infonce(sims[caption] / tau, mask, clip)
+    np.add.at(grad, caption, dz / (tau * caption.size))
     return float(np.mean(losses)), grad
 
 
 def unit_term_video_only(sims_self: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
     """Per-frame InfoNCE: frame i against its own projection, negatives are
-    the other frames of the same video."""
-    sims = np.asarray(sims_self, dtype=np.float64)
-    n = sims.shape[0]
-    grad = np.zeros_like(sims)
-    losses = []
-    for i in range(n):
-        out_cols = np.concatenate((np.arange(0, i), np.arange(i + 1, n)))
-        loss, dpos, dnegs = infonce_with_grad(sims[i, i], sims[i, out_cols], tau)
-        losses.append(loss)
-        grad[i, i] += dpos
-        if out_cols.size:
-            grad[i, out_cols] += dnegs
-    grad /= max(n, 1)
-    return float(np.mean(losses)), grad
+    the other frames of the same video (each frame its own one-frame span)."""
+    return unit_term_video_text(sims_self, [(i, i + 1) for i in range(len(sims_self))], tau)
 
 
 def joint_loss(unit_terms, seq_terms, cfg: LossConfig) -> float:

@@ -10,6 +10,8 @@ On a background-free pair, such as every pair ``fit`` trains on, covered
 positions are the clip indices themselves.  Identity permutations of the
 positive are never returned: a negative that equals the positive would
 contradict the contrastive objective, so draws are rejected and retried.
+A call validates its pair once and makes, in order, the random calls of one
+draw after another; a shuffle strategy's draws fill one ``(count, n)`` array.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, DegeneratePairError, LabeledVideo, SegmentedPair
+from .core import DataError, LabeledVideo, SegmentedPair
 
 STRATEGIES = (
     "seg_only",
@@ -42,176 +44,148 @@ def canonical_strategy(name: str) -> str:
 
 
 @dataclass(frozen=True)
-class NegativePermutation:
-    """A drawn negative: strategy tag, index permutation, and its source.
+class Negatives:
+    """An item's drawn negatives, in draw order.
 
-    ``perm`` lists positions of the source sequence in their new order:
+    Negative k lists positions of source ``sources[k]`` in their new order:
     positions among the pair's covered clips for the shuffle strategies, the
     other pair's covered positions in order (``arange(n_covered)``) for
     unpaired, a video's frame indices for video-only negatives, anchor
-    caption indices for visual-anchor.  ``source_id`` names the pair or video
-    the permutation applies to.
+    caption indices for visual-anchor.  ``perms`` concatenates these
+    permutations and ``lengths`` holds their sizes; an empty draw means the
+    item is skipped.
     """
 
-    strategy: str
-    perm: np.ndarray
-    source_id: str
+    strategies: tuple[str, ...]
+    sources: tuple[str, ...]
+    perms: np.ndarray
+    lengths: np.ndarray
 
-    def __post_init__(self):
-        perm = np.asarray(self.perm, dtype=np.int64).copy()
-        perm.setflags(write=False)
-        object.__setattr__(self, "perm", perm)
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if len(np.unique(perm)) != perm.size:
-            raise DataError("permutation repeats an index")
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    @property
+    def permutes_anchor(self) -> bool:
+        """Visual-anchor draws reorder anchor rows, never mixed with others."""
+        return self.strategies[:1] == ("visual_anchor",)
 
 
 def _non_identity_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
     """A uniform permutation of range(n), redrawn until it is not the identity (n >= 2)."""
+    identity = list(range(n))
     perm = rng.permutation(n)
-    while np.array_equal(perm, np.arange(n)):
+    while perm.tolist() == identity:
         perm = rng.permutation(n)
     return perm
 
 
-def _segment_blocks(pair: SegmentedPair) -> list[np.ndarray]:
-    """Each segment's covered positions."""
-    return [np.arange(lo, hi, dtype=np.int64) for lo, hi in pair.covered_spans()]
+def _shuffle_draws(pair: SegmentedPair, strategy: str, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` draws of one shuffle strategy as a (count, n) position array;
+    empty, without touching ``rng``, when the pair is too degenerate for it:
+    fewer than 2 segments (seg_only, seg_unit), no segment of 2 clips
+    (within_seg), fewer than 2 covered clips (all_unit) or captions."""
+    blocks = [np.arange(lo, hi) for lo, hi in pair.covered_spans()]
+    if strategy in ("all_unit", "visual_anchor"):
+        n = len(pair.anchor) if strategy == "visual_anchor" else pair.covered_indices.size
+        if n < 2:
+            return np.empty((0, 0), dtype=np.int64)
+        return np.array([_non_identity_permutation(n, rng) for _ in range(count)])
+    # Blocks are shuffled in place: rng.shuffle of a block's positions draws
+    # what ``block[rng.permutation(block.size)]`` would.
+    out = np.empty((count, blocks[-1][-1] + 1), dtype=np.int64)
+    if strategy == "within_seg":
+        # every block keeps its positions; at least one block's order changes
+        if all(block.size < 2 for block in blocks):
+            return np.empty((0, 0), dtype=np.int64)
+        multi = [block for block in blocks if block.size > 1]
+        identity = np.concatenate(blocks)
+        for row in out:
+            row[:] = identity
+            while np.array_equal(row, identity):
+                for block in multi:
+                    seg = row[block[0] : block[-1] + 1]
+                    seg[:] = block
+                    rng.shuffle(seg)
+        return out
+    # seg_only / seg_unit: a non-identity block order, seg_unit also
+    # shuffling clip order inside each block
+    if len(blocks) < 2:
+        return np.empty((0, 0), dtype=np.int64)
+    for row in out:
+        pos = 0
+        for b in _non_identity_permutation(len(blocks), rng).tolist():
+            seg = row[pos : pos + blocks[b].size]
+            seg[:] = blocks[b]
+            if strategy == "seg_unit" and seg.size > 1:
+                rng.shuffle(seg)
+            pos += seg.size
+    return out
 
 
-def permute_segments(pair: SegmentedPair, shuffle_within: bool, rng: np.random.Generator) -> NegativePermutation:
-    """Reorder segment blocks (never the identity order); optionally also
-    shuffle clip order inside each block.  Tagged seg_only / seg_unit."""
-    pair.require_canonical()
-    blocks = _segment_blocks(pair)
-    k = len(blocks)
-    if k < 2:
-        raise DegeneratePairError(f"pair {pair.id!r}: degenerate pair ({k} segment)")
-    pieces = []
-    for b in _non_identity_permutation(k, rng):
-        block = blocks[b]
-        if shuffle_within and block.size > 1:
-            block = block[rng.permutation(block.size)]
-        pieces.append(block)
-    return NegativePermutation(
-        strategy="seg_unit" if shuffle_within else "seg_only",
-        perm=np.concatenate(pieces),
-        source_id=pair.id,
-    )
-
-
-def permute_within_segments(pair: SegmentedPair, rng: np.random.Generator) -> NegativePermutation:
-    """Shuffle clips inside each segment; block positions stay fixed and at
-    least one block's internal order changes."""
-    pair.require_canonical()
-    blocks = _segment_blocks(pair)
-    if all(b.size < 2 for b in blocks):
-        raise DegeneratePairError(f"pair {pair.id!r}: degenerate pair (all segments singletons)")
-    while True:
-        pieces = [b[rng.permutation(b.size)] if b.size > 1 else b for b in blocks]
-        if any(not np.array_equal(p, b) for p, b in zip(pieces, blocks)):
-            break
-    return NegativePermutation(strategy="within_seg", perm=np.concatenate(pieces), source_id=pair.id)
-
-
-def permute_all_units(pair: SegmentedPair, rng: np.random.Generator) -> NegativePermutation:
-    """Uniform non-identity permutation of all covered positions."""
-    pair.require_canonical()
-    n = pair.covered_indices.size
-    if n < 2:
-        raise DegeneratePairError(f"pair {pair.id!r}: degenerate pair ({n} covered clip)")
-    return NegativePermutation(strategy="all_unit", perm=_non_identity_permutation(n, rng), source_id=pair.id)
-
-
-def permute_anchor_segments(pair: SegmentedPair, rng: np.random.Generator) -> NegativePermutation:
-    """Non-identity reorder of the anchor captions (visual-anchor strategy)."""
-    pair.require_canonical()
-    n = len(pair.anchor)
-    if n < 2:
-        raise DegeneratePairError(f"pair {pair.id!r}: degenerate pair ({n} caption)")
-    return NegativePermutation(strategy="visual_anchor", perm=_non_identity_permutation(n, rng), source_id=pair.id)
-
-
-def sample_unpaired(corpus: list[SegmentedPair], anchor_id: str, rng: np.random.Generator) -> NegativePermutation:
-    """Pick another pair uniformly; its covered positions in order."""
-    others = [p for p in corpus if p.id != anchor_id]
-    if not others:
+def _unpaired(pair: SegmentedPair, corpus: list[SegmentedPair], count: int, rng: np.random.Generator) -> Negatives:
+    """Another pair uniformly per draw; its covered positions in order."""
+    others = [p for p in corpus if p.id != pair.id]
+    if count and not others:
         raise DataError(f"unpaired sampling needs a corpus with at least 2 distinct pairs (got {len(corpus)})")
-    other = others[int(rng.integers(len(others)))]
-    return NegativePermutation(strategy="unpaired", perm=np.arange(other.covered_indices.size), source_id=other.id)
+    picks = [others[int(rng.integers(len(others)))] for _ in range(count)]
+    lengths = np.array([p.covered_indices.size for p in picks], dtype=np.int64)
+    perms = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return Negatives(("unpaired",) * count, tuple(p.id for p in picks), perms, lengths)
 
 
 def generate_negatives(
-    pair: SegmentedPair,
-    corpus: list[SegmentedPair] | None,
-    strategy: str,
-    count: int,
-    rng: np.random.Generator,
-) -> list[NegativePermutation]:
+    pair: SegmentedPair, corpus: list[SegmentedPair] | None, strategy: str, count: int, rng: np.random.Generator
+) -> Negatives:
     """Draw ``count`` negatives under a named strategy.
 
     joint splits the count between seg_unit and unpaired (odd draw to
     seg_unit).  Pairs too degenerate for seg_only/seg_unit fall back to
     all_unit; if that is degenerate too (or within_seg / visual_anchor /
     all_unit hit their own degeneracy) the pair is skipped with an empty
-    list.  Duplicate permutations across draws are allowed: small pairs
+    draw.  Duplicate permutations across draws are allowed: small pairs
     cannot supply ``count`` distinct orders.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     strategy = canonical_strategy(strategy)
-
-    def draw(one) -> list[NegativePermutation]:
-        try:
-            return [one() for _ in range(count)]
-        except DegeneratePairError:
-            return []
-
-    if strategy in ("seg_only", "seg_unit"):
-        out = draw(lambda: permute_segments(pair, strategy == "seg_unit", rng))
-        return out if out else draw(lambda: permute_all_units(pair, rng))
-    if strategy == "within_seg":
-        return draw(lambda: permute_within_segments(pair, rng))
-    if strategy == "all_unit":
-        return draw(lambda: permute_all_units(pair, rng))
-    if strategy == "visual_anchor":
-        return draw(lambda: permute_anchor_segments(pair, rng))
+    if strategy in ("unpaired", "joint") and corpus is None:
+        raise ValueError(f"{strategy} strategy requires a corpus")
     if strategy == "unpaired":
-        if corpus is None:
-            raise ValueError("unpaired strategy requires a corpus")
-        return [sample_unpaired(corpus, pair.id, rng) for _ in range(count)]
-    # joint: seg_unit half first, unpaired half second.
-    if corpus is None:
-        raise ValueError("joint strategy requires a corpus")
-    n_shuffle = count // 2 + count % 2
-    shuffled = generate_negatives(pair, corpus, "seg_unit", n_shuffle, rng)
-    unpaired = [sample_unpaired(corpus, pair.id, rng) for _ in range(count - n_shuffle)]
-    return shuffled + unpaired
+        return _unpaired(pair, corpus, count, rng)
+    if strategy == "joint":
+        # seg_unit half first, unpaired half second
+        n_shuffle = count // 2 + count % 2
+        a, b = generate_negatives(pair, corpus, "seg_unit", n_shuffle, rng), _unpaired(pair, corpus, count - n_shuffle, rng)
+        return Negatives(a.strategies + b.strategies, a.sources + b.sources,
+                         np.concatenate((a.perms, b.perms)), np.concatenate((a.lengths, b.lengths)))
+    pair.require_canonical()
+    block = _shuffle_draws(pair, strategy, count, rng)
+    if not block.size and strategy in ("seg_only", "seg_unit"):
+        strategy = "all_unit"
+        block = _shuffle_draws(pair, strategy, count, rng)
+    count, n = block.shape
+    return Negatives((strategy,) * count, (pair.id,) * count, block.ravel(), np.full(count, n, dtype=np.int64))
 
 
-def video_only_negatives(
-    videos: list[LabeledVideo],
-    anchor_index: int,
-    count: int,
-    rng: np.random.Generator,
-) -> list[NegativePermutation]:
+def video_only_negatives(videos: list[LabeledVideo], anchor_index: int, count: int, rng: np.random.Generator) -> Negatives:
     """Self-supervised negatives: frame shuffles of other videos.
 
     Each draw picks a different video uniformly and applies a non-identity
     permutation to its frames (unpaired sampling composed with an all-unit
-    shuffle).
+    shuffle).  Single-frame videos have no such permutation and are never
+    picked; with no other video left the draw is empty.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if len(videos) < 2:
         raise DataError("video-only negatives need at least 2 videos")
-    out = []
-    candidates = [k for k in range(len(videos)) if k != anchor_index]
+    candidates = [v for k, v in enumerate(videos) if k != anchor_index and len(v.frames) >= 2]
+    if not candidates:
+        return Negatives((), (), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    sources, perms = [], []
     for _ in range(count):
-        other = videos[candidates[int(rng.integers(len(candidates)))]]
-        n = len(other.frames)
-        if n < 2:
-            raise DegeneratePairError(f"video {other.id!r}: single frame cannot be shuffled")
-        out.append(NegativePermutation(strategy="all_unit", perm=_non_identity_permutation(n, rng), source_id=other.id))
-    return out
+        other = candidates[int(rng.integers(len(candidates)))]
+        sources.append(other.id)
+        perms.append(_non_identity_permutation(len(other.frames), rng))
+    lengths = np.array([p.size for p in perms], dtype=np.int64)
+    return Negatives(("all_unit",) * count, tuple(sources), np.concatenate(perms), lengths)

@@ -1,11 +1,12 @@
 """Trainable per-unit projection head, optimized with Adam on the joint loss.
 
 The projection is applied independently to every unit embedding before
-alignment.  Video-text pairs and video-only instances share one per-item
-step (``_item_grads``): the mode only picks the negative drawer, the anchor
-units and the unit term.  Gradients flow from the InfoNCE losses through the
-fixed warping paths, the cosine normalization Jacobian, and the affine head;
-everything is plain numpy and deterministic given the config seed.
+alignment.  Video-text pairs and video-only instances share one batch-wide
+step (``evaluate_batch``): one forward and one backward per head, one
+alignment call and one gradient scatter.  Gradients flow from the InfoNCE
+losses through the fixed warping paths, the cosine normalization Jacobian,
+and the affine head; everything is plain numpy and deterministic given the
+config seed.
 Checkpoints are float32 containers written and read through ``io``.
 """
 
@@ -13,14 +14,15 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .core import DataError, NumericalError, SegmentedPair, similarity_matrix, unit_normalize
+from .core import DataError, NumericalError, SegmentedPair, unit_normalize
+from .core import similarity_matrix  # noqa: F401  (hooked by perfbench/layertrace.py)
 from .io import read_float32_container, write_float32_container
 from .loss import (
     LossConfig,
+    column_spans,
     joint_loss,
     seq_grad_core,
     unit_term_video_only,
@@ -227,103 +229,97 @@ class TrainReport:
     skipped_pairs: int
 
 
-def cosine_backward(u: np.ndarray, v: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Backprop d(loss)/d(sim matrix) through cos(u_i, v_j) to the raw rows.
+def _rows_backward(g: np.ndarray, sims: np.ndarray, other_hat: np.ndarray, own_hat: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Backprop d(loss)/d(sims), sims = own_hat @ other_hat.T, to the raw rows of norms
+    ``norms``; zero-norm rows get zero gradient (their similarity is pinned to 0)."""
+    d = g @ other_hat - np.einsum("ij,ij->i", g, sims)[:, None] * own_hat
+    d /= np.where(norms > 0.0, norms, 1.0)[:, None]
+    d[norms == 0.0] = 0.0
+    return d
 
-    Includes the normalization Jacobian; rows with zero norm receive zero
-    gradient (their similarity is pinned to 0 by convention).
-    """
+
+def cosine_backward(u: np.ndarray, v: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Backprop d(loss)/d(sim matrix) through cos(u_i, v_j) to the raw rows of
+    both sides, including the normalization Jacobian."""
     u_hat, nu = unit_normalize(u)
     v_hat, nv = unit_normalize(v)
     sims = u_hat @ v_hat.T
-    nu_safe = np.where(nu > 0.0, nu, 1.0)
-    nv_safe = np.where(nv > 0.0, nv, 1.0)
-    du = (g @ v_hat - (g * sims).sum(axis=1, keepdims=True) * u_hat) / nu_safe[:, None]
-    dv = (g.T @ u_hat - (g * sims).sum(axis=0)[:, None] * v_hat) / nv_safe[:, None]
-    du[nu == 0.0] = 0.0
-    dv[nv == 0.0] = 0.0
-    return du, dv
-
-
-def _item_grads(anchor_units, self_id, negs, units_of, unit_term, model, cfg, grads):
-    """Joint loss terms and parameter-gradient contribution of one item.
-
-    The anchor is projected once and every source the positive or a negative
-    draws from once (own source first, then in order of first use).  The
-    sequence gradient of each source and, on the own source, the unit
-    gradient from ``unit_term(sims) -> (loss, d_sims)`` are routed through
-    the cosine Jacobian and both heads into ``grads``.  Returns (unit_loss,
-    seq_loss, path signature), the signature being the bytes of every
-    candidate's path cells.
-    """
-    y_a, fwd_a = model.anchor_head.forward(anchor_units)
-    clip_head = model._clip()
-    projected = {}  # source id -> (projected units, forward cache)
-    for src in [self_id, *(neg.source_id for neg in negs)]:
-        if src not in projected:
-            projected[src] = clip_head.forward(units_of[src])
-    seq = seq_grad_core(y_a, {src: y for src, (y, _) in projected.items()}, self_id, negs, cfg.loss)
-    unit_loss, unit_grad = unit_term(similarity_matrix(y_a, projected[self_id][0]))
-
-    d_ya = np.zeros_like(y_a)
-    d_clips = []
-    for src, (y_src, _) in projected.items():
-        g = cfg.loss.w_seq * seq.grad_by_source[src]
-        if src == self_id:
-            g = g + cfg.loss.w_unit * unit_grad
-        du, dv = cosine_backward(y_a, y_src, g)
-        d_ya += du
-        d_clips.append(dv)
-    model.anchor_head.backward(fwd_a, d_ya, grads, "anchor.")
-    clip_prefix = "clip." if model.twin else "anchor."
-    for (_, fwd_src), dv in zip(projected.values(), d_clips):
-        clip_head.backward(fwd_src, dv, grads, clip_prefix)
-    return unit_loss, seq.loss, seq.paths.walk.tobytes()
+    return _rows_backward(g, sims, v_hat, u_hat, nu), _rows_backward(g.T, sims.T, u_hat, v_hat, nv)
 
 
 def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConfig, rng: np.random.Generator):
     """Loss and mean parameter gradients over one batch.
 
     ``corpus`` is either a list of canonical, background-free SegmentedPair
-    (video-text mode) or a list of LabeledVideo (video-only).  Returns
-    (joint_loss, grads, n_used, path_signature); grads are averaged over the
-    non-skipped items and the signature records every candidate's path
-    cells, so a gradient check can both pin the negatives (by reseeding
-    ``rng``) and detect when a perturbation moved an optimal path.
+    (video-text mode) or a list of LabeledVideo (video-only); the mode only
+    picks the negative drawer, the anchor units and the unit term.  Items
+    draw negatives in batch order (none: skipped).  Each item's similarity
+    block spans the sources it reads, own source first, all from one forward
+    per head.  Returns (joint_loss, grads, n_used, path_signature): grads
+    averaged over the used items, and every candidate's path cells, so a
+    gradient check can pin the negatives (by reseeding ``rng``) and detect
+    when a perturbation moved a path.
     """
     video_text = isinstance(corpus[0], SegmentedPair)
-    units_of = {item.id: item.positive.units if video_text else item.frames.units for item in corpus}
-    grads = model.zero_grads()
-    unit_losses: list[float] = []
-    seq_losses: list[float] = []
-    signatures = []
+    items, drawn = [], []
     for idx in batch_indices:
         item = corpus[idx]
         if video_text:
             negs = generate_negatives(item, corpus, cfg.neg_strategy, cfg.neg_count, rng)
-            anchor_units = item.anchor.units
-            unit_term = partial(unit_term_video_text, segment_ranges=item.segments.ranges(), tau=cfg.loss.tau)
         else:
             negs = video_only_negatives(corpus, idx, cfg.neg_count, rng)
-            anchor_units = item.frames.units
-            unit_term = partial(unit_term_video_only, tau=cfg.loss.tau)
-        if not negs:
-            continue
-        item_grads = model.zero_grads()
-        unit_loss, seq_loss, signature = _item_grads(
-            anchor_units, item.id, negs, units_of, unit_term, model, cfg, item_grads,
+        if len(negs):
+            items.append(item)
+            drawn.append(negs)
+    grads = model.zero_grads()
+    if not items:
+        return None, grads, 0, ()
+
+    units_of = {item.id: item.positive.units if video_text else item.frames.units for item in corpus}
+    reads = [list(dict.fromkeys((item.id, *negs.sources))) for item, negs in zip(items, drawn)]
+    sources = list(dict.fromkeys(src for read in reads for src in read))
+    rows_of = column_spans(sources, [len(units_of[src]) for src in sources])
+    anchors = [item.anchor.units if video_text else units_of[item.id] for item in items]
+    a_rows = [slice(*span) for span in column_spans(range(len(items)), [len(a) for a in anchors]).values()]
+    y_a, fwd_a = model.anchor_head.forward(np.concatenate(anchors))
+    y_s, fwd_s = model._clip().forward(np.concatenate([units_of[src] for src in sources]))
+    if not (np.all(np.isfinite(y_a)) and np.all(np.isfinite(y_s))):
+        raise DataError("similarity: non-finite input")
+    u_hat, nu = unit_normalize(y_a)
+    # the sources' projections, the batch's largest array, are normalized in place
+    v_hat, nv = y_s, np.linalg.norm(y_s, axis=-1)
+    v_hat /= np.where(nv > 0.0, nv, 1.0)[:, None]
+    takes = [np.concatenate([np.arange(*rows_of[src]) for src in read]) for read in reads]
+    spans = [column_spans(read, [len(units_of[src]) for src in read]) for read in reads]
+    sims = [np.clip(u_hat[rows] @ v_hat[take].T, -1.0, 1.0) for rows, take in zip(a_rows, takes)]
+    seq = seq_grad_core(sims, spans, drawn, cfg.loss)
+
+    # Each block's cosine Jacobian: anchor rows block by block; source rows,
+    # shared by blocks, as (sum_b g_b.T @ u_b - colsum * v_hat) / nv in v_hat.
+    unit_losses = []
+    d_ya = np.empty_like(u_hat)
+    colsum = np.zeros(len(v_hat))
+    for item, rows, sim, g, take in zip(items, a_rows, sims, seq.grads, takes):
+        own = sim[:, : len(units_of[item.id])]
+        unit_loss, unit_grad = (
+            unit_term_video_text(own, item.segments.ranges(), cfg.loss.tau) if video_text else unit_term_video_only(own, cfg.loss.tau)
         )
         unit_losses.append(unit_loss)
-        seq_losses.append(seq_loss)
-        signatures.append(signature)
-        for name in grads:
-            grads[name] += item_grads[name]
-    used = len(seq_losses)
-    if used == 0:
-        return None, grads, 0, ()
+        g *= cfg.loss.w_seq
+        g[:, : own.shape[1]] += cfg.loss.w_unit * unit_grad
+        d_ya[rows] = _rows_backward(g, sim, v_hat[take], u_hat[rows], nu[rows])
+        colsum[take] += np.einsum("ij,ij->j", g, sim)  # one block reads each source once
+    d_ys = v_hat
+    d_ys *= -colsum[:, None]
+    for rows, g, take in zip(a_rows, seq.grads, takes):
+        d_ys[take] += g.T @ u_hat[rows]
+    d_ys /= np.where(nv > 0.0, nv, 1.0)[:, None]
+    d_ys[nv == 0.0] = 0.0
+    model.anchor_head.backward(fwd_a, d_ya, grads, "anchor.")
+    model._clip().backward(fwd_s, d_ys, grads, "clip." if model.twin else "anchor.")
     for name in grads:
-        grads[name] /= used
-    return joint_loss(unit_losses, seq_losses, cfg.loss), grads, used, tuple(signatures)
+        grads[name] /= len(items)
+    return joint_loss(unit_losses, seq.losses, cfg.loss), grads, len(items), seq.paths.walk.tobytes()
 
 
 def fit(corpus, model: ProjectionModel, cfg: TrainConfig) -> TrainReport:

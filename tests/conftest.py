@@ -26,6 +26,11 @@ def make_pair(captions, clips, segments, pid="p0") -> SegmentedPair:
     )
 
 
+def split_perms(negs) -> list[np.ndarray]:
+    """Each drawn negative's permutation, in draw order."""
+    return np.split(negs.perms, np.cumsum(negs.lengths)[:-1])
+
+
 def check_path(path, shape, measure: str) -> None:
     """Structural warping-path invariants for either measure."""
     n, m = shape

@@ -9,36 +9,41 @@ from conftest import basis, make_pair, seq
 from tempalign.core import (
     DataError,
     canonicalize_pair,
-    cosine_similarity,
     cost_matrix,
+    similarity_matrix,
 )
+
+
+def sim_entry(u, v) -> float:
+    """The one entry of similarity_matrix over two single-row stacks."""
+    return float(similarity_matrix(np.atleast_2d(u), np.atleast_2d(v))[0, 0])
 
 
 class TestCosineSimilarity:
     def test_identical_unit_vectors(self):
         e1 = basis(0, 3)
-        assert cosine_similarity(e1, e1) == pytest.approx(1.0)
+        assert sim_entry(e1, e1) == pytest.approx(1.0)
 
     def test_orthogonal_basis_vectors(self):
-        assert cosine_similarity(basis(0, 3), basis(1, 3)) == pytest.approx(0.0)
+        assert sim_entry(basis(0, 3), basis(1, 3)) == pytest.approx(0.0)
 
     def test_hand_computed_45_degrees(self):
         # dot = 1, norms sqrt(2) and 1 -> 1/sqrt(2)
         expected = 1.0 / math.sqrt(2.0)
-        assert cosine_similarity([1.0, 1.0], [1.0, 0.0]) == pytest.approx(expected, abs=1e-12)
-        assert cosine_similarity([1.0, 1.0], [1.0, 0.0]) == pytest.approx(0.70710678, abs=1e-8)
+        assert sim_entry([1.0, 1.0], [1.0, 0.0]) == pytest.approx(expected, abs=1e-12)
+        assert sim_entry([1.0, 1.0], [1.0, 0.0]) == pytest.approx(0.70710678, abs=1e-8)
 
     def test_zero_vector_convention(self):
-        assert cosine_similarity([0.0, 0.0], [1.0, 0.0]) == 0.0
-        assert cosine_similarity([0.0, 0.0], [0.0, 0.0]) == 0.0
+        assert sim_entry([0.0, 0.0], [1.0, 0.0]) == 0.0
+        assert sim_entry([0.0, 0.0], [0.0, 0.0]) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DataError):
-            cosine_similarity([1.0, 0.0], [1.0, 0.0, 0.0])
+            sim_entry([1.0, 0.0], [1.0, 0.0, 0.0])
 
     def test_nan_input(self):
         with pytest.raises(DataError):
-            cosine_similarity([np.nan, 0.0], [1.0, 0.0])
+            sim_entry([np.nan, 0.0], [1.0, 0.0])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -48,9 +53,9 @@ class TestCosineSimilarity:
     )
     def test_symmetry_and_scale_invariance(self, u, v, alpha):
         u, v = np.array(u), np.array(v)
-        s_uv = cosine_similarity(u, v)
-        assert s_uv == pytest.approx(cosine_similarity(v, u), abs=1e-12)
-        assert cosine_similarity(alpha * u, v) == pytest.approx(s_uv, abs=1e-9)
+        s_uv = sim_entry(u, v)
+        assert s_uv == pytest.approx(sim_entry(v, u), abs=1e-12)
+        assert sim_entry(alpha * u, v) == pytest.approx(s_uv, abs=1e-9)
         assert -1.0 <= s_uv <= 1.0
 
 

@@ -1,13 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import basis, make_pair
-from tempalign import align
+from tempalign import align, evaluate
+from tempalign.align import STACK_MATRICES
 from tempalign.core import DataError, EmbeddingSequence, LabeledVideo, similarity_matrix, unit_normalize
 from tempalign.evaluate import (
     FEWSHOT_MEASURES,
     RETRIEVAL_MEASURES,
-    STACK_MATRICES,
     EvalReport,
     _cross_scores,
     _normalized,
@@ -17,6 +19,7 @@ from tempalign.evaluate import (
     retrieval_clip,
     retrieval_full,
 )
+from tempalign.synth import FewshotSynthConfig, gen_fewshot_corpus
 
 
 def self_identical_corpus(n_videos=4, n_caps=3, dim=16):
@@ -409,6 +412,39 @@ class TestFewshot:
         monkeypatch.setattr(align, "align_stack", counting)
         fewshot_eval(None, videos, way=way, shot=shot, queries_per_class=queries_per_class, episodes=episodes)
         assert 0 < sum(aligned) <= n * (n - 1)
+
+    @pytest.mark.parametrize("measure", FEWSHOT_MEASURES)
+    def test_episode_blocks_change_nothing(self, measure, monkeypatch):
+        videos = noisy_class_corpus(True)
+        settings = dict(way=4, shot=2, queries_per_class=3, episodes=30, seed=4, measure=measure)
+        whole = fewshot_eval(None, videos, **settings)
+        scored = []
+        cross = evaluate._cross_scores
+
+        def counting(rows, cols, pairs, measure):
+            scored.extend(pairs.tolist())
+            return cross(rows, cols, pairs, measure)
+
+        monkeypatch.setattr(evaluate, "EPISODE_BLOCK", 7)
+        monkeypatch.setattr(evaluate, "_cross_scores", counting)
+        assert fewshot_eval(None, videos, **settings).aux == whole.aux
+        assert len(scored) == len({tuple(p) for p in scored})  # each pair once across blocks
+
+    def test_memory_does_not_grow_with_episodes(self):
+        # small episodes keep the traced run short; the parent's pair keys grew 5x here
+        cfg = FewshotSynthConfig(n_classes=4, videos_per_class=4, steps_per_class=3, frames_per_step=1, dim=4, seed=3)
+        videos, meta = gen_fewshot_corpus(cfg)
+        novel = [v for v in videos if v.label not in meta["base_labels"]]
+
+        def peak(episodes):
+            tracemalloc.start()
+            try:
+                fewshot_eval(None, novel, way=2, queries_per_class=3, episodes=episodes, measure="bag")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(5000) <= 1.5 * peak(1000)
 
     @pytest.mark.parametrize("ragged", [False, True])
     @pytest.mark.parametrize("measure", FEWSHOT_MEASURES)

@@ -5,41 +5,48 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import basis, make_pair
+from conftest import basis, make_pair, split_perms
 from tempalign.core import EmbeddingSequence, SegmentMap, SegmentedPair
 from tempalign.loss import (
     LossConfig,
     infonce_with_grad,
     joint_loss,
     seq_infonce,
-    unit_infonce,
 )
-from tempalign.negatives import STRATEGY_NAMES, NegativePermutation, generate_negatives
+from tempalign.negatives import STRATEGY_NAMES, Negatives, generate_negatives
 from tempalign.train import cosine_backward
+
+
+def infonce(pos, negs, tau=1.0):
+    return infonce_with_grad(pos, negs, tau)[0]
+
+
+def one_negative(strategy, perm, source_id):
+    return Negatives((strategy,), (source_id,), np.asarray(perm), np.array([len(perm)]))
 
 
 class TestUnitInfonce:
     def test_no_negatives_no_competition(self):
-        assert unit_infonce(3.7, [], tau=1.0) == pytest.approx(0.0, abs=1e-15)
+        assert infonce(3.7, [], tau=1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_symmetric_two_way(self):
-        assert unit_infonce(0.0, [0.0], tau=1.0) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert infonce(0.0, [0.0], tau=1.0) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_direct_evaluation(self):
         # -log(e/(e + 2)) = log(1 + 2 * e^-1)
         expected = math.log(1.0 + 2.0 * math.exp(-1.0))
-        assert unit_infonce(1.0, [0.0, 0.0], tau=1.0) == pytest.approx(expected, abs=1e-12)
+        assert infonce(1.0, [0.0, 0.0], tau=1.0) == pytest.approx(expected, abs=1e-12)
 
     def test_equal_scores_closed_form(self):
         for n in (1, 31):
-            assert unit_infonce(0.4, [0.4] * n, tau=0.7) == pytest.approx(math.log(n + 1), abs=1e-12)
+            assert infonce(0.4, [0.4] * n, tau=0.7) == pytest.approx(math.log(n + 1), abs=1e-12)
 
     def test_invalid_tau(self):
         with pytest.raises(ValueError):
-            unit_infonce(1.0, [0.0], tau=0.0)
+            infonce(1.0, [0.0], tau=0.0)
 
     def test_stability_at_large_scores(self):
-        loss = unit_infonce(1000.0, [999.0, 998.0], tau=1.0)
+        loss = infonce(1000.0, [999.0, 998.0], tau=1.0)
         assert np.isfinite(loss)
         assert loss == pytest.approx(math.log(1 + math.exp(-1.0) + math.exp(-2.0)), abs=1e-9)
 
@@ -50,14 +57,14 @@ class TestUnitInfonce:
         st.floats(-20, 20),
     )
     def test_shift_invariance(self, pos, negs, c):
-        base = unit_infonce(pos, negs, tau=1.0)
-        shifted = unit_infonce(pos + c, [x + c for x in negs], tau=1.0)
+        base = infonce(pos, negs, tau=1.0)
+        shifted = infonce(pos + c, [x + c for x in negs], tau=1.0)
         assert shifted == pytest.approx(base, abs=1e-9)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(-3, 3), st.lists(st.floats(-3, 3), min_size=1, max_size=5))
     def test_monotone_in_positive_score(self, pos, negs):
-        assert unit_infonce(pos + 0.5, negs) < unit_infonce(pos, negs)
+        assert infonce(pos + 0.5, negs) < infonce(pos, negs)
 
     def test_softmax_weights_sum_to_zero(self, rng):
         for _ in range(20):
@@ -85,7 +92,7 @@ def toy_pair(s11, s12, s21, s22):
 
 
 def swap_negative():
-    return NegativePermutation(strategy="seg_only", perm=np.array([1, 0]), source_id="toy")
+    return one_negative("seg_only", [1, 0], "toy")
 
 
 RAW_CFG = LossConfig(tau=1.0, normalize_score=False, measure="dtw")
@@ -96,10 +103,10 @@ def path_entries(res, negs):
     entries on its path; a shuffle negative's perm maps its path columns to
     positions of its source."""
     out = []
-    for k, neg in enumerate([None, *negs]):
+    for k in range(len(negs) + 1):
         rows, cols = res.paths.path(k).T
-        if neg is not None:
-            cols = neg.perm[cols]
+        if k:
+            cols = split_perms(negs)[k - 1][cols]
         out.append(set(zip(rows.tolist(), cols.tolist())))
     return out
 
@@ -116,31 +123,31 @@ class TestSeqInfonce:
         assert loss == pytest.approx(math.log(33.0), abs=1e-9)
 
     def test_saturation_at_large_margin(self):
-        loss = unit_infonce(10.0, [0.0] * 4, tau=1.0)
+        loss = infonce(10.0, [0.0] * 4, tau=1.0)
         assert loss < 1e-3
 
     def test_appendix_toy_closed_form(self):
         # sims m1n1 = m2n2 = 1, m1n2 = m2n1 = 0, raw score, one swapped
         # negative: loss = ln(1 + e^-2).
         pair = toy_pair(1.0, 0.0, 0.0, 1.0)
-        details = seq_infonce(pair, [swap_negative()], RAW_CFG)
+        details = seq_infonce(pair, swap_negative(), RAW_CFG)
         assert details.loss == pytest.approx(math.log(1.0 + math.exp(-2.0)), abs=1e-12)
         assert details.scores[0] == pytest.approx(2.0)
         assert details.scores[1] == pytest.approx(0.0)
 
     def test_no_negatives_skipped(self):
         pair = toy_pair(0.5, 0.1, -0.2, 0.4)
-        details = seq_infonce(pair, [], LossConfig())
+        details = seq_infonce(pair, Negatives((), (), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)), LossConfig())
         assert details.loss == 0.0
         assert len(details.candidates) == 1
 
     def test_other_source_is_read_from_the_corpus(self):
         pair = toy_pair(1.0, 0.0, 0.0, 1.0)
         other = make_pair([basis(0, 4), basis(1, 4)], [basis(1, 4), basis(0, 4)], [(0, 0, 1), (1, 1, 2)], pid="other")
-        neg = NegativePermutation("unpaired", np.arange(2), "other")
+        neg = one_negative("unpaired", np.arange(2), "other")
         with pytest.raises(ValueError, match="unknown pair 'other'"):
-            seq_infonce(pair, [neg], RAW_CFG)
-        details = seq_infonce(pair, [neg], RAW_CFG, corpus=[pair, other])
+            seq_infonce(pair, neg, RAW_CFG)
+        details = seq_infonce(pair, neg, RAW_CFG, corpus=[pair, other])
         assert details.candidates == ["toy", "other"]
         assert details.loss == pytest.approx(math.log(1.0 + math.exp(-2.0)), abs=1e-12)
 
@@ -166,9 +173,9 @@ class TestCoveredPositions:
         negs = generate_negatives(pair, corpus, strategy, 6, rng)
         assert len(negs) == 6
         n_covered = {p.id: p.covered_indices.size for p in corpus}
-        for neg in negs:
-            n = len(pair.anchor) if neg.strategy == "visual_anchor" else n_covered[neg.source_id]
-            assert sorted(neg.perm.tolist()) == list(range(n))
+        for k, (tag, src) in enumerate(zip(negs.strategies, negs.sources)):
+            n = len(pair.anchor) if tag == "visual_anchor" else n_covered[src]
+            assert sorted(split_perms(negs)[k].tolist()) == list(range(n))
         cfg = LossConfig(tau=0.7, measure=measure)
         res = seq_infonce(pair, negs, cfg, corpus=corpus)
         view = seq_infonce(pair.covered_view(), negs, cfg, corpus=[p.covered_view() for p in corpus])
@@ -185,8 +192,8 @@ class TestSeqGradOracle:
     # similarity entries, so each entry's gradient is one candidate's alone.
     def test_symmetric_case_values(self):
         pair = toy_pair(1.0, 0.0, 0.0, 1.0)
-        res = seq_infonce(pair, [swap_negative()], RAW_CFG)
-        positive, negative = path_entries(res, [swap_negative()])
+        res = seq_infonce(pair, swap_negative(), RAW_CFG)
+        positive, negative = path_entries(res, swap_negative())
         assert not positive & negative
         grad = res.grad_by_source["toy"]
         expected = 1.0 / (math.e**2 + 1.0)
@@ -200,8 +207,8 @@ class TestSeqGradOracle:
         for _ in range(100):
             s11, s12, s21, s22 = rng.uniform(-0.7, 0.7, size=4)
             pair = toy_pair(s11, s12, s21, s22)
-            res = seq_infonce(pair, [swap_negative()], RAW_CFG)
-            positive, negative = path_entries(res, [swap_negative()])
+            res = seq_infonce(pair, swap_negative(), RAW_CFG)
+            positive, negative = path_entries(res, swap_negative())
             assert not positive & negative
             g11 = -math.exp(s12) / (math.exp(s11) * math.exp(s22 - s21) + math.exp(s12))
             g12 = math.exp(s12 + s21) / (math.exp(s11 + s22) + math.exp(s12 + s21))
@@ -214,14 +221,14 @@ class TestSeqGradOracle:
     def test_grad_by_source_aggregates_entries(self, rng):
         s = rng.uniform(-0.6, 0.6, size=4)
         pair = toy_pair(*s)
-        res = seq_infonce(pair, [swap_negative()], RAW_CFG)
+        res = seq_infonce(pair, swap_negative(), RAW_CFG)
         dense = res.grad_by_source["toy"]
         # Raw scores at tau = 1: d(loss)/d(score_k) = softmax_k - [k == 0],
         # and every entry on candidate k's path carries that value.
         weights = np.exp(res.scores - res.scores.max())
         dscore = weights / weights.sum() - np.eye(len(res.candidates))[0]
         total = np.zeros_like(dense)
-        for entries, g in zip(path_entries(res, [swap_negative()]), dscore):
+        for entries, g in zip(path_entries(res, swap_negative()), dscore):
             for i, j in entries:
                 total[i, j] += g
         assert np.abs(total).sum() > 0

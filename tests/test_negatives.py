@@ -1,18 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import basis, make_pair
-from tempalign.core import DataError, DegeneratePairError
-from tempalign.negatives import (
-    NegativePermutation,
-    generate_negatives,
-    permute_all_units,
-    permute_anchor_segments,
-    permute_segments,
-    permute_within_segments,
-    sample_unpaired,
-    video_only_negatives,
-)
+from conftest import basis, make_pair, seq, split_perms
+from tempalign.core import DataError, LabeledVideo
+from tempalign.negatives import STRATEGY_NAMES, generate_negatives, video_only_negatives
 from tempalign.synth import FewshotSynthConfig, gen_fewshot_corpus
 
 
@@ -35,25 +26,21 @@ def equal_segment_pair(k=3, pid="p0"):
 class TestPermuteSegments:
     def test_two_segments_unique_swap(self, rng):
         pair = two_segment_pair()
-        out = permute_segments(pair, shuffle_within=False, rng=rng)
-        assert out.strategy == "seg_only"
-        np.testing.assert_array_equal(out.perm, [2, 0, 1])
-        assert out.source_id == pair.id
+        out = generate_negatives(pair, None, "seg-only", 1, rng)
+        assert out.strategies == ("seg_only",)
+        np.testing.assert_array_equal(split_perms(out)[0], [2, 0, 1])
+        assert out.sources == (pair.id,)
 
     def test_shuffle_within_enumerates_intra_orders(self, rng):
         pair = two_segment_pair()
-        seen = set()
-        for _ in range(80):
-            out = permute_segments(pair, shuffle_within=True, rng=rng)
-            assert out.strategy == "seg_unit"
-            seen.add(tuple(out.perm))
-        assert seen == {(2, 0, 1), (2, 1, 0)}
+        out = generate_negatives(pair, None, "seg-unit", 80, rng)
+        assert set(out.strategies) == {"seg_unit"}
+        assert {tuple(p) for p in split_perms(out)} == {(2, 0, 1), (2, 1, 0)}
 
     def test_identity_segment_order_never_drawn(self, rng):
         pair = equal_segment_pair(3)
-        for _ in range(1000):
-            out = permute_segments(pair, shuffle_within=False, rng=rng)
-            assert not np.array_equal(out.perm, np.arange(3))
+        for perm in split_perms(generate_negatives(pair, None, "seg-only", 1000, rng)):
+            assert not np.array_equal(perm, np.arange(3))
 
     def test_seg_only_preserves_intra_block_order(self, rng):
         pair = make_pair(
@@ -61,9 +48,8 @@ class TestPermuteSegments:
             [basis(2, 8)] * 6,
             [(0, 0, 3), (1, 3, 6)],
         )
-        for _ in range(20):
-            out = permute_segments(pair, shuffle_within=False, rng=rng)
-            perm = list(out.perm)
+        for perm in split_perms(generate_negatives(pair, None, "seg-only", 20, rng)):
+            perm = list(perm)
             # each original block appears as a contiguous, ordered run
             a = perm.index(0)
             assert perm[a : a + 3] == [0, 1, 2]
@@ -71,17 +57,17 @@ class TestPermuteSegments:
             assert perm[b : b + 3] == [3, 4, 5]
 
     def test_single_segment_degenerate(self, rng):
+        # no second block to reorder: the draw falls back to all_unit
         pair = make_pair([basis(0, 4)], [basis(1, 4)] * 3, [(0, 0, 3)])
-        with pytest.raises(DegeneratePairError):
-            permute_segments(pair, False, rng)
+        assert set(generate_negatives(pair, None, "seg-only", 4, rng).strategies) == {"all_unit"}
 
 
 class TestPermuteWithinSegments:
     def test_single_segment_inplace_shuffle(self, rng):
         pair = make_pair([basis(0, 4)], [basis(1, 4)] * 3, [(0, 0, 3)])
-        out = permute_within_segments(pair, rng)
-        assert sorted(out.perm) == [0, 1, 2]
-        assert not np.array_equal(out.perm, np.arange(3))
+        out = generate_negatives(pair, None, "within-seg", 1, rng)
+        assert sorted(split_perms(out)[0]) == [0, 1, 2]
+        assert not np.array_equal(split_perms(out)[0], np.arange(3))
 
     def test_block_boundaries_unmoved(self, rng):
         pair = make_pair(
@@ -89,56 +75,50 @@ class TestPermuteWithinSegments:
             [basis(2, 8)] * 4,
             [(0, 0, 2), (1, 2, 4)],
         )
-        for _ in range(50):
-            out = permute_within_segments(pair, rng)
-            assert set(out.perm[:2]) == {0, 1}
-            assert set(out.perm[2:]) == {2, 3}
+        for perm in split_perms(generate_negatives(pair, None, "within-seg", 50, rng)):
+            assert set(perm[:2]) == {0, 1}
+            assert set(perm[2:]) == {2, 3}
 
     def test_all_singletons_degenerate(self, rng):
-        with pytest.raises(DegeneratePairError):
-            permute_within_segments(equal_segment_pair(3), rng)
+        assert len(generate_negatives(equal_segment_pair(3), None, "within-seg", 4, rng)) == 0
 
 
 class TestPermuteAllUnits:
     def test_two_clips_always_swap(self, rng):
         pair = make_pair([basis(0, 4)], [basis(1, 4), basis(2, 4)], [(0, 0, 2)])
-        for _ in range(10):
-            out = permute_all_units(pair, rng)
-            np.testing.assert_array_equal(out.perm, [1, 0])
+        for perm in split_perms(generate_negatives(pair, None, "all-unit", 10, rng)):
+            np.testing.assert_array_equal(perm, [1, 0])
 
     def test_identity_excluded(self, rng):
         pair = make_pair([basis(0, 12)], [basis(i, 12) for i in range(1, 6)], [(0, 0, 5)])
-        for _ in range(1000):
-            out = permute_all_units(pair, rng)
-            assert not np.array_equal(out.perm, np.arange(5))
+        for perm in split_perms(generate_negatives(pair, None, "all-unit", 1000, rng)):
+            assert not np.array_equal(perm, np.arange(5))
 
     def test_multiset_preserved(self, rng):
         pair = make_pair([basis(0, 12)], [basis(i, 12) for i in range(1, 6)], [(0, 0, 5)])
-        out = permute_all_units(pair, rng)
-        assert sorted(out.perm) == list(range(5))
+        out = generate_negatives(pair, None, "all-unit", 1, rng)
+        assert sorted(split_perms(out)[0]) == list(range(5))
 
     def test_single_clip_degenerate(self, rng):
         pair = make_pair([basis(0, 4)], [basis(1, 4)], [(0, 0, 1)])
-        with pytest.raises(DegeneratePairError):
-            permute_all_units(pair, rng)
+        assert len(generate_negatives(pair, None, "all-unit", 4, rng)) == 0
 
 
 class TestSampleUnpaired:
     def test_two_pair_corpus_always_other(self, rng):
         corpus = [two_segment_pair("p0"), two_segment_pair("p1")]
-        for _ in range(10):
-            out = sample_unpaired(corpus, "p0", rng)
-            assert out.source_id == "p1"
-            np.testing.assert_array_equal(out.perm, np.arange(corpus[1].covered_indices.size))
+        out = generate_negatives(corpus[0], corpus, "unpaired", 10, rng)
+        assert out.sources == ("p1",) * 10
+        for perm in split_perms(out):
+            np.testing.assert_array_equal(perm, np.arange(corpus[1].covered_indices.size))
 
     def test_source_never_anchor(self, rng):
         corpus = [two_segment_pair(f"p{i}") for i in range(5)]
-        for _ in range(100):
-            assert sample_unpaired(corpus, "p2", rng).source_id != "p2"
+        assert "p2" not in generate_negatives(corpus[2], corpus, "unpaired", 100, rng).sources
 
     def test_corpus_of_one_rejected(self, rng):
         with pytest.raises(DataError):
-            sample_unpaired([two_segment_pair("p0")], "p0", rng)
+            generate_negatives(two_segment_pair("p0"), [two_segment_pair("p0")], "unpaired", 1, rng)
 
 
 class TestGenerateNegatives:
@@ -146,39 +126,39 @@ class TestGenerateNegatives:
         pair = equal_segment_pair(3)
         out = generate_negatives(pair, None, "seg-unit", 32, rng)
         assert len(out) == 32
-        for neg in out:
-            assert neg.strategy == "seg_unit"
-            assert sorted(neg.perm) == list(range(3))
-            assert not np.array_equal(neg.perm, np.arange(3))
+        assert out.strategies == ("seg_unit",) * 32
+        for perm in split_perms(out):
+            assert sorted(perm) == list(range(3))
+            assert not np.array_equal(perm, np.arange(3))
 
     def test_two_segment_seg_only_unique_swap_copies(self, rng):
         out = generate_negatives(two_segment_pair(), None, "seg-only", 4, rng)
         assert len(out) == 4
-        for neg in out:
-            np.testing.assert_array_equal(neg.perm, [2, 0, 1])
+        for perm in split_perms(out):
+            np.testing.assert_array_equal(perm, [2, 0, 1])
 
     def test_fallback_chain_exhausted(self, rng):
         pair = make_pair([basis(0, 4)], [basis(1, 4)], [(0, 0, 1)])
-        assert generate_negatives(pair, None, "seg-unit", 8, rng) == []
+        assert len(generate_negatives(pair, None, "seg-unit", 8, rng)) == 0
 
     def test_fallback_to_all_unit(self, rng):
         pair = make_pair([basis(0, 4)], [basis(1, 4), basis(2, 4)], [(0, 0, 2)])
         out = generate_negatives(pair, None, "seg-unit", 3, rng)
-        assert [n.strategy for n in out] == ["all_unit"] * 3
+        assert out.strategies == ("all_unit",) * 3
 
     def test_joint_split(self, rng):
         corpus = [equal_segment_pair(3, f"p{i}") for i in range(3)]
         out = generate_negatives(corpus[0], corpus, "joint", 5, rng)
-        assert [n.strategy for n in out] == ["seg_unit"] * 3 + ["unpaired"] * 2
-        assert {n.source_id for n in out if n.strategy == "unpaired"} <= {"p1", "p2"}
+        assert out.strategies == ("seg_unit",) * 3 + ("unpaired",) * 2
+        assert set(out.sources[3:]) <= {"p1", "p2"}
 
     def test_visual_anchor_permutes_captions(self, rng):
         pair = equal_segment_pair(3)
         out = generate_negatives(pair, None, "visual-anchor", 6, rng)
-        for neg in out:
-            assert neg.strategy == "visual_anchor"
-            assert sorted(neg.perm) == [0, 1, 2]
-            assert not np.array_equal(neg.perm, np.arange(3))
+        assert out.strategies == ("visual_anchor",) * 6
+        for perm in split_perms(out):
+            assert sorted(perm) == [0, 1, 2]
+            assert not np.array_equal(perm, np.arange(3))
 
     def test_unknown_strategy(self, rng):
         with pytest.raises(ValueError):
@@ -189,8 +169,7 @@ class TestGenerateNegatives:
         a = generate_negatives(pair, None, "seg-unit", 16, np.random.default_rng(7))
         b = generate_negatives(pair, None, "seg-unit", 16, np.random.default_rng(7))
         assert len(a) == len(b)
-        for na, nb in zip(a, b):
-            np.testing.assert_array_equal(na.perm, nb.perm)
+        np.testing.assert_array_equal(a.perms, b.perms)
 
     def test_within_seg_stays_inside_ranges(self, rng):
         pair = make_pair(
@@ -199,8 +178,8 @@ class TestGenerateNegatives:
             [(0, 0, 2), (1, 2, 5)],
         )
         out = generate_negatives(pair, None, "within-seg", 10, rng)
-        for neg in out:
-            for pos, orig in enumerate(neg.perm):
+        for perm in split_perms(out):
+            for pos, orig in enumerate(perm):
                 if pos < 2:
                     assert orig in (0, 1)
                 else:
@@ -213,10 +192,10 @@ class TestVideoOnlyNegatives:
         out = video_only_negatives(videos, 0, 12, rng)
         assert len(out) == 12
         n = len(videos[1].frames)
-        for neg in out:
-            assert neg.source_id != videos[0].id
-            assert sorted(neg.perm) == list(range(n))
-            assert not np.array_equal(neg.perm, np.arange(n))
+        assert videos[0].id not in out.sources
+        for perm in split_perms(out):
+            assert sorted(perm) == list(range(n))
+            assert not np.array_equal(perm, np.arange(n))
 
     def test_rejects_tiny_corpus(self, rng):
         videos, _ = gen_fewshot_corpus(FewshotSynthConfig(n_classes=2, videos_per_class=3, dim=8, seed=1))
@@ -224,6 +203,119 @@ class TestVideoOnlyNegatives:
             video_only_negatives(videos[:1], 0, 4, rng)
 
 
-def test_permutation_repeating_index_rejected():
-    with pytest.raises(DataError):
-        NegativePermutation(strategy="all_unit", perm=np.array([0, 0, 1]), source_id="x")
+# A per-draw loop of the drawing rules, one negative per call as before the
+# draws were batched: the batched draws must equal it value for value and
+# leave the generator in the same state.
+
+
+class Degenerate(Exception):
+    pass
+
+
+def ref_non_identity(n, rng):
+    perm = rng.permutation(n)
+    while np.array_equal(perm, np.arange(n)):
+        perm = rng.permutation(n)
+    return perm
+
+
+def ref_one(pair, corpus, strategy, rng):
+    blocks = [np.arange(lo, hi) for lo, hi in pair.covered_spans()]
+    if strategy in ("seg_only", "seg_unit"):
+        if len(blocks) < 2:
+            raise Degenerate
+        pieces = []
+        for b in ref_non_identity(len(blocks), rng):
+            block = blocks[b]
+            if strategy == "seg_unit" and block.size > 1:
+                block = block[rng.permutation(block.size)]
+            pieces.append(block)
+        return strategy, np.concatenate(pieces), pair.id
+    if strategy == "within_seg":
+        if all(b.size < 2 for b in blocks):
+            raise Degenerate
+        while True:
+            pieces = [b[rng.permutation(b.size)] if b.size > 1 else b for b in blocks]
+            if any(not np.array_equal(p, b) for p, b in zip(pieces, blocks)):
+                return strategy, np.concatenate(pieces), pair.id
+    if strategy in ("all_unit", "visual_anchor"):
+        n = len(pair.anchor) if strategy == "visual_anchor" else pair.covered_indices.size
+        if n < 2:
+            raise Degenerate
+        return strategy, ref_non_identity(n, rng), pair.id
+    others = [p for p in corpus if p.id != pair.id]
+    other = others[int(rng.integers(len(others)))]
+    return "unpaired", np.arange(other.covered_indices.size), other.id
+
+
+def ref_negatives(pair, corpus, strategy, count, rng):
+    def draw(s, k):
+        try:
+            return [ref_one(pair, corpus, s, rng) for _ in range(k)]
+        except Degenerate:
+            return []
+
+    if strategy == "joint":
+        n_shuffle = count // 2 + count % 2
+        return ref_negatives(pair, corpus, "seg_unit", n_shuffle, rng) + draw("unpaired", count - n_shuffle)
+    out = draw(strategy, count)
+    if not out and strategy in ("seg_only", "seg_unit"):
+        out = draw("all_unit", count)
+    return out
+
+
+def assert_same_draws(out, ref):
+    assert out.strategies == tuple(s for s, _, _ in ref)
+    assert out.sources == tuple(src for _, _, src in ref)
+    for got, (_, perm, _) in zip(split_perms(out), ref):
+        np.testing.assert_array_equal(got, perm)
+
+
+def varied_corpus(rng):
+    """Pairs with background clips, singleton and single segments, one
+    single-clip pair and one with a single caption."""
+    segment_sets = (
+        [(0, 1, 3), (1, 4, 6), (2, 7, 9)],
+        [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 7)],
+        [(0, 0, 1), (1, 1, 2), (2, 2, 3)],
+        [(0, 0, 4)],
+        [(0, 0, 1)],
+        [(0, 0, 2), (1, 2, 5), (2, 5, 6), (3, 6, 9), (4, 9, 10)],
+    )
+    return [
+        make_pair(rng.normal(size=(len(segs), 6)), rng.normal(size=(segs[-1][2] + 1, 6)), segs, pid=f"v{i}")
+        for i, segs in enumerate(segment_sets)
+    ]
+
+
+class TestDrawsMatchPerDrawLoop:
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_300_draws_per_strategy(self, strategy, rng):
+        corpus = varied_corpus(rng)
+        canonical = strategy.replace("-", "_")
+        for seed, pair in enumerate(corpus):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = generate_negatives(pair, corpus, strategy, 50, ours)
+            assert_same_draws(out, ref_negatives(pair, corpus, canonical, 50, theirs))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_video_only_draws(self):
+        videos, _ = gen_fewshot_corpus(FewshotSynthConfig(n_classes=2, videos_per_class=5, dim=8, seed=3))
+        ragged = [v if k % 3 else LabeledVideo(v.id, v.label, seq(v.frames.units[: 2 + k], v.id)) for k, v in enumerate(videos)]
+        for anchor in range(len(ragged)):
+            ours, theirs = np.random.default_rng(anchor), np.random.default_rng(anchor)
+            out = video_only_negatives(ragged, anchor, 30, ours)
+            candidates = [k for k in range(len(ragged)) if k != anchor]
+            ref = []
+            for _ in range(30):
+                other = ragged[candidates[int(theirs.integers(len(candidates)))]]
+                ref.append(("all_unit", ref_non_identity(len(other.frames), theirs), other.id))
+            assert_same_draws(out, ref)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_single_frame_videos_never_drawn(self, rng):
+        videos, _ = gen_fewshot_corpus(FewshotSynthConfig(n_classes=2, videos_per_class=3, dim=8, seed=1))
+        single = LabeledVideo("single", "x", seq(videos[0].frames.units[:1], "single"))
+        out = video_only_negatives([*videos, single], 0, 200, rng)
+        assert len(out) == 200 and "single" not in out.sources
+        assert len(video_only_negatives([videos[0], single], 0, 4, rng)) == 0

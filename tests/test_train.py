@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import make_pair
-from tempalign.core import DataError, NumericalError
-from tempalign.loss import LossConfig
+from conftest import make_pair, split_perms
+from tempalign import align
+from tempalign.align import STACK_MATRICES
+from tempalign.core import DataError, EmbeddingSequence, LabeledVideo, NumericalError, similarity_matrix
+from tempalign.loss import LossConfig, infonce_with_grad, joint_loss
+from tempalign.negatives import STRATEGY_NAMES, generate_negatives, video_only_negatives
 from tempalign.synth import SynthConfig, gen_corpus
 from tempalign.train import (
     AdamState,
@@ -300,3 +303,185 @@ class TestEndToEndGradient:
                 assert abs(numeric - analytic) / denom < 1e-3
                 checked += 1
         assert checked >= 6
+
+
+# ---------------------------------------------------------------------------
+# The batch-wide step against a per-item reference: every item projected,
+# aligned candidate by candidate (single-matrix align_stack calls), scored
+# with infonce_with_grad and backpropagated through cosine_backward on its
+# own.  Both draw the same negatives from the same generator.
+# ---------------------------------------------------------------------------
+
+
+def reference_unit_term(sims, item, video_text, tau):
+    terms = []
+    if video_text:
+        for i, (lo, hi) in enumerate(item.segments.ranges()):
+            out = np.r_[0:lo, hi : sims.shape[1]]
+            terms += [(i, q, out) for q in range(lo, hi)]
+    else:
+        terms = [(i, i, np.r_[0:i, i + 1 : sims.shape[1]]) for i in range(sims.shape[0])]
+    grad = np.zeros_like(sims)
+    losses = []
+    for i, q, out in terms:
+        loss, dpos, dnegs = infonce_with_grad(sims[i, q], sims[i, out], tau)
+        losses.append(loss)
+        grad[i, q] += dpos / len(terms)
+        grad[i, out] += dnegs / len(terms)
+    return float(np.mean(losses)), grad
+
+
+def reference_item(item, negs, units_of, video_text, model, cfg, grads):
+    lc = cfg.loss
+    anchor = item.anchor.units if video_text else item.frames.units
+    y_a, fwd_a = model.anchor_head.forward(anchor)
+    projected = {src: model._clip().forward(units_of[src]) for src in dict.fromkeys((item.id, *negs.sources))}
+    sims = {src: similarity_matrix(y_a, y) for src, (y, _) in projected.items()}
+    all_rows, all_cols = np.arange(len(anchor)), np.arange(sims[item.id].shape[1])
+    specs = [(item.id, all_rows, all_cols)]
+    for src, perm in zip(negs.sources, split_perms(negs)):
+        specs.append((item.id, perm, all_cols) if negs.permutes_anchor else (src, all_rows, perm))
+    found = [align.align_stack((1.0 - sims[src][np.ix_(rows, cols)])[None], lc.measure) for src, rows, cols in specs]
+    scores = np.array([f.scores(lc.normalize_score)[0] for f in found])
+    seq_loss, dpos, dnegs = infonce_with_grad(scores[0], scores[1:], lc.tau)
+    dscore = np.r_[dpos, dnegs]
+    seq_grad = {src: np.zeros_like(s) for src, s in sims.items()}
+    for (src, rows, cols), f, d in zip(specs, found, dscore):
+        path = f.path(0)
+        seq_grad[src][rows[path[:, 0]], cols[path[:, 1]]] += d / f.lengths[0] if lc.normalize_score else d
+    unit_loss, unit_grad = reference_unit_term(sims[item.id], item, video_text, lc.tau)
+    d_ya = np.zeros_like(y_a)
+    clip_prefix = "clip." if model.twin else "anchor."
+    for src, (y, fwd) in projected.items():
+        g = lc.w_seq * seq_grad[src] + (lc.w_unit * unit_grad if src == item.id else 0.0)
+        du, dv = cosine_backward(y_a, y, g)
+        d_ya += du
+        model._clip().backward(fwd, dv, grads, clip_prefix)
+    model.anchor_head.backward(fwd_a, d_ya, grads, "anchor.")
+    return unit_loss, seq_loss
+
+
+def reference_batch(batch, corpus, model, cfg, rng):
+    video_text = not hasattr(corpus[0], "frames")
+    units_of = {it.id: it.positive.units if video_text else it.frames.units for it in corpus}
+    grads = model.zero_grads()
+    unit_losses, seq_losses = [], []
+    for idx in batch:
+        item = corpus[idx]
+        if video_text:
+            negs = generate_negatives(item, corpus, cfg.neg_strategy, cfg.neg_count, rng)
+        else:
+            negs = video_only_negatives(corpus, idx, cfg.neg_count, rng)
+        if len(negs):
+            unit_loss, seq_loss = reference_item(item, negs, units_of, video_text, model, cfg, grads)
+            unit_losses.append(unit_loss)
+            seq_losses.append(seq_loss)
+    for name in grads:
+        grads[name] /= len(seq_losses)
+    return joint_loss(unit_losses, seq_losses, cfg.loss), grads, len(seq_losses)
+
+
+def degenerate_pair(pid):
+    # one caption over one clip: no shuffle strategy can draw from it
+    return make_pair([np.eye(24)[0]], [np.eye(24)[1]], [(0, 0, 1)], pid=pid).covered_view()
+
+
+def ragged_videos():
+    videos = base_videos()
+    return [LabeledVideo(v.id, v.label, EmbeddingSequence(v.id, v.frames.units[: 4 + k % 9])) for k, v in enumerate(videos)]
+
+
+def assert_matches_reference(corpus, batch, model, cfg):
+    loss, grads, used, _ = evaluate_batch(batch, corpus, model, cfg, np.random.default_rng(5))
+    ref_loss, ref_grads, ref_used = reference_batch(batch, corpus, model, cfg, np.random.default_rng(5))
+    assert used == ref_used
+    assert loss == pytest.approx(ref_loss, rel=0, abs=1e-12)
+    assert set(grads) == set(ref_grads)
+    for name in grads:
+        np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12)
+
+
+HEADS = {
+    "identity": lambda dim: ProjectionModel.identity(dim),
+    "twin-mlp": lambda dim: ProjectionModel.mlp(dim, 16, dim, seed=4, twin=True),
+}
+
+
+class TestBatchStepMatchesPerItemReference:
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    @pytest.mark.parametrize("measure", ["dtw", "otam"])
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_video_text(self, strategy, measure, head):
+        corpus = [p.covered_view() for p in small_corpus()[0][:7]]
+        cfg = TrainConfig(neg_strategy=strategy, neg_count=6, loss=LossConfig(tau=0.7, measure=measure))
+        assert_matches_reference(corpus, [0, 5, 2, 6, 1], HEADS[head](24), cfg)
+
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    @pytest.mark.parametrize("measure", ["dtw", "otam"])
+    def test_video_only(self, measure, head):
+        cfg = TrainConfig(neg_count=7, loss=LossConfig(tau=0.9, measure=measure, normalize_score=measure == "dtw"))
+        assert_matches_reference(base_videos(), [3, 0, 7, 1], HEADS[head](16), cfg)
+
+    def test_ragged_video_only_batch(self):
+        cfg = TrainConfig(neg_count=9, loss=LossConfig(measure="otam"))
+        assert_matches_reference(ragged_videos(), [2, 5, 0, 7, 3], ProjectionModel.linear(16, 16, seed=2), cfg)
+
+    def test_batch_with_skipped_degenerate_item(self):
+        corpus = video_text_views() + [degenerate_pair("d0")]
+        cfg = TrainConfig(neg_strategy="seg-unit", neg_count=5)
+        loss, _, used, _ = evaluate_batch([4, 0, 1], corpus, ProjectionModel.identity(24), cfg, np.random.default_rng(5))
+        assert used == 2
+        assert_matches_reference(corpus, [4, 0, 1], ProjectionModel.identity(24), cfg)
+
+    def test_joint_on_degenerate_pair(self):
+        # the degenerate pair keeps only its unpaired half: 3 candidates, others 6
+        corpus = video_text_views() + [degenerate_pair("d0")]
+        cfg = TrainConfig(neg_strategy="joint", neg_count=5)
+        assert_matches_reference(corpus, [1, 4, 2], ProjectionModel.mlp(24, 16, 24, seed=4), cfg)
+
+    def test_batch_past_stack_cap(self):
+        corpus = [p.covered_view() for p in small_corpus(n_tasks=3)[0]]
+        cfg = TrainConfig(neg_strategy="joint", neg_count=40)
+        assert 10 * (cfg.neg_count + 1) > STACK_MATRICES
+        assert_matches_reference(corpus, list(range(10)), ProjectionModel.identity(24), cfg)
+
+
+class TestBatchStepAlignmentCalls:
+    @pytest.mark.parametrize("neg_count", [32, 60])
+    def test_calls_per_batch(self, neg_count, monkeypatch):
+        calls = []
+        real = align.align_stack
+
+        def counted(costs, *args, **kwargs):
+            calls.append(len(costs))
+            return real(costs, *args, **kwargs)
+
+        monkeypatch.setattr(align, "align_stack", counted)
+        train, _, _ = small_corpus()
+        cfg = TrainConfig(epochs=1, neg_count=neg_count, batch_pairs=8, seed=0)
+        fit(train, ProjectionModel.identity(24), cfg)
+        batches = -(-len(train) // cfg.batch_pairs)
+        assert len(calls) <= batches * -(-cfg.batch_pairs * (neg_count + 1) // STACK_MATRICES)
+        assert max(calls) <= STACK_MATRICES
+
+
+def test_single_frame_video_does_not_decide_fit():
+    # A single-frame video is never drawn as a negative, so whether fit
+    # succeeds no longer depends on the seed (drawing it failed 16 of these 20).
+    from tempalign.synth import FewshotSynthConfig, gen_fewshot_corpus
+
+    videos, _ = gen_fewshot_corpus(FewshotSynthConfig(n_classes=2, videos_per_class=6, dim=16, seed=2))
+    lone = videos[5]
+    videos[5] = LabeledVideo(lone.id, lone.label, EmbeddingSequence(lone.id, lone.frames.units[:1]))
+    for seed in range(20):
+        report = fit(videos, ProjectionModel.identity(16), TrainConfig(epochs=1, neg_count=2, batch_pairs=4, seed=seed))
+        assert report.skipped_pairs == 0
+        assert np.isfinite(report.loss_curve[0])
+
+
+def test_default_epoch_loss_is_pinned():
+    # One default epoch on the benchmark's train-videotext corpus; guards the
+    # negative stream and the step's arithmetic.
+    train, _, _ = gen_corpus(SynthConfig(seed=101))
+    report = fit(train, ProjectionModel.identity(train[0].anchor.dim), TrainConfig(epochs=1, seed=101))
+    assert report.loss_curve[0] == pytest.approx(2.9470823136220705, rel=0, abs=1e-12)
