@@ -51,7 +51,7 @@ def _emit_report(report, out_csv: str | None, dump: str | None) -> None:
     print(report.text_table())
     if out_csv:
         write_csv(out_csv, report.csv_rows())
-    if dump and report.per_query is not None:
+    if dump:
         with open(dump, "w", encoding="utf-8") as fh:
             for rec in report.per_query:
                 fh.write(dump_json(rec))
@@ -168,17 +168,14 @@ def _eval_items(args, kind: str) -> list:
 
 
 def cmd_eval_retrieval_full(args) -> int:
-    report = ev.retrieval_full(
-        _eval_items(args, "pairs"), _model(args), measure=args.measure,
-        background=args.background, ks=_parse_ks(args.ks), dump_scores=bool(args.dump),
-    )
+    report = ev.retrieval_full(_eval_items(args, "pairs"), _model(args), measure=args.measure,
+                               background=args.background, ks=_parse_ks(args.ks))
     _emit_report(report, args.out_csv, args.dump)
     return 0
 
 
 def cmd_eval_retrieval_clip(args) -> int:
-    report = ev.retrieval_clip(_eval_items(args, "pairs"), _model(args), ks=_parse_ks(args.ks),
-                               dump_scores=bool(args.dump))
+    report = ev.retrieval_clip(_eval_items(args, "pairs"), _model(args), ks=_parse_ks(args.ks))
     _emit_report(report, args.out_csv, args.dump)
     return 0
 

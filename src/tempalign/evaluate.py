@@ -62,18 +62,28 @@ def _check_ks(ks, n_candidates: int) -> tuple[int, ...]:
 
 
 def _minmax(x: np.ndarray) -> np.ndarray:
-    lo, hi = float(np.min(x)), float(np.max(x))
-    if hi == lo:
-        return np.full_like(x, 0.5)
-    return (x - lo) / (hi - lo)
+    """Each row of ``x`` scaled to [0, 1]; a constant row becomes 0.5."""
+    lo, hi = x.min(axis=1, keepdims=True), x.max(axis=1, keepdims=True)
+    varies = hi > lo
+    return np.where(varies, (x - lo) / np.where(varies, hi - lo, 1.0), 0.5)
 
 
-def _rank_order(primary: np.ndarray, secondary: np.ndarray | None = None) -> np.ndarray:
-    """Indices sorted by descending score(s); ties fall back to input order."""
-    n = primary.shape[0]
-    if secondary is None:
-        return np.lexsort((np.arange(n), -primary))
-    return np.lexsort((np.arange(n), -secondary, -primary))
+def _ranks(scores: np.ndarray, target: np.ndarray, tiebreak: np.ndarray | None = None) -> np.ndarray:
+    """0-based rank of column ``target[q]`` in row q of ``scores``, ordered by
+    descending score, then descending ``tiebreak`` (same shape), then column.
+
+    Counts the columns ahead of each target with array comparisons, no sort.
+    """
+    rows = np.arange(len(scores))
+    mine = scores[rows, target][:, None]
+    ahead = scores > mine
+    tied = scores == mine
+    if tiebreak is not None:
+        theirs = tiebreak[rows, target][:, None]
+        ahead |= tied & (tiebreak > theirs)
+        tied &= tiebreak == theirs
+    tied &= np.arange(scores.shape[1]) < target[:, None]
+    return np.count_nonzero(ahead | tied, axis=1)
 
 
 def _normalized(*groups) -> tuple[list[np.ndarray], ...]:
@@ -134,7 +144,6 @@ def retrieval_full(
     measure: str = "dtw",
     background: str = "remove",
     ks=(1, 5, 10),
-    dump_scores: bool = False,
 ) -> EvalReport:
     """Paragraph -> full-video retrieval under an alignment or voting measure.
 
@@ -159,54 +168,39 @@ def retrieval_full(
     )
     n = len(corpus)
 
-    need_align = measure in ("dtw", "otam", "dtw+capavg", "otam+capavg")
-    need_votes = measure in ("capavg", "dtw+capavg", "otam+capavg")
-
-    if need_align:
+    scores, tiebreak = None, None
+    if measure != "capavg":
         grid = np.indices((n, n)).reshape(2, -1).T  # every (query, candidate), row-major
-        align_measure = "otam" if measure.startswith("otam") else "dtw"
-        align_scores = _cross_scores(anchors, clips, grid, align_measure).reshape(n, n)
-    if need_votes:
+        scores = _cross_scores(anchors, clips, grid, "otam" if measure.startswith("otam") else "dtw").reshape(n, n)
+    if measure.endswith("capavg"):
         pool = np.concatenate(clips, axis=0)
         owner = np.concatenate([np.full(len(c), v) for v, c in enumerate(clips)])
         starts = np.cumsum([0] + [len(c) for c in clips[:-1]])
-
-    ranks = np.empty(n, dtype=np.int64)
-    per_query = [] if dump_scores else None
-    for q in range(n):
-        if need_votes:
+        votes, sumsim = np.empty((n, n)), np.empty((n, n))
+        for q in range(n):  # one query's captions x pool at a time
             sims = np.clip(anchors[q] @ pool.T, -1.0, 1.0)
-            best = np.argmax(sims, axis=1)  # first max = stable clip order
-            votes = np.bincount(owner[best], minlength=n).astype(np.float64)
+            votes[q] = np.bincount(owner[np.argmax(sims, axis=1)], minlength=n)  # first max = stable clip order
             # each caption's best clip in each video, summed over captions
             # along a contiguous axis so it rounds like a 1-d sum per video
-            sumsim = np.ascontiguousarray(np.maximum.reduceat(sims, starts, axis=1).T).sum(axis=1)
-        if measure in ("dtw", "otam"):
-            order = _rank_order(align_scores[q])
-        elif measure == "capavg":
-            order = _rank_order(votes, sumsim)
+            sumsim[q] = np.ascontiguousarray(np.maximum.reduceat(sims, starts, axis=1).T).sum(axis=1)
+        if scores is None:
+            scores, tiebreak = votes, sumsim
         else:
-            combined = (_minmax(align_scores[q]) + _minmax(votes)) / 2.0
-            order = _rank_order(combined)
-        ranks[q] = int(np.flatnonzero(order == q)[0])
-        if per_query is not None:
-            per_query.append({"query": corpus[q].id, "rank": int(ranks[q]) + 1})
+            scores = (_minmax(scores) + _minmax(votes)) / 2.0
 
+    ranks = _ranks(scores, np.arange(n), tiebreak)
     recalls = {k: float(np.mean(ranks < k)) for k in ks}
+    per_query = [{"query": p.id, "rank": int(r) + 1} for p, r in zip(corpus, ranks)]
     return EvalReport(task="retrieval-full", measure=measure, recalls=recalls,
                       aux={"n_queries": float(n)}, per_query=per_query)
 
 
-def retrieval_clip(
-    corpus: list[SegmentedPair],
-    model=None,
-    ks=(1, 5, 10),
-    dump_scores: bool = False,
-) -> EvalReport:
+def retrieval_clip(corpus: list[SegmentedPair], model=None, ks=(1, 5, 10)) -> EvalReport:
     """Caption -> clip retrieval over the pooled clips of all videos.
 
     A caption counts at K when any clip of its own segment ranks in the
-    top K by cosine similarity.
+    top K by cosine similarity, that is when its best such clip (the first
+    in pool order on ties) does.
     """
     if len(corpus) < 2:
         raise DataError("retrieval needs at least 2 videos")
@@ -222,20 +216,13 @@ def retrieval_clip(
         anchor = f_anchor(pair.anchor.units)
         for caption, start, end in pair.segments:
             queries.append(anchor[caption])
-            truth.append(np.arange(start, end) + offsets[p_idx])
+            truth.append((start + offsets[p_idx], end + offsets[p_idx]))
     sims = similarity_matrix(np.asarray(queries), pool)
 
-    hits = np.zeros((len(queries), len(ks)))
-    per_query = [] if dump_scores else None
-    for q in range(len(queries)):
-        order = np.argsort(-sims[q], kind="stable")
-        gt = set(int(j) for j in truth[q])
-        best_rank = next(r for r, j in enumerate(order) if int(j) in gt)
-        for ki, k in enumerate(ks):
-            hits[q, ki] = best_rank < k
-        if per_query is not None:
-            per_query.append({"query": q, "rank": int(best_rank) + 1})
-    recalls = {k: float(hits[:, ki].mean()) for ki, k in enumerate(ks)}
+    target = np.array([lo + np.argmax(row[lo:hi]) for row, (lo, hi) in zip(sims, truth)])
+    ranks = _ranks(sims, target)
+    recalls = {k: float(np.mean(ranks < k)) for k in ks}
+    per_query = [{"query": q, "rank": int(r) + 1} for q, r in enumerate(ranks)]
     return EvalReport(task="retrieval-clip", measure="cosine", recalls=recalls,
                       aux={"n_queries": float(len(queries))}, per_query=per_query)
 
@@ -339,8 +326,11 @@ def fewshot_eval(
         drawn, inverse = np.unique(queries.reshape(len(block), -1, 1) * n + supports.reshape(len(block), 1, -1), return_inverse=True)
         new = drawn[~np.isin(drawn, known, assume_unique=True)]
         pairs = np.column_stack(np.divmod(new, n))
-        if measure == "bag":
-            new_scores = np.sum(means[pairs[:, 0]] * means[pairs[:, 1]], axis=1)
+        if measure == "bag":  # in chunks, so no (new pairs, dim) product is formed
+            new_scores = np.empty(len(pairs))
+            for lo in range(0, len(pairs), align.STACK_MATRICES):
+                chunk = pairs[lo : lo + align.STACK_MATRICES]
+                new_scores[lo : lo + len(chunk)] = np.sum(means[chunk[:, 0]] * means[chunk[:, 1]], axis=1)
         else:
             new_scores = _cross_scores(units, units, pairs, measure)
         order = np.argsort(np.concatenate((known, new)), kind="stable")

@@ -30,10 +30,11 @@ class LossConfig:
     measure: str = "dtw"
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.w_unit < 0 or self.w_seq < 0 or self.w_unit + self.w_seq <= 0:
-            raise ValueError(f"weights must be nonnegative with positive sum, got ({self.w_unit}, {self.w_seq})")
+        if not np.isfinite(self.tau) or self.tau <= 0:
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
+        weights = (self.w_unit, self.w_seq)
+        if not np.all(np.isfinite(weights)) or min(weights) < 0 or sum(weights) <= 0:
+            raise ValueError(f"weights must be finite and nonnegative with positive sum, got {weights}")
         if self.measure not in ("dtw", "otam"):
             raise ValueError(f"measure must be 'dtw' or 'otam', got {self.measure!r}")
 

@@ -34,10 +34,6 @@ class SynthConfig:
     progress_drift: float = 0.1
     seed: int = 0
     proto_subspace_dim: int | None = 8
-    #: rank of the Gaussian noise covariance; None draws isotropic noise over
-    #: all dims, an integer confines it to that many fixed nuisance
-    #: directions orthogonal to the prototype subspace
-    noise_rank: int | None = None
 
     def __post_init__(self):
         if min(self.n_tasks, self.videos_per_task, self.segments_per_video) < 1:
@@ -59,10 +55,6 @@ class SynthConfig:
                 raise DataError("proto_subspace_dim must be >= segments_per_video")
             if self.proto_subspace_dim > self.dim:
                 raise DataError("proto_subspace_dim must be <= dim")
-        if self.noise_rank is not None:
-            anchor_dims = self.proto_subspace_dim if self.proto_subspace_dim is not None else self.segments_per_video
-            if self.noise_rank < 1 or anchor_dims + self.noise_rank > self.dim:
-                raise DataError("noise_rank must be >= 1 and fit beside the prototype subspace")
 
 
 def _orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -82,25 +74,15 @@ def gen_corpus(cfg: SynthConfig):
     m = cfg.proto_subspace_dim
 
     basis = _orthonormal(rng, d, d)
-    if m is not None:
-        sub = basis[:, :m]
-        used = m
-    else:
-        used = 0
-    if cfg.noise_rank is not None:
-        noise_dirs = basis[:, used : used + cfg.noise_rank]
-        used += cfg.noise_rank
-    else:
-        noise_dirs = None
+    used = 0 if m is None else m
+    sub = basis[:, :used]
     n_bg = min(4, d - used)
     if cfg.background_per_video[1] > 0 and n_bg == 0:
-        raise DataError("dim too small to host a background pool beside prototypes and noise directions")
+        raise DataError("dim too small to host a background pool beside the prototypes")
     bg_pool = basis[:, used : used + n_bg].T if n_bg else np.empty((0, d))
 
     def noise(scale: float) -> np.ndarray:
-        if noise_dirs is None:
-            return scale * rng.normal(size=d)
-        return scale * (noise_dirs @ rng.normal(size=cfg.noise_rank))
+        return scale * rng.normal(size=d)
 
     n_train = max(1, (cfg.videos_per_task * 4) // 5)
     if n_train == cfg.videos_per_task:

@@ -149,14 +149,31 @@ def test_malformed_manifest_is_a_data_error(capsys, tmp_path, change):
     assert capsys.readouterr().err.startswith("data error:")
 
 
-@pytest.mark.parametrize("lr", ["1e308", "1e200"])
-def test_diverging_training_is_a_numerical_failure(capsys, tmp_path, lr):
+@pytest.fixture
+def train_data(tmp_path):
+    """A small video-text dataset under tmp_path/data, the only entry of tmp_path."""
     train, test, _ = gen_corpus(SynthConfig(n_tasks=4, videos_per_task=3, seed=1))
     save_dataset(tmp_path / "data", [(p, "train") for p in train] + [(p, "test") for p in test], kind="pairs")
-    out = tmp_path / "model.ckpt"
-    code = cli.main(["train", "--data", str(tmp_path / "data"), "--lr", lr, "--epochs", "3", "--out", str(out)])
+    return str(tmp_path / "data")
+
+
+@pytest.mark.parametrize("lr", ["1e308", "1e200"])
+def test_diverging_training_is_a_numerical_failure(capsys, tmp_path, train_data, lr):
+    code = cli.main(["train", "--data", train_data, "--lr", lr, "--epochs", "3", "--out", str(tmp_path / "model.ckpt")])
     assert code == 4
     assert capsys.readouterr().err.startswith("numerical failure:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tau", "nan"), ("--tau", "inf"), ("--lr", "nan"), ("--lr", "inf"),
+    ("--w-unit", "nan"), ("--w-unit", "inf"), ("--w-seq", "nan"), ("--w-seq", "inf"),
+])
+def test_non_finite_hyperparameter_is_a_data_error(capsys, tmp_path, train_data, flag, value):
+    code = cli.main(["train", "--data", train_data, flag, value, "--epochs", "2", "--out", str(tmp_path / "model.ckpt")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "must be finite" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
 
@@ -195,3 +212,107 @@ def test_synth_config_that_is_not_an_object_is_a_data_error(capsys, tmp_path, co
     assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "data")]) == 3
     assert "config must be a JSON object" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+PINNED_PAIRS = {"n_tasks": 12, "videos_per_task": 5, "dim": 16, "proto_subspace_dim": 6, "caption_noise": 0.3,
+                "clip_noise": 0.25, "confuser_prob": 0.4, "seed": 3}
+PINNED_VIDEOS = {"kind": "fewshot", "n_classes": 8, "videos_per_class": 8, "dim": 12, "frame_noise": 0.3, "seed": 3}
+
+# The --out-csv rows (after the header) of each protocol on the two datasets
+# above: a change that moves any evaluation result fails here.
+PINNED_CSV = {
+    ("retrieval-full", "dtw"): (
+        "retrieval-full,dtw,1,0.2\n"
+        "retrieval-full,dtw,5,0.716666667\n"
+        "retrieval-full,dtw,10,0.966666667\n"
+        "retrieval-full.n_queries,dtw,0,60\n"
+    ),
+    ("retrieval-full", "otam"): (
+        "retrieval-full,otam,1,0.0333333333\n"
+        "retrieval-full,otam,5,0.283333333\n"
+        "retrieval-full,otam,10,0.516666667\n"
+        "retrieval-full.n_queries,otam,0,60\n"
+    ),
+    ("retrieval-full", "capavg"): (
+        "retrieval-full,capavg,1,0.1\n"
+        "retrieval-full,capavg,5,0.4\n"
+        "retrieval-full,capavg,10,0.833333333\n"
+        "retrieval-full.n_queries,capavg,0,60\n"
+    ),
+    ("retrieval-full", "dtw+capavg"): (
+        "retrieval-full,dtw+capavg,1,0.183333333\n"
+        "retrieval-full,dtw+capavg,5,0.45\n"
+        "retrieval-full,dtw+capavg,10,0.933333333\n"
+        "retrieval-full.n_queries,dtw+capavg,0,60\n"
+    ),
+    ("retrieval-full", "otam+capavg"): (
+        "retrieval-full,otam+capavg,1,0.0166666667\n"
+        "retrieval-full,otam+capavg,5,0.35\n"
+        "retrieval-full,otam+capavg,10,0.6\n"
+        "retrieval-full.n_queries,otam+capavg,0,60\n"
+    ),
+    ("retrieval-clip", None): (
+        "retrieval-clip,cosine,1,0.0466666667\n"
+        "retrieval-clip,cosine,5,0.166666667\n"
+        "retrieval-clip,cosine,10,0.296666667\n"
+        "retrieval-clip.n_queries,cosine,0,300\n"
+    ),
+    ("localize", None): (
+        "localize,cosine,1,0.593333333\n"
+        "localize.n_videos,cosine,0,60\n"
+    ),
+    ("fewshot", "dtw"): (
+        "fewshot-3way-1shot.accuracy,dtw,0,0.904166667\n"
+        "fewshot-3way-1shot.ci95,dtw,0,0.0215545884\n"
+        "fewshot-3way-1shot.episodes,dtw,0,60\n"
+    ),
+    ("fewshot", "otam"): (
+        "fewshot-3way-1shot.accuracy,otam,0,0.725\n"
+        "fewshot-3way-1shot.ci95,otam,0,0.0293876936\n"
+        "fewshot-3way-1shot.episodes,otam,0,60\n"
+    ),
+    ("fewshot", "bag"): (
+        "fewshot-3way-1shot.accuracy,bag,0,0.316666667\n"
+        "fewshot-3way-1shot.ci95,bag,0,0.031492065\n"
+        "fewshot-3way-1shot.episodes,bag,0,60\n"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_data(tmp_path_factory):
+    """The two pinned datasets, written through `tempalign synth`: name -> directory."""
+    root = tmp_path_factory.mktemp("pinned")
+    dirs = {}
+    for name, config in (("pairs", PINNED_PAIRS), ("videos", PINNED_VIDEOS)):
+        (root / f"{name}.json").write_text(json.dumps(config))
+        dirs[name] = str(root / name)
+        assert cli.main(["synth", "--config", str(root / f"{name}.json"), "--out", dirs[name]]) == 0
+    return dirs
+
+
+@pytest.mark.parametrize("protocol, measure", list(PINNED_CSV))
+def test_eval_csv_is_pinned(capsys, tmp_path, pinned_data, protocol, measure):
+    if protocol == "fewshot":
+        argv = ["--data", pinned_data["videos"], "--way", "3", "--queries", "4", "--episodes", "60"]
+    else:
+        argv = ["--data", pinned_data["pairs"], "--split", "all"]
+    if measure is not None:
+        argv += ["--measure", measure]
+    out = tmp_path / "report.csv"
+    assert cli.main(["eval", protocol, *argv, "--out-csv", str(out)]) == 0
+    assert out.read_bytes() == ("task,measure,k,value\n" + PINNED_CSV[(protocol, measure)]).encode("utf-8")
+
+
+@pytest.mark.parametrize("protocol", ["retrieval-full", "retrieval-clip"])
+def test_dump_writes_one_rank_per_query(capsys, tmp_path, pinned_data, protocol):
+    csv = tmp_path / "report.csv"
+    argv = ["eval", protocol, "--data", pinned_data["pairs"], "--split", "all", "--ks", "1", "--out-csv", str(csv)]
+    assert cli.main(argv) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+    dump = tmp_path / "ranks.jsonl"
+    assert cli.main([*argv, "--dump", str(dump)]) == 0
+    recall_1, n_queries = (float(line.split(",")[-1]) for line in csv.read_text().splitlines()[1:])
+    ranks = np.array([json.loads(line)["rank"] for line in dump.read_text().splitlines()])
+    assert len(ranks) == n_queries
+    assert np.mean(ranks == 1) == pytest.approx(recall_1)

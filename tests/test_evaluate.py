@@ -13,6 +13,7 @@ from tempalign.evaluate import (
     EvalReport,
     _cross_scores,
     _normalized,
+    _ranks,
     corpus_pair_match,
     fewshot_eval,
     localization_recall,
@@ -51,6 +52,24 @@ def ragged_corpus(n_videos=23, dim=6, seed=5):
         clips.extend(rng.normal(size=(int(rng.integers(0, 2)), dim)))
         corpus.append(make_pair(captions, clips, segments, pid=f"g{v}"))
     return corpus
+
+
+def tie_heavy_corpus():
+    """A ragged corpus with embeddings rounded to integers, then a copy of it:
+    every paragraph ties with its copy on alignment, and most captions tie on
+    votes."""
+    rounded = [p.with_units(np.round(p.anchor.units), np.round(p.positive.units))
+               for p in ragged_corpus(n_videos=12, dim=3)]
+    return rounded + [make_pair(p.anchor.units, p.positive.units, p.segments, pid=f"{p.id}-copy") for p in rounded]
+
+
+def equal_votes_corpus():
+    """Three videos under one paragraph (e0, e1, e2): caption i matches only
+    the first clip of video i, so each query gives every video one vote and
+    one unit of summed best-clip similarity."""
+    caps = [basis(i, 9) for i in range(3)]
+    return [make_pair(caps, [basis(v, 9), basis(3 + v, 9), basis(6 + v, 9)], [(0, 0, 1), (1, 1, 2), (2, 2, 3)],
+                      pid=f"e{v}") for v in range(3)]
 
 
 def minmax(x):
@@ -159,11 +178,25 @@ class TestRetrievalFull:
         corpus = ragged_corpus()
         n = len(corpus)
         assert n * n % STACK_MATRICES != 0  # the last alignment call holds fewer pairs
-        report = retrieval_full(corpus, measure=measure, background=background, ks=(1, 3, 10), dump_scores=True)
+        report = retrieval_full(corpus, measure=measure, background=background, ks=(1, 3, 10))
         ranks = per_pair_ranks(corpus, measure, background)
         assert [entry["rank"] for entry in report.per_query] == ranks
         assert report.recalls == {k: float(np.mean(np.array(ranks) <= k)) for k in (1, 3, 10)}
         assert 1 < max(ranks)  # the corpus does not saturate
+
+    @pytest.mark.parametrize("make_corpus", [tie_heavy_corpus, equal_votes_corpus])
+    @pytest.mark.parametrize("background", ["keep", "remove"])
+    @pytest.mark.parametrize("measure", RETRIEVAL_MEASURES)
+    def test_ties_match_per_pair_reference(self, measure, background, make_corpus):
+        corpus = make_corpus()
+        report = retrieval_full(corpus, measure=measure, background=background, ks=(1, 2, 3))
+        ranks = per_pair_ranks(corpus, measure, background)
+        assert [entry["rank"] for entry in report.per_query] == ranks
+        assert report.recalls == {k: float(np.mean(np.array(ranks) <= k)) for k in (1, 2, 3)}
+
+    def test_full_tie_falls_back_to_corpus_order(self):
+        report = retrieval_full(equal_votes_corpus(), measure="capavg", ks=(1,))
+        assert [entry["rank"] for entry in report.per_query] == [1, 2, 3]
 
     @pytest.mark.parametrize("side", ["anchor", "clips"])
     @pytest.mark.parametrize("measure", ["dtw", "capavg"])
@@ -172,7 +205,46 @@ class TestRetrievalFull:
             retrieval_full(self_identical_corpus(3), NonFiniteProjection(side), measure=measure, ks=(1,))
 
 
+def per_caption_ranks(corpus):
+    """1-based rank of each caption's first ground-truth clip when its row of
+    pooled-clip similarities is walked in stable descending order."""
+    pool = np.concatenate([p.positive.units for p in corpus])
+    offsets = np.cumsum([0] + [len(p.positive) for p in corpus])
+    queries, truth = [], []
+    for pair, offset in zip(corpus, offsets):
+        for caption, start, end in pair.segments:
+            queries.append(pair.anchor.units[caption])
+            truth.append(set(range(start + offset, end + offset)))
+    sims = similarity_matrix(np.asarray(queries), pool)
+    ranks = []
+    for row, gt in zip(sims, truth):
+        order = np.argsort(-row, kind="stable")
+        ranks.append(next(r for r, j in enumerate(order) if int(j) in gt) + 1)
+    return ranks
+
+
+class TestRanks:
+    @pytest.mark.parametrize("with_tiebreak", [False, True])
+    def test_matches_stable_lexsort(self, rng, with_tiebreak):
+        scores = rng.integers(0, 3, size=(40, 9)).astype(float)  # ties everywhere
+        tiebreak = rng.integers(0, 2, size=scores.shape).astype(float) if with_tiebreak else None
+        target = rng.integers(0, 9, size=40)
+        expected = []
+        for q in range(40):
+            keys = (np.arange(9), -scores[q]) if tiebreak is None else (np.arange(9), -tiebreak[q], -scores[q])
+            expected.append(int(np.flatnonzero(np.lexsort(keys) == target[q])[0]))
+        assert _ranks(scores, target, tiebreak).tolist() == expected
+
+
 class TestRetrievalClip:
+    @pytest.mark.parametrize("make_corpus", [ragged_corpus, tie_heavy_corpus, equal_votes_corpus])
+    def test_matches_per_caption_reference(self, make_corpus):
+        corpus = make_corpus()
+        report = retrieval_clip(corpus, ks=(1, 3, 9))
+        ranks = per_caption_ranks(corpus)
+        assert [entry["rank"] for entry in report.per_query] == ranks
+        assert report.recalls == {k: float(np.mean(np.array(ranks) <= k)) for k in (1, 3, 9)}
+
     def test_caption_identical_to_one_clip(self):
         corpus = self_identical_corpus(3)
         report = retrieval_clip(corpus, ks=(1,))
@@ -345,6 +417,21 @@ def per_episode_reference(videos, measure, way, shot, queries_per_class, episode
     return float(np.mean(accuracies)), float(1.96 * np.std(accuracies, ddof=1) / np.sqrt(episodes))
 
 
+def novel_videos(cfg):
+    videos, meta = gen_fewshot_corpus(cfg)
+    return [v for v in videos if v.label not in meta["base_labels"]]
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak traced allocation, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestFewshot:
     def test_separable_classes_perfect(self):
         videos = class_corpus()
@@ -433,18 +520,22 @@ class TestFewshot:
     def test_memory_does_not_grow_with_episodes(self):
         # small episodes keep the traced run short; the parent's pair keys grew 5x here
         cfg = FewshotSynthConfig(n_classes=4, videos_per_class=4, steps_per_class=3, frames_per_step=1, dim=4, seed=3)
-        videos, meta = gen_fewshot_corpus(cfg)
-        novel = [v for v in videos if v.label not in meta["base_labels"]]
+        novel = novel_videos(cfg)
 
         def peak(episodes):
-            tracemalloc.start()
-            try:
-                fewshot_eval(None, novel, way=2, queries_per_class=3, episodes=episodes, measure="bag")
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(fewshot_eval, None, novel, way=2, queries_per_class=3, episodes=episodes, measure="bag")
 
         assert peak(5000) <= 1.5 * peak(1000)
+
+    def test_bag_memory_within_dtw(self):
+        # one episode block draws about 9,600 new pairs; scoring them in one
+        # (pairs, dim) product peaked at 11 MB against dtw's 4.7 MB
+        novel = novel_videos(FewshotSynthConfig())
+
+        def peak(measure):
+            return traced_peak(fewshot_eval, None, novel, episodes=evaluate.EPISODE_BLOCK, measure=measure)
+
+        assert peak("bag") <= peak("dtw")
 
     @pytest.mark.parametrize("ragged", [False, True])
     @pytest.mark.parametrize("measure", FEWSHOT_MEASURES)

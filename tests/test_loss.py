@@ -315,3 +315,9 @@ class TestLossConfigValidation:
     def test_measure(self):
         with pytest.raises(ValueError):
             LossConfig(measure="soft-dtw")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["tau", "w_unit", "w_seq"])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            LossConfig(**{name: value})

@@ -108,6 +108,14 @@ class TestProjectionModel:
         np.testing.assert_allclose(loaded.transform_anchor(x), model.transform_anchor(x), atol=1e-5)
         np.testing.assert_allclose(loaded.transform_clips(x), model.transform_clips(x), atol=1e-5)
 
+    def test_checkpoint_holds_float32_weights(self, tmp_path):
+        model = ProjectionModel.mlp(6, 5, 4, seed=3, twin=True)
+        save_checkpoint(model, tmp_path / "model.ckpt")
+        loaded = load_checkpoint(tmp_path / "model.ckpt").params()
+        for name, w in model.params().items():
+            assert np.array_equal(loaded[name], w.astype(np.float32))
+            assert np.all(np.abs(loaded[name] - w) <= 2.0**-24 * np.abs(w))
+
     def test_checkpoint_bytes_identical_for_same_model(self, tmp_path):
         model = ProjectionModel.identity(4)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -129,6 +137,13 @@ class TestProjectionModel:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -1.0])
+    def test_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match="lr must be finite and >= 0"):
+            TrainConfig(lr=lr)
 
 
 class TestCosineBackward:
