@@ -2,7 +2,7 @@
 
 Library layout:
 
-* :mod:`tempalign.core` -- domain types, cosine kernels, canonicalization
+* :mod:`tempalign.core` -- domain types (canonical pairs), cosine kernels
 * :mod:`tempalign.align` -- one batched DTW / OTAM alignment kernel
 * :mod:`tempalign.negatives` -- temporal-shuffle negative sampling
 * :mod:`tempalign.loss` -- unit and sequence InfoNCE with analytic gradients

@@ -7,7 +7,6 @@ Every command is deterministic given its flags; seeds are always flags.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict
@@ -70,11 +69,7 @@ def cmd_align(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{args.config}: invalid JSON: {exc}") from exc
+    raw = tio.read_json(args.config)
     if not isinstance(raw, dict):
         raise DataError(f"{args.config}: config must be a JSON object, got {type(raw).__name__}")
     kind = raw.pop("kind", "video-text")
@@ -98,23 +93,18 @@ def cmd_synth(args) -> int:
             raise DataError(f"{args.config}: unknown kind {kind!r}")
     except TypeError as exc:
         raise DataError(f"{args.config}: bad config field: {exc}") from exc
-    with open(os.path.join(args.out, "truth.json"), "w", encoding="utf-8") as fh:
-        fh.write(dump_json(metadata))
-        fh.write("\n")
+    tio.write_json(os.path.join(args.out, "truth.json"), metadata)
     print(f"wrote {len(manifest.entries)} {manifest.kind} (dim={manifest.dim}) to {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    _, by_split = load_dataset(_data_dir(args))
-    if args.mode == "video-text":
-        corpus = by_split.get("train", [])
-    else:
-        corpus = by_split.get("base", [])
+    manifest, by_split = load_dataset(_data_dir(args))
+    mode, split = ("video-text", "train") if manifest.kind == "pairs" else ("video-only", "base")
+    corpus = by_split.get(split, [])
     if not corpus:
-        raise DataError(f"no training items for mode {args.mode!r} in the dataset")
-    dim = corpus[0].anchor.dim if args.mode == "video-text" else corpus[0].frames.dim
-    model = ProjectionModel.identity(dim)
+        raise DataError(f"no training items: a {manifest.kind} dataset trains on split {split!r}")
+    model = ProjectionModel.identity(manifest.dim)
     loss_cfg = LossConfig(tau=args.tau, w_unit=args.w_unit, w_seq=args.w_seq, measure=args.measure)
     cfg = TrainConfig(
         lr=args.lr,
@@ -128,7 +118,7 @@ def cmd_train(args) -> int:
     report = fit(corpus, model, cfg)
     save_checkpoint(report.final_model, args.out, seed=args.seed)
     record = {
-        "mode": args.mode,
+        "mode": mode,
         "strategy": args.strategy,
         "negatives": args.negatives,
         "tau": args.tau,
@@ -144,9 +134,7 @@ def cmd_train(args) -> int:
         "final_loss": report.loss_curve[-1],
     }
     report_path = args.report or (args.out + ".report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(record))
-        fh.write("\n")
+    tio.write_json(report_path, record)
     print(f"checkpoint: {args.out}")
     print(f"report: {report_path}")
     print(f"final loss: {fmt9(report.loss_curve[-1])}")
@@ -216,9 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", required=True)
     p_synth.set_defaults(func=cmd_synth)
 
-    p_train = sub.add_parser("train", help="train the projection head")
+    p_train = sub.add_parser("train", help="train the projection head: video-text on split train of a pairs dataset, "
+                             "video-only on split base of a videos dataset")
     p_train.add_argument("--data", default=None)
-    p_train.add_argument("--mode", choices=("video-text", "video-only"), default="video-text")
     p_train.add_argument("--strategy", choices=STRATEGY_NAMES, default="seg-unit")
     p_train.add_argument("--negatives", type=int, default=32)
     p_train.add_argument("--tau", type=float, default=1.0)

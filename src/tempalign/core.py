@@ -2,9 +2,11 @@
 
 A paragraph, a video, or a frame sequence is an ordered list of d-dimensional
 unit embeddings.  A caption/clip pair additionally carries a segment map that
-links each caption to a consecutive, end-exclusive clip range.  Everything
-here is immutable and pure; downstream modules assume pairs have been run
-through :func:`canonicalize_pair` (disjoint segments, no dangling captions).
+links each caption to a consecutive, end-exclusive clip range.  A pair is
+canonical by construction: its constructor refuses any other layout than one
+segment per caption, in caption order, disjoint and in temporal order, so
+downstream modules rely on that layout without checking it again.  Everything
+here is immutable and pure.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ class EmbeddingSequence:
 
 @dataclass(frozen=True)
 class SegmentMap:
-    """Ordered (caption_index, start, end) triples, end exclusive."""
+    """(caption_index, start, end) triples, end exclusive; a pair accepts
+    them only in its canonical layout (see :meth:`validate`)."""
 
     entries: tuple[tuple[int, int, int], ...]
 
@@ -68,58 +71,53 @@ class SegmentMap:
     def __iter__(self):
         return iter(self.entries)
 
-    def validate(self, n_anchor: int, n_clips: int, *, require_disjoint: bool = False) -> None:
-        prev_start = -1
-        prev_caption = -1
+    def validate(self, n_anchor: int, n_clips: int, where: str) -> None:
+        """Raise DataError, its message prefixed by ``where``, unless segment i
+        belongs to caption i for each of the ``n_anchor`` captions, and the
+        segments are nonempty, disjoint, in temporal order and within
+        ``n_clips`` clips."""
+        if len(self.entries) != n_anchor:
+            raise DataError(f"{where}: {n_anchor} captions but {len(self.entries)} segments")
         prev_end = 0
-        for caption, start, end in self.entries:
-            if not (0 <= caption < n_anchor):
-                raise DataError(f"segment caption_index {caption} outside anchor of length {n_anchor}")
+        for i, (caption, start, end) in enumerate(self.entries):
+            if caption != i:
+                raise DataError(f"{where}: segment {i} has caption_index {caption}, not {i}")
             if not (0 <= start < end <= n_clips):
-                raise DataError(f"segment range [{start}, {end}) invalid for {n_clips} clips")
-            if start < prev_start:
-                raise DataError("segments not sorted by start")
-            if caption <= prev_caption:
-                raise DataError("segment caption_index not strictly increasing")
-            if require_disjoint and start < prev_end:
-                raise DataError(f"segments overlap at clip {start}")
-            prev_start, prev_caption, prev_end = start, caption, max(prev_end, end)
+                raise DataError(f"{where}: segment range [{start}, {end}) invalid for {n_clips} clips")
+            if start < prev_end:
+                raise DataError(f"{where}: segment {i} starts at clip {start}, inside or before segment {i - 1}")
+            prev_end = end
 
     def ranges(self) -> list[tuple[int, int]]:
         return [(s, e) for _, s, e in self.entries]
-
-
-def _background_mask(segments: SegmentMap, n_clips: int) -> np.ndarray:
-    mask = np.ones(n_clips, dtype=bool)
-    for _, start, end in segments:
-        mask[start:end] = False
-    mask.setflags(write=False)
-    return mask
 
 
 @dataclass(frozen=True)
 class SegmentedPair:
     """Anchor caption sequence + positive clip sequence + segment map.
 
-    ``background_mask[j]`` is True iff clip j is covered by no segment.
-    Segments may overlap until :func:`canonicalize_pair` has been applied.
+    Canonical by construction: segment i is caption i's clip range, and the
+    ranges are disjoint and in temporal order (see :meth:`SegmentMap.validate`).
+    Clips outside every range are background; ``background_mask[j]`` is True
+    iff clip j is one.
     """
 
     id: str
     anchor: EmbeddingSequence
     positive: EmbeddingSequence
     segments: SegmentMap
-    background_mask: np.ndarray = field(default=None)
+    background_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.anchor.dim != self.positive.dim:
             raise DataError(f"pair {self.id!r}: anchor dim {self.anchor.dim} != positive dim {self.positive.dim}")
         if len(self.segments) == 0:
             raise DataError(f"pair {self.id!r}: empty pair")
-        self.segments.validate(len(self.anchor), len(self.positive))
-        mask = _background_mask(self.segments, len(self.positive))
-        if self.background_mask is not None and not np.array_equal(np.asarray(self.background_mask, dtype=bool), mask):
-            raise DataError(f"pair {self.id!r}: background_mask inconsistent with segments")
+        self.segments.validate(len(self.anchor), len(self.positive), f"pair {self.id!r}")
+        mask = np.ones(len(self.positive), dtype=bool)
+        for start, end in self.segments.ranges():
+            mask[start:end] = False
+        mask.setflags(write=False)
         object.__setattr__(self, "background_mask", mask)
 
     @property
@@ -131,18 +129,13 @@ class SegmentedPair:
         return self.positive.units[self.covered_indices]
 
     def covered_spans(self) -> list[tuple[int, int]]:
-        """Start and end of each segment among the covered clips (disjoint
-        segments assumed), i.e. its range in :meth:`covered_view`."""
+        """Start and end of each segment among the covered clips, i.e. its
+        range in :meth:`covered_view`."""
         spans, cursor = [], 0
         for _, start, end in self.segments:
             spans.append((cursor, cursor + end - start))
             cursor += end - start
         return spans
-
-    def require_canonical(self) -> None:
-        self.segments.validate(len(self.anchor), len(self.positive), require_disjoint=True)
-        if len(self.segments) != len(self.anchor):
-            raise DataError(f"pair {self.id!r}: {len(self.anchor)} captions but {len(self.segments)} segments; canonicalize first")
 
     def with_units(self, anchor_units: np.ndarray, positive_units: np.ndarray) -> "SegmentedPair":
         """Same structure with replaced embeddings (e.g. after projection)."""
@@ -156,8 +149,7 @@ class SegmentedPair:
     def covered_view(self) -> "SegmentedPair":
         """Background-free copy: clips restricted to segment-covered ones,
         segment ranges remapped to the compacted positions."""
-        self.require_canonical()
-        entries = [(caption, lo, hi) for (caption, _, _), (lo, hi) in zip(self.segments, self.covered_spans())]
+        entries = [(i, lo, hi) for i, (lo, hi) in enumerate(self.covered_spans())]
         return SegmentedPair(
             id=self.id,
             anchor=self.anchor,
@@ -201,25 +193,3 @@ def cost_matrix(a: EmbeddingSequence, b: EmbeddingSequence) -> np.ndarray:
     if a.dim != b.dim:
         raise DataError(f"cost_matrix: dimension mismatch {a.dim} vs {b.dim}")
     return 1.0 - similarity_matrix(a.units, b.units)
-
-
-def canonicalize_pair(raw: SegmentedPair) -> SegmentedPair:
-    """Resolve overlapping segments into the disjoint form the pipeline assumes.
-
-    Segments are scanned in temporal order; any segment whose range intersects
-    an already-kept range is dropped, together with its caption.  Captions not
-    referenced by any surviving segment are dropped as well, and caption
-    indices are renumbered.  Idempotent on already-canonical pairs.
-    """
-    kept: list[tuple[int, int, int]] = []
-    last_end = 0
-    for caption, start, end in raw.segments:
-        if start >= last_end:
-            kept.append((caption, start, end))
-            last_end = end
-    if not kept:
-        raise DataError(f"pair {raw.id!r}: empty pair")
-    kept_captions = [c for c, _, _ in kept]
-    new_anchor = EmbeddingSequence(raw.anchor.id, raw.anchor.units[kept_captions])
-    new_segments = SegmentMap(tuple((i, s, e) for i, (_, s, e) in enumerate(kept)))
-    return SegmentedPair(id=raw.id, anchor=new_anchor, positive=raw.positive, segments=new_segments)

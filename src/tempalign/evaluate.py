@@ -210,14 +210,10 @@ def retrieval_clip(corpus: list[SegmentedPair], model=None, ks=(1, 5, 10)) -> Ev
     offsets = np.cumsum([0] + [len(b) for b in clip_blocks])
     ks = _check_ks(ks, pool.shape[0])
 
-    queries = []
-    truth = []
-    for p_idx, pair in enumerate(corpus):
-        anchor = f_anchor(pair.anchor.units)
-        for caption, start, end in pair.segments:
-            queries.append(anchor[caption])
-            truth.append((start + offsets[p_idx], end + offsets[p_idx]))
-    sims = similarity_matrix(np.asarray(queries), pool)
+    # caption i of a pair queries for its segment i
+    queries = np.concatenate([f_anchor(p.anchor.units) for p in corpus])
+    truth = np.concatenate([np.array(p.segments.ranges()) + offset for p, offset in zip(corpus, offsets)])
+    sims = similarity_matrix(queries, pool)
 
     target = np.array([lo + np.argmax(row[lo:hi]) for row, (lo, hi) in zip(sims, truth)])
     ranks = _ranks(sims, target)
@@ -230,14 +226,11 @@ def retrieval_clip(corpus: list[SegmentedPair], model=None, ks=(1, 5, 10)) -> Ev
 def localization_recall(pair: SegmentedPair, model=None) -> float:
     """Fraction of captions whose most similar clip (background included)
     falls inside their ground-truth range."""
-    pair.require_canonical()
     f_anchor, f_clips = _transforms(model)
     sims = similarity_matrix(f_anchor(pair.anchor.units), f_clips(pair.positive.units))
-    correct = 0
-    for caption, start, end in pair.segments:
-        pick = int(np.argmax(sims[caption]))
-        correct += int(start <= pick < end)
-    return correct / len(pair.segments)
+    pick = np.argmax(sims, axis=1)  # caption i's clip, against segment i
+    lo, hi = np.array(pair.segments.ranges()).T
+    return float(np.mean((lo <= pick) & (pick < hi)))
 
 
 def corpus_pair_match(corpus: list[SegmentedPair], model=None, measure: str = "dtw") -> float:
@@ -252,15 +245,12 @@ def corpus_pair_match(corpus: list[SegmentedPair], model=None, measure: str = "d
 def _pair_match(corpus: list[SegmentedPair], model, measure: str) -> np.ndarray:
     """Per-pair match fractions, from one alignment call for the whole corpus."""
     f_anchor, f_clips = _transforms(model)
-    costs = []
-    for pair in corpus:
-        pair.require_canonical()
-        costs.append(1.0 - similarity_matrix(f_anchor(pair.anchor.units), f_clips(pair.covered_units())))
+    costs = [1.0 - similarity_matrix(f_anchor(p.anchor.units), f_clips(p.covered_units())) for p in corpus]
     stack, shapes = align.pad_costs(costs)
     res = align.align_stack(stack, measure, shapes)
     matched = np.empty(len(corpus))
     for b, pair in enumerate(corpus):
-        # caption i of a canonical pair owns segment i
+        # caption i owns segment i
         path = res.path(b)
         lo, hi = np.array(pair.covered_spans())[path[:, 0]].T
         matched[b] = np.count_nonzero((lo <= path[:, 1]) & (path[:, 1] < hi)) / int(res.lengths[b])

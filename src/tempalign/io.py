@@ -50,6 +50,21 @@ def dump_json(obj) -> str:
     return emit(obj)
 
 
+def read_json(path):
+    """The JSON value a text file holds; DataError if it is not valid JSON."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as one :func:`dump_json` line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dump_json(obj) + "\n")
+
+
 def _embedding_rows(units: np.ndarray, with_ids: list[str] | None = None) -> list[dict]:
     rows = []
     for i, row in enumerate(units):
@@ -225,9 +240,7 @@ def save_pair(pair: SegmentedPair, path) -> None:
         }
         write_float32_container(path, _BIN_MAGIC, "<I", (), meta, [pair.anchor.units, pair.positive.units])
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(pair_to_record(pair)))
-        fh.write("\n")
+    write_json(path, pair_to_record(pair))
 
 
 def load_pair(path) -> SegmentedPair:
@@ -245,12 +258,7 @@ def load_pair(path) -> SegmentedPair:
             positive=EmbeddingSequence(f"{pid}-clips", clips),
             segments=segments,
         )
-    with open(path, encoding="utf-8") as fh:
-        try:
-            rec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    return record_to_pair(rec, where=path)
+    return record_to_pair(read_json(path), where=path)
 
 
 def save_video(video: LabeledVideo, path) -> None:
@@ -265,9 +273,7 @@ def save_video(video: LabeledVideo, path) -> None:
         }
         write_float32_container(path, _BIN_MAGIC, "<I", (), meta, [video.frames.units])
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(video_to_record(video)))
-        fh.write("\n")
+    write_json(path, video_to_record(video))
 
 
 def load_video(path) -> LabeledVideo:
@@ -276,12 +282,7 @@ def load_video(path) -> LabeledVideo:
         meta, (frames,) = _read_binary(path, "video", ("id", "label"), 1)
         vid = str(meta["id"])
         return LabeledVideo(id=vid, label=str(meta["label"]), frames=EmbeddingSequence(vid, frames))
-    with open(path, encoding="utf-8") as fh:
-        try:
-            rec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    return record_to_video(rec, where=path)
+    return record_to_video(read_json(path), where=path)
 
 
 # -- manifests --------------------------------------------------------------
@@ -305,11 +306,14 @@ class DatasetManifest:
 
 def save_dataset(out_dir, items: list[tuple[object, str]], kind: str, fmt: str = "json") -> DatasetManifest:
     """Write records plus a manifest; ``items`` pairs each record with its
-    split tag.  Returns the manifest."""
+    split tag.  Returns the manifest.  Each record is written to a file named
+    by its id, so ids must be distinct."""
     if kind not in ("pairs", "videos"):
         raise DataError(f"kind must be 'pairs' or 'videos', got {kind!r}")
     if fmt not in ("json", "bin"):
         raise DataError(f"fmt must be 'json' or 'bin', got {fmt!r}")
+    if len({item.id for item, _ in items}) != len(items):
+        raise DataError("dataset items must have distinct ids")
     os.makedirs(out_dir, exist_ok=True)
     sub = os.path.join(out_dir, kind)
     os.makedirs(sub, exist_ok=True)
@@ -327,22 +331,20 @@ def save_dataset(out_dir, items: list[tuple[object, str]], kind: str, fmt: str =
     if len(dims) != 1:
         raise DataError(f"dataset mixes dims {sorted(dims)}")
     manifest = DatasetManifest(kind, dims.pop(), entries)
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        fh.write(dump_json(manifest.to_record()))
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "manifest.json"), manifest.to_record())
     return manifest
 
 
 def load_dataset(data_dir):
-    """Read a manifest and all its records -> (manifest, {split: [items]})."""
+    """Read a manifest and all its records -> (manifest, {split: [items]}).
+
+    Raises DataError if two records share an id: training and evaluation
+    tell items apart by id.
+    """
     manifest_path = os.path.join(data_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise DataError(f"{data_dir}: no manifest.json")
-    with open(manifest_path, encoding="utf-8") as fh:
-        try:
-            rec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{manifest_path}: invalid JSON: {exc}") from exc
+    rec = read_json(manifest_path)
     _require(rec, ("format_version", "kind", "dim", "entries"), manifest_path)
     if _int_field(rec, "format_version", manifest_path) != FORMAT_VERSION:
         raise DataError(f"{manifest_path}: unsupported format_version {rec['format_version']}")
@@ -352,6 +354,7 @@ def load_dataset(data_dir):
         raise DataError(f"{manifest_path}: field 'entries' must be a list")
     manifest = DatasetManifest(rec["kind"], _int_field(rec, "dim", manifest_path), rec["entries"])
     by_split: dict[str, list] = {}
+    seen: set[str] = set()
     for i, entry in enumerate(manifest.entries):
         if not isinstance(entry, dict):
             raise DataError(f"{manifest_path}: entry {i} is not an object")
@@ -366,6 +369,9 @@ def load_dataset(data_dir):
         dim = item.anchor.dim if manifest.kind == "pairs" else item.frames.dim
         if dim != manifest.dim:
             raise DataError(f"{entry['path']}: dim {dim} != manifest dim {manifest.dim}")
+        if item.id in seen:
+            raise DataError(f"{entry['path']}: id {item.id!r} is taken by an earlier entry")
+        seen.add(item.id)
         by_split.setdefault(entry.get("split", "train"), []).append(item)
     return manifest, by_split
 

@@ -180,7 +180,6 @@ def seq_infonce(pair: SegmentedPair, negs: Negatives, cfg: LossConfig, corpus=No
     Negatives drawn from other pairs read those pairs' covered units from
     ``corpus``.
     """
-    pair.require_canonical()
     by_id = {p.id: p for p in corpus or ()} | {pair.id: pair}
     order = list(dict.fromkeys((pair.id, *negs.sources)))
     for src in order:

@@ -10,8 +10,8 @@ On a background-free pair, such as every pair ``fit`` trains on, covered
 positions are the clip indices themselves.  Identity permutations of the
 positive are never returned: a negative that equals the positive would
 contradict the contrastive objective, so draws are rejected and retried.
-A call validates its pair once and makes, in order, the random calls of one
-draw after another; a shuffle strategy's draws fill one ``(count, n)`` array.
+A call makes, in order, the random calls of one draw after another; a
+shuffle strategy's draws fill one ``(count, n)`` array.
 """
 
 from __future__ import annotations
@@ -158,7 +158,6 @@ def generate_negatives(
         a, b = generate_negatives(pair, corpus, "seg_unit", n_shuffle, rng), _unpaired(pair, corpus, count - n_shuffle, rng)
         return Negatives(a.strategies + b.strategies, a.sources + b.sources,
                          np.concatenate((a.perms, b.perms)), np.concatenate((a.lengths, b.lengths)))
-    pair.require_canonical()
     block = _shuffle_draws(pair, strategy, count, rng)
     if not block.size and strategy in ("seg_only", "seg_unit"):
         strategy = "all_unit"

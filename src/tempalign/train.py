@@ -179,16 +179,16 @@ class AdamState:
         )
 
 
+#: Adam's moment decay rates and the offset of its update's denominator.
+ADAM_BETAS = (0.9, 0.98)
+ADAM_EPS = 1e-8
+
+
 def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-    betas: tuple[float, float] = (0.9, 0.98),
-    eps: float = 1e-8,
+    params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState, lr: float
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     """One bias-corrected Adam update, applied in place."""
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state.t += 1
     t = state.t
     for name, p in params.items():
@@ -199,7 +199,7 @@ def adam_step(
         state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
         m_hat = state.m[name] / (1.0 - b1**t)
         v_hat = state.v[name] / (1.0 - b2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
 
 

@@ -6,14 +6,16 @@ import pytest
 
 from conftest import make_pair, seq
 from tempalign import cli
-from tempalign.core import LabeledVideo
+from tempalign.core import DataError, LabeledVideo
 from tempalign.io import save_dataset, save_pair, save_video
-from tempalign.synth import SynthConfig, gen_corpus
-from tempalign.train import ProjectionModel, save_checkpoint
+from tempalign.synth import FewshotSynthConfig, SynthConfig, gen_corpus, gen_fewshot_corpus
+from tempalign.train import ProjectionModel, load_checkpoint, save_checkpoint
 
 # Values exact in float32, so the .json and .bin copies print the same record.
 CAPTIONS = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 CLIPS = [[0.5, 0.5, 1.0], [1.0, 0.25, 0.0], [0.0, 1.0, 0.5], [0.25, 0.0, 1.0], [1.0, 1.0, 1.0]]
+# One segment per caption; clip 0 is background.
+SEGMENTS = [(0, 1, 2), (1, 2, 3), (2, 3, 4)]
 
 DTW_PATH = ', "path": [[0, 0], [0, 1], [1, 2], [2, 3], [2, 4]]}'
 OTAM_PATH = ', "path": [[0, 1], [1, 2], [2, 3]]}'
@@ -28,7 +30,7 @@ EXPECTED = {
 @pytest.fixture(params=["json", "bin"])
 def pair_file(request, tmp_path):
     path = tmp_path / f"toy.{request.param}"
-    save_pair(make_pair(CAPTIONS, CLIPS, [(0, 1, 2), (1, 2, 3), (2, 3, 4)], pid="toy"), path)
+    save_pair(make_pair(CAPTIONS, CLIPS, SEGMENTS, pid="toy"), path)
     return str(path)
 
 
@@ -83,17 +85,20 @@ def test_truncated_or_extended_binary_is_a_data_error(capsys, tmp_path, kind):
     clips = seq(CLIPS, "v0")
     if kind == "pair":
         target = tmp_path / "toy.bin"
-        save_pair(make_pair(CAPTIONS, CLIPS, [(0, 1, 2), (1, 2, 3), (2, 3, 4)], pid="toy"), target)
+        save_pair(make_pair(CAPTIONS, CLIPS, SEGMENTS, pid="toy"), target)
         argv = ["align", "--pair", str(target)]
     elif kind == "video":
-        save_dataset(tmp_path / "videos", [(LabeledVideo("v0", "walk", clips), "novel")], kind="videos", fmt="bin")
+        videos = [LabeledVideo(f"v{i}", label, clips) for i, label in enumerate(["walk", "walk", "run", "run"])]
+        save_dataset(tmp_path / "videos", [(v, "novel") for v in videos], kind="videos", fmt="bin")
         target = tmp_path / "videos" / "videos" / "v0.bin"
-        argv = ["eval", "fewshot", "--data", str(tmp_path / "videos"), "--episodes", "1"]
+        argv = ["eval", "fewshot", "--data", str(tmp_path / "videos"), "--way", "2", "--queries", "1", "--episodes", "1"]
     else:
-        save_dataset(tmp_path / "pairs", [(make_pair(CAPTIONS, CLIPS, [(0, 1, 2)]), "test")], kind="pairs")
+        save_dataset(tmp_path / "pairs", [(make_pair(CAPTIONS, CLIPS, SEGMENTS), "test")], kind="pairs")
         target = tmp_path / "model.ckpt"
         save_checkpoint(ProjectionModel.identity(3), target)
         argv = ["eval", "localize", "--data", str(tmp_path / "pairs"), "--model", str(target)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
     intact = target.read_bytes()
     for damaged in _damaged_copies(intact):
         target.write_bytes(damaged)
@@ -121,7 +126,8 @@ def test_garbled_binary_header_is_a_data_error(capsys, tmp_path, change):
 @pytest.mark.parametrize("change", [{"segments": 5}, {"segments": None}, {"segments": "0-2"}, {"dim": [3]}, 5])
 def test_malformed_json_pair_is_a_data_error(capsys, tmp_path, change):
     path = tmp_path / "toy.json"
-    save_pair(make_pair(CAPTIONS, CLIPS, [(0, 1, 2)], pid="toy"), path)
+    save_pair(make_pair(CAPTIONS, CLIPS, SEGMENTS, pid="toy"), path)
+    assert run_align(capsys, "--pair", str(path))[0] == 0
     record = {**json.loads(path.read_text()), **change} if isinstance(change, dict) else change
     path.write_text(json.dumps(record))
     code, out, err = run_align(capsys, "--pair", str(path))
@@ -141,7 +147,9 @@ def test_malformed_json_pair_is_a_data_error(capsys, tmp_path, change):
     5,
 ])
 def test_malformed_manifest_is_a_data_error(capsys, tmp_path, change):
-    save_dataset(tmp_path, [(make_pair(CAPTIONS, CLIPS, [(0, 1, 2)], pid="toy"), "test")], kind="pairs")
+    save_dataset(tmp_path, [(make_pair(CAPTIONS, CLIPS, SEGMENTS, pid="toy"), "test")], kind="pairs")
+    assert cli.main(["eval", "localize", "--data", str(tmp_path)]) == 0
+    capsys.readouterr()
     manifest = tmp_path / "manifest.json"
     record = {**json.loads(manifest.read_text()), **change} if isinstance(change, dict) else change
     manifest.write_text(json.dumps(record))
@@ -178,13 +186,16 @@ def test_non_finite_hyperparameter_is_a_data_error(capsys, tmp_path, train_data,
 
 
 def test_checkpoint_with_an_infinite_block_is_a_data_error(capsys, tmp_path):
-    save_dataset(tmp_path / "pairs", [(make_pair(CAPTIONS, CLIPS, [(0, 1, 2)]), "test")], kind="pairs")
+    save_dataset(tmp_path / "pairs", [(make_pair(CAPTIONS, CLIPS, SEGMENTS), "test")], kind="pairs")
     target = tmp_path / "model.ckpt"
     save_checkpoint(ProjectionModel.identity(3), target)
+    argv = ["eval", "localize", "--data", str(tmp_path / "pairs"), "--model", str(target)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
     data = target.read_bytes()
     # The last block is anchor.b_out: three float32 zeros.
     target.write_bytes(data[:-4] + np.float32(np.inf).tobytes())
-    assert cli.main(["eval", "localize", "--data", str(tmp_path / "pairs"), "--model", str(target)]) == 3
+    assert cli.main(argv) == 3
     assert "non-finite" in capsys.readouterr().err
 
 
@@ -196,13 +207,89 @@ def test_checkpoint_with_an_infinite_block_is_a_data_error(capsys, tmp_path):
 ])
 def test_protocol_on_the_wrong_dataset_kind_is_a_data_error(capsys, tmp_path, protocol, kind, split):
     if kind == "pairs":
-        items = [(make_pair(CAPTIONS, CLIPS, [(0, 1, 2)], pid=f"p{i}"), split) for i in range(2)]
+        items = [(make_pair(CAPTIONS, CLIPS, SEGMENTS, pid=f"p{i}"), split) for i in range(2)]
     else:
         items = [(LabeledVideo(f"v{i}", "walk", seq(CLIPS, f"v{i}")), split) for i in range(2)]
     save_dataset(tmp_path, items, kind=kind)
     assert cli.main(["eval", protocol, "--data", str(tmp_path), "--split", split]) == 3
     expected = "videos" if kind == "pairs" else "pairs"
     assert capsys.readouterr().err == f"data error: eval {protocol} needs a {expected} dataset, got {kind}\n"
+
+
+def _toy_pairs(root, split="test"):
+    """Two canonical toy pairs, p0 and p1, as a JSON pairs dataset under ``root``."""
+    save_dataset(root, [(make_pair(CAPTIONS, CLIPS, SEGMENTS, pid=f"p{i}"), split) for i in range(2)], kind="pairs")
+    return str(root)
+
+
+def _edit_record(path, **fields):
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+
+
+@pytest.mark.parametrize("protocol", ["retrieval-full", "retrieval-clip", "localize"])
+@pytest.mark.parametrize("segments", [
+    [[0, 1, 3], [1, 2, 4], [2, 4, 5]],  # overlapping
+    [[0, 1, 2], [2, 3, 4]],  # caption 1 has no segment
+    [[0, 1, 2], [2, 2, 3], [1, 3, 4]],  # caption_index out of caption order
+])
+def test_non_canonical_pair_is_a_data_error(capsys, tmp_path, protocol, segments):
+    data = _toy_pairs(tmp_path)
+    argv = ["eval", protocol, "--data", data] + (["--ks", "1"] if protocol.startswith("retrieval") else [])
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    _edit_record(tmp_path / "pairs" / "p1.json", segments=[dict(zip(("caption_index", "start", "end"), s)) for s in segments])
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("data error: pair 'p1': ")
+
+
+@pytest.mark.parametrize("command", [["train", "--epochs", "1", "--negatives", "2"], ["eval", "localize"]])
+def test_duplicate_item_id_is_a_data_error(capsys, tmp_path, command):
+    data = _toy_pairs(tmp_path / "data", split="train" if command[0] == "train" else "test")
+    argv = [*command, "--data", data] + (["--out", str(tmp_path / "model.ckpt")] if command[0] == "train" else [])
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    _edit_record(tmp_path / "data" / "pairs" / "p1.json", id="p0")
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == "data error: pairs/p1.json: id 'p0' is taken by an earlier entry\n"
+
+
+def test_save_dataset_refuses_duplicate_ids(tmp_path):
+    pair = make_pair(CAPTIONS, CLIPS, SEGMENTS)
+    with pytest.raises(DataError, match="distinct ids"):
+        save_dataset(tmp_path / "data", [(pair, "train"), (pair, "test")], kind="pairs")
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("kind, mode, dim", [("pairs", "video-text", 64), ("videos", "video-only", 8)])
+def test_train_mode_follows_the_dataset_kind(capsys, tmp_path, train_data, kind, mode, dim):
+    data = train_data
+    if kind == "videos":
+        videos, meta = gen_fewshot_corpus(FewshotSynthConfig(n_classes=4, videos_per_class=3, steps_per_class=3, dim=8, seed=2))
+        base = set(meta["base_labels"])
+        save_dataset(tmp_path / "videos", [(v, "base" if v.label in base else "novel") for v in videos], kind="videos")
+        data = str(tmp_path / "videos")
+    out = tmp_path / "model.ckpt"
+    assert cli.main(["train", "--data", data, "--epochs", "2", "--negatives", "4", "--out", str(out)]) == 0
+    report = json.loads((tmp_path / "model.ckpt.report.json").read_text())
+    assert report["mode"] == mode
+    assert len(report["loss_curve"]) == 2 and all(np.isfinite(report["loss_curve"]))
+    assert load_checkpoint(out).in_dim == dim
+
+
+@pytest.mark.parametrize("kind, split, needed", [("pairs", "base", "train"), ("videos", "train", "base")])
+def test_train_without_the_kinds_training_split_is_a_data_error(capsys, tmp_path, kind, split, needed):
+    if kind == "pairs":
+        _toy_pairs(tmp_path / "data", split=split)
+    else:
+        save_dataset(tmp_path / "data", [(LabeledVideo(f"v{i}", "walk", seq(CLIPS, f"v{i}")), split) for i in range(2)], kind=kind)
+    assert cli.main(["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "model.ckpt")]) == 3
+    assert capsys.readouterr().err == f"data error: no training items: a {kind} dataset trains on split {needed!r}\n"
+
+
+def test_train_takes_no_mode_flag(capsys, tmp_path, train_data):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--data", train_data, "--mode", "video-only", "--out", str(tmp_path / "model.ckpt")])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("config", ["[1, 2]", '"abc"'])

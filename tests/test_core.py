@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import basis, make_pair, seq
-from tempalign.core import (
-    DataError,
-    canonicalize_pair,
-    cost_matrix,
-    similarity_matrix,
-)
+from tempalign.core import DataError, SegmentedPair, cost_matrix, similarity_matrix
+from tempalign.evaluate import corpus_pair_match, localization_recall
+from tempalign.negatives import STRATEGIES, generate_negatives
 
 
 def sim_entry(u, v) -> float:
@@ -98,54 +95,67 @@ def _overlapping_pair():
     return make_pair(captions, clips, [(0, 0, 4), (1, 2, 6), (2, 6, 8)])
 
 
-class TestCanonicalizePair:
-    def test_greedy_overlap_resolution(self):
-        out = canonicalize_pair(_overlapping_pair())
-        assert [tuple(e) for e in out.segments] == [(0, 0, 4), (1, 6, 8)]
-        # caption 1 of the raw pair was dropped; survivors are raw captions 0 and 2
-        assert len(out.anchor) == 2
-        np.testing.assert_array_equal(out.anchor.units[1], basis(2, 8))
+def _pair_with_background():
+    """Three captions over nine clips; clips 0, 3 and 8 are background."""
+    dim = 12
+    return make_pair([basis(i, dim) for i in range(3)], [basis(3 + j, dim) for j in range(9)],
+                     [(0, 1, 3), (1, 4, 7), (2, 7, 8)])
 
-    def test_disjoint_input_unchanged(self):
-        pair = make_pair([basis(0, 4), basis(1, 4)], [basis(2, 4)] * 4, [(0, 0, 2), (1, 2, 4)])
-        out = canonicalize_pair(pair)
-        assert [tuple(e) for e in out.segments] == [tuple(e) for e in pair.segments]
-        np.testing.assert_array_equal(out.anchor.units, pair.anchor.units)
+
+class TestCanonicalizePair:
+    """The canonical form every pair has: one disjoint segment per caption."""
 
     def test_single_covering_segment(self):
         pair = make_pair([basis(0, 4)], [basis(1, 4)] * 3, [(0, 0, 3)])
-        out = canonicalize_pair(pair)
-        assert not out.background_mask.any()
-        assert [tuple(e) for e in out.segments] == [(0, 0, 3)]
-
-    def test_idempotent(self):
-        once = canonicalize_pair(_overlapping_pair())
-        twice = canonicalize_pair(once)
-        assert [tuple(e) for e in twice.segments] == [tuple(e) for e in once.segments]
-        np.testing.assert_array_equal(twice.anchor.units, once.anchor.units)
-        np.testing.assert_array_equal(twice.background_mask, once.background_mask)
+        assert not pair.background_mask.any()
+        assert [tuple(e) for e in pair.segments] == [(0, 0, 3)]
 
     def test_coverage_accounting(self):
-        out = canonicalize_pair(_overlapping_pair())
-        seg_total = sum(e - s for _, s, e in out.segments)
-        assert seg_total + int(out.background_mask.sum()) == len(out.positive)
+        pair = _pair_with_background()
+        seg_total = sum(e - s for _, s, e in pair.segments)
+        assert seg_total + int(pair.background_mask.sum()) == len(pair.positive)
+        np.testing.assert_array_equal(np.flatnonzero(pair.background_mask), [0, 3, 8])
 
     def test_empty_pair_rejected(self):
         with pytest.raises(DataError, match="empty pair"):
             make_pair([basis(0, 2)], [basis(1, 2)], [])
 
     def test_covered_view_remaps_segments(self):
-        pair = canonicalize_pair(_overlapping_pair())
+        pair = _pair_with_background()
         view = pair.covered_view()
         assert not view.background_mask.any()
         np.testing.assert_array_equal(view.positive.units, pair.covered_units())
-        assert [tuple(e) for e in view.segments] == [(0, 0, 4), (1, 4, 6)]
+        np.testing.assert_array_equal(view.positive.units, pair.positive.units[[1, 2, 4, 5, 6, 7]])
+        assert [tuple(e) for e in view.segments] == [(0, 0, 2), (1, 2, 5), (2, 5, 6)]
 
 
 class TestValidation:
     def test_background_mask_consistency(self):
         pair = make_pair([basis(0, 4)], [basis(1, 4)] * 3, [(0, 0, 2)])
         np.testing.assert_array_equal(pair.background_mask, [False, False, True])
+
+    def test_background_mask_is_computed_not_passed(self):
+        pair = make_pair([basis(0, 4)], [basis(1, 4)] * 3, [(0, 0, 2)])
+        with pytest.raises(TypeError):
+            SegmentedPair(pair.id, pair.anchor, pair.positive, pair.segments, background_mask=pair.background_mask)
+
+    def test_overlapping_segments_rejected(self):
+        with pytest.raises(DataError, match="segment 1 starts at clip 2, inside or before segment 0"):
+            _overlapping_pair()
+
+    @pytest.mark.parametrize("segments", [[(0, 0, 2), (1, 2, 4)], [(0, 0, 4)]])
+    def test_caption_without_segment_rejected(self, segments):
+        with pytest.raises(DataError, match=f"3 captions but {len(segments)} segments"):
+            make_pair([basis(i, 4) for i in range(3)], [basis(3, 4)] * 4, segments)
+
+    @pytest.mark.parametrize("segments", [[(1, 0, 2), (0, 2, 4)], [(0, 0, 2), (2, 2, 4)], [(-1, 0, 2), (1, 2, 4)]])
+    def test_caption_index_other_than_position_rejected(self, segments):
+        with pytest.raises(DataError, match="has caption_index"):
+            make_pair([basis(0, 4), basis(1, 4)], [basis(2, 4)] * 4, segments)
+
+    def test_empty_segment_rejected(self):
+        with pytest.raises(DataError, match=r"range \[2, 2\) invalid"):
+            make_pair([basis(0, 4), basis(1, 4)], [basis(2, 4)] * 4, [(0, 0, 2), (1, 2, 2)])
 
     def test_unsorted_segments_rejected(self):
         with pytest.raises(DataError):
@@ -158,3 +168,52 @@ class TestValidation:
     def test_nonfinite_units_rejected(self):
         with pytest.raises(DataError):
             seq([[np.inf, 0.0]])
+
+
+def _is_canonical(n_captions: int, n_clips: int, segments) -> bool:
+    """The pair invariant, restated: segment i is caption i's nonempty,
+    in-range clip range, and each range starts at or after the previous end."""
+    ends = [0] + [e for _, _, e in segments]
+    return len(segments) == n_captions and all(
+        c == i and ends[i] <= s < e <= n_clips for i, (c, s, e) in enumerate(segments)
+    )
+
+
+@st.composite
+def segment_layouts(draw):
+    """(captions, clips, segments): a canonical layout (gaps of background
+    between segments of 1-3 clips), then random edits that may break it."""
+    n_captions = draw(st.integers(1, 4))
+    segments, cursor = [], 0
+    for i in range(n_captions):
+        start = cursor + draw(st.integers(0, 1))
+        cursor = start + draw(st.integers(1, 3))
+        segments.append([i, start, cursor])
+    n_clips = cursor + draw(st.integers(0, 1))
+    for row, col, delta in draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(-2, 2)), max_size=2)):
+        if row < len(segments):
+            segments[row][col] += delta
+    if draw(st.integers(0, 3)) == 0:
+        segments.pop(draw(st.integers(0, len(segments) - 1)))
+    return n_captions, n_clips, [tuple(s) for s in segments]
+
+
+class TestPairInvariant:
+    @settings(max_examples=150, deadline=None)
+    @given(segment_layouts(), st.integers(0, 2**32 - 1))
+    def test_constructor_admits_exactly_what_downstream_handles(self, layout, seed):
+        n_captions, n_clips, segments = layout
+        rng = np.random.default_rng(seed)
+        try:
+            pair = make_pair(rng.normal(size=(n_captions, 4)), rng.normal(size=(n_clips, 4)), segments)
+        except DataError:
+            assert not _is_canonical(n_captions, n_clips, segments)
+            return
+        assert _is_canonical(n_captions, n_clips, segments)
+        view = pair.covered_view()
+        assert len(view.positive) == int(np.count_nonzero(~pair.background_mask))
+        other = make_pair(rng.normal(size=(1, 4)), rng.normal(size=(2, 4)), [(0, 0, 2)], pid="other")
+        for strategy in STRATEGIES:
+            generate_negatives(pair, [pair, other], strategy, 3, np.random.default_rng(seed))
+        assert 0.0 <= corpus_pair_match([pair]) <= 1.0
+        assert 0.0 <= localization_recall(pair) <= 1.0
