@@ -13,10 +13,20 @@ one of two measures:
 
 Alignment scores are summed cosine similarities along the minimum-cost path
 (cost = 1 - similarity), optionally divided by the path length.
+
+Layout: the kernel keeps (n + 1, m + 1, batch) arrays of accumulated costs and
+path sizes and an (n, m, batch) array of back-pointers, each viewed as one row
+of ``batch`` values per cell.  In that view the cells of an anti-diagonal, and
+each of their three predecessors, are one strided slice, so every step of the
+wavefront reads and writes whole slices and gathers nothing.  Distances and
+path lengths come out of the forward pass; the path cells
+(:attr:`Alignments.walk`) are walked back from the stored back-pointers only
+when first read, so scoring never builds them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +36,9 @@ from .core import DataError
 MEASURES = ("dtw", "otam")
 
 # Most matrices retrieval, few-shot scoring and training give one align_stack
-# call: enough to amortize its per-call Python work, few enough to keep its
-# (batch, n, m) arrays small.  A default training batch (8 x 33) fits in one.
+# call: enough to amortize its per-call Python work (about fifteen array
+# operations per anti-diagonal, each over the whole batch), few enough to keep
+# its (batch, n, m) arrays small.  A default training batch (8 x 33) fits in one.
 STACK_MATRICES = 400
 
 # Back-pointer codes.  The order is the tie-break: on equal accumulated cost a
@@ -50,19 +61,25 @@ class Alignments:
 
     distances: np.ndarray
     lengths: np.ndarray
-    #: (steps, batch, 2) read-only cells visited walking back from each
-    #: path's end; an item that reached its start repeats that cell, so item
-    #: b's path is ``walk[lengths[b] - 1 :: -1, b]``.
-    walk: np.ndarray
+    #: per kernel call, in item order: its back-pointers and each item's end
+    #: cell, as (ptr, end rows, end columns)
+    trails: tuple
 
     @staticmethod
     def concat(parts: list["Alignments"]) -> "Alignments":
         """The alignments of several batches as one, in order."""
-        steps = max(p.walk.shape[0] for p in parts)
-        # a finished walk repeats its start cell, so padding repeats the last step
-        walk = np.concatenate([np.pad(p.walk, ((0, steps - len(p.walk)), (0, 0), (0, 0)), mode="edge") for p in parts], axis=1)
+        return Alignments(np.concatenate([p.distances for p in parts]), np.concatenate([p.lengths for p in parts]),
+                          sum((p.trails for p in parts), ()))
+
+    @functools.cached_property
+    def walk(self) -> np.ndarray:
+        """(steps, batch, 2) read-only cells visited walking back from each
+        path's end; an item that reached its start repeats that cell, so item
+        b's path is ``walk[lengths[b] - 1 :: -1, b]``.  Built on first use."""
+        steps = int(self.lengths.max())
+        walk = np.concatenate([_walk_back(*trail, steps) for trail in self.trails], axis=1)
         walk.setflags(write=False)
-        return Alignments(np.concatenate([p.distances for p in parts]), np.concatenate([p.lengths for p in parts]), walk)
+        return walk
 
     def path(self, b: int) -> np.ndarray:
         return self.walk[self.lengths[b] - 1 :: -1, b]
@@ -102,8 +119,10 @@ def align_stack(costs: np.ndarray, measure: str = "dtw", shapes: np.ndarray | No
     result is read at its own (n_b - 1, m_b - 1) corner (dtw) or from the
     first m_b columns of its row n_b - 1 (otam, the end going to the smallest
     column on ties).  The recursion runs along anti-diagonals, vectorized over
-    the batch and the diagonal's cells, and stores a back-pointer per cell
-    from which the paths are read.
+    the batch and the diagonal's cells as strided slices (see the module
+    docstring).  It counts each cell's path size as it goes and stores a
+    back-pointer per cell, from which the result's ``walk`` reads the paths
+    on demand.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
@@ -119,29 +138,47 @@ def align_stack(costs: np.ndarray, measure: str = "dtw", shapes: np.ndarray | No
         rows, cols = np.asarray(shapes, dtype=np.int64).T
         if rows.shape != (batch,) or np.any((rows < 1) | (rows > n) | (cols < 1) | (cols > m)):
             raise DataError(f"alignment: item shapes do not fit the {n}x{m} stack")
-    cost = costs.transpose(1, 2, 0)
     items = np.arange(batch)
 
     # cum[i + 1, j + 1] is the accumulated cost of cell (i, j); the extra first
     # row and column are +inf so that border cells see only real predecessors.
+    # size[i + 1, j + 1] counts the cells of the path that ends at (i, j).
     cum = np.full((n + 1, m + 1, batch), np.inf)
+    size = np.zeros((n + 1, m + 1, batch), dtype=np.min_scalar_type(n + m))
     ptr = np.empty((n, m, batch), dtype=np.int8)
     if measure == "dtw":
-        cum[1, 1:] = np.cumsum(cost[0], axis=0)
+        cum[1, 1:] = np.cumsum(costs[:, 0].T, axis=0)
+        size[1, 1:] = np.arange(1, m + 1)[:, None]
         ptr[0] = _HORIZ
         ptr[0, 0] = _START
     else:
-        cum[1, 1:] = cost[0]
+        cum[1, 1:] = costs[:, 0].T
+        size[1, 1:] = 1
         ptr[0] = _START
+    # One row per cell: cell (i, j) of anti-diagonal d = i + j is row
+    # i * m + d + m + 2 of cum and size and row i * (m - 1) + d of ptr and
+    # cost, so each diagonal and its three predecessors are strided slices.
+    cum_rows, size_rows = cum.reshape(-1, batch), size.reshape(-1, batch)
+    ptr_rows, cost_rows = ptr.reshape(-1, batch), costs.reshape(batch, n * m).T
+    step = max(m - 1, 1)
     for d in range(1, n + m - 1):
-        i = np.arange(max(1, d - m + 1), min(d, n - 1) + 1)
-        j = d - i
-        diag, up, left = cum[i, j], cum[i, j + 1], cum[i + 1, j]
-        vert = up < diag  # strict comparisons keep the earlier step on ties
-        best = np.where(vert, up, diag)
-        horiz = left < best
-        cum[i + 1, j + 1] = cost[i, j] + np.where(horiz, left, best)
-        ptr[i, j] = np.where(horiz, _HORIZ, vert)  # vert is _VERT (1) or _DIAG (0)
+        lo, hi = max(1, d - m + 1), min(d, n - 1)
+        diag = slice(lo * m + d, hi * m + d + 1, m)  # cum row of (i - 1, j - 1)
+        up, left, own = (slice(diag.start + k, diag.stop + k, m) for k in (1, m + 1, m + 2))
+        cell = slice(lo * (m - 1) + d, hi * (m - 1) + d + 1, step)
+        vert = cum_rows[up] < cum_rows[diag]  # strict comparisons keep the earlier step on ties
+        best = np.minimum(cum_rows[diag], cum_rows[up])
+        horiz = cum_rows[left] < best
+        np.minimum(best, cum_rows[left], out=best)
+        np.add(cost_rows[cell], best, out=cum_rows[own])
+        marks = ptr_rows[cell]
+        np.copyto(marks, vert)  # _VERT (1) or _DIAG (0)
+        marks[horiz] = _HORIZ
+        # the chosen predecessor's size, selected by the 0/1 flags in
+        # unsigned arithmetic (differences wrap, the selected size does not)
+        pick = size_rows[diag] + (size_rows[up] - size_rows[diag]) * vert
+        pick += (size_rows[left] - pick) * horiz
+        np.add(pick, 1, out=size_rows[own])
 
     last = cum[rows, 1:, items]  # (batch, m): each item's last row
     if measure == "dtw":
@@ -150,27 +187,22 @@ def align_stack(costs: np.ndarray, measure: str = "dtw", shapes: np.ndarray | No
         last[np.arange(m) >= cols[:, None]] = np.inf
         end = np.argmin(last, axis=1)
     distances = last[items, end]
-    del cum, last
+    lengths = size[rows, end + 1, items].astype(np.int64)
+    return Alignments(distances, lengths, ((ptr, rows - 1, end),))
 
-    # Walk every path back from its end at once; an item that reached its
-    # start keeps repeating that cell, which the length count ignores.  No
-    # path has more than n + m - 1 cells.
-    walk = np.empty((n + m - 1, batch, 2), dtype=np.int64)
-    i, j = rows - 1, end
+
+def _walk_back(ptr: np.ndarray, i: np.ndarray, j: np.ndarray, steps: int) -> np.ndarray:
+    """(steps, batch, 2) cells visited following back-pointers from each
+    item's end cell (i[b], j[b]); an item that reached its start repeats it."""
+    items = np.arange(len(i))
+    walk = np.empty((steps, len(i), 2), dtype=np.int64)
     walk[0, :, 0], walk[0, :, 1] = i, j
-    lengths = np.ones(batch, dtype=np.int64)
-    step = ptr[i, j, items]
-    steps = 1
-    while np.any(step != _START):
-        lengths += step != _START
+    for s in range(1, steps):
+        step = ptr[i, j, items]
         i = i - _DI[step]
         j = j - _DJ[step]
-        walk[steps, :, 0], walk[steps, :, 1] = i, j
-        steps += 1
-        step = ptr[i, j, items]
-    walk = walk[:steps]
-    walk.setflags(write=False)
-    return Alignments(distances, lengths, walk)
+        walk[s, :, 0], walk[s, :, 1] = i, j
+    return walk
 
 
 # Single-matrix entry points named by the benchmark's per-layer hook table

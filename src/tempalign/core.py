@@ -185,7 +185,8 @@ def similarity_matrix(a_units: np.ndarray, b_units: np.ndarray) -> np.ndarray:
         raise DataError("similarity_matrix: non-finite input")
     a_hat, _ = unit_normalize(a)
     b_hat, _ = unit_normalize(b)
-    return np.clip(a_hat @ b_hat.T, -1.0, 1.0)
+    sims = a_hat @ b_hat.T
+    return np.clip(sims, -1.0, 1.0, out=sims)
 
 
 def cost_matrix(a: EmbeddingSequence, b: EmbeddingSequence) -> np.ndarray:

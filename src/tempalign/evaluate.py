@@ -20,6 +20,13 @@ FEWSHOT_MEASURES = ("dtw", "otam", "bag")
 
 # Episodes fewshot_eval draws and scores at a time: its memory stays flat in the episode count.
 EPISODE_BLOCK = 200
+# Captions retrieval_clip ranks at a time against the whole clip pool.
+RANK_ROWS = 128
+# Largest block of normalized unit stacks (see _normalized).  Larger blocks
+# (one array per stack length) raised the few-shot benchmark's peak RSS by
+# 0.1-0.8 MB: allocations that large get fresh pages from the system instead
+# of reusing the heap memory that training freed.
+BLOCK_BYTES = 64 * 1024
 
 
 @dataclass
@@ -86,55 +93,109 @@ def _ranks(scores: np.ndarray, target: np.ndarray, tiebreak: np.ndarray | None =
     return np.count_nonzero(ahead | tied, axis=1)
 
 
-def _normalized(*groups) -> tuple[list[np.ndarray], ...]:
-    """Row-normalized float64 copies of iterables of unit stacks, one list each.
+@dataclass(frozen=True)
+class _Units:
+    """Row-normalized float64 unit stacks stored in blocks: a block is one
+    (count, length, dim) array of stacks of one length, in input order, and
+    ``stacks[k]`` is the view ``blocks[block[k]][slot[k]]``."""
 
-    Makes the checks :func:`similarity_matrix` makes on each pair it is given,
-    once for all stacks: every stack is 2-d and finite, and all share one
-    dimension.  Each stack is normalized as the iterable yields it, so raw
-    copies made by a generator do not accumulate.
+    stacks: list[np.ndarray]
+    blocks: list[np.ndarray]
+    block: np.ndarray
+    slot: np.ndarray
+
+
+def _blocks(lengths: np.ndarray, dim: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Empty blocks for stacks of the given lengths, at most BLOCK_BYTES each
+    (one stack at least), and each stack's block and slot."""
+    block, slot = np.empty((2, len(lengths)), dtype=np.int64)
+    shapes, filling = [], {}  # (count, length) per block; length -> block being filled
+    for k, length in enumerate(lengths.tolist()):
+        b = filling.get(length)
+        if b is None or (shapes[b][0] + 1) * length * dim * 8 > BLOCK_BYTES:
+            b = filling[length] = len(shapes)
+            shapes.append([0, length])
+        block[k], slot[k] = b, shapes[b][0]
+        shapes[b][0] += 1
+    return [np.empty((count, length, dim)) for count, length in shapes], block, slot
+
+
+def _normalized(*groups, lengths=None) -> tuple[_Units, ...]:
+    """Row-normalized float64 copies of iterables of unit stacks, one
+    :class:`_Units` each.
+
+    ``lengths`` holds each group's stack lengths when the groups are
+    iterators; by default they are read from the groups.  Makes the checks
+    :func:`similarity_matrix` makes on each pair it is given, once for all
+    stacks: every stack is 2-d, finite and of its stated length, and all
+    share one dimension.  Each stack is normalized as the iterable yields it,
+    straight into its block, so neither raw copies made by a generator nor
+    normalized ones accumulate.
     """
-    out = tuple([] for _ in groups)
+    if lengths is None:
+        lengths = [[len(u) for u in group] for group in groups]
+    out = []
     ref = None
-    for group, normed in zip(groups, out):
-        for u in group:
+    for group, sizes in zip(groups, lengths):
+        sizes = np.asarray(sizes, dtype=np.int64)
+        stacks, (blocks, block, slot) = [], _blocks(sizes[:0], 0)  # kept if the group is empty
+        for k, u in enumerate(group):
             u = np.asarray(u, dtype=np.float64)
             ref = u.shape if ref is None else ref
             if u.ndim != 2 or u.shape[1] != ref[1]:
                 raise DataError(f"similarity: dimension mismatch {ref} vs {u.shape}")
+            if len(u) != sizes[k]:
+                raise DataError(f"similarity: a stack of {len(u)} units where {sizes[k]} were expected")
             if not np.all(np.isfinite(u)):
                 raise DataError("similarity: non-finite input")
-            normed.append(unit_normalize(u)[0])
-    return out
+            if k == 0:
+                blocks, block, slot = _blocks(sizes, ref[1])
+            view = blocks[block[k]][slot[k]]
+            view[...] = unit_normalize(u)[0]
+            stacks.append(view)
+        out.append(_Units(stacks, blocks, block, slot))
+    return tuple(out)
 
 
-def _cross_scores(rows: list[np.ndarray], cols: list[np.ndarray], pairs: np.ndarray, measure: str) -> np.ndarray:
+def _cross_scores(rows: _Units, cols: _Units, pairs: np.ndarray, measure: str) -> np.ndarray:
     """(P,) alignment scores of the (row index, column index) pairs of a (P, 2)
     array, over row-normalized row and column stacks (see :func:`_normalized`).
 
     Each cost matrix is ``1 - clip(row @ col.T)``, the product
     :func:`similarity_matrix` forms for that pair, so the scores equal aligning
     pair by pair.  Consecutive pairs share one padded ``align.align_stack``
-    call of at most align.STACK_MATRICES matrices.
+    call of at most align.STACK_MATRICES matrices.  Within a call the pairs
+    are ordered by row, column block and slot, and each run of one row
+    against consecutive columns of one block is a single ``np.matmul`` of the
+    row against that slice of the block, written into the stack.  A stacked
+    product makes the same per-matrix BLAS call as ``row @ col.T``, so it
+    rounds identically; products are never padded, since a padded GEMM shape
+    can round differently.
     """
-    n_rows = np.array([len(u) for u in rows])
-    n_cols = np.array([len(u) for u in cols])
+    n_rows = np.array([len(u) for u in rows.stacks])
+    n_cols = np.array([len(u) for u in cols.stacks])
     scores = np.empty(len(pairs))
     # One buffer for every call's stack: allocating a fresh one per call costs
     # page faults and, through heap fragmentation, peak memory.
     buffer = np.empty(min(align.STACK_MATRICES, len(pairs)) * n_rows.max() * n_cols.max())
     for start in range(0, len(pairs), align.STACK_MATRICES):
         chunk = pairs[start : start + align.STACK_MATRICES]
-        shapes = np.column_stack((n_rows[chunk[:, 0]], n_cols[chunk[:, 1]]))
+        order = np.lexsort((cols.slot[chunk[:, 1]], cols.block[chunk[:, 1]], chunk[:, 0]))
+        r, c = chunk[order].T
+        shapes = np.column_stack((n_rows[r], n_cols[c]))
         dims = (len(chunk), *shapes.max(axis=0))
         stack = buffer[: np.prod(dims)].reshape(dims)
         stack.fill(0.0)
-        for b, (r, c) in enumerate(chunk.tolist()):
-            a, o = rows[r], cols[c]
-            stack[b, : len(a), : len(o)] = a @ o.T
+        block, slot = cols.block[c], cols.slot[c]
+        # runs of one row against consecutive columns of one block
+        runs = np.flatnonzero((np.diff(r) != 0) | (np.diff(block) != 0) | (np.diff(slot) != 1)) + 1
+        for lo, hi in zip([0, *runs.tolist()], [*runs.tolist(), len(chunk)]):
+            n, m = shapes[lo].tolist()
+            operand = cols.blocks[block[lo]][slot[lo] : slot[lo] + hi - lo]
+            np.matmul(rows.stacks[r[lo]], operand.transpose(0, 2, 1), out=stack[lo:hi, :n, :m])
         np.clip(stack, -1.0, 1.0, out=stack)
         np.subtract(1.0, stack, out=stack)
-        scores[start : start + len(chunk)] = align.align_stack(stack, measure, shapes).scores()
+        scores[start + order] = align.align_stack(stack, measure, shapes).scores()
     return scores
 
 
@@ -162,23 +223,25 @@ def retrieval_full(
     ks = _check_ks(ks, len(corpus))
     f_anchor, f_clips = _transforms(model)
 
+    keep = background == "keep"
     anchors, clips = _normalized(
         (f_anchor(p.anchor.units) for p in corpus),
-        (f_clips(p.positive.units if background == "keep" else p.covered_units()) for p in corpus),
+        (f_clips(p.positive.units if keep else p.covered_units()) for p in corpus),
+        lengths=([len(p.anchor.units) for p in corpus], [len(p.positive.units if keep else p.covered_indices) for p in corpus]),
     )
     n = len(corpus)
 
     scores, tiebreak = None, None
     if measure != "capavg":
-        grid = np.indices((n, n)).reshape(2, -1).T  # every (query, candidate), row-major
+        grid = np.indices((n, n), dtype=np.int32).reshape(2, -1).T  # every (query, candidate), row-major
         scores = _cross_scores(anchors, clips, grid, "otam" if measure.startswith("otam") else "dtw").reshape(n, n)
     if measure.endswith("capavg"):
-        pool = np.concatenate(clips, axis=0)
-        owner = np.concatenate([np.full(len(c), v) for v, c in enumerate(clips)])
-        starts = np.cumsum([0] + [len(c) for c in clips[:-1]])
+        pool = np.concatenate(clips.stacks, axis=0)
+        owner = np.concatenate([np.full(len(c), v) for v, c in enumerate(clips.stacks)])
+        starts = np.cumsum([0] + [len(c) for c in clips.stacks[:-1]])
         votes, sumsim = np.empty((n, n)), np.empty((n, n))
         for q in range(n):  # one query's captions x pool at a time
-            sims = np.clip(anchors[q] @ pool.T, -1.0, 1.0)
+            sims = np.clip(anchors.stacks[q] @ pool.T, -1.0, 1.0)
             votes[q] = np.bincount(owner[np.argmax(sims, axis=1)], minlength=n)  # first max = stable clip order
             # each caption's best clip in each video, summed over captions
             # along a contiguous axis so it rounds like a 1-d sum per video
@@ -216,7 +279,8 @@ def retrieval_clip(corpus: list[SegmentedPair], model=None, ks=(1, 5, 10)) -> Ev
     sims = similarity_matrix(queries, pool)
 
     target = np.array([lo + np.argmax(row[lo:hi]) for row, (lo, hi) in zip(sims, truth)])
-    ranks = _ranks(sims, target)
+    # ranked RANK_ROWS captions at a time, so the comparison masks stay small
+    ranks = np.concatenate([_ranks(sims[lo : lo + RANK_ROWS], target[lo : lo + RANK_ROWS]) for lo in range(0, len(sims), RANK_ROWS)])
     recalls = {k: float(np.mean(ranks < k)) for k in ks}
     per_query = [{"query": q, "rank": int(r) + 1} for q, r in enumerate(ranks)]
     return EvalReport(task="retrieval-clip", measure="cosine", recalls=recalls,
@@ -295,10 +359,10 @@ def fewshot_eval(
     _, f_clips = _transforms(base_model)
     n = len(novel)
     if measure == "bag":
-        (means,) = _normalized(f_clips(v.frames.units).mean(axis=0, keepdims=True) for v in novel)
-        means = np.concatenate(means)
+        (means,) = _normalized((f_clips(v.frames.units).mean(axis=0, keepdims=True) for v in novel), lengths=[[1] * n])
+        means = np.concatenate(means.blocks)[:, 0]  # every mean has one row
     else:
-        (units,) = _normalized(f_clips(v.frames.units) for v in novel)
+        (units,) = _normalized((f_clips(v.frames.units) for v in novel), lengths=[[len(v.frames.units) for v in novel]])
     # keys (query * n + support) of the pairs scored so far, sorted, and their scores
     known, known_scores = np.empty(0, dtype=np.int64), np.empty(0)
     accuracies = np.empty(episodes)

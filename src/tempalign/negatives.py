@@ -166,25 +166,36 @@ def generate_negatives(
     return Negatives((strategy,) * count, (pair.id,) * count, block.ravel(), np.full(count, n, dtype=np.int64))
 
 
-def video_only_negatives(videos: list[LabeledVideo], anchor_index: int, count: int, rng: np.random.Generator) -> Negatives:
+def video_only_negatives(
+    videos: list[LabeledVideo], anchor_index: int, count: int, rng: np.random.Generator, multi_frame: np.ndarray | None = None
+) -> Negatives:
     """Self-supervised negatives: frame shuffles of other videos.
 
     Each draw picks a different video uniformly and applies a non-identity
     permutation to its frames (unpaired sampling composed with an all-unit
     shuffle).  Single-frame videos have no such permutation and are never
-    picked; with no other video left the draw is empty.
+    picked; with no other video left the draw is empty.  ``multi_frame``, the
+    ascending indices of the videos with at least two frames, spares a
+    caller that draws for many anchors from recomputing them per call.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if len(videos) < 2:
         raise DataError("video-only negatives need at least 2 videos")
-    candidates = [v for k, v in enumerate(videos) if k != anchor_index and len(v.frames) >= 2]
-    if not candidates:
+    if multi_frame is None:
+        multi_frame = multi_frame_indices(videos)
+    candidates = multi_frame[multi_frame != anchor_index]
+    if not len(candidates):
         return Negatives((), (), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     sources, perms = [], []
     for _ in range(count):
-        other = candidates[int(rng.integers(len(candidates)))]
+        other = videos[candidates[int(rng.integers(len(candidates)))]]
         sources.append(other.id)
         perms.append(_non_identity_permutation(len(other.frames), rng))
     lengths = np.array([p.size for p in perms], dtype=np.int64)
     return Negatives(("all_unit",) * count, tuple(sources), np.concatenate(perms), lengths)
+
+
+def multi_frame_indices(videos: list[LabeledVideo]) -> np.ndarray:
+    """Ascending indices of the videos :func:`video_only_negatives` can shuffle."""
+    return np.flatnonzero([len(v.frames) >= 2 for v in videos])

@@ -30,7 +30,7 @@ from .loss import (
     unit_term_video_only,
     unit_term_video_text,
 )
-from .negatives import canonical_strategy, generate_negatives, video_only_negatives
+from .negatives import canonical_strategy, generate_negatives, multi_frame_indices, video_only_negatives
 
 _ACTIVATIONS = ("identity", "relu")
 
@@ -248,7 +248,7 @@ def cosine_backward(u: np.ndarray, v: np.ndarray, g: np.ndarray) -> tuple[np.nda
     return _rows_backward(g, sims, v_hat, u_hat, nu), _rows_backward(g.T, sims.T, u_hat, v_hat, nv)
 
 
-def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConfig, rng: np.random.Generator):
+def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConfig, rng: np.random.Generator, multi_frame=None):
     """Loss and mean parameter gradients over one batch.
 
     ``corpus`` is either a list of canonical, background-free SegmentedPair
@@ -259,7 +259,8 @@ def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConf
     per head.  Returns (joint_loss, grads, n_used, path_signature): grads
     averaged over the used items, and every candidate's path cells, so a
     gradient check can pin the negatives (by reseeding ``rng``) and detect
-    when a perturbation moved a path.
+    when a perturbation moved a path.  ``multi_frame``, a video-only
+    corpus's :func:`multi_frame_indices`, is passed on to the negative drawer.
     """
     video_text = isinstance(corpus[0], SegmentedPair)
     items, drawn = [], []
@@ -268,7 +269,7 @@ def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConf
         if video_text:
             negs = generate_negatives(item, corpus, cfg.neg_strategy, cfg.neg_count, rng)
         else:
-            negs = video_only_negatives(corpus, idx, cfg.neg_count, rng)
+            negs = video_only_negatives(corpus, idx, cfg.neg_count, rng, multi_frame)
         if len(negs):
             items.append(item)
             drawn.append(negs)
@@ -342,6 +343,12 @@ def fit(corpus, model: ProjectionModel, cfg: TrainConfig) -> TrainReport:
         dims = {v.frames.dim for v in corpus}
     if dims != {model.in_dim}:
         raise DataError(f"fit: corpus dims {sorted(dims)} do not match model input dim {model.in_dim}")
+    seen = set()
+    for item in corpus:  # batches key their sources by id
+        if item.id in seen:
+            raise DataError(f"fit: id {item.id!r} is taken by an earlier item")
+        seen.add(item.id)
+    multi_frame = None if video_text else multi_frame_indices(corpus)
 
     model = model.copy()
     params = model.params()
@@ -358,7 +365,7 @@ def fit(corpus, model: ProjectionModel, cfg: TrainConfig) -> TrainReport:
             batch = order[lo : lo + cfg.batch_pairs]
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    loss, grads, used, _ = evaluate_batch(batch, corpus, model, cfg, rng)
+                    loss, grads, used, _ = evaluate_batch(batch, corpus, model, cfg, rng, multi_frame)
                     if used:
                         adam_step(params, grads, state, cfg.lr)
             except FloatingPointError as exc:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import basis, brute_force_align, check_path, seq
 from tempalign.align import align_stack, pad_costs
@@ -220,3 +222,63 @@ class TestStackKernels:
             if d.size <= 30:
                 assert res.distances[b] == pytest.approx(brute_force_align(d, measure).distance, abs=1e-12)
             assert (float(res.distances[b]), path) == align_one(d, measure)
+
+
+def per_cell_alignment(cost, measure):
+    """(distance, path) of one matrix by the recursion restated cell by cell:
+    C(i, j) = D(i, j) + min of the diagonal, vertical and horizontal
+    predecessors, preferred in that order on exact ties; otam starts anywhere
+    in row 0 and ends at the first minimum of the last row."""
+    n, m = len(cost), len(cost[0])
+    cum = [[0.0] * m for _ in range(n)]
+    back = [[None] * m for _ in range(n)]
+    for j in range(m):
+        cum[0][j] = cost[0][j] + (cum[0][j - 1] if measure == "dtw" and j else 0.0)
+        back[0][j] = (0, j - 1) if measure == "dtw" and j else None
+    for i in range(1, n):
+        for j in range(m):
+            best, back[i][j] = cum[i - 1][j], (i - 1, j)
+            if j and not cum[i - 1][j] < cum[i - 1][j - 1]:
+                best, back[i][j] = cum[i - 1][j - 1], (i - 1, j - 1)
+            if j and cum[i][j - 1] < best:
+                best, back[i][j] = cum[i][j - 1], (i, j - 1)
+            cum[i][j] = cost[i][j] + best
+    end = m - 1 if measure == "dtw" else min(range(m), key=lambda j: (cum[n - 1][j], j))
+    path, cell = [], (n - 1, end)
+    while cell is not None:
+        path.append(cell)
+        cell = back[cell[0]][cell[1]]
+    return cum[n - 1][end], path[::-1]
+
+
+@st.composite
+def cost_batches(draw):
+    """1-5 matrices of 1-6 rows and 1-7 columns (1 x 1, single rows and
+    single columns included), from a small value set so that ties abound."""
+    values = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, -0.5]) | st.floats(-2.0, 2.0)
+    mats = []
+    for _ in range(draw(st.integers(1, 5))):
+        n, m = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+        mats.append(np.array(draw(st.lists(values, min_size=n * m, max_size=n * m))).reshape(n, m))
+    return mats
+
+
+class TestAgainstPerCellRecursion:
+    @settings(max_examples=200, deadline=None)
+    @given(cost_batches(), st.sampled_from(["dtw", "otam"]))
+    def test_ragged_stack_matches_restated_recursion(self, mats, measure):
+        stack, shapes = pad_costs(mats)
+        res = align_stack(stack, measure, shapes)
+        for b, d in enumerate(mats):
+            distance, path = per_cell_alignment(d.tolist(), measure)
+            assert res.distances[b] == distance
+            assert cells(res, b) == path
+            assert res.lengths[b] == len(res.path(b)) == len(path)
+
+    def test_scores_leave_the_walk_unbuilt(self, rng):
+        stack, shapes = pad_costs([rng.random((3, 5)), rng.random((1, 1)), rng.random((4, 2))])
+        res = align_stack(stack, "otam", shapes)
+        res.scores()
+        assert "walk" not in vars(res)
+        walk = res.walk
+        assert "walk" in vars(res) and res.walk is walk and not walk.flags.writeable

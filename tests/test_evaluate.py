@@ -20,7 +20,7 @@ from tempalign.evaluate import (
     retrieval_clip,
     retrieval_full,
 )
-from tempalign.synth import FewshotSynthConfig, gen_fewshot_corpus
+from tempalign.synth import FewshotSynthConfig, SynthConfig, gen_corpus, gen_fewshot_corpus
 
 
 def self_identical_corpus(n_videos=4, n_caps=3, dim=16):
@@ -203,6 +203,18 @@ class TestRetrievalFull:
     def test_non_finite_projection_rejected(self, side, measure):
         with pytest.raises(DataError, match="non-finite"):
             retrieval_full(self_identical_corpus(3), NonFiniteProjection(side), measure=measure, ks=(1,))
+
+    def test_scoring_holds_one_copy_of_the_units(self):
+        # Doubling the embedding dimension doubles the units and nothing else
+        # the scoring holds (pairs, scores, one alignment call's stack), so
+        # the traced peak grows by one copy of the units; a second copy of
+        # the column units would add 1.5 MB more.
+        _, test, _ = gen_corpus(SynthConfig(n_tasks=200, seed=0))
+        wide = [p.with_units(np.hstack((p.anchor.units,) * 2), np.hstack((p.positive.units,) * 2)) for p in test]
+        anchors = sum(p.anchor.units.nbytes for p in test)
+        columns = sum(p.covered_units().nbytes for p in test)
+        growth = traced_peak(retrieval_full, wide) - traced_peak(retrieval_full, test)
+        assert growth < anchors + 1.5 * columns
 
 
 def per_caption_ranks(corpus):

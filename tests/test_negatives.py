@@ -3,7 +3,7 @@ import pytest
 
 from conftest import basis, make_pair, seq, split_perms
 from tempalign.core import DataError, LabeledVideo
-from tempalign.negatives import STRATEGY_NAMES, generate_negatives, video_only_negatives
+from tempalign.negatives import STRATEGY_NAMES, generate_negatives, multi_frame_indices, video_only_negatives
 from tempalign.synth import FewshotSynthConfig, gen_fewshot_corpus
 
 
@@ -311,6 +311,18 @@ class TestDrawsMatchPerDrawLoop:
                 other = ragged[candidates[int(theirs.integers(len(candidates)))]]
                 ref.append(("all_unit", ref_non_identity(len(other.frames), theirs), other.id))
             assert_same_draws(out, ref)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_precomputed_multi_frame_indices_draw_the_same(self):
+        videos, _ = gen_fewshot_corpus(FewshotSynthConfig(n_classes=2, videos_per_class=4, dim=8, seed=1))
+        videos[2] = LabeledVideo("single", "x", seq(videos[2].frames.units[:1], "single"))
+        multi_frame = multi_frame_indices(videos)
+        assert multi_frame.tolist() == [0, 1, 3, 4, 5, 6, 7]
+        for anchor in range(len(videos)):
+            ours, theirs = np.random.default_rng(anchor), np.random.default_rng(anchor)
+            out, ref = video_only_negatives(videos, anchor, 20, ours, multi_frame), video_only_negatives(videos, anchor, 20, theirs)
+            assert out.sources == ref.sources and "single" not in out.sources
+            assert np.array_equal(out.perms, ref.perms) and np.array_equal(out.lengths, ref.lengths)
             assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_single_frame_videos_never_drawn(self, rng):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,19 @@ class TestFit:
         seg_drop = r_seg.loss_curve[0] - r_seg.loss_curve[-1]
         unp_drop = r_unp.loss_curve[0] - r_unp.loss_curve[-1]
         assert seg_drop >= unp_drop
+
+    def test_repeated_ids_are_a_data_error(self):
+        # batches key their sources by id, so an id may name one item only
+        train, _, _ = gen_corpus(SynthConfig(n_tasks=3, seed=1))
+        first, second = train[0], train[1]
+        relabelled = [first, dataclasses.replace(second, id=first.id), *train[2:]]
+        cfg = TrainConfig(epochs=1, neg_count=4, neg_strategy="joint", seed=0)
+        fit(train, ProjectionModel.identity(first.anchor.dim), cfg)
+        with pytest.raises(DataError, match=f"fit: id {first.id!r} is taken by an earlier item"):
+            fit(relabelled, ProjectionModel.identity(first.anchor.dim), cfg)
+        videos = base_videos()
+        with pytest.raises(DataError, match="is taken by an earlier item"):
+            fit([*videos, videos[0]], ProjectionModel.identity(16), cfg)
 
     def test_video_only_mode_runs(self):
         from tempalign.synth import FewshotSynthConfig, gen_fewshot_corpus
