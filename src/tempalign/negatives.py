@@ -10,8 +10,8 @@ On a background-free pair, such as every pair ``fit`` trains on, covered
 positions are the clip indices themselves.  Identity permutations of the
 positive are never returned: a negative that equals the positive would
 contradict the contrastive objective, so draws are rejected and retried.
-A call makes, in order, the random calls of one draw after another; a
-shuffle strategy's draws fill one ``(count, n)`` array.
+A shuffle strategy draws all of a call's negatives at once, as one
+``(count, n)`` array; video-only negatives are still drawn one at a time.
 """
 
 from __future__ import annotations
@@ -79,47 +79,45 @@ def _non_identity_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
     return perm
 
 
+def _orders(keys, count: int) -> np.ndarray:
+    """Row-wise argsort of the (count, n) float array ``keys(count)``; the m
+    rows that come out as the identity are redrawn from ``keys(m)``, in rounds."""
+    out = keys(count).argsort(axis=1)
+    redo = np.arange(count)
+    while (redo := redo[(out[redo] == np.arange(out.shape[1])).all(axis=1)]).size:
+        out[redo] = keys(redo.size).argsort(axis=1)
+    return out
+
+
 def _shuffle_draws(pair: SegmentedPair, strategy: str, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` draws of one shuffle strategy as a (count, n) position array;
     empty, without touching ``rng``, when the pair is too degenerate for it:
     fewer than 2 segments (seg_only, seg_unit), no segment of 2 clips
-    (within_seg), fewer than 2 covered clips (all_unit) or captions."""
-    blocks = [np.arange(lo, hi) for lo, hi in pair.covered_spans()]
-    if strategy in ("all_unit", "visual_anchor"):
-        n = len(pair.anchor) if strategy == "visual_anchor" else pair.covered_indices.size
-        if n < 2:
-            return np.empty((0, 0), dtype=np.int64)
-        return np.array([_non_identity_permutation(n, rng) for _ in range(count)])
-    # Blocks are shuffled in place: rng.shuffle of a block's positions draws
-    # what ``block[rng.permutation(block.size)]`` would.
-    out = np.empty((count, blocks[-1][-1] + 1), dtype=np.int64)
-    if strategy == "within_seg":
-        # every block keeps its positions; at least one block's order changes
-        if all(block.size < 2 for block in blocks):
-            return np.empty((0, 0), dtype=np.int64)
-        multi = [block for block in blocks if block.size > 1]
-        identity = np.concatenate(blocks)
-        for row in out:
-            row[:] = identity
-            while np.array_equal(row, identity):
-                for block in multi:
-                    seg = row[block[0] : block[-1] + 1]
-                    seg[:] = block
-                    rng.shuffle(seg)
-        return out
-    # seg_only / seg_unit: a non-identity block order, seg_unit also
-    # shuffling clip order inside each block
-    if len(blocks) < 2:
+    (within_seg), fewer than 2 covered clips (all_unit) or captions.
+
+    A call's draws are row-wise argsorts of float keys, so it makes the same
+    few generator calls whatever ``count`` is, plus one per redraw round of
+    identity rows.  Block orders sort uniform keys; seg_only then sorts
+    "block rank + position / n" keys, which keep each block's internal
+    order, seg_unit "block rank + uniform" and within_seg "block index +
+    uniform".  :func:`video_only_negatives` still draws per negative.
+    """
+    sizes = np.array([hi - lo for lo, hi in pair.covered_spans()])
+    block_of = np.repeat(np.arange(sizes.size), sizes)
+    n = len(pair.anchor) if strategy == "visual_anchor" else block_of.size
+    # the number of things the strategy reorders, which must reach 2
+    movable = {"all_unit": n, "visual_anchor": n, "within_seg": sizes.max()}.get(strategy, sizes.size)
+    if movable < 2:
         return np.empty((0, 0), dtype=np.int64)
-    for row in out:
-        pos = 0
-        for b in _non_identity_permutation(len(blocks), rng).tolist():
-            seg = row[pos : pos + blocks[b].size]
-            seg[:] = blocks[b]
-            if strategy == "seg_unit" and seg.size > 1:
-                rng.shuffle(seg)
-            pos += seg.size
-    return out
+    if strategy in ("all_unit", "visual_anchor"):
+        return _orders(lambda m: rng.random((m, n)), count)
+    if strategy == "within_seg":
+        return _orders(lambda m: block_of + rng.random((m, n)), count)
+    order = _orders(lambda m: rng.random((m, sizes.size)), count)
+    rank = np.empty(order.shape)  # rank[k, b]: where draw k puts block b
+    rank[np.arange(count)[:, None], order] = np.arange(sizes.size)
+    offsets = np.arange(n) / n if strategy == "seg_only" else rng.random((count, n))
+    return (rank[:, block_of] + offsets).argsort(axis=1)
 
 
 def _unpaired(pair: SegmentedPair, corpus: list[SegmentedPair], count: int, rng: np.random.Generator) -> Negatives:
@@ -127,7 +125,7 @@ def _unpaired(pair: SegmentedPair, corpus: list[SegmentedPair], count: int, rng:
     others = [p for p in corpus if p.id != pair.id]
     if count and not others:
         raise DataError(f"unpaired sampling needs a corpus with at least 2 distinct pairs (got {len(corpus)})")
-    picks = [others[int(rng.integers(len(others)))] for _ in range(count)]
+    picks = [others[k] for k in rng.integers(len(others), size=count).tolist()]
     lengths = np.array([p.covered_indices.size for p in picks], dtype=np.int64)
     perms = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     return Negatives(("unpaired",) * count, tuple(p.id for p in picks), perms, lengths)

@@ -1,3 +1,7 @@
+import itertools
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -203,13 +207,9 @@ class TestVideoOnlyNegatives:
             video_only_negatives(videos[:1], 0, 4, rng)
 
 
-# A per-draw loop of the drawing rules, one negative per call as before the
-# draws were batched: the batched draws must equal it value for value and
-# leave the generator in the same state.
-
-
-class Degenerate(Exception):
-    pass
+# A per-draw loop of the unpaired and video-only drawing rules, one negative
+# per call: the batched draws must equal it value for value and leave the
+# generator in the same state.
 
 
 def ref_non_identity(n, rng):
@@ -219,49 +219,11 @@ def ref_non_identity(n, rng):
     return perm
 
 
-def ref_one(pair, corpus, strategy, rng):
-    blocks = [np.arange(lo, hi) for lo, hi in pair.covered_spans()]
-    if strategy in ("seg_only", "seg_unit"):
-        if len(blocks) < 2:
-            raise Degenerate
-        pieces = []
-        for b in ref_non_identity(len(blocks), rng):
-            block = blocks[b]
-            if strategy == "seg_unit" and block.size > 1:
-                block = block[rng.permutation(block.size)]
-            pieces.append(block)
-        return strategy, np.concatenate(pieces), pair.id
-    if strategy == "within_seg":
-        if all(b.size < 2 for b in blocks):
-            raise Degenerate
-        while True:
-            pieces = [b[rng.permutation(b.size)] if b.size > 1 else b for b in blocks]
-            if any(not np.array_equal(p, b) for p, b in zip(pieces, blocks)):
-                return strategy, np.concatenate(pieces), pair.id
-    if strategy in ("all_unit", "visual_anchor"):
-        n = len(pair.anchor) if strategy == "visual_anchor" else pair.covered_indices.size
-        if n < 2:
-            raise Degenerate
-        return strategy, ref_non_identity(n, rng), pair.id
-    others = [p for p in corpus if p.id != pair.id]
-    other = others[int(rng.integers(len(others)))]
-    return "unpaired", np.arange(other.covered_indices.size), other.id
-
-
 def ref_negatives(pair, corpus, strategy, count, rng):
-    def draw(s, k):
-        try:
-            return [ref_one(pair, corpus, s, rng) for _ in range(k)]
-        except Degenerate:
-            return []
-
-    if strategy == "joint":
-        n_shuffle = count // 2 + count % 2
-        return ref_negatives(pair, corpus, "seg_unit", n_shuffle, rng) + draw("unpaired", count - n_shuffle)
-    out = draw(strategy, count)
-    if not out and strategy in ("seg_only", "seg_unit"):
-        out = draw("all_unit", count)
-    return out
+    assert strategy == "unpaired"
+    others = [p for p in corpus if p.id != pair.id]
+    picks = [others[int(rng.integers(len(others)))] for _ in range(count)]
+    return [("unpaired", np.arange(p.covered_indices.size), p.id) for p in picks]
 
 
 def assert_same_draws(out, ref):
@@ -289,7 +251,7 @@ def varied_corpus(rng):
 
 
 class TestDrawsMatchPerDrawLoop:
-    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    @pytest.mark.parametrize("strategy", ["unpaired"])
     def test_300_draws_per_strategy(self, strategy, rng):
         corpus = varied_corpus(rng)
         canonical = strategy.replace("-", "_")
@@ -331,3 +293,146 @@ class TestDrawsMatchPerDrawLoop:
         out = video_only_negatives([*videos, single], 0, 200, rng)
         assert len(out) == 200 and "single" not in out.sources
         assert len(video_only_negatives([videos[0], single], 0, 4, rng)) == 0
+
+
+# The shuffle strategies draw all of a call's negatives at once, so no
+# per-draw loop restates their stream; they are pinned by what they may
+# return, by how often they return it and by the generator calls they make.
+
+SHUFFLES = ("seg-only", "seg-unit", "within-seg", "all-unit", "visual-anchor")
+
+
+def allowed(pair, strategy, perm):
+    """Whether ``strategy`` may draw ``perm`` for ``pair``: a permutation other
+    than the identity that keeps the blocks the strategy keeps, and for
+    seg_unit also moves a block."""
+    perm = list(perm)
+    if sorted(perm) != list(range(len(perm))) or perm == sorted(perm):
+        return False
+    blocks = [list(range(lo, hi)) for lo, hi in pair.covered_spans()]
+    if strategy == "within_seg":
+        return all(sorted(perm[b[0] : b[-1] + 1]) == b for b in blocks)
+    if strategy not in ("seg_only", "seg_unit"):
+        return True
+    pos, order = 0, []
+    while pos < len(perm):
+        # each block is one contiguous run: in order (seg_only) or any order
+        order.append(next(k for k, b in enumerate(blocks) if perm[pos] in b))
+        block = blocks[order[-1]]
+        run = perm[pos : pos + len(block)]
+        if run != block if strategy == "seg_only" else sorted(run) != block:
+            return False
+        pos += len(block)
+    return order != sorted(order)
+
+
+def chi2_sf(stat, df):
+    """Upper tail of the chi-square distribution, by the Wilson-Hilferty
+    normal approximation; at the exact 1e-4 critical value of 1 to 118
+    degrees of freedom it gives 1.0e-4 to 1.6e-4, so it errs towards passing."""
+    z = ((stat / df) ** (1 / 3) - 1 + 2 / (9 * df)) / math.sqrt(2 / (9 * df))
+    return 0.5 * math.erfc(z / math.sqrt(2))
+
+
+def chi2_pvalue(observed, expected):
+    """Pearson's test of counts against expected counts; categories the
+    expectation rules out must be empty."""
+    observed, expected = np.asarray(observed, dtype=float), np.asarray(expected, dtype=float)
+    assert not observed[expected == 0].any(), "a draw outside the support"
+    o, e = observed[expected > 0], expected[expected > 0]
+    if o.size == 1:  # one possible value: nothing left to test
+        return 1.0
+    return chi2_sf(float(((o - e) ** 2 / e).sum()), o.size - 1)
+
+
+class TestShuffleSupport:
+    @pytest.mark.parametrize("strategy", SHUFFLES)
+    def test_every_draw_is_allowed(self, strategy, rng):
+        corpus = varied_corpus(rng)
+        canonical = strategy.replace("-", "_")
+        for seed, pair in enumerate(corpus):
+            out = generate_negatives(pair, corpus, strategy, 2000, np.random.default_rng(seed))
+            if pair.id in ("v0", "v1", "v5"):  # no strategy is degenerate on these
+                assert out.strategies == (canonical,) * 2000
+            if not len(out):
+                continue
+            assert len(out) == 2000 and out.sources == (pair.id,) * 2000
+            for perm in {tuple(p) for p in split_perms(out)}:
+                assert allowed(pair, out.strategies[0], perm), (pair.id, perm)
+
+
+# 20,000 seeded draws per pair and strategy; each statistic is tested at
+# level 1e-4, so the 92 statistics below fail a uniform drawer with
+# probability under 1%.
+N_DRAWS, LEVEL = 20_000, 1e-4
+
+
+class TestShuffleDistribution:
+    @pytest.mark.parametrize("strategy", SHUFFLES)
+    def test_position_frequencies(self, strategy, rng):
+        # the pairs of at most 7 covered clips, whose allowed permutations
+        # can be listed: each slot's values against those permutations' share
+        corpus = varied_corpus(rng)[:4]
+        canonical = strategy.replace("-", "_")
+        for seed, pair in enumerate(corpus):
+            out = generate_negatives(pair, corpus, strategy, N_DRAWS, np.random.default_rng(100 + seed))
+            if not len(out):
+                continue
+            draws = out.perms.reshape(N_DRAWS, -1)
+            n = draws.shape[1]
+            support = np.array([p for p in itertools.permutations(range(n)) if allowed(pair, out.strategies[0], p)])
+            for slot in range(n):
+                observed = np.bincount(draws[:, slot], minlength=n)
+                expected = np.bincount(support[:, slot], minlength=n) * N_DRAWS / len(support)
+                assert chi2_pvalue(observed, expected) > LEVEL, (pair.id, canonical, slot)
+
+    @pytest.mark.parametrize("strategy", ["seg-only", "seg-unit"])
+    def test_block_orders_uniform_over_non_identity(self, strategy, rng):
+        corpus = varied_corpus(rng)
+        for seed, pair in enumerate(corpus):
+            spans = pair.covered_spans()
+            if len(spans) < 2:
+                continue
+            out = generate_negatives(pair, corpus, strategy, N_DRAWS, np.random.default_rng(200 + seed))
+            blocks = np.repeat(np.arange(len(spans)), [hi - lo for lo, hi in spans])[out.perms.reshape(N_DRAWS, -1)]
+            starts = np.ones_like(blocks, dtype=bool)
+            starts[:, 1:] = blocks[:, 1:] != blocks[:, :-1]
+            orders = blocks[starts].reshape(N_DRAWS, len(spans))  # each block one run
+            categories = list(itertools.permutations(range(len(spans))))
+            observed = [0] * len(categories)
+            for order, k in Counter(map(tuple, orders.tolist())).items():
+                observed[categories.index(order)] = k
+            expected = [0] + [N_DRAWS / (len(categories) - 1)] * (len(categories) - 1)
+            assert chi2_pvalue(observed, expected) > LEVEL, pair.id
+
+
+class CountingGenerator:
+    """A numpy Generator that counts the method calls made on it."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+def test_generator_calls_do_not_depend_on_count(strategy, rng):
+    # 12 segments of 3 clips: a draw is the identity with probability at most
+    # 6**-12 under every strategy, so no call here needs a redraw round
+    corpus = [
+        make_pair(rng.normal(size=(12, 6)), rng.normal(size=(36, 6)), [(i, 3 * i, 3 * i + 3) for i in range(12)], pid=f"w{k}")
+        for k in range(2)
+    ]
+    calls = set()
+    for count in (1, 10, 1000, 10_000):
+        counting = CountingGenerator(count)
+        assert len(generate_negatives(corpus[0], corpus, strategy, count, counting)) == count
+        calls.add(counting.calls)
+    assert len(calls) == 1 and calls.pop() <= 3

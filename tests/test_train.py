@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_pair, split_perms
 from tempalign import align
+from tempalign import train as train_module
 from tempalign.align import STACK_MATRICES
 from tempalign.core import DataError, EmbeddingSequence, LabeledVideo, NumericalError, similarity_matrix
 from tempalign.loss import LossConfig, infonce_with_grad, joint_loss
@@ -514,4 +515,19 @@ def test_default_epoch_loss_is_pinned():
     # negative stream and the step's arithmetic.
     train, _, _ = gen_corpus(SynthConfig(seed=101))
     report = fit(train, ProjectionModel.identity(train[0].anchor.dim), TrainConfig(epochs=1, seed=101))
-    assert report.loss_curve[0] == pytest.approx(2.9470823136220705, rel=0, abs=1e-12)
+    assert report.loss_curve[0] == pytest.approx(2.946306680294649, rel=0, abs=1e-12)
+
+
+def test_default_epoch_draw_counts(monkeypatch):
+    # The benchmark's negatives layer counts these calls and their draws.
+    drawn = []
+
+    def counted(*args):
+        negs = generate_negatives(*args)
+        drawn.append(len(negs))
+        return negs
+
+    monkeypatch.setattr(train_module, "generate_negatives", counted)
+    train, _, _ = gen_corpus(SynthConfig(seed=101))
+    fit(train, ProjectionModel.identity(train[0].anchor.dim), TrainConfig(epochs=1, seed=101))
+    assert len(drawn) == 200 and sum(drawn) == 6400
