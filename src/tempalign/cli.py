@@ -9,16 +9,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
 from . import align
 from . import evaluate as ev
-from .core import DataError, NumericalError, cost_matrix
+from .core import DataError, NumericalError, similarity_matrix
 from .io import dump_json, fmt9, load_dataset, load_pair, write_csv
 from .loss import LossConfig
-from .negatives import STRATEGY_NAMES
+from .negatives import STRATEGIES
 from .synth import FewshotSynthConfig, SynthConfig, gen_corpus, gen_fewshot_corpus
 from .train import ProjectionModel, TrainConfig, fit, load_checkpoint, save_checkpoint
 from . import io as tio
@@ -59,7 +58,7 @@ def _emit_report(report, out_csv: str | None, dump: str | None) -> None:
 
 def cmd_align(args) -> int:
     pair = load_pair(args.pair)
-    result = align.align_stack(cost_matrix(pair.anchor, pair.positive)[None], args.measure)
+    result = align.align_stack((1.0 - similarity_matrix(pair.anchor.units, pair.positive.units))[None], args.measure)
     record = {"pair": pair.id, "measure": args.measure, "score": result.scores(args.normalize)[0],
               "distance": result.distances[0]}
     if args.emit_path:
@@ -207,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train the projection head: video-text on split train of a pairs dataset, "
                              "video-only on split base of a videos dataset")
     p_train.add_argument("--data", default=None)
-    p_train.add_argument("--strategy", choices=STRATEGY_NAMES, default="seg-unit")
+    p_train.add_argument("--strategy", choices=STRATEGIES, default="seg-unit")
     p_train.add_argument("--negatives", type=int, default=32)
     p_train.add_argument("--tau", type=float, default=1.0)
     p_train.add_argument("--w-unit", type=float, default=0.3)

@@ -137,15 +137,6 @@ class SegmentedPair:
             cursor += end - start
         return spans
 
-    def with_units(self, anchor_units: np.ndarray, positive_units: np.ndarray) -> "SegmentedPair":
-        """Same structure with replaced embeddings (e.g. after projection)."""
-        return SegmentedPair(
-            id=self.id,
-            anchor=EmbeddingSequence(self.anchor.id, anchor_units),
-            positive=EmbeddingSequence(self.positive.id, positive_units),
-            segments=self.segments,
-        )
-
     def covered_view(self) -> "SegmentedPair":
         """Background-free copy: clips restricted to segment-covered ones,
         segment ranges remapped to the compacted positions."""
@@ -187,10 +178,3 @@ def similarity_matrix(a_units: np.ndarray, b_units: np.ndarray) -> np.ndarray:
     b_hat, _ = unit_normalize(b)
     sims = a_hat @ b_hat.T
     return np.clip(sims, -1.0, 1.0, out=sims)
-
-
-def cost_matrix(a: EmbeddingSequence, b: EmbeddingSequence) -> np.ndarray:
-    """Pairwise matching costs, cost(i, j) = 1 - cosine(a_i, b_j), in [0, 2]."""
-    if a.dim != b.dim:
-        raise DataError(f"cost_matrix: dimension mismatch {a.dim} vs {b.dim}")
-    return 1.0 - similarity_matrix(a.units, b.units)

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import align
-from .core import SegmentedPair, similarity_matrix
+# Unused here: kept only as the attribute perfbench's core.sim layer hooks,
+# until the benchmark drops that hook.
+from .core import similarity_matrix  # noqa: F401  (hooked by perfbench/layertrace.py)
 from .negatives import Negatives
 
 
@@ -50,22 +52,6 @@ def _masked_infonce(z: np.ndarray, mask: np.ndarray, pos: np.ndarray) -> tuple[n
     rows = np.arange(len(z))
     w[rows, pos] -= 1.0
     return np.log(total[:, 0]) - z[rows, pos], w
-
-
-def infonce_with_grad(pos_score: float, neg_scores, tau: float) -> tuple[float, float, np.ndarray]:
-    """-log( e^{pos/tau} / (e^{pos/tau} + sum_k e^{neg_k/tau}) ), stably, plus
-    d(loss)/d(pos) and d(loss)/d(neg_k) in closed form.
-
-    The loss is always >= 0; it equals log(1 + K) when all K + 1 scores are
-    equal, and 0 when there are no negatives.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    scores = np.concatenate(([float(pos_score)], np.asarray(neg_scores, dtype=np.float64).ravel()))
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("infonce: non-finite score")
-    loss, dz = _masked_infonce(scores[None] / tau, np.ones((1, scores.size), dtype=bool), np.zeros(1, dtype=np.int64))
-    return float(loss[0]), dz[0, 0] / tau, dz[0, 1:] / tau
 
 
 def column_spans(ids, lengths) -> dict:
@@ -159,37 +145,6 @@ def seq_grad_core(sims: list[np.ndarray], spans: list[dict], negs: list[Negative
     grad = np.bincount(at, weights=dscore[owner], minlength=bounds[-1])
     grads = [grad[lo:hi].reshape(sim.shape) for sim, lo, hi in zip(sims, bounds[:-1], bounds[1:])]
     return SeqLossResult(losses, scores, candidates, paths, grads)
-
-
-@dataclass
-class PairSeqLoss:
-    """Sequence InfoNCE of one pair (see :func:`seq_infonce`)."""
-
-    loss: float
-    scores: np.ndarray
-    candidates: list[str]
-    paths: align.Alignments
-    #: d(loss)/d(similarity) per source id, an (n_anchor, n_covered) matrix each
-    grad_by_source: dict[str, np.ndarray]
-
-
-def seq_infonce(pair: SegmentedPair, negs: Negatives, cfg: LossConfig, corpus=None) -> PairSeqLoss:
-    """Sequence-level InfoNCE of one pair and its fixed-path gradient w.r.t.
-    every touched similarity entry; loss 0 when there are no negatives.
-
-    Negatives drawn from other pairs read those pairs' covered units from
-    ``corpus``.
-    """
-    by_id = {p.id: p for p in corpus or ()} | {pair.id: pair}
-    order = list(dict.fromkeys((pair.id, *negs.sources)))
-    for src in order:
-        if src not in by_id:
-            raise ValueError(f"negative references unknown pair {src!r}; pass the corpus")
-    units = [by_id[src].covered_units() for src in order]
-    spans = column_spans(order, [len(u) for u in units])
-    res = seq_grad_core([similarity_matrix(pair.anchor.units, np.concatenate(units))], [spans], [negs], cfg)
-    by_source = {src: res.grads[0][:, lo:hi] for src, (lo, hi) in spans.items()}
-    return PairSeqLoss(float(res.losses[0]), res.scores, res.candidates, res.paths, by_source)
 
 
 def unit_term_video_text(sims_covered: np.ndarray, segment_ranges: list[tuple[int, int]], tau: float) -> tuple[float, np.ndarray]:

@@ -23,24 +23,20 @@ import numpy as np
 from .core import DataError, LabeledVideo, SegmentedPair
 
 STRATEGIES = (
-    "seg_only",
-    "seg_unit",
-    "within_seg",
-    "all_unit",
+    "seg-only",
+    "seg-unit",
+    "within-seg",
+    "all-unit",
     "unpaired",
     "joint",
-    "visual_anchor",
+    "visual-anchor",
 )
 
-#: CLI-facing spellings, in the same order as STRATEGIES.
-STRATEGY_NAMES = tuple(s.replace("_", "-") for s in STRATEGIES)
 
-
-def canonical_strategy(name: str) -> str:
-    s = name.replace("-", "_")
-    if s not in STRATEGIES:
-        raise ValueError(f"unknown strategy {name!r}, expected one of {STRATEGY_NAMES}")
-    return s
+def check_strategy(name: str) -> None:
+    """Raise ValueError unless ``name`` is one of :data:`STRATEGIES`."""
+    if name not in STRATEGIES:
+        raise ValueError(f"unknown strategy {name!r}, expected one of {STRATEGIES}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,7 @@ class Negatives:
     @property
     def permutes_anchor(self) -> bool:
         """Visual-anchor draws reorder anchor rows, never mixed with others."""
-        return self.strategies[:1] == ("visual_anchor",)
+        return self.strategies[:1] == ("visual-anchor",)
 
 
 def _non_identity_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -92,31 +88,31 @@ def _orders(keys, count: int) -> np.ndarray:
 def _shuffle_draws(pair: SegmentedPair, strategy: str, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` draws of one shuffle strategy as a (count, n) position array;
     empty, without touching ``rng``, when the pair is too degenerate for it:
-    fewer than 2 segments (seg_only, seg_unit), no segment of 2 clips
-    (within_seg), fewer than 2 covered clips (all_unit) or captions.
+    fewer than 2 segments (seg-only, seg-unit), no segment of 2 clips
+    (within-seg), fewer than 2 covered clips (all-unit) or captions.
 
     A call's draws are row-wise argsorts of float keys, so it makes the same
     few generator calls whatever ``count`` is, plus one per redraw round of
-    identity rows.  Block orders sort uniform keys; seg_only then sorts
+    identity rows.  Block orders sort uniform keys; seg-only then sorts
     "block rank + position / n" keys, which keep each block's internal
-    order, seg_unit "block rank + uniform" and within_seg "block index +
+    order, seg-unit "block rank + uniform" and within-seg "block index +
     uniform".  :func:`video_only_negatives` still draws per negative.
     """
     sizes = np.array([hi - lo for lo, hi in pair.covered_spans()])
     block_of = np.repeat(np.arange(sizes.size), sizes)
-    n = len(pair.anchor) if strategy == "visual_anchor" else block_of.size
+    n = len(pair.anchor) if strategy == "visual-anchor" else block_of.size
     # the number of things the strategy reorders, which must reach 2
-    movable = {"all_unit": n, "visual_anchor": n, "within_seg": sizes.max()}.get(strategy, sizes.size)
+    movable = {"all-unit": n, "visual-anchor": n, "within-seg": sizes.max()}.get(strategy, sizes.size)
     if movable < 2:
         return np.empty((0, 0), dtype=np.int64)
-    if strategy in ("all_unit", "visual_anchor"):
+    if strategy in ("all-unit", "visual-anchor"):
         return _orders(lambda m: rng.random((m, n)), count)
-    if strategy == "within_seg":
+    if strategy == "within-seg":
         return _orders(lambda m: block_of + rng.random((m, n)), count)
     order = _orders(lambda m: rng.random((m, sizes.size)), count)
     rank = np.empty(order.shape)  # rank[k, b]: where draw k puts block b
     rank[np.arange(count)[:, None], order] = np.arange(sizes.size)
-    offsets = np.arange(n) / n if strategy == "seg_only" else rng.random((count, n))
+    offsets = np.arange(n) / n if strategy == "seg-only" else rng.random((count, n))
     return (rank[:, block_of] + offsets).argsort(axis=1)
 
 
@@ -136,29 +132,29 @@ def generate_negatives(
 ) -> Negatives:
     """Draw ``count`` negatives under a named strategy.
 
-    joint splits the count between seg_unit and unpaired (odd draw to
-    seg_unit).  Pairs too degenerate for seg_only/seg_unit fall back to
-    all_unit; if that is degenerate too (or within_seg / visual_anchor /
-    all_unit hit their own degeneracy) the pair is skipped with an empty
+    joint splits the count between seg-unit and unpaired (odd draw to
+    seg-unit).  Pairs too degenerate for seg-only/seg-unit fall back to
+    all-unit; if that is degenerate too (or within-seg / visual-anchor /
+    all-unit hit their own degeneracy) the pair is skipped with an empty
     draw.  Duplicate permutations across draws are allowed: small pairs
     cannot supply ``count`` distinct orders.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    strategy = canonical_strategy(strategy)
+    check_strategy(strategy)
     if strategy in ("unpaired", "joint") and corpus is None:
         raise ValueError(f"{strategy} strategy requires a corpus")
     if strategy == "unpaired":
         return _unpaired(pair, corpus, count, rng)
     if strategy == "joint":
-        # seg_unit half first, unpaired half second
+        # seg-unit half first, unpaired half second
         n_shuffle = count // 2 + count % 2
-        a, b = generate_negatives(pair, corpus, "seg_unit", n_shuffle, rng), _unpaired(pair, corpus, count - n_shuffle, rng)
+        a, b = generate_negatives(pair, corpus, "seg-unit", n_shuffle, rng), _unpaired(pair, corpus, count - n_shuffle, rng)
         return Negatives(a.strategies + b.strategies, a.sources + b.sources,
                          np.concatenate((a.perms, b.perms)), np.concatenate((a.lengths, b.lengths)))
     block = _shuffle_draws(pair, strategy, count, rng)
-    if not block.size and strategy in ("seg_only", "seg_unit"):
-        strategy = "all_unit"
+    if not block.size and strategy in ("seg-only", "seg-unit"):
+        strategy = "all-unit"
         block = _shuffle_draws(pair, strategy, count, rng)
     count, n = block.shape
     return Negatives((strategy,) * count, (pair.id,) * count, block.ravel(), np.full(count, n, dtype=np.int64))
@@ -191,7 +187,7 @@ def video_only_negatives(
         sources.append(other.id)
         perms.append(_non_identity_permutation(len(other.frames), rng))
     lengths = np.array([p.size for p in perms], dtype=np.int64)
-    return Negatives(("all_unit",) * count, tuple(sources), np.concatenate(perms), lengths)
+    return Negatives(("all-unit",) * count, tuple(sources), np.concatenate(perms), lengths)
 
 
 def multi_frame_indices(videos: list[LabeledVideo]) -> np.ndarray:

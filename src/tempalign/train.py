@@ -30,7 +30,7 @@ from .loss import (
     unit_term_video_only,
     unit_term_video_text,
 )
-from .negatives import canonical_strategy, generate_negatives, multi_frame_indices, video_only_negatives
+from .negatives import check_strategy, generate_negatives, multi_frame_indices, video_only_negatives
 
 _ACTIVATIONS = ("identity", "relu")
 
@@ -220,7 +220,7 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_pairs < 1 or self.neg_count < 1:
             raise ValueError("batch_pairs and neg_count must be >= 1")
-        canonical_strategy(self.neg_strategy)
+        check_strategy(self.neg_strategy)
 
 
 @dataclass
@@ -241,7 +241,11 @@ def _rows_backward(g: np.ndarray, sims: np.ndarray, other_hat: np.ndarray, own_h
 
 def cosine_backward(u: np.ndarray, v: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Backprop d(loss)/d(sim matrix) through cos(u_i, v_j) to the raw rows of
-    both sides, including the normalization Jacobian."""
+    both sides, including the normalization Jacobian.
+
+    Training calls :func:`_rows_backward` directly.  This stays only as the
+    attribute perfbench's train.backward layer hooks and as the tests'
+    per-item reference, until the benchmark drops that hook."""
     u_hat, nu = unit_normalize(u)
     v_hat, nv = unit_normalize(v)
     sims = u_hat @ v_hat.T
@@ -256,10 +260,11 @@ def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConf
     picks the negative drawer, the anchor units and the unit term.  Items
     draw negatives in batch order (none: skipped).  Each item's similarity
     block spans the sources it reads, own source first, all from one forward
-    per head.  Returns (joint_loss, grads, n_used, path_signature): grads
-    averaged over the used items, and every candidate's path cells, so a
-    gradient check can pin the negatives (by reseeding ``rng``) and detect
-    when a perturbation moved a path.  ``multi_frame``, a video-only
+    per head.  Returns (joint_loss, grads, n_used, paths): grads averaged
+    over the used items, and every candidate's optimal path as
+    :class:`align.Alignments` (None when no item was used), so a gradient
+    check can pin the negatives (by reseeding ``rng``) and detect when a
+    perturbation moved a path.  ``multi_frame``, a video-only
     corpus's :func:`multi_frame_indices`, is passed on to the negative drawer.
     """
     video_text = isinstance(corpus[0], SegmentedPair)
@@ -275,7 +280,7 @@ def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConf
             drawn.append(negs)
     grads = model.zero_grads()
     if not items:
-        return None, grads, 0, ()
+        return None, grads, 0, None
 
     units_of = {item.id: item.positive.units if video_text else item.frames.units for item in corpus}
     reads = [list(dict.fromkeys((item.id, *negs.sources))) for item, negs in zip(items, drawn)]
@@ -321,7 +326,7 @@ def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConf
     model._clip().backward(fwd_s, d_ys, grads, "clip." if model.twin else "anchor.")
     for name in grads:
         grads[name] /= len(items)
-    return joint_loss(unit_losses, seq.losses, cfg.loss), grads, len(items), seq.paths.walk.tobytes()
+    return joint_loss(unit_losses, seq.losses, cfg.loss), grads, len(items), seq.paths
 
 
 def fit(corpus, model: ProjectionModel, cfg: TrainConfig) -> TrainReport:

@@ -3,8 +3,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from tempalign import align
 from tempalign.align import MEASURES
-from tempalign.core import DataError, EmbeddingSequence, SegmentMap, SegmentedPair
+from tempalign.core import DataError, EmbeddingSequence, SegmentMap, SegmentedPair, similarity_matrix
+from tempalign.loss import LossConfig, _masked_infonce, column_spans, seq_grad_core
+from tempalign.negatives import Negatives
 
 
 def basis(i: int, dim: int) -> np.ndarray:
@@ -24,6 +27,21 @@ def make_pair(captions, clips, segments, pid="p0") -> SegmentedPair:
         positive=seq(clips, f"{pid}-clips"),
         segments=SegmentMap(tuple(segments)),
     )
+
+
+def with_units(pair: SegmentedPair, anchor_units: np.ndarray, positive_units: np.ndarray) -> SegmentedPair:
+    """Same structure with replaced embeddings (e.g. after projection)."""
+    return SegmentedPair(
+        id=pair.id,
+        anchor=EmbeddingSequence(pair.anchor.id, anchor_units),
+        positive=EmbeddingSequence(pair.positive.id, positive_units),
+        segments=pair.segments,
+    )
+
+
+def cost_matrix(a: EmbeddingSequence, b: EmbeddingSequence) -> np.ndarray:
+    """Pairwise matching costs, cost(i, j) = 1 - cosine(a_i, b_j), in [0, 2]."""
+    return 1.0 - similarity_matrix(a.units, b.units)
 
 
 def split_perms(negs) -> list[np.ndarray]:
@@ -48,6 +66,53 @@ def check_path(path, shape, measure: str) -> None:
         j0, j1 = path[0][1], path[-1][1]
         assert j0 <= j1
         assert cols == set(range(j0, j1 + 1))
+
+
+def infonce_with_grad(pos_score: float, neg_scores, tau: float) -> tuple[float, float, np.ndarray]:
+    """-log( e^{pos/tau} / (e^{pos/tau} + sum_k e^{neg_k/tau}) ), stably, plus
+    d(loss)/d(pos) and d(loss)/d(neg_k) in closed form.
+
+    The loss is always >= 0; it equals log(1 + K) when all K + 1 scores are
+    equal, and 0 when there are no negatives.
+    """
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    scores = np.concatenate(([float(pos_score)], np.asarray(neg_scores, dtype=np.float64).ravel()))
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("infonce: non-finite score")
+    loss, dz = _masked_infonce(scores[None] / tau, np.ones((1, scores.size), dtype=bool), np.zeros(1, dtype=np.int64))
+    return float(loss[0]), dz[0, 0] / tau, dz[0, 1:] / tau
+
+
+@dataclass
+class PairSeqLoss:
+    """Sequence InfoNCE of one pair (see :func:`seq_infonce`)."""
+
+    loss: float
+    scores: np.ndarray
+    candidates: list[str]
+    paths: align.Alignments
+    #: d(loss)/d(similarity) per source id, an (n_anchor, n_covered) matrix each
+    grad_by_source: dict[str, np.ndarray]
+
+
+def seq_infonce(pair: SegmentedPair, negs: Negatives, cfg: LossConfig, corpus=None) -> PairSeqLoss:
+    """Sequence-level InfoNCE of one pair and its fixed-path gradient w.r.t.
+    every touched similarity entry; loss 0 when there are no negatives.
+
+    Negatives drawn from other pairs read those pairs' covered units from
+    ``corpus``.
+    """
+    by_id = {p.id: p for p in corpus or ()} | {pair.id: pair}
+    order = list(dict.fromkeys((pair.id, *negs.sources)))
+    for src in order:
+        if src not in by_id:
+            raise ValueError(f"negative references unknown pair {src!r}; pass the corpus")
+    units = [by_id[src].covered_units() for src in order]
+    spans = column_spans(order, [len(u) for u in units])
+    res = seq_grad_core([similarity_matrix(pair.anchor.units, np.concatenate(units))], [spans], [negs], cfg)
+    by_source = {src: res.grads[0][:, lo:hi] for src, (lo, hi) in spans.items()}
+    return PairSeqLoss(float(res.losses[0]), res.scores, res.candidates, res.paths, by_source)
 
 
 # Preference on exact ties: diagonal, then vertical (previous row, same

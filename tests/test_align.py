@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import basis, brute_force_align, check_path, seq
+from conftest import basis, brute_force_align, check_path, cost_matrix, seq
 from tempalign.align import align_stack, pad_costs
-from tempalign.core import DataError, cost_matrix, similarity_matrix
+from tempalign.core import DataError, similarity_matrix
 
 
 def cells(res, b):

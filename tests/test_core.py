@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import basis, make_pair, seq
-from tempalign.core import DataError, SegmentedPair, cost_matrix, similarity_matrix
+from conftest import basis, cost_matrix, make_pair, seq
+from tempalign.core import DataError, SegmentedPair, similarity_matrix
 from tempalign.evaluate import corpus_pair_match, localization_recall
 from tempalign.negatives import STRATEGIES, generate_negatives
 

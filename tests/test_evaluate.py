@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import basis, make_pair
+from conftest import basis, make_pair, with_units
 from tempalign import align, evaluate
 from tempalign.align import STACK_MATRICES
 from tempalign.core import DataError, EmbeddingSequence, LabeledVideo, similarity_matrix, unit_normalize
@@ -33,7 +33,7 @@ def self_identical_corpus(n_videos=4, n_caps=3, dim=16):
 
 
 def scaled(corpus, alpha):
-    return [p.with_units(alpha * p.anchor.units, alpha * p.positive.units) for p in corpus]
+    return [with_units(p, alpha * p.anchor.units, alpha * p.positive.units) for p in corpus]
 
 
 def ragged_corpus(n_videos=23, dim=6, seed=5):
@@ -58,7 +58,7 @@ def tie_heavy_corpus():
     """A ragged corpus with embeddings rounded to integers, then a copy of it:
     every paragraph ties with its copy on alignment, and most captions tie on
     votes."""
-    rounded = [p.with_units(np.round(p.anchor.units), np.round(p.positive.units))
+    rounded = [with_units(p, np.round(p.anchor.units), np.round(p.positive.units))
                for p in ragged_corpus(n_videos=12, dim=3)]
     return rounded + [make_pair(p.anchor.units, p.positive.units, p.segments, pid=f"{p.id}-copy") for p in rounded]
 
@@ -210,7 +210,7 @@ class TestRetrievalFull:
         # the traced peak grows by one copy of the units; a second copy of
         # the column units would add 1.5 MB more.
         _, test, _ = gen_corpus(SynthConfig(n_tasks=200, seed=0))
-        wide = [p.with_units(np.hstack((p.anchor.units,) * 2), np.hstack((p.positive.units,) * 2)) for p in test]
+        wide = [with_units(p, np.hstack((p.anchor.units,) * 2), np.hstack((p.positive.units,) * 2)) for p in test]
         anchors = sum(p.anchor.units.nbytes for p in test)
         columns = sum(p.covered_units().nbytes for p in test)
         growth = traced_peak(retrieval_full, wide) - traced_peak(retrieval_full, test)

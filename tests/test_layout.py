@@ -1,0 +1,108 @@
+"""Source-layout checks on ``src/tempalign``, made with the stdlib ``ast`` module.
+
+* No module imports a name it does not use, unless the import's line says
+  why, as ``# noqa: F401`` followed by a reason.
+* Every top-level function or class and every method is referenced
+  somewhere other than its own definition: as a name or attribute in
+  ``src/``, in the benchmark's modules other than its tests, or as a string
+  in the benchmark's hook table (``layertrace.HOOKS``).  Dunder methods are
+  reached by the language and are not checked.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = sorted((ROOT / "src" / "tempalign").glob("*.py"))
+BENCH = sorted(p for p in (ROOT / "perfbench").glob("*.py") if p.name != "test_perfbench.py")
+
+# Definitions that only tests reach today, each with the reason it stays.
+UNREFERENCED_OK = {
+    "ProjectionModel.linear": "ROADMAP item 4 makes heads reachable",
+    "ProjectionModel.mlp": "ROADMAP item 4 makes heads reachable",
+}
+
+# a noqa comment for F401 with some reason after it
+NOQA_F401 = re.compile(r"#\s*noqa:\s*F401\b\W*\w")
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def unused_imports(path: Path) -> list[str]:
+    """``file:line name`` of each imported name the module never reads."""
+    tree = parse(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read and not NOQA_F401.search(lines[alias.lineno - 1]):
+                out.append(f"{path.name}:{alias.lineno} {name}")
+    return out
+
+
+def definitions(path: Path):
+    """(qualified name, bare name, node) of each top-level function or class
+    and each non-dunder method of the module."""
+    for node in parse(path).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def references() -> dict[str, list[tuple[Path | None, int]]]:
+    """Bare name -> (file, line) of each name or attribute that reads it;
+    a hook-table string has no location."""
+    refs: dict[str, list[tuple[Path | None, int]]] = {}
+    for path in SRC + BENCH:
+        for node in ast.walk(parse(path)):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name is not None:
+                refs.setdefault(name, []).append((path, node.lineno))
+    for node in parse(ROOT / "perfbench" / "layertrace.py").body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "HOOKS" for t in targets):
+                for hooks in ast.literal_eval(node.value).values():
+                    for _, attr in hooks:
+                        for part in attr.split("."):
+                            refs.setdefault(part, []).append((None, 0))
+    return refs
+
+
+def unreferenced() -> list[str]:
+    refs = references()
+    out = []
+    for path in SRC:
+        for qualified, name, node in definitions(path):
+            outside = [
+                (where, line)
+                for where, line in refs.get(name, [])
+                if where != path or not node.lineno <= line <= node.end_lineno
+            ]
+            if not outside:
+                out.append(qualified)
+    return out
+
+
+def test_no_unused_imports():
+    assert [hit for path in SRC for hit in unused_imports(path)] == []
+
+
+def test_every_definition_is_referenced():
+    assert sorted(set(unreferenced()) - set(UNREFERENCED_OK)) == []
+
+
+def test_allow_list_is_not_stale():
+    assert sorted(UNREFERENCED_OK) == sorted(set(unreferenced()) & set(UNREFERENCED_OK))

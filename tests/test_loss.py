@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import basis, make_pair, split_perms
-from tempalign.core import EmbeddingSequence, SegmentMap, SegmentedPair
-from tempalign.loss import (
-    LossConfig,
-    infonce_with_grad,
-    joint_loss,
-    seq_infonce,
-)
-from tempalign.negatives import STRATEGY_NAMES, Negatives, generate_negatives
+from conftest import basis, infonce_with_grad, make_pair, seq_infonce, split_perms, with_units
+from tempalign.loss import LossConfig, joint_loss
+from tempalign.negatives import STRATEGIES, Negatives, generate_negatives
 from tempalign.train import cosine_backward
 
 
@@ -92,7 +86,7 @@ def toy_pair(s11, s12, s21, s22):
 
 
 def swap_negative():
-    return one_negative("seg_only", [1, 0], "toy")
+    return one_negative("seg-only", [1, 0], "toy")
 
 
 RAW_CFG = LossConfig(tau=1.0, normalize_score=False, measure="dtw")
@@ -163,7 +157,7 @@ BACKGROUND_SEGMENTS = (
 
 class TestCoveredPositions:
     @pytest.mark.parametrize("measure", ["dtw", "otam"])
-    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_background_pair_scores_as_its_covered_view(self, strategy, measure, rng):
         corpus = [
             make_pair(rng.normal(size=(3, 6)), rng.normal(size=(9, 6)), segments, pid=f"bg{i}")
@@ -174,7 +168,7 @@ class TestCoveredPositions:
         assert len(negs) == 6
         n_covered = {p.id: p.covered_indices.size for p in corpus}
         for k, (tag, src) in enumerate(zip(negs.strategies, negs.sources)):
-            n = len(pair.anchor) if tag == "visual_anchor" else n_covered[src]
+            n = len(pair.anchor) if tag == "visual-anchor" else n_covered[src]
             assert sorted(split_perms(negs)[k].tolist()) == list(range(n))
         cfg = LossConfig(tau=0.7, measure=measure)
         res = seq_infonce(pair, negs, cfg, corpus=corpus)
@@ -269,7 +263,7 @@ class TestSeqGradFiniteDifference:
                     a = pair.anchor.units.copy()
                     p = pair.positive.units.copy()
                     (a if side == 0 else p)[r, c] += eps
-                    mod = pair.with_units(a, p)
+                    mod = with_units(pair, a, p)
                     return seq_infonce(mod, negs, cfg).loss, candidate_paths(mod, negs, cfg)
 
                 up, paths_up = perturbed_loss(h)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import basis, make_pair, seq, split_perms
 from tempalign.core import DataError, LabeledVideo
-from tempalign.negatives import STRATEGY_NAMES, generate_negatives, multi_frame_indices, video_only_negatives
+from tempalign.negatives import STRATEGIES, generate_negatives, multi_frame_indices, video_only_negatives
 from tempalign.synth import FewshotSynthConfig, gen_fewshot_corpus
 
 
@@ -31,14 +31,14 @@ class TestPermuteSegments:
     def test_two_segments_unique_swap(self, rng):
         pair = two_segment_pair()
         out = generate_negatives(pair, None, "seg-only", 1, rng)
-        assert out.strategies == ("seg_only",)
+        assert out.strategies == ("seg-only",)
         np.testing.assert_array_equal(split_perms(out)[0], [2, 0, 1])
         assert out.sources == (pair.id,)
 
     def test_shuffle_within_enumerates_intra_orders(self, rng):
         pair = two_segment_pair()
         out = generate_negatives(pair, None, "seg-unit", 80, rng)
-        assert set(out.strategies) == {"seg_unit"}
+        assert set(out.strategies) == {"seg-unit"}
         assert {tuple(p) for p in split_perms(out)} == {(2, 0, 1), (2, 1, 0)}
 
     def test_identity_segment_order_never_drawn(self, rng):
@@ -61,9 +61,9 @@ class TestPermuteSegments:
             assert perm[b : b + 3] == [3, 4, 5]
 
     def test_single_segment_degenerate(self, rng):
-        # no second block to reorder: the draw falls back to all_unit
+        # no second block to reorder: the draw falls back to all-unit
         pair = make_pair([basis(0, 4)], [basis(1, 4)] * 3, [(0, 0, 3)])
-        assert set(generate_negatives(pair, None, "seg-only", 4, rng).strategies) == {"all_unit"}
+        assert set(generate_negatives(pair, None, "seg-only", 4, rng).strategies) == {"all-unit"}
 
 
 class TestPermuteWithinSegments:
@@ -130,7 +130,7 @@ class TestGenerateNegatives:
         pair = equal_segment_pair(3)
         out = generate_negatives(pair, None, "seg-unit", 32, rng)
         assert len(out) == 32
-        assert out.strategies == ("seg_unit",) * 32
+        assert out.strategies == ("seg-unit",) * 32
         for perm in split_perms(out):
             assert sorted(perm) == list(range(3))
             assert not np.array_equal(perm, np.arange(3))
@@ -148,25 +148,27 @@ class TestGenerateNegatives:
     def test_fallback_to_all_unit(self, rng):
         pair = make_pair([basis(0, 4)], [basis(1, 4), basis(2, 4)], [(0, 0, 2)])
         out = generate_negatives(pair, None, "seg-unit", 3, rng)
-        assert out.strategies == ("all_unit",) * 3
+        assert out.strategies == ("all-unit",) * 3
 
     def test_joint_split(self, rng):
         corpus = [equal_segment_pair(3, f"p{i}") for i in range(3)]
         out = generate_negatives(corpus[0], corpus, "joint", 5, rng)
-        assert out.strategies == ("seg_unit",) * 3 + ("unpaired",) * 2
+        assert out.strategies == ("seg-unit",) * 3 + ("unpaired",) * 2
         assert set(out.sources[3:]) <= {"p1", "p2"}
 
     def test_visual_anchor_permutes_captions(self, rng):
         pair = equal_segment_pair(3)
         out = generate_negatives(pair, None, "visual-anchor", 6, rng)
-        assert out.strategies == ("visual_anchor",) * 6
+        assert out.strategies == ("visual-anchor",) * 6
         for perm in split_perms(out):
             assert sorted(perm) == [0, 1, 2]
             assert not np.array_equal(perm, np.arange(3))
 
     def test_unknown_strategy(self, rng):
-        with pytest.raises(ValueError):
-            generate_negatives(two_segment_pair(), None, "segment-soup", 2, rng)
+        # one spelling per strategy: the underscore forms are unknown too
+        for name in ("segment-soup", "seg_unit", "visual_anchor"):
+            with pytest.raises(ValueError, match=r"expected one of \('seg-only', 'seg-unit', 'within-seg'"):
+                generate_negatives(two_segment_pair(), None, name, 2, rng)
 
     def test_reproducible_with_seed(self):
         pair = equal_segment_pair(4)
@@ -254,11 +256,10 @@ class TestDrawsMatchPerDrawLoop:
     @pytest.mark.parametrize("strategy", ["unpaired"])
     def test_300_draws_per_strategy(self, strategy, rng):
         corpus = varied_corpus(rng)
-        canonical = strategy.replace("-", "_")
         for seed, pair in enumerate(corpus):
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
             out = generate_negatives(pair, corpus, strategy, 50, ours)
-            assert_same_draws(out, ref_negatives(pair, corpus, canonical, 50, theirs))
+            assert_same_draws(out, ref_negatives(pair, corpus, strategy, 50, theirs))
             assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_video_only_draws(self):
@@ -271,7 +272,7 @@ class TestDrawsMatchPerDrawLoop:
             ref = []
             for _ in range(30):
                 other = ragged[candidates[int(theirs.integers(len(candidates)))]]
-                ref.append(("all_unit", ref_non_identity(len(other.frames), theirs), other.id))
+                ref.append(("all-unit", ref_non_identity(len(other.frames), theirs), other.id))
             assert_same_draws(out, ref)
             assert ours.bit_generator.state == theirs.bit_generator.state
 
@@ -305,22 +306,22 @@ SHUFFLES = ("seg-only", "seg-unit", "within-seg", "all-unit", "visual-anchor")
 def allowed(pair, strategy, perm):
     """Whether ``strategy`` may draw ``perm`` for ``pair``: a permutation other
     than the identity that keeps the blocks the strategy keeps, and for
-    seg_unit also moves a block."""
+    seg-unit also moves a block."""
     perm = list(perm)
     if sorted(perm) != list(range(len(perm))) or perm == sorted(perm):
         return False
     blocks = [list(range(lo, hi)) for lo, hi in pair.covered_spans()]
-    if strategy == "within_seg":
+    if strategy == "within-seg":
         return all(sorted(perm[b[0] : b[-1] + 1]) == b for b in blocks)
-    if strategy not in ("seg_only", "seg_unit"):
+    if strategy not in ("seg-only", "seg-unit"):
         return True
     pos, order = 0, []
     while pos < len(perm):
-        # each block is one contiguous run: in order (seg_only) or any order
+        # each block is one contiguous run: in order (seg-only) or any order
         order.append(next(k for k, b in enumerate(blocks) if perm[pos] in b))
         block = blocks[order[-1]]
         run = perm[pos : pos + len(block)]
-        if run != block if strategy == "seg_only" else sorted(run) != block:
+        if run != block if strategy == "seg-only" else sorted(run) != block:
             return False
         pos += len(block)
     return order != sorted(order)
@@ -349,11 +350,10 @@ class TestShuffleSupport:
     @pytest.mark.parametrize("strategy", SHUFFLES)
     def test_every_draw_is_allowed(self, strategy, rng):
         corpus = varied_corpus(rng)
-        canonical = strategy.replace("-", "_")
         for seed, pair in enumerate(corpus):
             out = generate_negatives(pair, corpus, strategy, 2000, np.random.default_rng(seed))
             if pair.id in ("v0", "v1", "v5"):  # no strategy is degenerate on these
-                assert out.strategies == (canonical,) * 2000
+                assert out.strategies == (strategy,) * 2000
             if not len(out):
                 continue
             assert len(out) == 2000 and out.sources == (pair.id,) * 2000
@@ -373,7 +373,6 @@ class TestShuffleDistribution:
         # the pairs of at most 7 covered clips, whose allowed permutations
         # can be listed: each slot's values against those permutations' share
         corpus = varied_corpus(rng)[:4]
-        canonical = strategy.replace("-", "_")
         for seed, pair in enumerate(corpus):
             out = generate_negatives(pair, corpus, strategy, N_DRAWS, np.random.default_rng(100 + seed))
             if not len(out):
@@ -384,7 +383,7 @@ class TestShuffleDistribution:
             for slot in range(n):
                 observed = np.bincount(draws[:, slot], minlength=n)
                 expected = np.bincount(support[:, slot], minlength=n) * N_DRAWS / len(support)
-                assert chi2_pvalue(observed, expected) > LEVEL, (pair.id, canonical, slot)
+                assert chi2_pvalue(observed, expected) > LEVEL, (pair.id, strategy, slot)
 
     @pytest.mark.parametrize("strategy", ["seg-only", "seg-unit"])
     def test_block_orders_uniform_over_non_identity(self, strategy, rng):
@@ -422,7 +421,7 @@ class CountingGenerator:
         return counted
 
 
-@pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_generator_calls_do_not_depend_on_count(strategy, rng):
     # 12 segments of 3 clips: a draw is the identity with probability at most
     # 6**-12 under every strategy, so no call here needs a redraw round

@@ -3,13 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import make_pair, split_perms
+from conftest import infonce_with_grad, make_pair, split_perms
 from tempalign import align
 from tempalign import train as train_module
 from tempalign.align import STACK_MATRICES
 from tempalign.core import DataError, EmbeddingSequence, LabeledVideo, NumericalError, similarity_matrix
-from tempalign.loss import LossConfig, infonce_with_grad, joint_loss
-from tempalign.negatives import STRATEGY_NAMES, generate_negatives, video_only_negatives
+from tempalign.loss import LossConfig, joint_loss
+from tempalign.negatives import STRATEGIES, generate_negatives, video_only_negatives
 from tempalign.synth import SynthConfig, gen_corpus
 from tempalign.train import (
     AdamState,
@@ -147,6 +147,10 @@ class TestTrainConfig:
     def test_lr_rejected(self, lr):
         with pytest.raises(ValueError, match="lr must be finite and >= 0"):
             TrainConfig(lr=lr)
+
+    def test_underscore_strategy_rejected(self):
+        with pytest.raises(ValueError, match="unknown strategy 'seg_unit'"):
+            TrainConfig(neg_strategy="seg_unit")
 
 
 class TestCosineBackward:
@@ -308,7 +312,7 @@ class TestEndToEndGradient:
         def run(m):
             return evaluate_batch([0, 1, 2], corpus, m, cfg, np.random.default_rng(77))
 
-        base_loss, grads, used, base_sig = run(model)
+        base_loss, grads, used, base_paths = run(model)
         assert used == 3
         h = 1e-6
         checked = 0
@@ -319,12 +323,12 @@ class TestEndToEndGradient:
                 def loss_at(eps):
                     m = model.copy()
                     m.params()[name][at] += eps
-                    loss, _, _, sig = run(m)
-                    return loss, sig
+                    loss, _, _, paths = run(m)
+                    return loss, paths
 
-                up, sig_up = loss_at(h)
-                down, sig_dn = loss_at(-h)
-                if sig_up != base_sig or sig_dn != base_sig:
+                up, paths_up = loss_at(h)
+                down, paths_dn = loss_at(-h)
+                if not (np.array_equal(paths_up.walk, base_paths.walk) and np.array_equal(paths_dn.walk, base_paths.walk)):
                     continue
                 numeric = (up - down) / (2 * h)
                 analytic = grads[name][at]
@@ -441,7 +445,7 @@ HEADS = {
 class TestBatchStepMatchesPerItemReference:
     @pytest.mark.parametrize("head", sorted(HEADS))
     @pytest.mark.parametrize("measure", ["dtw", "otam"])
-    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_video_text(self, strategy, measure, head):
         corpus = [p.covered_view() for p in small_corpus()[0][:7]]
         cfg = TrainConfig(neg_strategy=strategy, neg_count=6, loss=LossConfig(tau=0.7, measure=measure))
@@ -460,8 +464,9 @@ class TestBatchStepMatchesPerItemReference:
     def test_batch_with_skipped_degenerate_item(self):
         corpus = video_text_views() + [degenerate_pair("d0")]
         cfg = TrainConfig(neg_strategy="seg-unit", neg_count=5)
-        loss, _, used, _ = evaluate_batch([4, 0, 1], corpus, ProjectionModel.identity(24), cfg, np.random.default_rng(5))
-        assert used == 2
+        loss, _, used, paths = evaluate_batch([4, 0, 1], corpus, ProjectionModel.identity(24), cfg, np.random.default_rng(5))
+        assert used == 2 and paths.lengths.size == 2 * (5 + 1)
+        assert evaluate_batch([4], corpus, ProjectionModel.identity(24), cfg, np.random.default_rng(5))[2:] == (0, None)
         assert_matches_reference(corpus, [4, 0, 1], ProjectionModel.identity(24), cfg)
 
     def test_joint_on_degenerate_pair(self):
