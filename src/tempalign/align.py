@@ -39,6 +39,9 @@ MEASURES = ("dtw", "otam")
 # call: enough to amortize its per-call Python work (about fifteen array
 # operations per anti-diagonal, each over the whole batch), few enough to keep
 # its (batch, n, m) arrays small.  A default training batch (8 x 33) fits in one.
+# A call pads every matrix to its largest one, so retrieval hands over its
+# pairs tile by tile in descending shape (evaluate._tile_grid) and a call's
+# matrices share one shape or two adjacent ones.
 STACK_MATRICES = 400
 
 # Back-pointer codes.  The order is the tie-break: on equal accumulated cost a

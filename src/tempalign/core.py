@@ -158,12 +158,13 @@ class LabeledVideo:
     frames: EmbeddingSequence
 
 
-def unit_normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalize; zero rows stay zero (their similarities read as 0)."""
+def unit_normalize(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Row-normalize, into ``out`` when given (it may be ``x``); zero rows
+    stay zero (their similarities read as 0)."""
     x = np.asarray(x, dtype=np.float64)
     norms = np.linalg.norm(x, axis=-1)
     safe = np.where(norms > 0.0, norms, 1.0)
-    return x / safe[..., None], norms
+    return np.divide(x, safe[..., None], out=out), norms
 
 
 def similarity_matrix(a_units: np.ndarray, b_units: np.ndarray) -> np.ndarray:

@@ -128,9 +128,10 @@ def _normalized(*groups, lengths=None) -> tuple[_Units, ...]:
     iterators; by default they are read from the groups.  Makes the checks
     :func:`similarity_matrix` makes on each pair it is given, once for all
     stacks: every stack is 2-d, finite and of its stated length, and all
-    share one dimension.  Each stack is normalized as the iterable yields it,
-    straight into its block, so neither raw copies made by a generator nor
-    normalized ones accumulate.
+    share one dimension.  Each stack is copied into its block as the iterable
+    yields it, so no raw copy made by a generator accumulates, and each block
+    is then normalized once, in place (row by row, as :func:`unit_normalize`
+    normalizes one stack).
     """
     if lengths is None:
         lengths = [[len(u) for u in group] for group in groups]
@@ -151,52 +152,93 @@ def _normalized(*groups, lengths=None) -> tuple[_Units, ...]:
             if k == 0:
                 blocks, block, slot = _blocks(sizes, ref[1])
             view = blocks[block[k]][slot[k]]
-            view[...] = unit_normalize(u)[0]
+            view[...] = u
             stacks.append(view)
+        for b in blocks:
+            unit_normalize(b, out=b)
         out.append(_Units(stacks, blocks, block, slot))
     return tuple(out)
 
 
-def _cross_scores(rows: _Units, cols: _Units, pairs: np.ndarray, measure: str) -> np.ndarray:
+def _cross_scores(rows: _Units, cols: _Units, pairs: np.ndarray, measure: str, out: np.ndarray | None = None) -> np.ndarray:
     """(P,) alignment scores of the (row index, column index) pairs of a (P, 2)
     array, over row-normalized row and column stacks (see :func:`_normalized`).
+    Given a 2-d ``out``, pair k's score goes to ``out[pairs[k, 0], pairs[k, 1]]``
+    instead, and ``out`` is returned.
 
     Each cost matrix is ``1 - clip(row @ col.T)``, the product
     :func:`similarity_matrix` forms for that pair, so the scores equal aligning
-    pair by pair.  Consecutive pairs share one padded ``align.align_stack``
-    call of at most align.STACK_MATRICES matrices.  Within a call the pairs
-    are ordered by row, column block and slot, and each run of one row
-    against consecutive columns of one block is a single ``np.matmul`` of the
-    row against that slice of the block, written into the stack.  A stacked
-    product makes the same per-matrix BLAS call as ``row @ col.T``, so it
-    rounds identically; products are never padded, since a padded GEMM shape
-    can round differently.
+    pair by pair.  Consecutive pairs share one ``align.align_stack`` call of
+    at most align.STACK_MATRICES matrices, padded to the chunk's largest
+    shape, so pairs of one shape should be consecutive (see
+    :func:`_tile_grid`).  Within a call the pairs are ordered by row block,
+    column block, row slot and column slot.  Each rectangle of pairs, the
+    consecutive row slots of one block times one run of consecutive column
+    slots of one block, is then one broadcast ``np.matmul`` of two block
+    slices, written into the stack.  A broadcast product makes the same
+    per-matrix BLAS call as ``row @ col.T``, so it rounds identically;
+    products are never padded, since a padded GEMM shape can round
+    differently.
     """
     n_rows = np.array([len(u) for u in rows.stacks])
     n_cols = np.array([len(u) for u in cols.stacks])
-    scores = np.empty(len(pairs))
+    scores = np.empty(len(pairs)) if out is None else out
     # One buffer for every call's stack: allocating a fresh one per call costs
     # page faults and, through heap fragmentation, peak memory.
     buffer = np.empty(min(align.STACK_MATRICES, len(pairs)) * n_rows.max() * n_cols.max())
     for start in range(0, len(pairs), align.STACK_MATRICES):
         chunk = pairs[start : start + align.STACK_MATRICES]
-        order = np.lexsort((cols.slot[chunk[:, 1]], cols.block[chunk[:, 1]], chunk[:, 0]))
+        order = np.lexsort((cols.slot[chunk[:, 1]], rows.slot[chunk[:, 0]], cols.block[chunk[:, 1]], rows.block[chunk[:, 0]]))
         r, c = chunk[order].T
+        row_block, row_slot, col_block, col_slot = rows.block[r], rows.slot[r], cols.block[c], cols.slot[c]
         shapes = np.column_stack((n_rows[r], n_cols[c]))
         dims = (len(chunk), *shapes.max(axis=0))
         stack = buffer[: np.prod(dims)].reshape(dims)
         stack.fill(0.0)
-        block, slot = cols.block[c], cols.slot[c]
-        # runs of one row against consecutive columns of one block
-        runs = np.flatnonzero((np.diff(r) != 0) | (np.diff(block) != 0) | (np.diff(slot) != 1)) + 1
-        for lo, hi in zip([0, *runs.tolist()], [*runs.tolist(), len(chunk)]):
+        # runs of one row against consecutive column slots of one block, and
+        # rectangles of runs over the same columns by consecutive row slots
+        runs = _breaks((row_block, row_slot, col_block), col_slot)
+        width = np.diff(runs, append=len(chunk))
+        rects = _breaks((row_block[runs], col_block[runs], col_slot[runs], width), row_slot[runs])
+        for lo, k, w in zip(runs[rects].tolist(), np.diff(rects, append=len(runs)).tolist(), width[rects].tolist()):
             n, m = shapes[lo].tolist()
-            operand = cols.blocks[block[lo]][slot[lo] : slot[lo] + hi - lo]
-            np.matmul(rows.stacks[r[lo]], operand.transpose(0, 2, 1), out=stack[lo:hi, :n, :m])
+            lhs = rows.blocks[row_block[lo]][row_slot[lo] : row_slot[lo] + k]
+            rhs = cols.blocks[col_block[lo]][col_slot[lo] : col_slot[lo] + w]
+            np.matmul(lhs[:, None], rhs.transpose(0, 2, 1)[None], out=stack[lo : lo + k * w].reshape(k, w, *dims[1:])[:, :, :n, :m])
         np.clip(stack, -1.0, 1.0, out=stack)
         np.subtract(1.0, stack, out=stack)
-        scores[start + order] = align.align_stack(stack, measure, shapes).scores()
+        where = start + order if out is None else (r, c)
+        scores[where] = align.align_stack(stack, measure, shapes).scores()
     return scores
+
+
+def _breaks(same, step) -> np.ndarray:
+    """Indices where a run starts: the first, and each where an array of
+    ``same`` changes or ``step`` does not grow by 1."""
+    change = step[1:] != step[:-1] + 1
+    for a in same:
+        change |= a[1:] != a[:-1]
+    return np.flatnonzero(np.concatenate(([True], change)))
+
+
+def _tile_grid(rows: _Units, cols: _Units) -> np.ndarray:
+    """(R * C, 2) int32 array of every (row index, column index) pair, tile by
+    tile: a tile is every pair of one row block and one column block, in
+    row-slot then column-slot order.  Tiles come in descending (row length,
+    column length) of their blocks, so the chunks :func:`_cross_scores`
+    aligns together hold pairs of one or two adjacent shapes and pad little.
+    """
+    # each block's stack indices, in slot order
+    row_members, col_members = ([np.flatnonzero(u.block == b) for b in range(len(u.blocks))] for u in (rows, cols))
+    tiles = sorted(((-rb.shape[1], -cb.shape[1]), i, j) for i, rb in enumerate(rows.blocks) for j, cb in enumerate(cols.blocks))
+    grid = np.empty((len(rows.stacks) * len(cols.stacks), 2), dtype=np.int32)
+    start = 0
+    for _, i, j in tiles:
+        tile_rows, tile_cols = row_members[i], col_members[j]
+        tile = grid[start : start + tile_rows.size * tile_cols.size].reshape(tile_rows.size, tile_cols.size, 2)
+        tile[..., 0], tile[..., 1] = tile_rows[:, None], tile_cols
+        start += tile_rows.size * tile_cols.size
+    return grid
 
 
 def retrieval_full(
@@ -233,8 +275,7 @@ def retrieval_full(
 
     scores, tiebreak = None, None
     if measure != "capavg":
-        grid = np.indices((n, n), dtype=np.int32).reshape(2, -1).T  # every (query, candidate), row-major
-        scores = _cross_scores(anchors, clips, grid, "otam" if measure.startswith("otam") else "dtw").reshape(n, n)
+        scores = _cross_scores(anchors, clips, _tile_grid(anchors, clips), "otam" if measure.startswith("otam") else "dtw", out=np.empty((n, n)))
     if measure.endswith("capavg"):
         pool = np.concatenate(clips.stacks, axis=0)
         owner = np.concatenate([np.full(len(c), v) for v, c in enumerate(clips.stacks)])

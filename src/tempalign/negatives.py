@@ -116,19 +116,45 @@ def _shuffle_draws(pair: SegmentedPair, strategy: str, count: int, rng: np.rando
     return (rank[:, block_of] + offsets).argsort(axis=1)
 
 
-def _unpaired(pair: SegmentedPair, corpus: list[SegmentedPair], count: int, rng: np.random.Generator) -> Negatives:
-    """Another pair uniformly per draw; its covered positions in order."""
-    others = [p for p in corpus if p.id != pair.id]
-    if count and not others:
-        raise DataError(f"unpaired sampling needs a corpus with at least 2 distinct pairs (got {len(corpus)})")
-    picks = [others[k] for k in rng.integers(len(others), size=count).tolist()]
-    lengths = np.array([p.covered_indices.size for p in picks], dtype=np.int64)
+@dataclass(frozen=True)
+class PairPool:
+    """What unpaired sampling reads of a pair corpus, gathered once: each
+    pair's id and covered clip count, in corpus order, and each id's
+    ascending corpus positions."""
+
+    ids: tuple[str, ...]
+    sizes: np.ndarray
+    positions: dict[str, list[int]]
+
+    @staticmethod
+    def of(corpus: list[SegmentedPair]) -> "PairPool":
+        positions: dict[str, list[int]] = {}
+        for k, p in enumerate(corpus):
+            positions.setdefault(p.id, []).append(k)
+        sizes = np.array([len(p.positive) - np.count_nonzero(p.background_mask) for p in corpus], dtype=np.int64)
+        return PairPool(tuple(p.id for p in corpus), sizes, positions)
+
+
+def _unpaired(pair: SegmentedPair, pool: PairPool, count: int, rng: np.random.Generator) -> Negatives:
+    """Another pair uniformly per draw; its covered positions in order.
+
+    Draw k picks the k-th pair of the corpus without ``pair``'s id, found
+    by skipping that id's positions, so a call costs O(count)."""
+    own = np.array(pool.positions.get(pair.id, ()), dtype=np.int64)
+    n_others = len(pool.ids) - own.size
+    if count and not n_others:
+        raise DataError(f"unpaired sampling needs a corpus with at least 2 distinct pairs (got {len(pool.ids)})")
+    k = rng.integers(n_others, size=count)
+    # own[i] - i other pairs precede the pair's i-th own position
+    picks = k + np.searchsorted(own - np.arange(own.size), k, side="right")
+    lengths = pool.sizes[picks]
     perms = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return Negatives(("unpaired",) * count, tuple(p.id for p in picks), perms, lengths)
+    return Negatives(("unpaired",) * count, tuple(pool.ids[i] for i in picks.tolist()), perms, lengths)
 
 
 def generate_negatives(
-    pair: SegmentedPair, corpus: list[SegmentedPair] | None, strategy: str, count: int, rng: np.random.Generator
+    pair: SegmentedPair, corpus: list[SegmentedPair] | None, strategy: str, count: int, rng: np.random.Generator,
+    pool: PairPool | None = None,
 ) -> Negatives:
     """Draw ``count`` negatives under a named strategy.
 
@@ -137,19 +163,24 @@ def generate_negatives(
     all-unit; if that is degenerate too (or within-seg / visual-anchor /
     all-unit hit their own degeneracy) the pair is skipped with an empty
     draw.  Duplicate permutations across draws are allowed: small pairs
-    cannot supply ``count`` distinct orders.
+    cannot supply ``count`` distinct orders.  ``pool``, the corpus's
+    :class:`PairPool`, spares a caller that draws for many pairs from
+    gathering it per call.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     check_strategy(strategy)
-    if strategy in ("unpaired", "joint") and corpus is None:
-        raise ValueError(f"{strategy} strategy requires a corpus")
+    if strategy in ("unpaired", "joint"):
+        if corpus is None:
+            raise ValueError(f"{strategy} strategy requires a corpus")
+        if pool is None:
+            pool = PairPool.of(corpus)
     if strategy == "unpaired":
-        return _unpaired(pair, corpus, count, rng)
+        return _unpaired(pair, pool, count, rng)
     if strategy == "joint":
         # seg-unit half first, unpaired half second
         n_shuffle = count // 2 + count % 2
-        a, b = generate_negatives(pair, corpus, "seg-unit", n_shuffle, rng), _unpaired(pair, corpus, count - n_shuffle, rng)
+        a, b = generate_negatives(pair, corpus, "seg-unit", n_shuffle, rng), _unpaired(pair, pool, count - n_shuffle, rng)
         return Negatives(a.strategies + b.strategies, a.sources + b.sources,
                          np.concatenate((a.perms, b.perms)), np.concatenate((a.lengths, b.lengths)))
     block = _shuffle_draws(pair, strategy, count, rng)

@@ -30,7 +30,7 @@ from .loss import (
     unit_term_video_only,
     unit_term_video_text,
 )
-from .negatives import check_strategy, generate_negatives, multi_frame_indices, video_only_negatives
+from .negatives import PairPool, check_strategy, generate_negatives, multi_frame_indices, video_only_negatives
 
 _ACTIVATIONS = ("identity", "relu")
 
@@ -252,7 +252,7 @@ def cosine_backward(u: np.ndarray, v: np.ndarray, g: np.ndarray) -> tuple[np.nda
     return _rows_backward(g, sims, v_hat, u_hat, nu), _rows_backward(g.T, sims.T, u_hat, v_hat, nv)
 
 
-def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConfig, rng: np.random.Generator, multi_frame=None):
+def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConfig, rng: np.random.Generator, pool=None):
     """Loss and mean parameter gradients over one batch.
 
     ``corpus`` is either a list of canonical, background-free SegmentedPair
@@ -264,17 +264,18 @@ def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConf
     over the used items, and every candidate's optimal path as
     :class:`align.Alignments` (None when no item was used), so a gradient
     check can pin the negatives (by reseeding ``rng``) and detect when a
-    perturbation moved a path.  ``multi_frame``, a video-only
-    corpus's :func:`multi_frame_indices`, is passed on to the negative drawer.
+    perturbation moved a path.  ``pool``, what the negative drawer reads of
+    the corpus (a pair corpus's :class:`PairPool`, a video-only corpus's
+    :func:`multi_frame_indices`), is passed on to it.
     """
     video_text = isinstance(corpus[0], SegmentedPair)
     items, drawn = [], []
     for idx in batch_indices:
         item = corpus[idx]
         if video_text:
-            negs = generate_negatives(item, corpus, cfg.neg_strategy, cfg.neg_count, rng)
+            negs = generate_negatives(item, corpus, cfg.neg_strategy, cfg.neg_count, rng, pool)
         else:
-            negs = video_only_negatives(corpus, idx, cfg.neg_count, rng, multi_frame)
+            negs = video_only_negatives(corpus, idx, cfg.neg_count, rng, pool)
         if len(negs):
             items.append(item)
             drawn.append(negs)
@@ -294,8 +295,7 @@ def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConf
         raise DataError("similarity: non-finite input")
     u_hat, nu = unit_normalize(y_a)
     # the sources' projections, the batch's largest array, are normalized in place
-    v_hat, nv = y_s, np.linalg.norm(y_s, axis=-1)
-    v_hat /= np.where(nv > 0.0, nv, 1.0)[:, None]
+    v_hat, nv = unit_normalize(y_s, out=y_s)
     takes = [np.concatenate([np.arange(*rows_of[src]) for src in read]) for read in reads]
     spans = [column_spans(read, [len(units_of[src]) for src in read]) for read in reads]
     sims = [np.clip(u_hat[rows] @ v_hat[take].T, -1.0, 1.0) for rows, take in zip(a_rows, takes)]
@@ -353,7 +353,7 @@ def fit(corpus, model: ProjectionModel, cfg: TrainConfig) -> TrainReport:
         if item.id in seen:
             raise DataError(f"fit: id {item.id!r} is taken by an earlier item")
         seen.add(item.id)
-    multi_frame = None if video_text else multi_frame_indices(corpus)
+    pool = PairPool.of(corpus) if video_text else multi_frame_indices(corpus)
 
     model = model.copy()
     params = model.params()
@@ -370,7 +370,7 @@ def fit(corpus, model: ProjectionModel, cfg: TrainConfig) -> TrainReport:
             batch = order[lo : lo + cfg.batch_pairs]
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    loss, grads, used, _ = evaluate_batch(batch, corpus, model, cfg, rng, multi_frame)
+                    loss, grads, used, _ = evaluate_batch(batch, corpus, model, cfg, rng, pool)
                     if used:
                         adam_step(params, grads, state, cfg.lr)
             except FloatingPointError as exc:

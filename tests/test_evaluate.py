@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,6 +16,7 @@ from tempalign.evaluate import (
     _cross_scores,
     _normalized,
     _ranks,
+    _tile_grid,
     corpus_pair_match,
     fewshot_eval,
     localization_recall,
@@ -246,6 +249,71 @@ class TestRanks:
             keys = (np.arange(9), -scores[q]) if tiebreak is None else (np.arange(9), -tiebreak[q], -scores[q])
             expected.append(int(np.flatnonzero(np.lexsort(keys) == target[q])[0]))
         assert _ranks(scores, target, tiebreak).tolist() == expected
+
+
+def reference_scores(rows, cols, pairs, measure):
+    """Alignment score of each (row, column) pair, one similarity_matrix per pair."""
+    stack, shapes = align.pad_costs([1.0 - similarity_matrix(rows[r], cols[c]) for r, c in pairs])
+    return align.align_stack(stack, measure, shapes).scores()
+
+
+class TestCrossScores:
+    @pytest.mark.parametrize("layout", ["tile-grid", "row-major", "sparse"])
+    @pytest.mark.parametrize("measure", ["dtw", "otam"])
+    def test_many_blocks_match_per_pair_reference(self, rng, monkeypatch, measure, layout):
+        rows = [rng.normal(size=(int(rng.integers(1, 5)), 3)) for _ in range(13)]
+        cols = [rng.normal(size=(int(rng.integers(1, 6)), 3)) for _ in range(17)]
+        monkeypatch.setattr(evaluate, "BLOCK_BYTES", 2 * 2 * 3 * 8)  # two 2-unit stacks
+        monkeypatch.setattr(align, "STACK_MATRICES", 7)
+        units = _normalized(rows, cols)
+        assert min(len(u.blocks) for u in units) >= 6
+        if layout == "tile-grid":
+            pairs = _tile_grid(*units)
+        elif layout == "row-major":
+            pairs = np.indices((len(rows), len(cols))).reshape(2, -1).T
+        else:  # repeats included
+            pairs = np.column_stack((rng.integers(0, len(rows), 90), rng.integers(0, len(cols), 90)))
+        expected = reference_scores(rows, cols, pairs, measure)
+        assert np.array_equal(_cross_scores(*units, pairs, measure), expected)
+        if layout != "sparse":  # every pair once: the scores fill a matrix
+            tile = units[0].block[pairs[:, 0]] * len(units[1].blocks) + units[1].block[pairs[:, 1]]
+            cuts = np.arange(7, len(pairs), 7)
+            assert np.any(tile[cuts - 1] == tile[cuts])  # some alignment call ends inside a tile
+            grid = np.full((len(rows), len(cols)), np.nan)
+            assert _cross_scores(*units, pairs, measure, out=grid) is grid
+            assert np.array_equal(grid[pairs[:, 0], pairs[:, 1]], expected)
+
+    def test_tile_grid_holds_every_pair_once_by_descending_shape(self, rng, monkeypatch):
+        monkeypatch.setattr(evaluate, "BLOCK_BYTES", 2 * 5 * 2 * 8)
+        rows = [rng.normal(size=(int(rng.integers(1, 6)), 2)) for _ in range(11)]
+        cols = [rng.normal(size=(int(rng.integers(1, 6)), 2)) for _ in range(9)]
+        grid = _tile_grid(*_normalized(rows, cols))
+        assert grid.dtype == np.int32
+        assert sorted(map(tuple, grid.tolist())) == [(r, c) for r in range(11) for c in range(9)]
+        shapes = [(len(rows[r]), len(cols[c])) for r, c in grid]
+        assert shapes == sorted(shapes, reverse=True)
+
+    def test_retrieval_calls_pad_little(self, monkeypatch):
+        corpus = []
+        for captions in (3, 5):  # ragged in both axes
+            _, test, _ = gen_corpus(SynthConfig(n_tasks=60, segments_per_video=captions, seed=captions))
+            corpus += [dataclasses.replace(p, id=f"{captions}-{p.id}") for p in test]
+        calls = []
+        kernel = align.align_stack
+
+        def recording(costs, measure, shapes=None):
+            calls.append((costs.size, int(np.prod(shapes, axis=1).sum())))
+            return kernel(costs, measure, shapes)
+
+        monkeypatch.setattr(align, "align_stack", recording)
+        retrieval_full(corpus, measure="dtw", ks=(1,))
+        n = len(corpus)
+        classes = len({len(p.anchor) for p in corpus}) * len({p.covered_indices.size for p in corpus})
+        padded, real = np.sum(calls, axis=0)
+        assert real == sum(len(p.anchor) for p in corpus) * sum(p.covered_indices.size for p in corpus)
+        # a row-major grid pads this corpus to 1.67x its cells
+        assert padded <= 1.05 * real
+        assert len(calls) <= math.ceil(n * n / STACK_MATRICES) + classes
 
 
 class TestRetrievalClip:

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import basis, make_pair, seq, split_perms
 from tempalign.core import DataError, LabeledVideo
-from tempalign.negatives import STRATEGIES, generate_negatives, multi_frame_indices, video_only_negatives
+from tempalign.negatives import STRATEGIES, PairPool, generate_negatives, multi_frame_indices, video_only_negatives
 from tempalign.synth import FewshotSynthConfig, gen_fewshot_corpus
 
 
@@ -261,6 +261,26 @@ class TestDrawsMatchPerDrawLoop:
             out = generate_negatives(pair, corpus, strategy, 50, ours)
             assert_same_draws(out, ref_negatives(pair, corpus, strategy, 50, theirs))
             assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("precomputed", [False, True])
+    def test_unpaired_skips_every_copy_of_the_id(self, precomputed, rng):
+        corpus = varied_corpus(rng)
+        corpus = [corpus[3], *corpus, corpus[3]]  # one id at three positions
+        pool = PairPool.of(corpus) if precomputed else None
+        for seed, pair in enumerate([*corpus, two_segment_pair("outside")]):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = generate_negatives(pair, corpus, "unpaired", 50, ours, pool)
+            assert_same_draws(out, ref_negatives(pair, corpus, "unpaired", 50, theirs))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_precomputed_pool_draws_the_same_joint(self, rng):
+        corpus = varied_corpus(rng)
+        pool = PairPool.of(corpus)
+        for seed, pair in enumerate(corpus):
+            out = generate_negatives(pair, corpus, "joint", 9, np.random.default_rng(seed), pool)
+            ref = generate_negatives(pair, corpus, "joint", 9, np.random.default_rng(seed))
+            assert (out.strategies, out.sources) == (ref.strategies, ref.sources)
+            assert np.array_equal(out.perms, ref.perms) and np.array_equal(out.lengths, ref.lengths)
 
     def test_video_only_draws(self):
         videos, _ = gen_fewshot_corpus(FewshotSynthConfig(n_classes=2, videos_per_class=5, dim=8, seed=3))
