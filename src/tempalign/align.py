@@ -35,13 +35,15 @@ from .core import DataError
 
 MEASURES = ("dtw", "otam")
 
-# Most matrices retrieval, few-shot scoring and training give one align_stack
-# call: enough to amortize its per-call Python work (about fifteen array
-# operations per anti-diagonal, each over the whole batch), few enough to keep
-# its (batch, n, m) arrays small.  A default training batch (8 x 33) fits in one.
-# A call pads every matrix to its largest one, so retrieval hands over its
-# pairs tile by tile in descending shape (evaluate._tile_grid) and a call's
-# matrices share one shape or two adjacent ones.
+# Most matrices one align_stack call aligns, for every caller (evaluation's
+# all-pairs scorer, pair match and training, the last two through
+# align_chunked): enough to amortize its per-call Python work (about fifteen
+# array operations per anti-diagonal, each over the whole batch), few enough
+# to keep its (batch, n, m) arrays small.  A default training batch (8 x 33)
+# fits in one.  A call pads every matrix to its largest one, so
+# evaluate._score_matrix walks its pairs tile by tile in descending shape
+# (evaluate._tile_grid) and a call's matrices share one shape or two adjacent
+# ones.
 STACK_MATRICES = 400
 
 # Back-pointer codes.  The order is the tie-break: on equal accumulated cost a
@@ -192,6 +194,13 @@ def align_stack(costs: np.ndarray, measure: str = "dtw", shapes: np.ndarray | No
     distances = last[items, end]
     lengths = size[rows, end + 1, items].astype(np.int64)
     return Alignments(distances, lengths, ((ptr, rows - 1, end),))
+
+
+def align_chunked(costs: np.ndarray, measure: str, shapes: np.ndarray) -> Alignments:
+    """:func:`align_stack` of a padded stack of any size, at most
+    STACK_MATRICES matrices per call, as one :class:`Alignments`."""
+    cap = STACK_MATRICES
+    return Alignments.concat([align_stack(costs[lo : lo + cap], measure, shapes[lo : lo + cap]) for lo in range(0, len(costs), cap)])
 
 
 def _walk_back(ptr: np.ndarray, i: np.ndarray, j: np.ndarray, steps: int) -> np.ndarray:

@@ -160,45 +160,42 @@ def _normalized(*groups, lengths=None) -> tuple[_Units, ...]:
     return tuple(out)
 
 
-def _cross_scores(rows: _Units, cols: _Units, pairs: np.ndarray, measure: str, out: np.ndarray | None = None) -> np.ndarray:
-    """(P,) alignment scores of the (row index, column index) pairs of a (P, 2)
-    array, over row-normalized row and column stacks (see :func:`_normalized`).
-    Given a 2-d ``out``, pair k's score goes to ``out[pairs[k, 0], pairs[k, 1]]``
-    instead, and ``out`` is returned.
+def _score_matrix(rows: _Units, cols: _Units, measure: str) -> np.ndarray:
+    """(len(rows.stacks), len(cols.stacks)) alignment scores of every row
+    stack against every column stack, both row-normalized (see
+    :func:`_normalized`).
 
     Each cost matrix is ``1 - clip(row @ col.T)``, the product
     :func:`similarity_matrix` forms for that pair, so the scores equal aligning
-    pair by pair.  Consecutive pairs share one ``align.align_stack`` call of
-    at most align.STACK_MATRICES matrices, padded to the chunk's largest
-    shape, so pairs of one shape should be consecutive (see
-    :func:`_tile_grid`).  Within a call the pairs are ordered by row block,
-    column block, row slot and column slot.  Each rectangle of pairs, the
-    consecutive row slots of one block times one run of consecutive column
-    slots of one block, is then one broadcast ``np.matmul`` of two block
-    slices, written into the stack.  A broadcast product makes the same
-    per-matrix BLAS call as ``row @ col.T``, so it rounds identically;
+    pair by pair.  The pairs are walked tile by tile in descending shape (see
+    :func:`_tile_grid`), at most align.STACK_MATRICES per
+    ``align.align_stack`` call, padded to the call's largest shape.  Within a
+    tile the pairs come in row-slot then column-slot order, so each rectangle
+    of pairs, the consecutive row slots of one block times one run of
+    consecutive column slots of one block, is one broadcast ``np.matmul`` of
+    two block slices, written into the stack.  A broadcast product makes the
+    same per-matrix BLAS call as ``row @ col.T``, so it rounds identically;
     products are never padded, since a padded GEMM shape can round
     differently.
     """
     n_rows = np.array([len(u) for u in rows.stacks])
     n_cols = np.array([len(u) for u in cols.stacks])
-    scores = np.empty(len(pairs)) if out is None else out
+    grid = _tile_grid(rows, cols)
+    scores = np.empty((len(n_rows), len(n_cols)))
     # One buffer for every call's stack: allocating a fresh one per call costs
     # page faults and, through heap fragmentation, peak memory.
-    buffer = np.empty(min(align.STACK_MATRICES, len(pairs)) * n_rows.max() * n_cols.max())
-    for start in range(0, len(pairs), align.STACK_MATRICES):
-        chunk = pairs[start : start + align.STACK_MATRICES]
-        order = np.lexsort((cols.slot[chunk[:, 1]], rows.slot[chunk[:, 0]], cols.block[chunk[:, 1]], rows.block[chunk[:, 0]]))
-        r, c = chunk[order].T
+    buffer = np.empty(min(align.STACK_MATRICES, len(grid)) * n_rows.max() * n_cols.max())
+    for start in range(0, len(grid), align.STACK_MATRICES):
+        r, c = grid[start : start + align.STACK_MATRICES].T
         row_block, row_slot, col_block, col_slot = rows.block[r], rows.slot[r], cols.block[c], cols.slot[c]
         shapes = np.column_stack((n_rows[r], n_cols[c]))
-        dims = (len(chunk), *shapes.max(axis=0))
+        dims = (len(r), *shapes.max(axis=0))
         stack = buffer[: np.prod(dims)].reshape(dims)
         stack.fill(0.0)
         # runs of one row against consecutive column slots of one block, and
         # rectangles of runs over the same columns by consecutive row slots
         runs = _breaks((row_block, row_slot, col_block), col_slot)
-        width = np.diff(runs, append=len(chunk))
+        width = np.diff(runs, append=len(r))
         rects = _breaks((row_block[runs], col_block[runs], col_slot[runs], width), row_slot[runs])
         for lo, k, w in zip(runs[rects].tolist(), np.diff(rects, append=len(runs)).tolist(), width[rects].tolist()):
             n, m = shapes[lo].tolist()
@@ -207,8 +204,7 @@ def _cross_scores(rows: _Units, cols: _Units, pairs: np.ndarray, measure: str, o
             np.matmul(lhs[:, None], rhs.transpose(0, 2, 1)[None], out=stack[lo : lo + k * w].reshape(k, w, *dims[1:])[:, :, :n, :m])
         np.clip(stack, -1.0, 1.0, out=stack)
         np.subtract(1.0, stack, out=stack)
-        where = start + order if out is None else (r, c)
-        scores[where] = align.align_stack(stack, measure, shapes).scores()
+        scores[r, c] = align.align_stack(stack, measure, shapes).scores()
     return scores
 
 
@@ -225,7 +221,7 @@ def _tile_grid(rows: _Units, cols: _Units) -> np.ndarray:
     """(R * C, 2) int32 array of every (row index, column index) pair, tile by
     tile: a tile is every pair of one row block and one column block, in
     row-slot then column-slot order.  Tiles come in descending (row length,
-    column length) of their blocks, so the chunks :func:`_cross_scores`
+    column length) of their blocks, so the chunks :func:`_score_matrix`
     aligns together hold pairs of one or two adjacent shapes and pad little.
     """
     # each block's stack indices, in slot order
@@ -275,7 +271,7 @@ def retrieval_full(
 
     scores, tiebreak = None, None
     if measure != "capavg":
-        scores = _cross_scores(anchors, clips, _tile_grid(anchors, clips), "otam" if measure.startswith("otam") else "dtw", out=np.empty((n, n)))
+        scores = _score_matrix(anchors, clips, "otam" if measure.startswith("otam") else "dtw")
     if measure.endswith("capavg"):
         pool = np.concatenate(clips.stacks, axis=0)
         owner = np.concatenate([np.full(len(c), v) for v, c in enumerate(clips.stacks)])
@@ -348,11 +344,11 @@ def corpus_pair_match(corpus: list[SegmentedPair], model=None, measure: str = "d
 
 
 def _pair_match(corpus: list[SegmentedPair], model, measure: str) -> np.ndarray:
-    """Per-pair match fractions, from one alignment call for the whole corpus."""
+    """Per-pair match fractions, from one padded stack of the whole corpus."""
     f_anchor, f_clips = _transforms(model)
     costs = [1.0 - similarity_matrix(f_anchor(p.anchor.units), f_clips(p.covered_units())) for p in corpus]
     stack, shapes = align.pad_costs(costs)
-    res = align.align_stack(stack, measure, shapes)
+    res = align.align_chunked(stack, measure, shapes)
     matched = np.empty(len(corpus))
     for b, pair in enumerate(corpus):
         # caption i owns segment i
@@ -378,10 +374,12 @@ def fewshot_eval(
     matter): sample ``way`` classes, disjoint supports and queries per class,
     score each query against every support, average scores per class, and
     predict the argmax class with ties going to the lowest class slot.
-    Episodes are drawn EPISODE_BLOCK at a time, and each distinct (query,
-    support) pair they draw is scored once, through retrieval's
-    :func:`_cross_scores` or, for ``bag``, as the dot product of the two
-    videos' normalized mean frames.
+    Every (query, support) pair of novel videos is scored once, before any
+    episode is drawn, into one (n, n) matrix: through retrieval's
+    :func:`_score_matrix` or, for ``bag``, as the dot product of the two
+    videos' normalized mean frames.  Episodes are then drawn EPISODE_BLOCK at
+    a time and read their scores from it, so memory stays flat in
+    ``episodes``.
     Reports mean accuracy over episodes with a 95% normal-approximation CI.
     """
     if measure not in FEWSHOT_MEASURES:
@@ -402,10 +400,12 @@ def fewshot_eval(
     if measure == "bag":
         (means,) = _normalized((f_clips(v.frames.units).mean(axis=0, keepdims=True) for v in novel), lengths=[[1] * n])
         means = np.concatenate(means.blocks)[:, 0]  # every mean has one row
+        scores = np.empty((n, n))
+        for q in range(n):  # row by row, so no (n, n, dim) product is formed
+            scores[q] = np.sum(means[q] * means, axis=1)
     else:
         (units,) = _normalized((f_clips(v.frames.units) for v in novel), lengths=[[len(v.frames.units) for v in novel]])
-    # keys (query * n + support) of the pairs scored so far, sorted, and their scores
-    known, known_scores = np.empty(0, dtype=np.int64), np.empty(0)
+        scores = _score_matrix(units, units, measure)
     accuracies = np.empty(episodes)
     for start in range(0, episodes, EPISODE_BLOCK):
         block = range(start, min(start + EPISODE_BLOCK, episodes))
@@ -418,20 +418,8 @@ def fewshot_eval(
                 perm = members[ci][rng.permutation(len(members[ci]))]
                 supports[row, slot] = perm[:shot]
                 queries[row, slot] = perm[shot:needed]
-        drawn, inverse = np.unique(queries.reshape(len(block), -1, 1) * n + supports.reshape(len(block), 1, -1), return_inverse=True)
-        new = drawn[~np.isin(drawn, known, assume_unique=True)]
-        pairs = np.column_stack(np.divmod(new, n))
-        if measure == "bag":  # in chunks, so no (new pairs, dim) product is formed
-            new_scores = np.empty(len(pairs))
-            for lo in range(0, len(pairs), align.STACK_MATRICES):
-                chunk = pairs[lo : lo + align.STACK_MATRICES]
-                new_scores[lo : lo + len(chunk)] = np.sum(means[chunk[:, 0]] * means[chunk[:, 1]], axis=1)
-        else:
-            new_scores = _cross_scores(units, units, pairs, measure)
-        order = np.argsort(np.concatenate((known, new)), kind="stable")
-        known, known_scores = np.concatenate((known, new))[order], np.concatenate((known_scores, new_scores))[order]
-        scores = known_scores[np.searchsorted(known, drawn)][inverse].reshape(len(block), way * queries_per_class, way, shot)
-        pred = np.argmax(scores.mean(axis=3), axis=2)  # first max = lowest class slot
+        drawn = scores[queries.reshape(len(block), -1, 1), supports.reshape(len(block), 1, -1)]
+        pred = np.argmax(drawn.reshape(len(block), -1, way, shot).mean(axis=3), axis=2)  # first max = lowest class slot
         accuracies[start : block.stop] = np.mean(pred == np.arange(way).repeat(queries_per_class), axis=1)
 
     acc = float(np.mean(accuracies))

@@ -84,9 +84,8 @@ def seq_grad_core(sims: list[np.ndarray], spans: list[dict], negs: list[Negative
     source it draws from, side by side, and ``spans[b]`` maps each source id
     to its column range, own source first.  The positive is the own range; a
     negative permutes its source's range (the anchor rows for visual-anchor).
-    All candidates are aligned in one padded stack, ``align.STACK_MATRICES``
-    per ``align_stack`` call, and all path gradients scattered by one
-    ``bincount``.
+    All candidates are aligned in one padded stack (``align.align_chunked``),
+    and all path gradients scattered by one ``bincount``.
     """
     rows, cols, n_rows, n_cols, candidates = [], [], [], [], []
     for sim, span, neg in zip(sims, spans, negs):
@@ -119,10 +118,7 @@ def seq_grad_core(sims: list[np.ndarray], spans: list[dict], negs: list[Negative
     for sim, lo, k in zip(sims, np.cumsum(counts) - counts, counts):
         costs[lo : lo + k] = sim[row_at[lo : lo + k, :, None], col_at[lo : lo + k, None, :]]
     np.subtract(1.0, costs, out=costs)
-    cap = align.STACK_MATRICES
-    paths = align.Alignments.concat(
-        [align.align_stack(costs[lo : lo + cap], cfg.measure, shapes[lo : lo + cap]) for lo in range(0, len(costs), cap)]
-    )
+    paths = align.align_chunked(costs, cfg.measure, shapes)
     del costs
     scores = paths.scores(cfg.normalize_score)
 

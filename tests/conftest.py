@@ -44,6 +44,13 @@ def cost_matrix(a: EmbeddingSequence, b: EmbeddingSequence) -> np.ndarray:
     return 1.0 - similarity_matrix(a.units, b.units)
 
 
+def reference_scores(rows, cols, measure: str) -> np.ndarray:
+    """(len(rows), len(cols)) alignment scores of every (row, column) pair of
+    unit stacks, one similarity_matrix per pair and one padded alignment call."""
+    stack, shapes = align.pad_costs([1.0 - similarity_matrix(r, c) for r in rows for c in cols])
+    return align.align_stack(stack, measure, shapes).scores().reshape(len(rows), len(cols))
+
+
 def split_perms(negs) -> list[np.ndarray]:
     """Each drawn negative's permutation, in draw order."""
     return np.split(negs.perms, np.cumsum(negs.lengths)[:-1])

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import basis, brute_force_align, check_path, cost_matrix, seq
-from tempalign.align import align_stack, pad_costs
+from tempalign import align
+from tempalign.align import align_chunked, align_stack, pad_costs
 from tempalign.core import DataError, similarity_matrix
 
 
@@ -222,6 +223,19 @@ class TestStackKernels:
             if d.size <= 30:
                 assert res.distances[b] == pytest.approx(brute_force_align(d, measure).distance, abs=1e-12)
             assert (float(res.distances[b]), path) == align_one(d, measure)
+
+    @pytest.mark.parametrize("measure", ["dtw", "otam"])
+    def test_chunked_matches_one_call(self, measure, rng, monkeypatch):
+        mats = [rng.integers(0, 3, size=(int(rng.integers(1, 6)), int(rng.integers(1, 7)))).astype(float)
+                for _ in range(11)]  # integer costs: many exact ties
+        stack, shapes = pad_costs(mats)
+        whole = align_stack(stack, measure, shapes)
+        monkeypatch.setattr(align, "STACK_MATRICES", 4)
+        chunked = align_chunked(stack, measure, shapes)
+        assert len(chunked.trails) == 3  # calls of 4, 4 and 3 matrices
+        assert np.array_equal(chunked.distances, whole.distances)
+        assert np.array_equal(chunked.lengths, whole.lengths)
+        assert all(cells(chunked, b) == cells(whole, b) for b in range(len(mats)))
 
 
 def per_cell_alignment(cost, measure):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import basis, make_pair, with_units
+from conftest import basis, make_pair, reference_scores, with_units
 from tempalign import align, evaluate
 from tempalign.align import STACK_MATRICES
 from tempalign.core import DataError, EmbeddingSequence, LabeledVideo, similarity_matrix, unit_normalize
@@ -13,9 +13,9 @@ from tempalign.evaluate import (
     FEWSHOT_MEASURES,
     RETRIEVAL_MEASURES,
     EvalReport,
-    _cross_scores,
     _normalized,
     _ranks,
+    _score_matrix,
     _tile_grid,
     corpus_pair_match,
     fewshot_eval,
@@ -82,17 +82,16 @@ def minmax(x):
 
 def per_pair_ranks(corpus, measure, background):
     """1-based rank of each paragraph's own video, scoring one query/candidate
-    pair at a time through similarity_matrix and align.pad_costs."""
+    pair at a time through similarity_matrix (see reference_scores)."""
     anchors = [p.anchor.units for p in corpus]
     clips = [p.positive.units if background == "keep" else p.covered_units() for p in corpus]
     n = len(corpus)
     pool = np.concatenate(clips)
     owner = np.concatenate([np.full(len(c), v) for v, c in enumerate(clips)])
     bounds = np.cumsum([0] + [len(c) for c in clips])
+    all_aligned = reference_scores(anchors, clips, "otam" if measure.startswith("otam") else "dtw")
     ranks = []
-    for q in range(n):
-        stack, shapes = align.pad_costs([1.0 - similarity_matrix(anchors[q], c) for c in clips])
-        aligned = align.align_stack(stack, "otam" if measure.startswith("otam") else "dtw", shapes).scores()
+    for q, aligned in enumerate(all_aligned):
         sims = similarity_matrix(anchors[q], pool)
         votes = np.bincount(owner[np.argmax(sims, axis=1)], minlength=n).astype(np.float64)
         sumsim = [sims[:, bounds[v] : bounds[v + 1]].max(axis=1).sum() for v in range(n)]
@@ -251,37 +250,20 @@ class TestRanks:
         assert _ranks(scores, target, tiebreak).tolist() == expected
 
 
-def reference_scores(rows, cols, pairs, measure):
-    """Alignment score of each (row, column) pair, one similarity_matrix per pair."""
-    stack, shapes = align.pad_costs([1.0 - similarity_matrix(rows[r], cols[c]) for r, c in pairs])
-    return align.align_stack(stack, measure, shapes).scores()
-
-
-class TestCrossScores:
-    @pytest.mark.parametrize("layout", ["tile-grid", "row-major", "sparse"])
+class TestScoreMatrix:
     @pytest.mark.parametrize("measure", ["dtw", "otam"])
-    def test_many_blocks_match_per_pair_reference(self, rng, monkeypatch, measure, layout):
+    def test_many_blocks_match_per_pair_reference(self, rng, monkeypatch, measure):
         rows = [rng.normal(size=(int(rng.integers(1, 5)), 3)) for _ in range(13)]
         cols = [rng.normal(size=(int(rng.integers(1, 6)), 3)) for _ in range(17)]
         monkeypatch.setattr(evaluate, "BLOCK_BYTES", 2 * 2 * 3 * 8)  # two 2-unit stacks
         monkeypatch.setattr(align, "STACK_MATRICES", 7)
         units = _normalized(rows, cols)
         assert min(len(u.blocks) for u in units) >= 6
-        if layout == "tile-grid":
-            pairs = _tile_grid(*units)
-        elif layout == "row-major":
-            pairs = np.indices((len(rows), len(cols))).reshape(2, -1).T
-        else:  # repeats included
-            pairs = np.column_stack((rng.integers(0, len(rows), 90), rng.integers(0, len(cols), 90)))
-        expected = reference_scores(rows, cols, pairs, measure)
-        assert np.array_equal(_cross_scores(*units, pairs, measure), expected)
-        if layout != "sparse":  # every pair once: the scores fill a matrix
-            tile = units[0].block[pairs[:, 0]] * len(units[1].blocks) + units[1].block[pairs[:, 1]]
-            cuts = np.arange(7, len(pairs), 7)
-            assert np.any(tile[cuts - 1] == tile[cuts])  # some alignment call ends inside a tile
-            grid = np.full((len(rows), len(cols)), np.nan)
-            assert _cross_scores(*units, pairs, measure, out=grid) is grid
-            assert np.array_equal(grid[pairs[:, 0], pairs[:, 1]], expected)
+        pairs = _tile_grid(*units)
+        tile = units[0].block[pairs[:, 0]] * len(units[1].blocks) + units[1].block[pairs[:, 1]]
+        cuts = np.arange(7, len(pairs), 7)
+        assert np.any(tile[cuts - 1] == tile[cuts])  # some alignment call ends inside a tile
+        assert np.array_equal(_score_matrix(*units, measure), reference_scores(rows, cols, measure))
 
     def test_tile_grid_holds_every_pair_once_by_descending_shape(self, rng, monkeypatch):
         monkeypatch.setattr(evaluate, "BLOCK_BYTES", 2 * 5 * 2 * 8)
@@ -442,6 +424,22 @@ class TestPairMatch:
             assert corpus_pair_match([pair], measure=measure) == fractions[-1]
         assert corpus_pair_match(corpus, measure=measure) == float(np.mean(fractions))
 
+    @pytest.mark.parametrize("measure", ["dtw", "otam"])
+    def test_alignment_calls_are_bounded(self, monkeypatch, measure):
+        corpus = ragged_corpus()
+        whole = corpus_pair_match(corpus, measure=measure)
+        calls = []
+        kernel = align.align_stack
+
+        def recording(costs, measure, shapes=None):
+            calls.append(len(costs))
+            return kernel(costs, measure, shapes)
+
+        monkeypatch.setattr(align, "STACK_MATRICES", 3)
+        monkeypatch.setattr(align, "align_stack", recording)
+        assert corpus_pair_match(corpus, measure=measure) == whole
+        assert sum(calls) == len(corpus) and max(calls) <= 3
+
 
 def class_corpus(n_classes=5, per_class=7, frames=4, dim=16, noise=0.0, seed=0):
     """Identical-within-class, orthogonal-across-class frame sequences."""
@@ -472,8 +470,9 @@ def noisy_class_corpus(ragged, n_classes=5, per_class=6, dim=8, seed=2):
 
 def per_episode_reference(videos, measure, way, shot, queries_per_class, episodes, seed):
     """Accuracy and ci95 of few-shot episodes scored one episode at a time:
-    per (query, support) pair through similarity_matrix and align.pad_costs,
-    or, for bag, as a dot product of the normalized mean frames."""
+    per (query, support) pair through similarity_matrix (see
+    reference_scores), or, for bag, as a dot product of the normalized mean
+    frames."""
     labels = sorted({v.label for v in videos})
     groups = {lab: [v.frames.units for v in videos if v.label == lab] for lab in labels}
     accuracies = []
@@ -490,8 +489,7 @@ def per_episode_reference(videos, measure, way, shot, queries_per_class, episode
             s_means = [unit_normalize(s.mean(axis=0))[0] for s in supports]
             scores = np.array([[q @ s for s in s_means] for q in q_means])
         else:
-            stack, shapes = align.pad_costs([1.0 - similarity_matrix(q, s) for q in queries for s in supports])
-            scores = align.align_stack(stack, measure, shapes).scores().reshape(len(queries), len(supports))
+            scores = reference_scores(queries, supports, measure)
         pred = np.argmax(scores.reshape(len(queries), way, shot).mean(axis=2), axis=1)
         accuracies.append(np.mean(pred == np.repeat(np.arange(way), queries_per_class)))
     return float(np.mean(accuracies)), float(1.96 * np.std(accuracies, ddof=1) / np.sqrt(episodes))
@@ -548,11 +546,8 @@ class TestFewshot:
     def test_ragged_scores_match_per_pair_reference(self, rng, measure):
         rows = [rng.normal(size=(int(rng.integers(1, 9)), 6)) for _ in range(9)]
         cols = [rng.normal(size=(int(rng.integers(1, 9)), 6)) for _ in range(70)]
-        pairs = np.column_stack((rng.integers(0, len(rows), 1000), rng.integers(0, len(cols), 1000)))
-        assert len(pairs) % STACK_MATRICES != 0  # the last alignment call holds fewer pairs
-        stack, shapes = align.pad_costs([1.0 - similarity_matrix(rows[r], cols[c]) for r, c in pairs])
-        expected = align.align_stack(stack, measure, shapes).scores()
-        assert np.array_equal(_cross_scores(*_normalized(rows, cols), pairs, measure), expected)
+        assert len(rows) * len(cols) % STACK_MATRICES != 0  # the last alignment call holds fewer pairs
+        assert np.array_equal(_score_matrix(*_normalized(rows, cols), measure), reference_scores(rows, cols, measure))
 
     @pytest.mark.parametrize("ragged", [False, True])
     @pytest.mark.parametrize("measure", FEWSHOT_MEASURES)
@@ -564,11 +559,11 @@ class TestFewshot:
         assert (report.aux["accuracy"], report.aux["ci95"]) == (accuracy, ci95)
         assert 0.3 < accuracy < 1.0  # neither chance nor saturated
 
-    def test_scores_each_drawn_pair_once(self, monkeypatch):
+    def test_aligns_every_pair_once(self, monkeypatch):
+        # the (n, n) score matrix is formed before any episode is drawn, so
+        # one episode aligns as many matrices as twenty
         videos = class_corpus(noise=0.2)
         n = len(videos)
-        way, queries_per_class, shot, episodes = 5, 5, 1, 20
-        assert episodes * way * queries_per_class * way * shot > n * (n - 1)
         aligned = []
         kernel = align.align_stack
 
@@ -577,25 +572,27 @@ class TestFewshot:
             return kernel(costs, measure, shapes)
 
         monkeypatch.setattr(align, "align_stack", counting)
-        fewshot_eval(None, videos, way=way, shot=shot, queries_per_class=queries_per_class, episodes=episodes)
-        assert 0 < sum(aligned) <= n * (n - 1)
+        for episodes in (1, 20):
+            aligned.clear()
+            fewshot_eval(None, videos, way=5, shot=1, queries_per_class=5, episodes=episodes)
+            assert sum(aligned) == n * n
 
     @pytest.mark.parametrize("measure", FEWSHOT_MEASURES)
     def test_episode_blocks_change_nothing(self, measure, monkeypatch):
         videos = noisy_class_corpus(True)
         settings = dict(way=4, shot=2, queries_per_class=3, episodes=30, seed=4, measure=measure)
         whole = fewshot_eval(None, videos, **settings)
-        scored = []
-        cross = evaluate._cross_scores
+        calls = []
+        scorer = evaluate._score_matrix
 
-        def counting(rows, cols, pairs, measure):
-            scored.extend(pairs.tolist())
-            return cross(rows, cols, pairs, measure)
+        def counting(rows, cols, measure):
+            calls.append(measure)
+            return scorer(rows, cols, measure)
 
         monkeypatch.setattr(evaluate, "EPISODE_BLOCK", 7)
-        monkeypatch.setattr(evaluate, "_cross_scores", counting)
+        monkeypatch.setattr(evaluate, "_score_matrix", counting)
         assert fewshot_eval(None, videos, **settings).aux == whole.aux
-        assert len(scored) == len({tuple(p) for p in scored})  # each pair once across blocks
+        assert len(calls) == (0 if measure == "bag" else 1)  # once per call, not per block
 
     def test_memory_does_not_grow_with_episodes(self):
         # small episodes keep the traced run short; the parent's pair keys grew 5x here
@@ -608,8 +605,8 @@ class TestFewshot:
         assert peak(5000) <= 1.5 * peak(1000)
 
     def test_bag_memory_within_dtw(self):
-        # one episode block draws about 9,600 new pairs; scoring them in one
-        # (pairs, dim) product peaked at 11 MB against dtw's 4.7 MB
+        # bag scores about 10,000 pairs here; scoring them in one (pairs, dim)
+        # product peaked at 11 MB against dtw's 4.7 MB
         novel = novel_videos(FewshotSynthConfig())
 
         def peak(measure):
