@@ -7,7 +7,7 @@ import pytest
 from conftest import make_pair, seq
 from tempalign import cli
 from tempalign.core import DataError, LabeledVideo
-from tempalign.io import save_dataset, save_pair, save_video
+from tempalign.io import load_dataset, save_dataset, save_pair, save_video
 from tempalign.synth import FewshotSynthConfig, SynthConfig, gen_corpus, gen_fewshot_corpus
 from tempalign.train import ProjectionModel, load_checkpoint, save_checkpoint
 
@@ -155,6 +155,69 @@ def test_malformed_manifest_is_a_data_error(capsys, tmp_path, change):
     manifest.write_text(json.dumps(record))
     assert cli.main(["eval", "localize", "--data", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("data error:")
+
+
+def _container(header: str, *blocks) -> bytes:
+    """A .bin record: magic, header length, JSON header, float32 blocks."""
+    body = b"".join(np.asarray(block, "<f4").tobytes() for block in blocks)
+    return b"TALNBIN1" + struct.pack("<I", len(header)) + header.encode("utf-8") + body
+
+
+_PAIR_ROWS = (
+    '"captions": [{"id": "toy-c0", "embedding": [1, 0, 0]}, {"id": "toy-c1", "embedding": [0, 1, 0]}, '
+    '{"id": "toy-c2", "embedding": [0, 0, 1]}], "clips": [{"embedding": [0.5, 0.5, 1]}, {"embedding": [1, 0.25, 0]}, '
+    '{"embedding": [0, 1, 0.5]}, {"embedding": [0.25, 0, 1]}, {"embedding": [1, 1, 1]}], '
+    '"segments": [{"caption_index": 0, "start": 1, "end": 2}, {"caption_index": 1, "start": 2, "end": 3}, '
+    '{"caption_index": 2, "start": 3, "end": 4}]'
+)
+_VIDEO_ROWS = (
+    '"frames": [{"embedding": [0.5, 0.5, 1]}, {"embedding": [1, 0.25, 0]}, {"embedding": [0, 1, 0.5]}, '
+    '{"embedding": [0.25, 0, 1]}, {"embedding": [1, 1, 1]}]'
+)
+
+# The bytes save_dataset writes for the toy pair and the toy video: every
+# record file and the manifest, by path under the dataset directory.
+PINNED_FILES = {
+    ("pairs", "json"): {
+        "pairs/toy.json": ('{"id": "toy", "dim": 3, ' + _PAIR_ROWS + "}\n").encode("utf-8"),
+    },
+    ("pairs", "bin"): {
+        "pairs/toy.bin": _container(
+            '{"dim": 3, "id": "toy", "kind": "pair", "segments": [[0, 1, 2], [1, 2, 3], [2, 3, 4]], '
+            '"shapes": [[3, 3], [5, 3]]}', CAPTIONS, CLIPS),
+    },
+    ("videos", "json"): {
+        "videos/v0.json": ('{"id": "v0", "label": "walk", "dim": 3, ' + _VIDEO_ROWS + "}\n").encode("utf-8"),
+    },
+    ("videos", "bin"): {
+        "videos/v0.bin": _container('{"dim": 3, "id": "v0", "kind": "video", "label": "walk", "shapes": [[5, 3]]}', CLIPS),
+    },
+}
+
+
+@pytest.mark.parametrize("kind, fmt", list(PINNED_FILES))
+def test_record_files_are_pinned(tmp_path, kind, fmt):
+    if kind == "pairs":
+        item, split = make_pair(CAPTIONS, CLIPS, SEGMENTS, pid="toy"), "test"
+    else:
+        item, split = LabeledVideo("v0", "walk", seq(CLIPS, "v0")), "novel"
+    save_dataset(tmp_path, [(item, split)], kind=kind, fmt=fmt)
+    (rel, record), = PINNED_FILES[(kind, fmt)].items()
+    manifest = (f'{{"format_version": 1, "kind": "{kind}", "dim": 3, '
+                f'"entries": [{{"id": "{item.id}", "path": "{rel}", "split": "{split}"}}]}}\n')
+    written = {str(p.relative_to(tmp_path)): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert written == {"manifest.json": manifest.encode("utf-8"), rel: record}
+
+    _, by_split = load_dataset(tmp_path)
+    (loaded,), = by_split.values()
+    assert list(by_split) == [split] and loaded.id == item.id
+    if kind == "pairs":
+        assert loaded.segments == item.segments
+        np.testing.assert_array_equal(loaded.anchor.units, CAPTIONS)
+        np.testing.assert_array_equal(loaded.positive.units, CLIPS)
+    else:
+        assert loaded.label == "walk"
+        np.testing.assert_array_equal(loaded.frames.units, CLIPS)
 
 
 @pytest.fixture
