@@ -15,7 +15,7 @@ import numpy as np
 from . import align
 from . import evaluate as ev
 from .core import DataError, NumericalError, similarity_matrix
-from .io import dump_json, fmt9, load_dataset, load_pair, write_csv
+from .io import dump_json, fmt9, load_dataset, load_item, write_csv
 from .loss import LossConfig
 from .negatives import STRATEGIES
 from .synth import FewshotSynthConfig, SynthConfig, gen_corpus, gen_fewshot_corpus
@@ -57,7 +57,7 @@ def _emit_report(report, out_csv: str | None, dump: str | None) -> None:
 
 
 def cmd_align(args) -> int:
-    pair = load_pair(args.pair)
+    pair = load_item(args.pair, "pair")
     result = align.align_stack((1.0 - similarity_matrix(pair.anchor.units, pair.positive.units))[None], args.measure)
     record = {"pair": pair.id, "measure": args.measure, "score": result.scores(args.normalize)[0],
               "distance": result.distances[0]}
@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_align = sub.add_parser("align", help="align one pair file and print score, distance, path")
     p_align.add_argument("--pair", required=True)
-    p_align.add_argument("--measure", choices=("dtw", "otam"), default="dtw")
+    p_align.add_argument("--measure", choices=align.MEASURES, default="dtw")
     p_align.add_argument("--normalize", action="store_true", help="divide the score by the path length")
     p_align.add_argument("--emit-path", action="store_true")
     p_align.set_defaults(func=cmd_align)
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lr", type=float, default=0.001)
     p_train.add_argument("--epochs", type=int, default=10)
     p_train.add_argument("--batch-pairs", type=int, default=8)
-    p_train.add_argument("--measure", choices=("dtw", "otam"), default="dtw")
+    p_train.add_argument("--measure", choices=align.MEASURES, default="dtw")
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--report", default=None)

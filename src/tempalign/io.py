@@ -1,9 +1,12 @@
 """Dataset file formats and manifests.
 
-Text records are JSON with floats printed to 9 significant digits, which is
-diff-friendly and idempotent under write -> load -> write.  A packed binary
-variant (little-endian float32 blocks behind a JSON header) is selected by
-the ``.bin`` extension for larger corpora.
+A record holds one pair or one video.  :func:`save_item` writes either kind
+and :func:`load_item` reads it back; ``save_dataset`` / ``load_dataset`` add a
+manifest over a directory of records.  Text records are JSON with floats
+printed to 9 significant digits, which is diff-friendly and idempotent under
+write -> load -> write.  A packed binary variant (little-endian float32
+blocks behind a JSON header) is selected by the ``.bin`` extension for
+larger corpora.
 """
 
 from __future__ import annotations
@@ -65,17 +68,6 @@ def write_json(path, obj) -> None:
         fh.write(dump_json(obj) + "\n")
 
 
-def _embedding_rows(units: np.ndarray, with_ids: list[str] | None = None) -> list[dict]:
-    rows = []
-    for i, row in enumerate(units):
-        rec = {}
-        if with_ids is not None:
-            rec["id"] = with_ids[i]
-        rec["embedding"] = [float(x) for x in row]
-        rows.append(rec)
-    return rows
-
-
 def _require(rec, keys: tuple[str, ...], where: str) -> None:
     """Raise DataError unless ``rec`` is a JSON object holding every key."""
     if not isinstance(rec, dict):
@@ -92,66 +84,7 @@ def _int_field(rec: dict, key: str, where: str) -> int:
         raise DataError(f"{where}: field {key!r} is not an integer: {exc}") from exc
 
 
-def pair_to_record(pair: SegmentedPair) -> dict:
-    caption_ids = [f"{pair.id}-c{i}" for i in range(len(pair.anchor))]
-    return {
-        "id": pair.id,
-        "dim": pair.anchor.dim,
-        "captions": _embedding_rows(pair.anchor.units, caption_ids),
-        "clips": _embedding_rows(pair.positive.units),
-        "segments": [{"caption_index": c, "start": s, "end": e} for c, s, e in pair.segments],
-    }
-
-
-def record_to_pair(rec: dict, *, where: str = "pair record") -> SegmentedPair:
-    _require(rec, ("id", "dim", "captions", "clips", "segments"), where)
-    dim = _int_field(rec, "dim", where)
-
-    def rows(entries, what):
-        try:
-            arr = np.asarray([e["embedding"] for e in entries], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{where}: field {what!r} malformed: {exc}") from exc
-        if arr.ndim != 2 or arr.shape[1] != dim:
-            raise DataError(f"{where}: field {what!r} does not match dim={dim}")
-        return arr
-
-    try:
-        segments = [(int(seg["caption_index"]), int(seg["start"]), int(seg["end"])) for seg in rec["segments"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{where}: field 'segments' malformed: {exc}") from exc
-    pid = str(rec["id"])
-    return SegmentedPair(
-        id=pid,
-        anchor=EmbeddingSequence(f"{pid}-captions", rows(rec["captions"], "captions")),
-        positive=EmbeddingSequence(f"{pid}-clips", rows(rec["clips"], "clips")),
-        segments=SegmentMap(tuple(segments)),
-    )
-
-
-def video_to_record(video: LabeledVideo) -> dict:
-    return {
-        "id": video.id,
-        "label": video.label,
-        "dim": video.frames.dim,
-        "frames": _embedding_rows(video.frames.units),
-    }
-
-
-def record_to_video(rec: dict, *, where: str = "video record") -> LabeledVideo:
-    _require(rec, ("id", "label", "dim", "frames"), where)
-    dim = _int_field(rec, "dim", where)
-    try:
-        frames = np.asarray([e["embedding"] for e in rec["frames"]], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{where}: field 'frames' malformed: {exc}") from exc
-    if frames.ndim != 2 or frames.shape[1] != dim:
-        raise DataError(f"{where}: field 'frames' does not match dim={dim}")
-    vid = str(rec["id"])
-    return LabeledVideo(id=vid, label=str(rec["label"]), frames=EmbeddingSequence(vid, frames))
-
-
-# -- binary variant ---------------------------------------------------------
+# -- float32 containers -----------------------------------------------------
 
 
 def write_float32_container(path, magic: bytes, header_fmt: str, fields, meta: dict, blocks) -> None:
@@ -218,71 +151,89 @@ def read_float32_container(path, magic: bytes, header_fmt: str, shapes_key: str)
     return fields, meta, blocks
 
 
-def _read_binary(path, kind: str, fields: tuple[str, ...], n_blocks: int) -> tuple[dict, list[np.ndarray]]:
-    _, meta, blocks = read_float32_container(path, _BIN_MAGIC, "<I", "shapes")
-    if meta.get("kind") != kind:
-        raise DataError(f"{path}: expected a {kind} record, got kind {meta.get('kind')!r}")
-    missing = [key for key in fields if key not in meta]
-    if missing or len(blocks) != n_blocks:
-        raise DataError(f"{path}: {kind} record lacks fields {missing} or has {len(blocks)} blocks, not {n_blocks}")
-    return meta, blocks
+# -- records ----------------------------------------------------------------
+
+# kind -> (fields every record holds, unit-block names in file order)
+_KINDS = {
+    "pair": (("id", "dim", "segments"), ("captions", "clips")),
+    "video": (("id", "label", "dim"), ("frames",)),
+}
+_SEGMENT_KEYS = ("caption_index", "start", "end")
 
 
-def save_pair(pair: SegmentedPair, path) -> None:
+def _fields(item) -> tuple[str, dict, list[np.ndarray]]:
+    """(kind, fields in JSON order with segments as triples, unit blocks in
+    file order) of a SegmentedPair or a LabeledVideo."""
+    if isinstance(item, SegmentedPair):
+        fields = {"id": item.id, "dim": item.anchor.dim, "segments": [list(e) for e in item.segments]}
+        return "pair", fields, [item.anchor.units, item.positive.units]
+    return "video", {"id": item.id, "label": item.label, "dim": item.frames.dim}, [item.frames.units]
+
+
+def save_item(item, path) -> None:
+    """Write a SegmentedPair or a LabeledVideo: a float32 container (sorted
+    JSON header, segments as triples) if ``path`` ends in ``.bin``, else one
+    JSON record (unit rows as ``{"embedding": [...]}`` objects, captions with
+    an id, segments as ``{"caption_index", "start", "end"}`` objects)."""
     path = str(path)
+    kind, fields, blocks = _fields(item)
     if path.endswith(".bin"):
-        meta = {
-            "kind": "pair",
-            "id": pair.id,
-            "dim": pair.anchor.dim,
-            "segments": [list(e) for e in pair.segments],
-            "shapes": [list(pair.anchor.units.shape), list(pair.positive.units.shape)],
-        }
-        write_float32_container(path, _BIN_MAGIC, "<I", (), meta, [pair.anchor.units, pair.positive.units])
+        meta = {"kind": kind, **fields, "shapes": [list(block.shape) for block in blocks]}
+        write_float32_container(path, _BIN_MAGIC, "<I", (), meta, blocks)
         return
-    write_json(path, pair_to_record(pair))
+    record = {key: value for key, value in fields.items() if key != "segments"}
+    for name, block in zip(_KINDS[kind][1], blocks):
+        record[name] = [{"embedding": [float(x) for x in row]} for row in block]
+    if kind == "pair":
+        record["captions"] = [{"id": f"{item.id}-c{i}", **row} for i, row in enumerate(record["captions"])]
+        record["segments"] = [dict(zip(_SEGMENT_KEYS, e)) for e in fields["segments"]]
+    write_json(path, record)
 
 
-def load_pair(path) -> SegmentedPair:
+def load_item(path, kind: str):
+    """Read the ``kind`` ("pair" or "video") record :func:`save_item` writes
+    to ``path``.  Every malformed record raises DataError, and so does a unit
+    block whose width is not the record's ``dim``, in either format."""
     path = str(path)
-    if path.endswith(".bin"):
-        meta, (anchor, clips) = _read_binary(path, "pair", ("id", "segments"), 2)
-        pid = str(meta["id"])
-        try:
-            segments = SegmentMap(tuple(tuple(e) for e in meta["segments"]))
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}: field 'segments' malformed: {exc}") from exc
-        return SegmentedPair(
-            id=pid,
-            anchor=EmbeddingSequence(f"{pid}-captions", anchor),
-            positive=EmbeddingSequence(f"{pid}-clips", clips),
-            segments=segments,
-        )
-    return record_to_pair(read_json(path), where=path)
-
-
-def save_video(video: LabeledVideo, path) -> None:
-    path = str(path)
-    if path.endswith(".bin"):
-        meta = {
-            "kind": "video",
-            "id": video.id,
-            "label": video.label,
-            "dim": video.frames.dim,
-            "shapes": [list(video.frames.units.shape)],
-        }
-        write_float32_container(path, _BIN_MAGIC, "<I", (), meta, [video.frames.units])
-        return
-    write_json(path, video_to_record(video))
-
-
-def load_video(path) -> LabeledVideo:
-    path = str(path)
-    if path.endswith(".bin"):
-        meta, (frames,) = _read_binary(path, "video", ("id", "label"), 1)
-        vid = str(meta["id"])
-        return LabeledVideo(id=vid, label=str(meta["label"]), frames=EmbeddingSequence(vid, frames))
-    return record_to_video(read_json(path), where=path)
+    binary = path.endswith(".bin")
+    fields, names = _KINDS[kind]
+    # 1. the record's fields and its float64 unit blocks
+    if binary:
+        _, rec, blocks = read_float32_container(path, _BIN_MAGIC, "<I", "shapes")
+        if rec.get("kind") != kind:
+            raise DataError(f"{path}: expected a {kind} record, got kind {rec.get('kind')!r}")
+        _require(rec, fields, path)
+        if len(blocks) != len(names):
+            raise DataError(f"{path}: a {kind} record has {len(blocks)} blocks, not {len(names)}")
+    else:
+        rec = read_json(path)
+        _require(rec, fields + names, path)
+        blocks = []
+        for name in names:
+            try:
+                blocks.append(np.asarray([e["embedding"] for e in rec[name]], dtype=np.float64))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{path}: field {name!r} malformed: {exc}") from exc
+    # 2. every block against the record's dim
+    dim = _int_field(rec, "dim", path)
+    for name, block in zip(names, blocks):
+        if block.ndim != 2 or block.shape[1] != dim:
+            raise DataError(f"{path}: field {name!r} does not match dim={dim}")
+    # 3. the item
+    rid = str(rec["id"])
+    if kind == "video":
+        return LabeledVideo(id=rid, label=str(rec["label"]), frames=EmbeddingSequence(rid, blocks[0]))
+    try:
+        entries = rec["segments"] if binary else [[seg[key] for key in _SEGMENT_KEYS] for seg in rec["segments"]]
+        segments = SegmentMap(tuple(tuple(e) for e in entries))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: field 'segments' malformed: {exc}") from exc
+    return SegmentedPair(
+        id=rid,
+        anchor=EmbeddingSequence(f"{rid}-captions", blocks[0]),
+        positive=EmbeddingSequence(f"{rid}-clips", blocks[1]),
+        segments=segments,
+    )
 
 
 # -- manifests --------------------------------------------------------------
@@ -293,15 +244,6 @@ class DatasetManifest:
     kind: str  # "pairs" or "videos"
     dim: int
     entries: list[dict]  # {"id", "path", "split"}
-    format_version: int = FORMAT_VERSION
-
-    def to_record(self) -> dict:
-        return {
-            "format_version": self.format_version,
-            "kind": self.kind,
-            "dim": self.dim,
-            "entries": self.entries,
-        }
 
 
 def save_dataset(out_dir, items: list[tuple[object, str]], kind: str, fmt: str = "json") -> DatasetManifest:
@@ -321,17 +263,14 @@ def save_dataset(out_dir, items: list[tuple[object, str]], kind: str, fmt: str =
     dims = set()
     for item, split in items:
         rel = os.path.join(kind, f"{item.id}.{fmt}")
-        if kind == "pairs":
-            save_pair(item, os.path.join(out_dir, rel))
-            dims.add(item.anchor.dim)
-        else:
-            save_video(item, os.path.join(out_dir, rel))
-            dims.add(item.frames.dim)
+        save_item(item, os.path.join(out_dir, rel))
+        dims.add(item.anchor.dim if kind == "pairs" else item.frames.dim)
         entries.append({"id": item.id, "path": rel, "split": split})
     if len(dims) != 1:
         raise DataError(f"dataset mixes dims {sorted(dims)}")
     manifest = DatasetManifest(kind, dims.pop(), entries)
-    write_json(os.path.join(out_dir, "manifest.json"), manifest.to_record())
+    record = {"format_version": FORMAT_VERSION, "kind": kind, "dim": manifest.dim, "entries": entries}
+    write_json(os.path.join(out_dir, "manifest.json"), record)
     return manifest
 
 
@@ -365,7 +304,7 @@ def load_dataset(data_dir):
         path = os.path.join(data_dir, entry["path"])
         if not os.path.exists(path):
             raise DataError(f"{manifest_path}: entry path {entry['path']!r} does not exist")
-        item = load_pair(path) if manifest.kind == "pairs" else load_video(path)
+        item = load_item(path, manifest.kind[:-1])  # "pairs" -> "pair"
         dim = item.anchor.dim if manifest.kind == "pairs" else item.frames.dim
         if dim != manifest.dim:
             raise DataError(f"{entry['path']}: dim {dim} != manifest dim {manifest.dim}")

@@ -37,8 +37,8 @@ class LossConfig:
         weights = (self.w_unit, self.w_seq)
         if not np.all(np.isfinite(weights)) or min(weights) < 0 or sum(weights) <= 0:
             raise ValueError(f"weights must be finite and nonnegative with positive sum, got {weights}")
-        if self.measure not in ("dtw", "otam"):
-            raise ValueError(f"measure must be 'dtw' or 'otam', got {self.measure!r}")
+        if self.measure not in align.MEASURES:
+            raise ValueError(f"measure must be one of {align.MEASURES}, got {self.measure!r}")
 
 
 def _masked_infonce(z: np.ndarray, mask: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,7 @@ import pytest
 from conftest import make_pair, seq
 from tempalign import cli
 from tempalign.core import DataError, LabeledVideo
-from tempalign.io import load_dataset, save_dataset, save_pair, save_video
+from tempalign.io import load_dataset, save_dataset, save_item
 from tempalign.synth import FewshotSynthConfig, SynthConfig, gen_corpus, gen_fewshot_corpus
 from tempalign.train import ProjectionModel, load_checkpoint, save_checkpoint
 
@@ -30,7 +30,7 @@ EXPECTED = {
 @pytest.fixture(params=["json", "bin"])
 def pair_file(request, tmp_path):
     path = tmp_path / f"toy.{request.param}"
-    save_pair(make_pair(CAPTIONS, CLIPS, SEGMENTS, pid="toy"), path)
+    save_item(make_pair(CAPTIONS, CLIPS, SEGMENTS, pid="toy"), path)
     return str(path)
 
 
@@ -65,7 +65,7 @@ def test_missing_file_is_a_data_error(capsys, tmp_path):
 @pytest.mark.parametrize("ext", ["json", "bin"])
 def test_video_record_is_not_a_pair(capsys, tmp_path, ext):
     path = tmp_path / f"video.{ext}"
-    save_video(LabeledVideo("v0", "walk", seq(CLIPS, "v0")), path)
+    save_item(LabeledVideo("v0", "walk", seq(CLIPS, "v0")), path)
     code, out, err = run_align(capsys, "--pair", str(path))
     assert code == 3
     assert out == ""
@@ -85,7 +85,7 @@ def test_truncated_or_extended_binary_is_a_data_error(capsys, tmp_path, kind):
     clips = seq(CLIPS, "v0")
     if kind == "pair":
         target = tmp_path / "toy.bin"
-        save_pair(make_pair(CAPTIONS, CLIPS, SEGMENTS, pid="toy"), target)
+        save_item(make_pair(CAPTIONS, CLIPS, SEGMENTS, pid="toy"), target)
         argv = ["align", "--pair", str(target)]
     elif kind == "video":
         videos = [LabeledVideo(f"v{i}", label, clips) for i, label in enumerate(["walk", "walk", "run", "run"])]
@@ -112,6 +112,7 @@ GOOD_HEADER = {"kind": "pair", "id": "g", "dim": 3, "segments": [[0, 0, 2]], "sh
 @pytest.mark.parametrize("change", [
     {"shapes": None}, {"shapes": 5}, {"shapes": [[-1, 3], [2, 3]]}, {"shapes": [[1, 3]]},
     {"shapes": [[1, 3], [2, "3"]]}, {"segments": 5}, {"segments": [[0, "a", 2]]}, {"id": None},
+    {"dim": 5}, {"dim": "x"}, {"dim": None},
 ])
 def test_garbled_binary_header_is_a_data_error(capsys, tmp_path, change):
     meta = {k: v for k, v in {**GOOD_HEADER, **change}.items() if v is not None}
@@ -123,10 +124,24 @@ def test_garbled_binary_header_is_a_data_error(capsys, tmp_path, change):
     assert err.startswith("data error:")
 
 
+@pytest.mark.parametrize("dim", [5, "x", None])
+def test_binary_video_that_disagrees_with_its_dim_is_a_data_error(capsys, tmp_path, dim):
+    videos = [LabeledVideo(f"v{i}", label, seq(CLIPS, f"v{i}")) for i, label in enumerate(["walk", "walk", "run", "run"])]
+    save_dataset(tmp_path, [(v, "novel") for v in videos], kind="videos", fmt="bin")
+    argv = ["eval", "fewshot", "--data", str(tmp_path), "--way", "2", "--queries", "1", "--episodes", "1"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    meta = {k: v for k, v in {"kind": "video", "id": "v0", "label": "walk", "dim": dim, "shapes": [[5, 3]]}.items()
+            if v is not None}
+    (tmp_path / "videos" / "v0.bin").write_bytes(_container(json.dumps(meta), CLIPS))
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("data error:")
+
+
 @pytest.mark.parametrize("change", [{"segments": 5}, {"segments": None}, {"segments": "0-2"}, {"dim": [3]}, 5])
 def test_malformed_json_pair_is_a_data_error(capsys, tmp_path, change):
     path = tmp_path / "toy.json"
-    save_pair(make_pair(CAPTIONS, CLIPS, SEGMENTS, pid="toy"), path)
+    save_item(make_pair(CAPTIONS, CLIPS, SEGMENTS, pid="toy"), path)
     assert run_align(capsys, "--pair", str(path))[0] == 0
     record = {**json.loads(path.read_text()), **change} if isinstance(change, dict) else change
     path.write_text(json.dumps(record))
