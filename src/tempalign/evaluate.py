@@ -177,10 +177,23 @@ def _score_matrix(rows: _Units, cols: _Units, measure: str) -> np.ndarray:
     same per-matrix BLAS call as ``row @ col.T``, so it rounds identically;
     products are never padded, since a padded GEMM shape can round
     differently.
+
+    A set scored against itself (``rows is cols``) under ``dtw`` aligns only
+    the pairs whose row index is at most their column index and mirrors each
+    score to ``[c, r]``: the entry of two stacks is the score with the
+    earlier one as rows.  dtw's accumulated cost is exact under transposition
+    (each cell adds the same cost to the minimum of the same three values),
+    and so is its path length, except where a cell's vertical and horizontal
+    predecessors tie below its diagonal one: there the two orientations can
+    walk paths of different lengths, so the later stack as rows could score
+    differently.  otam is not symmetric and aligns every pair.
     """
     n_rows = np.array([len(u) for u in rows.stacks])
     n_cols = np.array([len(u) for u in cols.stacks])
     grid = _tile_grid(rows, cols)
+    mirror = rows is cols and measure == "dtw"
+    if mirror:
+        grid = grid[grid[:, 0] <= grid[:, 1]]
     scores = np.empty((len(n_rows), len(n_cols)))
     # One buffer for every call's stack: allocating a fresh one per call costs
     # page faults and, through heap fragmentation, peak memory.
@@ -205,6 +218,8 @@ def _score_matrix(rows: _Units, cols: _Units, measure: str) -> np.ndarray:
         np.clip(stack, -1.0, 1.0, out=stack)
         np.subtract(1.0, stack, out=stack)
         scores[r, c] = align.align_stack(stack, measure, shapes).scores()
+        if mirror:
+            scores[c, r] = scores[r, c]
     return scores
 
 
@@ -377,7 +392,12 @@ def fewshot_eval(
     Every (query, support) pair of novel videos is scored once, before any
     episode is drawn, into one (n, n) matrix: through retrieval's
     :func:`_score_matrix` or, for ``bag``, as the dot product of the two
-    videos' normalized mean frames.  Episodes are then drawn EPISODE_BLOCK at
+    videos' normalized mean frames.  Under ``dtw`` the matrix is symmetric:
+    each unordered pair is aligned once, with the video earlier in ``novel``
+    as rows, and mirrored.  That equals aligning the query as rows except
+    where a dtw cell's vertical and horizontal predecessors tie below its
+    diagonal one, which exactly repeated frames can cause (see
+    :func:`_score_matrix`).  Episodes are then drawn EPISODE_BLOCK at
     a time and read their scores from it, so memory stays flat in
     ``episodes``.
     Reports mean accuracy over episodes with a 95% normal-approximation CI.

@@ -78,10 +78,12 @@ def _require(rec, keys: tuple[str, ...], where: str) -> None:
 
 
 def _int_field(rec: dict, key: str, where: str) -> int:
-    try:
-        return int(rec[key])
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{where}: field {key!r} is not an integer: {exc}") from exc
+    """``rec[key]`` if it is a JSON integer; DataError for anything else,
+    ``true``, ``3.9`` and ``"3"`` included, which ``int()`` would accept."""
+    value = rec[key]
+    if type(value) is not int:
+        raise DataError(f"{where}: field {key!r} is not an integer: {value!r}")
+    return value
 
 
 # -- float32 containers -----------------------------------------------------
@@ -225,14 +227,17 @@ def load_item(path, kind: str):
         return LabeledVideo(id=rid, label=str(rec["label"]), frames=EmbeddingSequence(rid, blocks[0]))
     try:
         entries = rec["segments"] if binary else [[seg[key] for key in _SEGMENT_KEYS] for seg in rec["segments"]]
-        segments = SegmentMap(tuple(tuple(e) for e in entries))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DataError(f"{path}: field 'segments' malformed: {exc}") from exc
+    if not isinstance(entries, list) or not all(
+        isinstance(e, list) and len(e) == 3 and all(type(x) is int for x in e) for e in entries
+    ):
+        raise DataError(f"{path}: field 'segments' is not a list of (caption_index, start, end) integer triples")
     return SegmentedPair(
         id=rid,
         anchor=EmbeddingSequence(f"{rid}-captions", blocks[0]),
         positive=EmbeddingSequence(f"{rid}-clips", blocks[1]),
-        segments=segments,
+        segments=SegmentMap(tuple(map(tuple, entries))),
     )
 
 
@@ -277,8 +282,8 @@ def save_dataset(out_dir, items: list[tuple[object, str]], kind: str, fmt: str =
 def load_dataset(data_dir):
     """Read a manifest and all its records -> (manifest, {split: [items]}).
 
-    Raises DataError if two records share an id: training and evaluation
-    tell items apart by id.
+    Raises DataError if two records share an id, or if an entry's ``id`` is
+    not its record's: training and evaluation tell items apart by id.
     """
     manifest_path = os.path.join(data_dir, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -310,6 +315,8 @@ def load_dataset(data_dir):
             raise DataError(f"{entry['path']}: dim {dim} != manifest dim {manifest.dim}")
         if item.id in seen:
             raise DataError(f"{entry['path']}: id {item.id!r} is taken by an earlier entry")
+        if entry.get("id") != item.id:
+            raise DataError(f"{manifest_path}: entry {i} names id {entry.get('id')!r}, its record holds {item.id!r}")
         seen.add(item.id)
         by_split.setdefault(entry.get("split", "train"), []).append(item)
     return manifest, by_split

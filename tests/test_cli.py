@@ -172,6 +172,63 @@ def test_malformed_manifest_is_a_data_error(capsys, tmp_path, change):
     assert capsys.readouterr().err.startswith("data error:")
 
 
+def _edit_header(path, **fields):
+    """Rewrite fields of a .bin record's JSON header, keeping its blocks."""
+    data = path.read_bytes()
+    (size,) = struct.unpack_from("<I", data, 8)
+    header = {**json.loads(data[12 : 12 + size]), **fields}
+    path.write_bytes(_container(json.dumps(header)) + data[12 + size :])
+
+
+@pytest.mark.parametrize("fmt", ["json", "bin"])
+@pytest.mark.parametrize("dim, width", [(3.9, 3), ("3", 3), (True, 1)])
+def test_dim_that_is_not_an_integer_is_a_data_error(capsys, tmp_path, fmt, dim, width):
+    # int() turns each of these dims into the record's true width
+    path = tmp_path / f"toy.{fmt}"
+    save_item(make_pair(np.ones((3, width)), np.ones((5, width)), SEGMENTS, pid="toy"), path)
+    assert run_align(capsys, "--pair", str(path))[0] == 0
+    (_edit_header if fmt == "bin" else _edit_record)(path, dim=dim)
+    code, out, err = run_align(capsys, "--pair", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"data error: {path}: field 'dim' is not an integer: {dim!r}\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "bin"])
+@pytest.mark.parametrize("segment", ["123", [1, 2.0, 3], [1, "2", 3], [True, 2, 3], [1, 2]])
+def test_segment_that_is_not_three_integers_is_a_data_error(capsys, tmp_path, fmt, segment):
+    # tuple() of the .bin header entry "123" would be the valid segment (1, 2, 3)
+    path = tmp_path / f"toy.{fmt}"
+    save_item(make_pair(CAPTIONS, CLIPS, SEGMENTS, pid="toy"), path)
+    assert run_align(capsys, "--pair", str(path))[0] == 0
+    segments = [list(e) for e in SEGMENTS]
+    segments[1] = segment
+    if fmt == "bin":
+        _edit_header(path, segments=segments)
+    else:
+        _edit_record(path, segments=[dict(zip(("caption_index", "start", "end"), e)) if isinstance(e, list) else e
+                                     for e in segments])
+    code, out, err = run_align(capsys, "--pair", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"data error: {path}: field 'segments' ")
+
+
+@pytest.mark.parametrize("entry_id", ["zzz", None])
+def test_manifest_id_that_is_not_its_records_is_a_data_error(capsys, tmp_path, entry_id):
+    data = _toy_pairs(tmp_path)
+    argv = ["eval", "localize", "--data", data]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    manifest = tmp_path / "manifest.json"
+    record = json.loads(manifest.read_text())
+    if entry_id is None:
+        del record["entries"][0]["id"]
+    else:
+        record["entries"][0]["id"] = entry_id
+    manifest.write_text(json.dumps(record))
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == f"data error: {manifest}: entry 0 names id {entry_id!r}, its record holds 'p0'\n"
+
+
 def _container(header: str, *blocks) -> bytes:
     """A .bin record: magic, header length, JSON header, float32 blocks."""
     body = b"".join(np.asarray(block, "<f4").tobytes() for block in blocks)

@@ -560,8 +560,9 @@ class TestFewshot:
         assert 0.3 < accuracy < 1.0  # neither chance nor saturated
 
     def test_aligns_every_pair_once(self, monkeypatch):
-        # the (n, n) score matrix is formed before any episode is drawn, so
-        # one episode aligns as many matrices as twenty
+        # the score matrix is formed before any episode is drawn, so one
+        # episode aligns as many matrices as twenty; dtw aligns each
+        # unordered pair once, otam each ordered pair
         videos = class_corpus(noise=0.2)
         n = len(videos)
         aligned = []
@@ -572,10 +573,42 @@ class TestFewshot:
             return kernel(costs, measure, shapes)
 
         monkeypatch.setattr(align, "align_stack", counting)
-        for episodes in (1, 20):
-            aligned.clear()
-            fewshot_eval(None, videos, way=5, shot=1, queries_per_class=5, episodes=episodes)
-            assert sum(aligned) == n * n
+        for measure, matrices in (("dtw", n * (n + 1) // 2), ("otam", n * n)):
+            for episodes in (1, 20):
+                aligned.clear()
+                fewshot_eval(None, videos, way=5, shot=1, queries_per_class=5, episodes=episodes, measure=measure)
+                assert sum(aligned) == matrices
+
+    def test_dtw_self_scores_match_per_pair_reference(self, rng, monkeypatch):
+        videos = [rng.normal(size=(int(rng.integers(1, 9)), 5)) for _ in range(31)]
+        monkeypatch.setattr(evaluate, "BLOCK_BYTES", 3 * 4 * 5 * 8)  # three 4-unit stacks
+        monkeypatch.setattr(align, "STACK_MATRICES", 23)
+        calls = []
+        kernel = align.align_stack
+
+        def counting(costs, measure, shapes=None):
+            calls.append(len(costs))
+            return kernel(costs, measure, shapes)
+
+        monkeypatch.setattr(align, "align_stack", counting)
+        (units,) = _normalized(videos)
+        assert len(units.blocks) >= 10
+        scores = _score_matrix(units, units, "dtw")
+        assert len(calls) >= 10 and sum(calls) == 31 * 32 // 2
+        assert np.array_equal(scores, reference_scores(videos, videos, "dtw"))
+
+    def test_dtw_self_scores_take_the_earlier_video_as_rows(self):
+        # sequences of three orthogonal frames tie a cell's vertical and
+        # horizontal predecessors, where the two orientations can differ
+        rng = np.random.default_rng(0)
+        videos = [np.eye(4)[rng.integers(0, 3, size=int(rng.integers(1, 7)))] for _ in range(30)]
+        reference = reference_scores(videos, videos, "dtw")
+        assert np.any(reference != reference.T)
+        (units,) = _normalized(videos)
+        scores = _score_matrix(units, units, "dtw")
+        assert np.array_equal(scores, scores.T)
+        earlier_as_rows = np.triu(reference) + np.triu(reference, 1).T
+        assert np.array_equal(scores, earlier_as_rows)
 
     @pytest.mark.parametrize("measure", FEWSHOT_MEASURES)
     def test_episode_blocks_change_nothing(self, measure, monkeypatch):
