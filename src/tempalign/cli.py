@@ -204,9 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.set_defaults(func=cmd_synth)
 
     p_train = sub.add_parser("train", help="train the projection head: video-text on split train of a pairs dataset, "
-                             "video-only on split base of a videos dataset")
+                             "video-only on split base of a videos dataset, each video as a pair of two temporal "
+                             "views (even frames against all frames)")
     p_train.add_argument("--data", default=None)
-    p_train.add_argument("--strategy", choices=STRATEGIES, default="seg-unit")
+    p_train.add_argument("--strategy", choices=STRATEGIES, default="seg-unit",
+                         help="negative strategy, for both dataset kinds")
     p_train.add_argument("--negatives", type=int, default=32)
     p_train.add_argument("--tau", type=float, default=1.0)
     p_train.add_argument("--w-unit", type=float, default=0.3)

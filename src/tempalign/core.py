@@ -157,6 +157,19 @@ class LabeledVideo:
     label: str
     frames: EmbeddingSequence
 
+    def two_view(self) -> SegmentedPair:
+        """The video as a canonical, background-free pair of two temporal
+        views: the anchor is frames ``0::2``, the positive is ``frames``
+        itself (shared, not copied), and segment i, anchor frame i's span,
+        is frames [2i, min(2i + 2, n))."""
+        n = len(self.frames)
+        return SegmentedPair(
+            id=self.id,
+            anchor=EmbeddingSequence(f"{self.id}-even", self.frames.units[0::2]),
+            positive=self.frames,
+            segments=SegmentMap(tuple((i, 2 * i, min(2 * i + 2, n)) for i in range((n + 1) // 2))),
+        )
+
 
 def unit_normalize(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Row-normalize, into ``out`` when given (it may be ``x``); zero rows

@@ -77,12 +77,14 @@ def _require(rec, keys: tuple[str, ...], where: str) -> None:
             raise DataError(f"{where}: missing field {key!r}")
 
 
-def _int_field(rec: dict, key: str, where: str) -> int:
-    """``rec[key]`` if it is a JSON integer; DataError for anything else,
-    ``true``, ``3.9`` and ``"3"`` included, which ``int()`` would accept."""
+def _field(rec: dict, key: str, kind: type, where: str):
+    """``rec[key]`` if it is a JSON value of Python type ``kind`` (int or
+    str); DataError for anything else, which ``int()`` or ``str()`` would
+    accept: ``true``, ``3.9`` and ``"3"`` for an integer, ``null`` and ``7``
+    for a string."""
     value = rec[key]
-    if type(value) is not int:
-        raise DataError(f"{where}: field {key!r} is not an integer: {value!r}")
+    if type(value) is not kind:
+        raise DataError(f"{where}: field {key!r} is not {'an integer' if kind is int else 'a string'}: {value!r}")
     return value
 
 
@@ -217,14 +219,14 @@ def load_item(path, kind: str):
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}: field {name!r} malformed: {exc}") from exc
     # 2. every block against the record's dim
-    dim = _int_field(rec, "dim", path)
+    dim = _field(rec, "dim", int, path)
     for name, block in zip(names, blocks):
         if block.ndim != 2 or block.shape[1] != dim:
             raise DataError(f"{path}: field {name!r} does not match dim={dim}")
     # 3. the item
-    rid = str(rec["id"])
+    rid = _field(rec, "id", str, path)
     if kind == "video":
-        return LabeledVideo(id=rid, label=str(rec["label"]), frames=EmbeddingSequence(rid, blocks[0]))
+        return LabeledVideo(id=rid, label=_field(rec, "label", str, path), frames=EmbeddingSequence(rid, blocks[0]))
     try:
         entries = rec["segments"] if binary else [[seg[key] for key in _SEGMENT_KEYS] for seg in rec["segments"]]
     except (KeyError, TypeError) as exc:
@@ -290,13 +292,13 @@ def load_dataset(data_dir):
         raise DataError(f"{data_dir}: no manifest.json")
     rec = read_json(manifest_path)
     _require(rec, ("format_version", "kind", "dim", "entries"), manifest_path)
-    if _int_field(rec, "format_version", manifest_path) != FORMAT_VERSION:
+    if _field(rec, "format_version", int, manifest_path) != FORMAT_VERSION:
         raise DataError(f"{manifest_path}: unsupported format_version {rec['format_version']}")
     if rec["kind"] not in ("pairs", "videos"):
         raise DataError(f"{manifest_path}: kind must be 'pairs' or 'videos', got {rec['kind']!r}")
     if not isinstance(rec["entries"], list):
         raise DataError(f"{manifest_path}: field 'entries' must be a list")
-    manifest = DatasetManifest(rec["kind"], _int_field(rec, "dim", manifest_path), rec["entries"])
+    manifest = DatasetManifest(rec["kind"], _field(rec, "dim", int, manifest_path), rec["entries"])
     by_split: dict[str, list] = {}
     seen: set[str] = set()
     for i, entry in enumerate(manifest.entries):

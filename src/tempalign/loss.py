@@ -166,7 +166,8 @@ def unit_term_video_text(sims_covered: np.ndarray, segment_ranges: list[tuple[in
 
 def unit_term_video_only(sims_self: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
     """Per-frame InfoNCE: frame i against its own projection, negatives are
-    the other frames of the same video (each frame its own one-frame span)."""
+    the other frames of the same video (each frame its own one-frame span).
+    Training does not call it: it stays only as a perfbench hook target."""
     return unit_term_video_text(sims_self, [(i, i + 1) for i in range(len(sims_self))], tau)
 
 

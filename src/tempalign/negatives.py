@@ -6,12 +6,12 @@ enter a training sequence, so these positions are the columns the sequence
 loss aligns.  The shuffle strategies permute the pair's own covered
 positions, unpaired sampling takes another pair's covered positions in
 order, and the visual-anchor strategy permutes the anchor captions instead.
-On a background-free pair, such as every pair ``fit`` trains on, covered
-positions are the clip indices themselves.  Identity permutations of the
-positive are never returned: a negative that equals the positive would
-contradict the contrastive objective, so draws are rejected and retried.
-A shuffle strategy draws all of a call's negatives at once, as one
-``(count, n)`` array; video-only negatives are still drawn one at a time.
+On a background-free pair, such as every pair ``fit`` trains on (a labeled
+video's two-view pair included), covered positions are the clip indices
+themselves.  Identity permutations of the positive are never returned: a
+negative that equals the positive would contradict the contrastive
+objective, so draws are rejected and retried.  A shuffle strategy draws all
+of a call's negatives at once, as one ``(count, n)`` array.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ class Negatives:
     Negative k lists positions of source ``sources[k]`` in their new order:
     positions among the pair's covered clips for the shuffle strategies, the
     other pair's covered positions in order (``arange(n_covered)``) for
-    unpaired, a video's frame indices for video-only negatives, anchor
-    caption indices for visual-anchor.  ``perms`` concatenates these
+    unpaired, a video's frame indices for :func:`video_only_negatives`,
+    anchor caption indices for visual-anchor.  ``perms`` concatenates these
     permutations and ``lengths`` holds their sizes; an empty draw means the
     item is skipped.
     """
@@ -96,7 +96,7 @@ def _shuffle_draws(pair: SegmentedPair, strategy: str, count: int, rng: np.rando
     identity rows.  Block orders sort uniform keys; seg-only then sorts
     "block rank + position / n" keys, which keep each block's internal
     order, seg-unit "block rank + uniform" and within-seg "block index +
-    uniform".  :func:`video_only_negatives` still draws per negative.
+    uniform".
     """
     sizes = np.array([hi - lo for lo, hi in pair.covered_spans()])
     block_of = np.repeat(np.arange(sizes.size), sizes)
@@ -196,6 +196,7 @@ def video_only_negatives(
 ) -> Negatives:
     """Self-supervised negatives: frame shuffles of other videos.
 
+    Training does not call it: it stays only as a perfbench hook target.
     Each draw picks a different video uniformly and applies a non-identity
     permutation to its frames (unpaired sampling composed with an all-unit
     shuffle).  Single-frame videos have no such permutation and are never

@@ -1,12 +1,13 @@
 """Trainable per-unit projection head, optimized with Adam on the joint loss.
 
 The projection is applied independently to every unit embedding before
-alignment.  Video-text pairs and video-only instances share one batch-wide
-step (``evaluate_batch``): one forward and one backward per head, one
-alignment call and one gradient scatter.  Gradients flow from the InfoNCE
-losses through the fixed warping paths, the cosine normalization Jacobian,
-and the affine head; everything is plain numpy and deterministic given the
-config seed.
+alignment.  Training has one mode: a labeled video trains as its two-view
+pair (``LabeledVideo.two_view``), a caption/clip pair as its background-free
+view, and every batch takes one batch-wide step (``evaluate_batch``): one
+forward and one backward per head, one alignment call and one gradient
+scatter.  Gradients flow from the InfoNCE losses through the fixed warping
+paths, the cosine normalization Jacobian, and the affine head; everything is
+plain numpy and deterministic given the config seed.
 Checkpoints are float32 containers written and read through ``io``, so a
 reloaded model holds the trained float64 weights rounded to float32 (relative
 error at most 2**-24), not the trained weights themselves.
@@ -19,18 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataError, NumericalError, SegmentedPair, unit_normalize
+from .core import DataError, LabeledVideo, NumericalError, unit_normalize
 from .core import similarity_matrix  # noqa: F401  (hooked by perfbench/layertrace.py)
 from .io import read_float32_container, write_float32_container
-from .loss import (
-    LossConfig,
-    column_spans,
-    joint_loss,
-    seq_grad_core,
-    unit_term_video_only,
-    unit_term_video_text,
-)
-from .negatives import PairPool, check_strategy, generate_negatives, multi_frame_indices, video_only_negatives
+from .loss import LossConfig, column_spans, joint_loss, seq_grad_core, unit_term_video_text
+from .loss import unit_term_video_only  # noqa: F401  (hooked by perfbench/layertrace.py)
+from .negatives import PairPool, check_strategy, generate_negatives
+from .negatives import video_only_negatives  # noqa: F401  (hooked by perfbench/layertrace.py)
 
 _ACTIVATIONS = ("identity", "relu")
 
@@ -252,30 +248,25 @@ def cosine_backward(u: np.ndarray, v: np.ndarray, g: np.ndarray) -> tuple[np.nda
     return _rows_backward(g, sims, v_hat, u_hat, nu), _rows_backward(g.T, sims.T, u_hat, v_hat, nv)
 
 
-def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConfig, rng: np.random.Generator, pool=None):
+def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConfig, rng: np.random.Generator,
+                   pool: PairPool | None = None):
     """Loss and mean parameter gradients over one batch.
 
-    ``corpus`` is either a list of canonical, background-free SegmentedPair
-    (video-text mode) or a list of LabeledVideo (video-only); the mode only
-    picks the negative drawer, the anchor units and the unit term.  Items
-    draw negatives in batch order (none: skipped).  Each item's similarity
-    block spans the sources it reads, own source first, all from one forward
-    per head.  Returns (joint_loss, grads, n_used, paths): grads averaged
-    over the used items, and every candidate's optimal path as
-    :class:`align.Alignments` (None when no item was used), so a gradient
-    check can pin the negatives (by reseeding ``rng``) and detect when a
-    perturbation moved a path.  ``pool``, what the negative drawer reads of
-    the corpus (a pair corpus's :class:`PairPool`, a video-only corpus's
-    :func:`multi_frame_indices`), is passed on to it.
+    ``corpus`` is a list of canonical, background-free SegmentedPair, as
+    :func:`fit` builds them (a labeled video as its two-view pair).  Items
+    draw negatives in batch order under ``cfg.neg_strategy`` (none:
+    skipped).  Each item's similarity block spans the sources it reads, own
+    source first, all from one forward per head.  Returns (joint_loss, grads,
+    n_used, paths): grads averaged over the used items, and every
+    candidate's optimal path as :class:`align.Alignments` (None when no item
+    was used), so a gradient check can pin the negatives (by reseeding
+    ``rng``) and detect when a perturbation moved a path.  ``pool``, the
+    corpus's :class:`PairPool`, is passed on to the negative drawer.
     """
-    video_text = isinstance(corpus[0], SegmentedPair)
     items, drawn = [], []
     for idx in batch_indices:
         item = corpus[idx]
-        if video_text:
-            negs = generate_negatives(item, corpus, cfg.neg_strategy, cfg.neg_count, rng, pool)
-        else:
-            negs = video_only_negatives(corpus, idx, cfg.neg_count, rng, pool)
+        negs = generate_negatives(item, corpus, cfg.neg_strategy, cfg.neg_count, rng, pool)
         if len(negs):
             items.append(item)
             drawn.append(negs)
@@ -283,11 +274,11 @@ def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConf
     if not items:
         return None, grads, 0, None
 
-    units_of = {item.id: item.positive.units if video_text else item.frames.units for item in corpus}
+    units_of = {item.id: item.positive.units for item in corpus}
     reads = [list(dict.fromkeys((item.id, *negs.sources))) for item, negs in zip(items, drawn)]
     sources = list(dict.fromkeys(src for read in reads for src in read))
     rows_of = column_spans(sources, [len(units_of[src]) for src in sources])
-    anchors = [item.anchor.units if video_text else units_of[item.id] for item in items]
+    anchors = [item.anchor.units for item in items]
     a_rows = [slice(*span) for span in column_spans(range(len(items)), [len(a) for a in anchors]).values()]
     y_a, fwd_a = model.anchor_head.forward(np.concatenate(anchors))
     y_s, fwd_s = model._clip().forward(np.concatenate([units_of[src] for src in sources]))
@@ -308,9 +299,7 @@ def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConf
     colsum = np.zeros(len(v_hat))
     for item, rows, sim, g, take in zip(items, a_rows, sims, seq.grads, takes):
         own = sim[:, : len(units_of[item.id])]
-        unit_loss, unit_grad = (
-            unit_term_video_text(own, item.segments.ranges(), cfg.loss.tau) if video_text else unit_term_video_only(own, cfg.loss.tau)
-        )
+        unit_loss, unit_grad = unit_term_video_text(own, item.segments.ranges(), cfg.loss.tau)
         unit_losses.append(unit_loss)
         g *= cfg.loss.w_seq
         g[:, : own.shape[1]] += cfg.loss.w_unit * unit_grad
@@ -330,22 +319,22 @@ def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConf
 
 
 def fit(corpus, model: ProjectionModel, cfg: TrainConfig) -> TrainReport:
-    """Train the projection on caption/clip pairs or labeled videos.
+    """Train the projection on caption/clip pairs, labeled videos, or both.
 
-    Pairs are shuffled each epoch with the seeded generator, negatives are
-    drawn per pair according to ``cfg.neg_strategy``, and one Adam step is
-    taken per batch on the joint objective.  Deterministic given the config.
-    Raises NumericalError, naming the epoch and batch, at the first step that
+    Each item first becomes a canonical, background-free pair: a pair its
+    :meth:`~core.SegmentedPair.covered_view`, a video its
+    :meth:`~core.LabeledVideo.two_view` (anchor frames ``0::2`` against all
+    frames; a one-frame video draws no negatives and is skipped).  Pairs are
+    shuffled each epoch with the seeded generator, negatives are drawn per
+    pair according to ``cfg.neg_strategy``, and one Adam step is taken per
+    batch on the joint objective.  Deterministic given the config.  Raises
+    NumericalError, naming the epoch and batch, at the first step that
     overflows or produces a non-finite value.
     """
     if not corpus:
         raise DataError("fit: empty corpus")
-    video_text = isinstance(corpus[0], SegmentedPair)
-    if video_text:
-        corpus = [p.covered_view() for p in corpus]
-        dims = {p.anchor.dim for p in corpus}
-    else:
-        dims = {v.frames.dim for v in corpus}
+    corpus = [item.two_view() if isinstance(item, LabeledVideo) else item.covered_view() for item in corpus]
+    dims = {p.anchor.dim for p in corpus}
     if dims != {model.in_dim}:
         raise DataError(f"fit: corpus dims {sorted(dims)} do not match model input dim {model.in_dim}")
     seen = set()
@@ -353,7 +342,7 @@ def fit(corpus, model: ProjectionModel, cfg: TrainConfig) -> TrainReport:
         if item.id in seen:
             raise DataError(f"fit: id {item.id!r} is taken by an earlier item")
         seen.add(item.id)
-    pool = PairPool.of(corpus) if video_text else multi_frame_indices(corpus)
+    pool = PairPool.of(corpus)
 
     model = model.copy()
     params = model.params()

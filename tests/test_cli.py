@@ -194,6 +194,33 @@ def test_dim_that_is_not_an_integer_is_a_data_error(capsys, tmp_path, fmt, dim, 
 
 
 @pytest.mark.parametrize("fmt", ["json", "bin"])
+@pytest.mark.parametrize("rid", [None, 7, ["toy"]])
+def test_pair_id_that_is_not_a_string_is_a_data_error(capsys, tmp_path, fmt, rid):
+    # str() turned these ids into pairs named "None", "7" and "['toy']", which aligned
+    path = tmp_path / f"toy.{fmt}"
+    save_item(make_pair(CAPTIONS, CLIPS, SEGMENTS, pid="toy"), path)
+    assert run_align(capsys, "--pair", str(path))[0] == 0
+    (_edit_header if fmt == "bin" else _edit_record)(path, id=rid)
+    code, out, err = run_align(capsys, "--pair", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"data error: {path}: field 'id' is not a string: {rid!r}\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "bin"])
+def test_video_label_that_is_not_a_string_is_a_data_error(capsys, tmp_path, fmt):
+    # training reads no label, so str() let a null label train as class "None"
+    videos = [LabeledVideo(f"v{i}", label, seq(CLIPS, f"v{i}")) for i, label in enumerate(["walk", "walk", "run", "run"])]
+    save_dataset(tmp_path / "data", [(v, "base") for v in videos], kind="videos", fmt=fmt)
+    argv = ["train", "--data", str(tmp_path / "data"), "--epochs", "1", "--negatives", "2", "--out", str(tmp_path / "model.ckpt")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    path = tmp_path / "data" / "videos" / f"v0.{fmt}"
+    (_edit_header if fmt == "bin" else _edit_record)(path, label=None)
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == f"data error: {path}: field 'label' is not a string: None\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "bin"])
 @pytest.mark.parametrize("segment", ["123", [1, 2.0, 3], [1, "2", 3], [True, 2, 3], [1, 2]])
 def test_segment_that_is_not_three_integers_is_a_data_error(capsys, tmp_path, fmt, segment):
     # tuple() of the .bin header entry "123" would be the valid segment (1, 2, 3)
@@ -395,20 +422,35 @@ def test_save_dataset_refuses_duplicate_ids(tmp_path):
     assert not (tmp_path / "data").exists()
 
 
+def _toy_videos(root):
+    """A small few-shot videos dataset under ``root``, split into base and novel."""
+    videos, meta = gen_fewshot_corpus(FewshotSynthConfig(n_classes=4, videos_per_class=3, steps_per_class=3, dim=8, seed=2))
+    base = set(meta["base_labels"])
+    save_dataset(root, [(v, "base" if v.label in base else "novel") for v in videos], kind="videos")
+    return str(root)
+
+
 @pytest.mark.parametrize("kind, mode, dim", [("pairs", "video-text", 64), ("videos", "video-only", 8)])
 def test_train_mode_follows_the_dataset_kind(capsys, tmp_path, train_data, kind, mode, dim):
-    data = train_data
-    if kind == "videos":
-        videos, meta = gen_fewshot_corpus(FewshotSynthConfig(n_classes=4, videos_per_class=3, steps_per_class=3, dim=8, seed=2))
-        base = set(meta["base_labels"])
-        save_dataset(tmp_path / "videos", [(v, "base" if v.label in base else "novel") for v in videos], kind="videos")
-        data = str(tmp_path / "videos")
+    data = _toy_videos(tmp_path / "videos") if kind == "videos" else train_data
     out = tmp_path / "model.ckpt"
     assert cli.main(["train", "--data", data, "--epochs", "2", "--negatives", "4", "--out", str(out)]) == 0
     report = json.loads((tmp_path / "model.ckpt.report.json").read_text())
     assert report["mode"] == mode
     assert len(report["loss_curve"]) == 2 and all(np.isfinite(report["loss_curve"]))
     assert load_checkpoint(out).in_dim == dim
+
+
+def test_train_strategy_acts_on_a_videos_dataset(capsys, tmp_path):
+    # a video trains as a two-view pair, so --strategy picks its negatives
+    data = _toy_videos(tmp_path / "videos")
+    curves = {}
+    for strategy in ("seg-unit", "joint"):
+        out = tmp_path / f"{strategy}.ckpt"
+        flags = ["--strategy", strategy] if strategy == "joint" else []
+        assert cli.main(["train", "--data", data, "--epochs", "2", "--negatives", "4", "--out", str(out), *flags]) == 0
+        curves[strategy] = json.loads((tmp_path / f"{strategy}.ckpt.report.json").read_text())["loss_curve"]
+    assert curves["seg-unit"] != curves["joint"]
 
 
 @pytest.mark.parametrize("kind, split, needed", [("pairs", "base", "train"), ("videos", "train", "base")])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import basis, cost_matrix, make_pair, seq
-from tempalign.core import DataError, SegmentedPair, similarity_matrix
+from tempalign.core import DataError, LabeledVideo, SegmentedPair, similarity_matrix
 from tempalign.evaluate import corpus_pair_match, localization_recall
 from tempalign.negatives import STRATEGIES, generate_negatives
 
@@ -127,6 +127,20 @@ class TestCanonicalizePair:
         np.testing.assert_array_equal(view.positive.units, pair.covered_units())
         np.testing.assert_array_equal(view.positive.units, pair.positive.units[[1, 2, 4, 5, 6, 7]])
         assert [tuple(e) for e in view.segments] == [(0, 0, 2), (1, 2, 5), (2, 5, 6)]
+
+    @pytest.mark.parametrize("n, segments", [
+        (1, [(0, 0, 1)]),
+        (2, [(0, 0, 2)]),
+        (5, [(0, 0, 2), (1, 2, 4), (2, 4, 5)]),
+        (6, [(0, 0, 2), (1, 2, 4), (2, 4, 6)]),
+    ])
+    def test_two_view_pairs_even_frames_with_all_frames(self, n, segments):
+        frames = seq(np.arange(2.0 * n).reshape(n, 2) + 1.0, "v")
+        pair = LabeledVideo("v", "walk", frames).two_view()
+        assert pair.id == "v" and pair.positive is frames
+        np.testing.assert_array_equal(pair.anchor.units, frames.units[0::2])
+        assert [tuple(e) for e in pair.segments] == segments
+        assert not pair.background_mask.any()
 
 
 class TestValidation:

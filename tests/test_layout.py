@@ -7,6 +7,9 @@
   ``src/``, in the benchmark's modules other than its tests, or as a string
   in the benchmark's hook table (``layertrace.HOOKS``).  Dunder methods are
   reached by the language and are not checked.
+* The definitions that only a hook-table string reaches are exactly
+  ``HOOK_ONLY``: the benchmark keeps them alive, and they go with their
+  hooks (ROADMAP item 1a).
 """
 
 import ast
@@ -22,6 +25,9 @@ UNREFERENCED_OK = {
     "ProjectionModel.linear": "ROADMAP item 4 makes heads reachable",
     "ProjectionModel.mlp": "ROADMAP item 4 makes heads reachable",
 }
+
+# Definitions that only layertrace.HOOKS strings reach: no program code calls them.
+HOOK_ONLY = {"dtw", "otam", "cosine_backward", "video_only_negatives", "unit_term_video_only"}
 
 # a noqa comment for F401 with some reason after it
 NOQA_F401 = re.compile(r"#\s*noqa:\s*F401\b\W*\w")
@@ -81,19 +87,31 @@ def references() -> dict[str, list[tuple[Path | None, int]]]:
     return refs
 
 
-def unreferenced() -> list[str]:
+def outside_references() -> dict[str, list[tuple[Path | None, int]]]:
+    """Qualified name of each definition -> its references outside its own body."""
     refs = references()
-    out = []
-    for path in SRC:
-        for qualified, name, node in definitions(path):
-            outside = [
-                (where, line)
-                for where, line in refs.get(name, [])
-                if where != path or not node.lineno <= line <= node.end_lineno
-            ]
-            if not outside:
-                out.append(qualified)
-    return out
+    return {
+        qualified: [
+            (where, line)
+            for where, line in refs.get(name, [])
+            if where != path or not node.lineno <= line <= node.end_lineno
+        ]
+        for path in SRC
+        for qualified, name, node in definitions(path)
+    }
+
+
+def unreferenced() -> list[str]:
+    return [qualified for qualified, outside in outside_references().items() if not outside]
+
+
+def hook_only() -> list[str]:
+    """Definitions whose every outside reference is a hook-table string."""
+    return [
+        qualified
+        for qualified, outside in outside_references().items()
+        if outside and all(where is None for where, _ in outside)
+    ]
 
 
 def test_no_unused_imports():
@@ -106,3 +124,7 @@ def test_every_definition_is_referenced():
 
 def test_allow_list_is_not_stale():
     assert sorted(UNREFERENCED_OK) == sorted(set(unreferenced()) & set(UNREFERENCED_OK))
+
+
+def test_hook_only_definitions_are_listed():
+    assert sorted(hook_only()) == sorted(HOOK_ONLY)

@@ -9,7 +9,7 @@ from tempalign import train as train_module
 from tempalign.align import STACK_MATRICES
 from tempalign.core import DataError, EmbeddingSequence, LabeledVideo, NumericalError, similarity_matrix
 from tempalign.loss import LossConfig, joint_loss
-from tempalign.negatives import STRATEGIES, generate_negatives, video_only_negatives
+from tempalign.negatives import STRATEGIES, generate_negatives
 from tempalign.synth import SynthConfig, gen_corpus
 from tempalign.train import (
     AdamState,
@@ -279,6 +279,18 @@ def base_videos():
     return [v for v in videos if v.label in meta["base_labels"]]
 
 
+# frames kept of each base video: 1 to 12, odd and even, the one-frame video last
+RAGGED_LENGTHS = (2, 7, 12, 5, 10, 3, 8, 1)
+
+
+def ragged_two_view_pairs():
+    """The base videos cut to RAGGED_LENGTHS frames, as fit trains them."""
+    return [
+        LabeledVideo(v.id, v.label, EmbeddingSequence(v.id, v.frames.units[:n])).two_view()
+        for v, n in zip(base_videos(), RAGGED_LENGTHS, strict=True)
+    ]
+
+
 # corpus, model, negative strategy, checked parameters, draws per parameter
 GRADIENT_CASES = {
     "video-text-linear-seg-unit": (video_text_views, lambda: ProjectionModel.linear(24, 24), "seg-unit", ["anchor.w_out"], 12),
@@ -286,7 +298,7 @@ GRADIENT_CASES = {
         video_text_views, lambda: ProjectionModel.mlp(24, 16, 24, twin=True), "joint",
         ["anchor.w_in", "anchor.b_out", "clip.w_in", "clip.w_out"], 12,
     ),
-    "video-only-linear": (base_videos, lambda: ProjectionModel.linear(16, 16), "seg-unit", ["anchor.w_out"], 24),
+    "video-only-linear": (ragged_two_view_pairs, lambda: ProjectionModel.linear(16, 16), "seg-unit", ["anchor.w_out"], 24),
 }
 
 
@@ -348,14 +360,11 @@ class TestEndToEndGradient:
 # ---------------------------------------------------------------------------
 
 
-def reference_unit_term(sims, item, video_text, tau):
+def reference_unit_term(sims, item, tau):
     terms = []
-    if video_text:
-        for i, (lo, hi) in enumerate(item.segments.ranges()):
-            out = np.r_[0:lo, hi : sims.shape[1]]
-            terms += [(i, q, out) for q in range(lo, hi)]
-    else:
-        terms = [(i, i, np.r_[0:i, i + 1 : sims.shape[1]]) for i in range(sims.shape[0])]
+    for i, (lo, hi) in enumerate(item.segments.ranges()):
+        out = np.r_[0:lo, hi : sims.shape[1]]
+        terms += [(i, q, out) for q in range(lo, hi)]
     grad = np.zeros_like(sims)
     losses = []
     for i, q, out in terms:
@@ -366,9 +375,9 @@ def reference_unit_term(sims, item, video_text, tau):
     return float(np.mean(losses)), grad
 
 
-def reference_item(item, negs, units_of, video_text, model, cfg, grads):
+def reference_item(item, negs, units_of, model, cfg, grads):
     lc = cfg.loss
-    anchor = item.anchor.units if video_text else item.frames.units
+    anchor = item.anchor.units
     y_a, fwd_a = model.anchor_head.forward(anchor)
     projected = {src: model._clip().forward(units_of[src]) for src in dict.fromkeys((item.id, *negs.sources))}
     sims = {src: similarity_matrix(y_a, y) for src, (y, _) in projected.items()}
@@ -384,7 +393,7 @@ def reference_item(item, negs, units_of, video_text, model, cfg, grads):
     for (src, rows, cols), f, d in zip(specs, found, dscore):
         path = f.path(0)
         seq_grad[src][rows[path[:, 0]], cols[path[:, 1]]] += d / f.lengths[0] if lc.normalize_score else d
-    unit_loss, unit_grad = reference_unit_term(sims[item.id], item, video_text, lc.tau)
+    unit_loss, unit_grad = reference_unit_term(sims[item.id], item, lc.tau)
     d_ya = np.zeros_like(y_a)
     clip_prefix = "clip." if model.twin else "anchor."
     for src, (y, fwd) in projected.items():
@@ -397,18 +406,14 @@ def reference_item(item, negs, units_of, video_text, model, cfg, grads):
 
 
 def reference_batch(batch, corpus, model, cfg, rng):
-    video_text = not hasattr(corpus[0], "frames")
-    units_of = {it.id: it.positive.units if video_text else it.frames.units for it in corpus}
+    units_of = {it.id: it.positive.units for it in corpus}
     grads = model.zero_grads()
     unit_losses, seq_losses = [], []
     for idx in batch:
         item = corpus[idx]
-        if video_text:
-            negs = generate_negatives(item, corpus, cfg.neg_strategy, cfg.neg_count, rng)
-        else:
-            negs = video_only_negatives(corpus, idx, cfg.neg_count, rng)
+        negs = generate_negatives(item, corpus, cfg.neg_strategy, cfg.neg_count, rng)
         if len(negs):
-            unit_loss, seq_loss = reference_item(item, negs, units_of, video_text, model, cfg, grads)
+            unit_loss, seq_loss = reference_item(item, negs, units_of, model, cfg, grads)
             unit_losses.append(unit_loss)
             seq_losses.append(seq_loss)
     for name in grads:
@@ -419,11 +424,6 @@ def reference_batch(batch, corpus, model, cfg, rng):
 def degenerate_pair(pid):
     # one caption over one clip: no shuffle strategy can draw from it
     return make_pair([np.eye(24)[0]], [np.eye(24)[1]], [(0, 0, 1)], pid=pid).covered_view()
-
-
-def ragged_videos():
-    videos = base_videos()
-    return [LabeledVideo(v.id, v.label, EmbeddingSequence(v.id, v.frames.units[: 4 + k % 9])) for k, v in enumerate(videos)]
 
 
 def assert_matches_reference(corpus, batch, model, cfg):
@@ -454,12 +454,14 @@ class TestBatchStepMatchesPerItemReference:
     @pytest.mark.parametrize("head", sorted(HEADS))
     @pytest.mark.parametrize("measure", ["dtw", "otam"])
     def test_video_only(self, measure, head):
+        # the one-frame video's pair (index 7) draws no negatives and is skipped
         cfg = TrainConfig(neg_count=7, loss=LossConfig(tau=0.9, measure=measure, normalize_score=measure == "dtw"))
-        assert_matches_reference(base_videos(), [3, 0, 7, 1], HEADS[head](16), cfg)
+        assert_matches_reference(ragged_two_view_pairs(), [3, 0, 7, 1], HEADS[head](16), cfg)
 
     def test_ragged_video_only_batch(self):
-        cfg = TrainConfig(neg_count=9, loss=LossConfig(measure="otam"))
-        assert_matches_reference(ragged_videos(), [2, 5, 0, 7, 3], ProjectionModel.linear(16, 16, seed=2), cfg)
+        # joint: the one-frame video still serves the others as an unpaired negative
+        cfg = TrainConfig(neg_strategy="joint", neg_count=9, loss=LossConfig(measure="otam"))
+        assert_matches_reference(ragged_two_view_pairs(), [2, 5, 0, 7, 3], ProjectionModel.linear(16, 16, seed=2), cfg)
 
     def test_batch_with_skipped_degenerate_item(self):
         corpus = video_text_views() + [degenerate_pair("d0")]
@@ -502,8 +504,8 @@ class TestBatchStepAlignmentCalls:
 
 
 def test_single_frame_video_does_not_decide_fit():
-    # A single-frame video is never drawn as a negative, so whether fit
-    # succeeds no longer depends on the seed (drawing it failed 16 of these 20).
+    # A single-frame video's two-view pair has no shuffle, so it is skipped
+    # once per epoch, and fit succeeds whatever the seed.
     from tempalign.synth import FewshotSynthConfig, gen_fewshot_corpus
 
     videos, _ = gen_fewshot_corpus(FewshotSynthConfig(n_classes=2, videos_per_class=6, dim=16, seed=2))
@@ -511,7 +513,7 @@ def test_single_frame_video_does_not_decide_fit():
     videos[5] = LabeledVideo(lone.id, lone.label, EmbeddingSequence(lone.id, lone.frames.units[:1]))
     for seed in range(20):
         report = fit(videos, ProjectionModel.identity(16), TrainConfig(epochs=1, neg_count=2, batch_pairs=4, seed=seed))
-        assert report.skipped_pairs == 0
+        assert report.skipped_pairs == 1
         assert np.isfinite(report.loss_curve[0])
 
 
