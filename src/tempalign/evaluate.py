@@ -27,6 +27,11 @@ RANK_ROWS = 128
 # 0.1-0.8 MB: allocations that large get fresh pages from the system instead
 # of reusing the heap memory that training freed.
 BLOCK_BYTES = 64 * 1024
+# Most padding an alignment call of _score_matrix adds, as a share of its
+# matrices' own cells.  A call of align.STACK_CELLS cells spans several
+# matrix shapes; without this cap, the widest padded the others by 8% overall
+# on a corpus of 3- and 5-caption paragraphs.
+PAD_SHARE = 0.05
 
 
 @dataclass
@@ -168,15 +173,15 @@ def _score_matrix(rows: _Units, cols: _Units, measure: str) -> np.ndarray:
     Each cost matrix is ``1 - clip(row @ col.T)``, the product
     :func:`similarity_matrix` forms for that pair, so the scores equal aligning
     pair by pair.  The pairs are walked tile by tile in descending shape (see
-    :func:`_tile_grid`), at most align.STACK_MATRICES per
-    ``align.align_stack`` call, padded to the call's largest shape.  Within a
-    tile the pairs come in row-slot then column-slot order, so each rectangle
-    of pairs, the consecutive row slots of one block times one run of
-    consecutive column slots of one block, is one broadcast ``np.matmul`` of
-    two block slices, written into the stack.  A broadcast product makes the
-    same per-matrix BLAS call as ``row @ col.T``, so it rounds identically;
-    products are never padded, since a padded GEMM shape can round
-    differently.
+    :func:`_tile_grid`), in ``align.align_stack`` calls of as many pairs as
+    fit in align.STACK_CELLS cells, each padded to its first pair's shape
+    and by at most PAD_SHARE (see :func:`_chunks`).  Within a tile the pairs
+    come in row-slot then column-slot order, so each rectangle of pairs, the
+    consecutive row slots of one block times one run of consecutive column
+    slots of one block, is one broadcast ``np.matmul`` of two block slices,
+    written into the stack.  A broadcast product makes the same per-matrix
+    BLAS call as ``row @ col.T``, so it rounds identically; products are
+    never padded, since a padded GEMM shape can round differently.
 
     A set scored against itself (``rows is cols``) under ``dtw`` aligns only
     the pairs whose row index is at most their column index and mirrors each
@@ -195,14 +200,14 @@ def _score_matrix(rows: _Units, cols: _Units, measure: str) -> np.ndarray:
     if mirror:
         grid = grid[grid[:, 0] <= grid[:, 1]]
     scores = np.empty((len(n_rows), len(n_cols)))
+    chunks = _chunks(grid, n_rows, n_cols)
     # One buffer for every call's stack: allocating a fresh one per call costs
     # page faults and, through heap fragmentation, peak memory.
-    buffer = np.empty(min(align.STACK_MATRICES, len(grid)) * n_rows.max() * n_cols.max())
-    for start in range(0, len(grid), align.STACK_MATRICES):
-        r, c = grid[start : start + align.STACK_MATRICES].T
+    buffer = np.empty(max((np.prod(dims) for _, _, dims in chunks), default=0))
+    for start, stop, dims in chunks:
+        r, c = grid[start:stop].T
         row_block, row_slot, col_block, col_slot = rows.block[r], rows.slot[r], cols.block[c], cols.slot[c]
         shapes = np.column_stack((n_rows[r], n_cols[c]))
-        dims = (len(r), *shapes.max(axis=0))
         stack = buffer[: np.prod(dims)].reshape(dims)
         stack.fill(0.0)
         # runs of one row against consecutive column slots of one block, and
@@ -221,6 +226,28 @@ def _score_matrix(rows: _Units, cols: _Units, measure: str) -> np.ndarray:
         if mirror:
             scores[c, r] = scores[r, c]
     return scores
+
+
+def _chunks(grid: np.ndarray, n_rows: np.ndarray, n_cols: np.ndarray) -> list[tuple[int, int, tuple[int, int, int]]]:
+    """(start, stop, padded stack shape) of consecutive runs of ``grid``'s
+    (row, column) pairs, one ``align.align_stack`` call each.
+
+    A run is padded to its first pair's shape and holds one pair at least.
+    It ends before the pair that would widen that padding (in a descending
+    grid, where a row length ends), pass align.STACK_CELLS padded cells or
+    make padding more than PAD_SHARE of the run's own cells.
+    """
+    chunks, start = [], 0
+    while start < len(grid):
+        n, m = int(n_rows[grid[start, 0]]), int(n_cols[grid[start, 1]])
+        r, c = grid[start : start + max(1, align.STACK_CELLS // (n * m))].T
+        rows, cols = n_rows[r], n_cols[c]
+        padded = np.arange(1, len(r) + 1) * (n * m)
+        fits = (rows <= n) & (cols <= m) & (padded <= (1 + PAD_SHARE) * np.cumsum(rows * cols))
+        count = len(fits) if fits.all() else int(np.argmin(fits))
+        chunks.append((start, start + count, (count, n, m)))
+        start += count
+    return chunks
 
 
 def _breaks(same, step) -> np.ndarray:

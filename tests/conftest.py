@@ -51,6 +51,20 @@ def reference_scores(rows, cols, measure: str) -> np.ndarray:
     return align.align_stack(stack, measure, shapes).scores().reshape(len(rows), len(cols))
 
 
+@pytest.fixture
+def stack_calls(monkeypatch):
+    """The (batch, n, m) shape of every align.align_stack call, in order."""
+    calls = []
+    kernel = align.align_stack
+
+    def recording(costs, *args, **kwargs):
+        calls.append(np.shape(costs))
+        return kernel(costs, *args, **kwargs)
+
+    monkeypatch.setattr(align, "align_stack", recording)
+    return calls
+
+
 def split_perms(negs) -> list[np.ndarray]:
     """Each drawn negative's permutation, in draw order."""
     return np.split(negs.perms, np.cumsum(negs.lengths)[:-1])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,23 @@ class TestDtw:
             align_stack(np.zeros((2, 3, 3)), "dtw", [[3, 3], [4, 3]])
         with pytest.raises(ValueError):
             align_stack(np.zeros((1, 1, 1)), "soft-dtw")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_last_cell(self, value, rng):
+        stack, shapes = pad_costs([rng.random((4, 6)), rng.random((3, 5)), rng.random((2, 3))])
+        stack[-1, 1, 2] = value  # the last cell of the last, ragged matrix
+        with pytest.raises(DataError, match="non-finite"):
+            align_stack(stack, "dtw", shapes)
+
+    def test_rejects_non_integer_shapes(self):
+        for bad in ([[1.5, 2], [2, 2]], [[1.0, 2.0], [2.0, 2.0]], [[True, True], [True, True]], [["2", "2"], ["2", "2"]],
+                    [[2, 2]], [[2, 2, 2], [2, 2, 2]]):
+            with pytest.raises(DataError, match="item shapes"):
+                align_stack(np.zeros((2, 2, 2)), "dtw", bad)
+
+    def test_chunked_rejects_an_empty_stack(self):
+        with pytest.raises(DataError, match="nonempty"):
+            align_chunked(np.zeros((0, 2, 3)), "dtw", np.zeros((0, 2), dtype=np.int64))
 
 
 class TestOtam:
@@ -230,7 +249,7 @@ class TestStackKernels:
                 for _ in range(11)]  # integer costs: many exact ties
         stack, shapes = pad_costs(mats)
         whole = align_stack(stack, measure, shapes)
-        monkeypatch.setattr(align, "STACK_MATRICES", 4)
+        monkeypatch.setattr(align, "STACK_CELLS", 4 * stack[0].size)
         chunked = align_chunked(stack, measure, shapes)
         assert len(chunked.trails) == 3  # calls of 4, 4 and 3 matrices
         assert np.array_equal(chunked.distances, whole.distances)
@@ -275,6 +294,22 @@ def cost_batches(draw):
         n, m = draw(st.integers(1, 6)), draw(st.integers(1, 7))
         mats.append(np.array(draw(st.lists(values, min_size=n * m, max_size=n * m))).reshape(n, m))
     return mats
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("measure", ["dtw", "otam"])
+    def test_holds_back_pointers_and_a_few_diagonals(self, measure, rng):
+        # beyond its input: the n * m * batch bytes of back-pointers and
+        # O((n + m) * batch) for the diagonals and each item's last row
+        batch, n, m = 20, 60, 50
+        costs = rng.random((batch, n, m))
+        tracemalloc.start()
+        try:
+            align_stack(costs, measure)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * m * batch + 64 * (n + m) * batch
 
 
 class TestAgainstPerCellRecursion:

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import basis, make_pair, reference_scores, with_units
 from tempalign import align, evaluate
-from tempalign.align import STACK_MATRICES
+from tempalign.align import STACK_CELLS
 from tempalign.core import DataError, EmbeddingSequence, LabeledVideo, similarity_matrix, unit_normalize
 from tempalign.evaluate import (
     FEWSHOT_MEASURES,
@@ -23,7 +23,9 @@ from tempalign.evaluate import (
     retrieval_clip,
     retrieval_full,
 )
+from tempalign.loss import LossConfig
 from tempalign.synth import FewshotSynthConfig, SynthConfig, gen_corpus, gen_fewshot_corpus
+from tempalign.train import ProjectionModel, TrainConfig, fit
 
 
 def self_identical_corpus(n_videos=4, n_caps=3, dim=16):
@@ -176,11 +178,13 @@ class TestRetrievalFull:
 
     @pytest.mark.parametrize("background", ["keep", "remove"])
     @pytest.mark.parametrize("measure", RETRIEVAL_MEASURES)
-    def test_matches_per_pair_reference(self, measure, background):
+    def test_matches_per_pair_reference(self, measure, background, monkeypatch, stack_calls):
         corpus = ragged_corpus()
-        n = len(corpus)
-        assert n * n % STACK_MATRICES != 0  # the last alignment call holds fewer pairs
+        monkeypatch.setattr(align, "STACK_CELLS", 16384)
         report = retrieval_full(corpus, measure=measure, background=background, ks=(1, 3, 10))
+        if measure != "capavg":  # the last of several alignment calls holds fewer pairs than fit
+            *_, (pairs, n, m) = stack_calls
+            assert len(stack_calls) > 1 and (pairs + 1) * n * m <= align.STACK_CELLS
         ranks = per_pair_ranks(corpus, measure, background)
         assert [entry["rank"] for entry in report.per_query] == ranks
         assert report.recalls == {k: float(np.mean(np.array(ranks) <= k)) for k in (1, 3, 10)}
@@ -250,20 +254,41 @@ class TestRanks:
         assert _ranks(scores, target, tiebreak).tolist() == expected
 
 
+@pytest.mark.parametrize("measure", ["dtw", "otam"])
+def test_every_alignment_call_fits_the_cell_budget(measure, stack_calls):
+    train, test, _ = gen_corpus(SynthConfig(n_tasks=40, seed=2))
+    novel = novel_videos(FewshotSynthConfig(seed=2))
+    callers = {
+        "retrieval_full": lambda: retrieval_full(test, measure=measure, ks=(1,)),
+        "corpus_pair_match": lambda: corpus_pair_match(test, measure=measure),
+        "fewshot_eval": lambda: fewshot_eval(None, novel, episodes=5, measure=measure),
+        "fit": lambda: fit(train, ProjectionModel.identity(64), TrainConfig(epochs=1, neg_count=64, loss=LossConfig(measure=measure))),
+    }
+    largest = {}
+    for name, call in callers.items():
+        stack_calls.clear()
+        call()
+        largest[name] = max(int(np.prod(shape)) for shape in stack_calls)
+    assert max(largest.values()) <= STACK_CELLS, largest
+    # each caller but pair match (40 pairs, one call) fills a call past half the budget
+    assert min(cells for name, cells in largest.items() if name != "corpus_pair_match") > STACK_CELLS // 2, largest
+
+
 class TestScoreMatrix:
     @pytest.mark.parametrize("measure", ["dtw", "otam"])
-    def test_many_blocks_match_per_pair_reference(self, rng, monkeypatch, measure):
+    def test_many_blocks_match_per_pair_reference(self, rng, monkeypatch, stack_calls, measure):
         rows = [rng.normal(size=(int(rng.integers(1, 5)), 3)) for _ in range(13)]
         cols = [rng.normal(size=(int(rng.integers(1, 6)), 3)) for _ in range(17)]
         monkeypatch.setattr(evaluate, "BLOCK_BYTES", 2 * 2 * 3 * 8)  # two 2-unit stacks
-        monkeypatch.setattr(align, "STACK_MATRICES", 7)
+        monkeypatch.setattr(align, "STACK_CELLS", 7 * 4 * 5)
         units = _normalized(rows, cols)
         assert min(len(u.blocks) for u in units) >= 6
         pairs = _tile_grid(*units)
         tile = units[0].block[pairs[:, 0]] * len(units[1].blocks) + units[1].block[pairs[:, 1]]
-        cuts = np.arange(7, len(pairs), 7)
+        scores = _score_matrix(*units, measure)
+        cuts = np.cumsum([len(costs) for costs in stack_calls])[:-1]
         assert np.any(tile[cuts - 1] == tile[cuts])  # some alignment call ends inside a tile
-        assert np.array_equal(_score_matrix(*units, measure), reference_scores(rows, cols, measure))
+        assert np.array_equal(scores, reference_scores(rows, cols, measure))
 
     def test_tile_grid_holds_every_pair_once_by_descending_shape(self, rng, monkeypatch):
         monkeypatch.setattr(evaluate, "BLOCK_BYTES", 2 * 5 * 2 * 8)
@@ -284,18 +309,21 @@ class TestScoreMatrix:
         kernel = align.align_stack
 
         def recording(costs, measure, shapes=None):
-            calls.append((costs.size, int(np.prod(shapes, axis=1).sum())))
+            calls.append((costs.size, int(np.prod(shapes, axis=1).sum()), costs[0].size))
             return kernel(costs, measure, shapes)
 
         monkeypatch.setattr(align, "align_stack", recording)
         retrieval_full(corpus, measure="dtw", ks=(1,))
-        n = len(corpus)
         classes = len({len(p.anchor) for p in corpus}) * len({p.covered_indices.size for p in corpus})
-        padded, real = np.sum(calls, axis=0)
+        padded, real, _ = np.sum(calls, axis=0)
         assert real == sum(len(p.anchor) for p in corpus) * sum(p.covered_indices.size for p in corpus)
         # a row-major grid pads this corpus to 1.67x its cells
         assert padded <= 1.05 * real
-        assert len(calls) <= math.ceil(n * n / STACK_MATRICES) + classes
+        # a call ends short of the budget by less than one matrix, except
+        # where the next pair would widen its padding or pass PAD_SHARE (at
+        # most once per shape class)
+        widest = max(cells for *_, cells in calls)
+        assert len(calls) <= math.ceil(padded / (STACK_CELLS - widest)) + classes
 
 
 class TestRetrievalClip:
@@ -435,7 +463,8 @@ class TestPairMatch:
             calls.append(len(costs))
             return kernel(costs, measure, shapes)
 
-        monkeypatch.setattr(align, "STACK_MATRICES", 3)
+        cells = max(len(p.anchor) for p in corpus) * max(p.covered_indices.size for p in corpus)
+        monkeypatch.setattr(align, "STACK_CELLS", 3 * cells)
         monkeypatch.setattr(align, "align_stack", recording)
         assert corpus_pair_match(corpus, measure=measure) == whole
         assert sum(calls) == len(corpus) and max(calls) <= 3
@@ -543,11 +572,14 @@ class TestFewshot:
             fewshot_eval(None, videos, way=5, shot=1, queries_per_class=5, episodes=5)
 
     @pytest.mark.parametrize("measure", ["dtw", "otam"])
-    def test_ragged_scores_match_per_pair_reference(self, rng, measure):
+    def test_ragged_scores_match_per_pair_reference(self, rng, measure, monkeypatch, stack_calls):
         rows = [rng.normal(size=(int(rng.integers(1, 9)), 6)) for _ in range(9)]
         cols = [rng.normal(size=(int(rng.integers(1, 9)), 6)) for _ in range(70)]
-        assert len(rows) * len(cols) % STACK_MATRICES != 0  # the last alignment call holds fewer pairs
-        assert np.array_equal(_score_matrix(*_normalized(rows, cols), measure), reference_scores(rows, cols, measure))
+        monkeypatch.setattr(align, "STACK_CELLS", 16384)
+        scores = _score_matrix(*_normalized(rows, cols), measure)
+        *_, (pairs, n, m) = stack_calls  # the last of several alignment calls holds fewer pairs than fit
+        assert len(stack_calls) > 1 and (pairs + 1) * n * m <= align.STACK_CELLS
+        assert np.array_equal(scores, reference_scores(rows, cols, measure))
 
     @pytest.mark.parametrize("ragged", [False, True])
     @pytest.mark.parametrize("measure", FEWSHOT_MEASURES)
@@ -582,7 +614,7 @@ class TestFewshot:
     def test_dtw_self_scores_match_per_pair_reference(self, rng, monkeypatch):
         videos = [rng.normal(size=(int(rng.integers(1, 9)), 5)) for _ in range(31)]
         monkeypatch.setattr(evaluate, "BLOCK_BYTES", 3 * 4 * 5 * 8)  # three 4-unit stacks
-        monkeypatch.setattr(align, "STACK_MATRICES", 23)
+        monkeypatch.setattr(align, "STACK_CELLS", 23 * 16)
         calls = []
         kernel = align.align_stack
 

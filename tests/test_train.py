@@ -6,7 +6,7 @@ import pytest
 from conftest import infonce_with_grad, make_pair, split_perms
 from tempalign import align
 from tempalign import train as train_module
-from tempalign.align import STACK_MATRICES
+from tempalign.align import STACK_CELLS
 from tempalign.core import DataError, EmbeddingSequence, LabeledVideo, NumericalError, similarity_matrix
 from tempalign.loss import LossConfig, joint_loss
 from tempalign.negatives import STRATEGIES, generate_negatives
@@ -477,30 +477,27 @@ class TestBatchStepMatchesPerItemReference:
         cfg = TrainConfig(neg_strategy="joint", neg_count=5)
         assert_matches_reference(corpus, [1, 4, 2], ProjectionModel.mlp(24, 16, 24, seed=4), cfg)
 
-    def test_batch_past_stack_cap(self):
+    def test_batch_past_stack_cap(self, monkeypatch, stack_calls):
         corpus = [p.covered_view() for p in small_corpus(n_tasks=3)[0]]
         cfg = TrainConfig(neg_strategy="joint", neg_count=40)
-        assert 10 * (cfg.neg_count + 1) > STACK_MATRICES
+        monkeypatch.setattr(align, "STACK_CELLS", 4096)
         assert_matches_reference(corpus, list(range(10)), ProjectionModel.identity(24), cfg)
+        # the batch spans several calls; the reference aligns one candidate per call
+        assert len([shape for shape in stack_calls if shape[0] > 1]) > 1
 
 
 class TestBatchStepAlignmentCalls:
     @pytest.mark.parametrize("neg_count", [32, 60])
-    def test_calls_per_batch(self, neg_count, monkeypatch):
-        calls = []
-        real = align.align_stack
-
-        def counted(costs, *args, **kwargs):
-            calls.append(len(costs))
-            return real(costs, *args, **kwargs)
-
-        monkeypatch.setattr(align, "align_stack", counted)
+    def test_calls_per_batch(self, neg_count, stack_calls):
         train, _, _ = small_corpus()
         cfg = TrainConfig(epochs=1, neg_count=neg_count, batch_pairs=8, seed=0)
         fit(train, ProjectionModel.identity(24), cfg)
         batches = -(-len(train) // cfg.batch_pairs)
-        assert len(calls) <= batches * -(-cfg.batch_pairs * (neg_count + 1) // STACK_MATRICES)
-        assert max(calls) <= STACK_MATRICES
+        cells = [int(np.prod(shape)) for shape in stack_calls]
+        widest = max(n * m for _, n, m in stack_calls)
+        # every call but a batch's last holds as many matrices as fit
+        assert len(stack_calls) <= batches + sum(cells) // (STACK_CELLS - widest)
+        assert max(cells) <= STACK_CELLS
 
 
 def test_single_frame_video_does_not_decide_fit():
