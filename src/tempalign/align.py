@@ -93,6 +93,11 @@ class Alignments:
     def path(self, b: int) -> np.ndarray:
         return self.walk[self.lengths[b] - 1 :: -1, b]
 
+    def cells(self) -> np.ndarray:
+        """(lengths.sum(), 2) cells of every path, item by item, each path
+        read from its end (``path(b)[::-1]``)."""
+        return self.walk.transpose(1, 0, 2)[np.arange(len(self.walk)) < self.lengths[:, None]]
+
     def scores(self, normalize: bool = True) -> np.ndarray:
         """Summed path similarity ``length - distance`` under cost = 1 - similarity,
         divided by the path length when ``normalize``."""
@@ -100,31 +105,12 @@ class Alignments:
         return raw / self.lengths if normalize else raw
 
 
-def pad_costs(costs) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-pad 2-d cost matrices of any shapes into one (batch, n, m) stack.
-
-    Returns the stack and the (batch, 2) array of each item's (rows, columns),
-    the two arguments :func:`align_stack` takes for a ragged batch.
-    """
-    mats = [np.asarray(c, dtype=np.float64) for c in costs]
-    if not mats:
-        raise DataError("alignment: no cost matrices")
-    for c in mats:
-        if c.ndim != 2 or c.size == 0:
-            raise DataError(f"alignment: cost matrix must be 2-d and nonempty, got shape {c.shape}")
-    shapes = np.array([c.shape for c in mats])
-    stack = np.zeros((len(mats), *shapes.max(axis=0)))
-    for b, c in enumerate(mats):
-        stack[b, : c.shape[0], : c.shape[1]] = c
-    return stack, shapes
-
-
 def align_stack(costs: np.ndarray, measure: str = "dtw", shapes: np.ndarray | None = None) -> Alignments:
     """Align every cost matrix of a (batch, n, m) stack in one wavefront pass.
 
     ``shapes`` gives each item's (rows, columns) when the stack holds ragged
-    matrices zero-padded to a common shape (see :func:`pad_costs`).  Padding
-    is exact because a cell only reads cells above and left of it, so item b's
+    matrices padded to a common shape, with any finite values.  Padding is
+    exact because a cell only reads cells above and left of it, so item b's
     result is read at its own (n_b - 1, m_b - 1) corner (dtw) or from the
     first m_b columns of its row n_b - 1 (otam, the end going to the smallest
     column on ties).  The recursion runs along anti-diagonals, vectorized over

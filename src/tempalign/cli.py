@@ -168,12 +168,7 @@ def cmd_eval_retrieval_clip(args) -> int:
 
 
 def cmd_eval_localize(args) -> int:
-    corpus = _eval_items(args, "pairs")
-    model = _model(args)
-    value = float(np.mean([ev.localization_recall(p, model) for p in corpus]))
-    report = ev.EvalReport(task="localize", measure="cosine", recalls={1: value},
-                           aux={"n_videos": float(len(corpus))})
-    _emit_report(report, args.out_csv, None)
+    _emit_report(ev.localization(_eval_items(args, "pairs"), _model(args)), args.out_csv, None)
     return 0
 
 

@@ -125,12 +125,11 @@ def _blocks(lengths: np.ndarray, dim: int) -> tuple[list[np.ndarray], np.ndarray
     return [np.empty((count, length, dim)) for count, length in shapes], block, slot
 
 
-def _normalized(*groups, lengths=None) -> tuple[_Units, ...]:
+def _normalized(*groups, lengths) -> tuple[_Units, ...]:
     """Row-normalized float64 copies of iterables of unit stacks, one
     :class:`_Units` each.
 
-    ``lengths`` holds each group's stack lengths when the groups are
-    iterators; by default they are read from the groups.  Makes the checks
+    ``lengths`` holds each group's stack lengths.  Makes the checks
     :func:`similarity_matrix` makes on each pair it is given, once for all
     stacks: every stack is 2-d, finite and of its stated length, and all
     share one dimension.  Each stack is copied into its block as the iterable
@@ -138,8 +137,6 @@ def _normalized(*groups, lengths=None) -> tuple[_Units, ...]:
     is then normalized once, in place (row by row, as :func:`unit_normalize`
     normalizes one stack).
     """
-    if lengths is None:
-        lengths = [[len(u) for u in group] for group in groups]
     out = []
     ref = None
     for group, sizes in zip(groups, lengths):
@@ -163,6 +160,19 @@ def _normalized(*groups, lengths=None) -> tuple[_Units, ...]:
             unit_normalize(b, out=b)
         out.append(_Units(stacks, blocks, block, slot))
     return tuple(out)
+
+
+def _pair_units(corpus: list[SegmentedPair], model, background: str) -> tuple[_Units, _Units]:
+    """A corpus's anchors and clips, normalized (see :func:`_normalized`):
+    each pair's covered clips, or all its clips when ``background`` is
+    ``keep``."""
+    f_anchor, f_clips = _transforms(model)
+    keep = background == "keep"
+    return _normalized(
+        (f_anchor(p.anchor.units) for p in corpus),
+        (f_clips(p.positive.units if keep else p.covered_units()) for p in corpus),
+        lengths=([len(p.anchor) for p in corpus], [len(p.positive) if keep else p.covered_indices.size for p in corpus]),
+    )
 
 
 def _score_matrix(rows: _Units, cols: _Units, measure: str) -> np.ndarray:
@@ -301,14 +311,7 @@ def retrieval_full(
     if len(corpus) < 2:
         raise DataError("retrieval needs at least 2 videos")
     ks = _check_ks(ks, len(corpus))
-    f_anchor, f_clips = _transforms(model)
-
-    keep = background == "keep"
-    anchors, clips = _normalized(
-        (f_anchor(p.anchor.units) for p in corpus),
-        (f_clips(p.positive.units if keep else p.covered_units()) for p in corpus),
-        lengths=([len(p.anchor.units) for p in corpus], [len(p.positive.units if keep else p.covered_indices) for p in corpus]),
-    )
+    anchors, clips = _pair_units(corpus, model, background)
     n = len(corpus)
 
     scores, tiebreak = None, None
@@ -366,14 +369,20 @@ def retrieval_clip(corpus: list[SegmentedPair], model=None, ks=(1, 5, 10)) -> Ev
                       aux={"n_queries": float(len(queries))}, per_query=per_query)
 
 
-def localization_recall(pair: SegmentedPair, model=None) -> float:
-    """Fraction of captions whose most similar clip (background included)
-    falls inside their ground-truth range."""
-    f_anchor, f_clips = _transforms(model)
-    sims = similarity_matrix(f_anchor(pair.anchor.units), f_clips(pair.positive.units))
-    pick = np.argmax(sims, axis=1)  # caption i's clip, against segment i
-    lo, hi = np.array(pair.segments.ranges()).T
-    return float(np.mean((lo <= pick) & (pick < hi)))
+def localization(corpus: list[SegmentedPair], model=None) -> EvalReport:
+    """Step localization: the fraction of each video's captions whose most
+    similar clip (background included) falls inside their ground-truth
+    range, averaged over videos."""
+    if not corpus:
+        raise DataError("empty corpus")
+    anchors, clips = _pair_units(corpus, model, "keep")
+    recall = np.empty(len(corpus))
+    for b, (pair, a, c) in enumerate(zip(corpus, anchors.stacks, clips.stacks)):
+        pick = np.argmax(np.clip(a @ c.T, -1.0, 1.0), axis=1)  # caption i's clip, against segment i
+        lo, hi = np.array(pair.segments.ranges()).T
+        recall[b] = np.mean((lo <= pick) & (pick < hi))
+    return EvalReport(task="localize", measure="cosine", recalls={1: float(np.mean(recall))},
+                      aux={"n_videos": float(len(corpus))})
 
 
 def corpus_pair_match(corpus: list[SegmentedPair], model=None, measure: str = "dtw") -> float:
@@ -386,18 +395,26 @@ def corpus_pair_match(corpus: list[SegmentedPair], model=None, measure: str = "d
 
 
 def _pair_match(corpus: list[SegmentedPair], model, measure: str) -> np.ndarray:
-    """Per-pair match fractions, from one padded stack of the whole corpus."""
-    f_anchor, f_clips = _transforms(model)
-    costs = [1.0 - similarity_matrix(f_anchor(p.anchor.units), f_clips(p.covered_units())) for p in corpus]
-    stack, shapes = align.pad_costs(costs)
-    res = align.align_chunked(stack, measure, shapes)
-    matched = np.empty(len(corpus))
-    for b, pair in enumerate(corpus):
-        # caption i owns segment i
-        path = res.path(b)
-        lo, hi = np.array(pair.covered_spans())[path[:, 0]].T
-        matched[b] = np.count_nonzero((lo <= path[:, 1]) & (path[:, 1] < hi)) / int(res.lengths[b])
-    return matched
+    """Per-pair match fractions, from one zero-padded cost stack of the
+    whole corpus, each pair's product written straight into it, and one
+    pass over every path cell."""
+    anchors, clips = _pair_units(corpus, model, "remove")
+    shapes = np.array([(len(a), len(c)) for a, c in zip(anchors.stacks, clips.stacks)])
+    costs = np.zeros((len(corpus), *shapes.max(axis=0)))
+    for (n, m), a, c, out in zip(shapes.tolist(), anchors.stacks, clips.stacks, costs):
+        np.matmul(a, c.T, out=out[:n, :m])
+    np.clip(costs, -1.0, 1.0, out=costs)
+    np.subtract(1.0, costs, out=costs)
+    res = align.align_chunked(costs, measure, shapes)
+    del costs
+    # each path cell's pair, and its caption's span among the pair's covered
+    # clips (caption i owns segment i)
+    owner = np.repeat(np.arange(len(corpus)), res.lengths)
+    cells = res.cells()
+    first = np.cumsum(shapes[:, 0]) - shapes[:, 0]
+    lo, hi = np.concatenate([p.covered_spans() for p in corpus])[first[owner] + cells[:, 0]].T
+    hits = (lo <= cells[:, 1]) & (cells[:, 1] < hi)
+    return np.bincount(owner[hits], minlength=len(corpus)) / res.lengths
 
 
 def fewshot_eval(

@@ -132,12 +132,12 @@ def seq_grad_core(sims: list[np.ndarray], spans: list[dict], negs: list[Negative
         dscore = dscore / paths.lengths
     # Every path cell as an offset into the items' blocks laid end to end,
     # candidate by candidate so that each entry sums its candidates in order.
-    walk = paths.walk.transpose(1, 0, 2)[np.arange(paths.walk.shape[0]) < paths.lengths[:, None]]
+    cells = paths.cells()
     owner = np.repeat(np.arange(len(shapes)), paths.lengths)
     bounds = np.cumsum([0] + [sim.size for sim in sims])
     base = np.repeat(bounds[:-1], counts)[owner]
     width = np.repeat([sim.shape[1] for sim in sims], counts)[owner]
-    at = base + row_at[owner, walk[:, 0]] * width + col_at[owner, walk[:, 1]]
+    at = base + row_at[owner, cells[:, 0]] * width + col_at[owner, cells[:, 1]]
     grad = np.bincount(at, weights=dscore[owner], minlength=bounds[-1])
     grads = [grad[lo:hi].reshape(sim.shape) for sim, lo, hi in zip(sims, bounds[:-1], bounds[1:])]
     return SeqLossResult(losses, scores, candidates, paths, grads)

@@ -118,44 +118,42 @@ def _shuffle_draws(pair: SegmentedPair, strategy: str, count: int, rng: np.rando
 
 @dataclass(frozen=True)
 class PairPool:
-    """What unpaired sampling reads of a pair corpus, gathered once: each
-    pair's id and covered clip count, in corpus order, and each id's
-    ascending corpus positions."""
+    """What unpaired sampling and a training batch read of a pair corpus,
+    gathered once: each pair's id and covered clip count, in corpus order,
+    and each id's corpus position."""
 
     ids: tuple[str, ...]
     sizes: np.ndarray
-    positions: dict[str, list[int]]
+    positions: dict[str, int]
 
     @staticmethod
     def of(corpus: list[SegmentedPair]) -> "PairPool":
-        positions: dict[str, list[int]] = {}
+        """Refuses a corpus in which two pairs share an id."""
+        positions: dict[str, int] = {}
         for k, p in enumerate(corpus):
-            positions.setdefault(p.id, []).append(k)
+            if positions.setdefault(p.id, k) != k:
+                raise DataError(f"id {p.id!r} is taken by an earlier item")
         sizes = np.array([len(p.positive) - np.count_nonzero(p.background_mask) for p in corpus], dtype=np.int64)
-        return PairPool(tuple(p.id for p in corpus), sizes, positions)
+        return PairPool(tuple(positions), sizes, positions)
 
 
 def _unpaired(pair: SegmentedPair, pool: PairPool, count: int, rng: np.random.Generator) -> Negatives:
     """Another pair uniformly per draw; its covered positions in order.
 
     Draw k picks the k-th pair of the corpus without ``pair``'s id, found
-    by skipping that id's positions, so a call costs O(count)."""
-    own = np.array(pool.positions.get(pair.id, ()), dtype=np.int64)
-    n_others = len(pool.ids) - own.size
+    by skipping that id's position, so a call costs O(count)."""
+    own = pool.positions.get(pair.id, len(pool.ids))  # past the end: no draw skips it
+    n_others = len(pool.ids) - (own < len(pool.ids))
     if count and not n_others:
         raise DataError(f"unpaired sampling needs a corpus with at least 2 distinct pairs (got {len(pool.ids)})")
-    k = rng.integers(n_others, size=count)
-    # own[i] - i other pairs precede the pair's i-th own position
-    picks = k + np.searchsorted(own - np.arange(own.size), k, side="right")
+    picks = rng.integers(n_others, size=count)
+    picks += picks >= own
     lengths = pool.sizes[picks]
     perms = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     return Negatives(("unpaired",) * count, tuple(pool.ids[i] for i in picks.tolist()), perms, lengths)
 
 
-def generate_negatives(
-    pair: SegmentedPair, corpus: list[SegmentedPair] | None, strategy: str, count: int, rng: np.random.Generator,
-    pool: PairPool | None = None,
-) -> Negatives:
+def generate_negatives(pair: SegmentedPair, pool: PairPool, strategy: str, count: int, rng: np.random.Generator) -> Negatives:
     """Draw ``count`` negatives under a named strategy.
 
     joint splits the count between seg-unit and unpaired (odd draw to
@@ -163,24 +161,18 @@ def generate_negatives(
     all-unit; if that is degenerate too (or within-seg / visual-anchor /
     all-unit hit their own degeneracy) the pair is skipped with an empty
     draw.  Duplicate permutations across draws are allowed: small pairs
-    cannot supply ``count`` distinct orders.  ``pool``, the corpus's
-    :class:`PairPool`, spares a caller that draws for many pairs from
-    gathering it per call.
+    cannot supply ``count`` distinct orders.  Only unpaired sampling reads
+    ``pool``, the corpus's :class:`PairPool`.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     check_strategy(strategy)
-    if strategy in ("unpaired", "joint"):
-        if corpus is None:
-            raise ValueError(f"{strategy} strategy requires a corpus")
-        if pool is None:
-            pool = PairPool.of(corpus)
     if strategy == "unpaired":
         return _unpaired(pair, pool, count, rng)
     if strategy == "joint":
         # seg-unit half first, unpaired half second
         n_shuffle = count // 2 + count % 2
-        a, b = generate_negatives(pair, corpus, "seg-unit", n_shuffle, rng), _unpaired(pair, pool, count - n_shuffle, rng)
+        a, b = generate_negatives(pair, pool, "seg-unit", n_shuffle, rng), _unpaired(pair, pool, count - n_shuffle, rng)
         return Negatives(a.strategies + b.strategies, a.sources + b.sources,
                          np.concatenate((a.perms, b.perms)), np.concatenate((a.lengths, b.lengths)))
     block = _shuffle_draws(pair, strategy, count, rng)

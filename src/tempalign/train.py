@@ -249,7 +249,7 @@ def cosine_backward(u: np.ndarray, v: np.ndarray, g: np.ndarray) -> tuple[np.nda
 
 
 def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConfig, rng: np.random.Generator,
-                   pool: PairPool | None = None):
+                   pool: PairPool):
     """Loss and mean parameter gradients over one batch.
 
     ``corpus`` is a list of canonical, background-free SegmentedPair, as
@@ -260,13 +260,15 @@ def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConf
     n_used, paths): grads averaged over the used items, and every
     candidate's optimal path as :class:`align.Alignments` (None when no item
     was used), so a gradient check can pin the negatives (by reseeding
-    ``rng``) and detect when a perturbation moved a path.  ``pool``, the
-    corpus's :class:`PairPool`, is passed on to the negative drawer.
+    ``rng``) and detect when a perturbation moved a path.  ``pool`` is the
+    corpus's :class:`PairPool`: the negative drawer samples from it, and the
+    step finds each source it reads at the pool's position of its id, so a
+    step's cost does not grow with the corpus.
     """
     items, drawn = [], []
     for idx in batch_indices:
         item = corpus[idx]
-        negs = generate_negatives(item, corpus, cfg.neg_strategy, cfg.neg_count, rng, pool)
+        negs = generate_negatives(item, pool, cfg.neg_strategy, cfg.neg_count, rng)
         if len(negs):
             items.append(item)
             drawn.append(negs)
@@ -274,9 +276,9 @@ def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConf
     if not items:
         return None, grads, 0, None
 
-    units_of = {item.id: item.positive.units for item in corpus}
     reads = [list(dict.fromkeys((item.id, *negs.sources))) for item, negs in zip(items, drawn)]
     sources = list(dict.fromkeys(src for read in reads for src in read))
+    units_of = {src: corpus[pool.positions[src]].positive.units for src in sources}
     rows_of = column_spans(sources, [len(units_of[src]) for src in sources])
     anchors = [item.anchor.units for item in items]
     a_rows = [slice(*span) for span in column_spans(range(len(items)), [len(a) for a in anchors]).values()]
@@ -337,12 +339,7 @@ def fit(corpus, model: ProjectionModel, cfg: TrainConfig) -> TrainReport:
     dims = {p.anchor.dim for p in corpus}
     if dims != {model.in_dim}:
         raise DataError(f"fit: corpus dims {sorted(dims)} do not match model input dim {model.in_dim}")
-    seen = set()
-    for item in corpus:  # batches key their sources by id
-        if item.id in seen:
-            raise DataError(f"fit: id {item.id!r} is taken by an earlier item")
-        seen.add(item.id)
-    pool = PairPool.of(corpus)
+    pool = PairPool.of(corpus)  # batches key their sources by id, which it keeps unique
 
     model = model.copy()
     params = model.params()

@@ -44,10 +44,21 @@ def cost_matrix(a: EmbeddingSequence, b: EmbeddingSequence) -> np.ndarray:
     return 1.0 - similarity_matrix(a.units, b.units)
 
 
+def pad_costs(costs) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-pad 2-d cost matrices into one (batch, n, m) stack; returns it
+    and each item's (rows, columns), the arguments align_stack takes for a
+    ragged batch."""
+    shapes = np.array([np.shape(c) for c in costs])
+    stack = np.zeros((len(costs), *shapes.max(axis=0)))
+    for out, c, (n, m) in zip(stack, costs, shapes):
+        out[:n, :m] = c
+    return stack, shapes
+
+
 def reference_scores(rows, cols, measure: str) -> np.ndarray:
     """(len(rows), len(cols)) alignment scores of every (row, column) pair of
     unit stacks, one similarity_matrix per pair and one padded alignment call."""
-    stack, shapes = align.pad_costs([1.0 - similarity_matrix(r, c) for r in rows for c in cols])
+    stack, shapes = pad_costs([1.0 - similarity_matrix(r, c) for r in rows for c in cols])
     return align.align_stack(stack, measure, shapes).scores().reshape(len(rows), len(cols))
 
 

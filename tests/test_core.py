@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import basis, cost_matrix, make_pair, seq
 from tempalign.core import DataError, LabeledVideo, SegmentedPair, similarity_matrix
-from tempalign.evaluate import corpus_pair_match, localization_recall
-from tempalign.negatives import STRATEGIES, generate_negatives
+from tempalign.evaluate import corpus_pair_match, localization
+from tempalign.negatives import STRATEGIES, PairPool, generate_negatives
 
 
 def sim_entry(u, v) -> float:
@@ -228,6 +228,6 @@ class TestPairInvariant:
         assert len(view.positive) == int(np.count_nonzero(~pair.background_mask))
         other = make_pair(rng.normal(size=(1, 4)), rng.normal(size=(2, 4)), [(0, 0, 2)], pid="other")
         for strategy in STRATEGIES:
-            generate_negatives(pair, [pair, other], strategy, 3, np.random.default_rng(seed))
+            generate_negatives(pair, PairPool.of([pair, other]), strategy, 3, np.random.default_rng(seed))
         assert 0.0 <= corpus_pair_match([pair]) <= 1.0
-        assert 0.0 <= localization_recall(pair) <= 1.0
+        assert 0.0 <= localization([pair]).recalls[1] <= 1.0

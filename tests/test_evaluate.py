@@ -19,7 +19,7 @@ from tempalign.evaluate import (
     _tile_grid,
     corpus_pair_match,
     fewshot_eval,
-    localization_recall,
+    localization,
     retrieval_clip,
     retrieval_full,
 )
@@ -35,6 +35,16 @@ def self_identical_corpus(n_videos=4, n_caps=3, dim=16):
         caps = [basis(v * n_caps + i, dim) for i in range(n_caps)]
         corpus.append(make_pair(caps, caps, [(i, i, i + 1) for i in range(n_caps)], pid=f"v{v}"))
     return corpus
+
+
+def normalized(*groups):
+    """_normalized of lists of unit stacks, their lengths read from them."""
+    return _normalized(*groups, lengths=[[len(u) for u in group] for group in groups])
+
+
+def twin_mlp(dim):
+    """A twin MLP model, distinct heads for captions and clips."""
+    return ProjectionModel.mlp(dim, 8, dim, seed=3, twin=True)
 
 
 def scaled(corpus, alpha):
@@ -281,7 +291,7 @@ class TestScoreMatrix:
         cols = [rng.normal(size=(int(rng.integers(1, 6)), 3)) for _ in range(17)]
         monkeypatch.setattr(evaluate, "BLOCK_BYTES", 2 * 2 * 3 * 8)  # two 2-unit stacks
         monkeypatch.setattr(align, "STACK_CELLS", 7 * 4 * 5)
-        units = _normalized(rows, cols)
+        units = normalized(rows, cols)
         assert min(len(u.blocks) for u in units) >= 6
         pairs = _tile_grid(*units)
         tile = units[0].block[pairs[:, 0]] * len(units[1].blocks) + units[1].block[pairs[:, 1]]
@@ -294,7 +304,7 @@ class TestScoreMatrix:
         monkeypatch.setattr(evaluate, "BLOCK_BYTES", 2 * 5 * 2 * 8)
         rows = [rng.normal(size=(int(rng.integers(1, 6)), 2)) for _ in range(11)]
         cols = [rng.normal(size=(int(rng.integers(1, 6)), 2)) for _ in range(9)]
-        grid = _tile_grid(*_normalized(rows, cols))
+        grid = _tile_grid(*normalized(rows, cols))
         assert grid.dtype == np.int32
         assert sorted(map(tuple, grid.tolist())) == [(r, c) for r in range(11) for c in range(9)]
         shapes = [(len(rows[r]), len(cols[c])) for r, c in grid]
@@ -379,7 +389,7 @@ class TestRetrievalClip:
 class TestLocalization:
     def test_perfect_localization(self):
         pair = self_identical_corpus(1)[0]
-        assert localization_recall(pair) == pytest.approx(1.0)
+        assert localization([pair]).recalls[1] == pytest.approx(1.0)
 
     def test_background_steals_a_step(self):
         # caption 1 is most similar to the background clip at index 2
@@ -387,7 +397,7 @@ class TestLocalization:
         caps = [basis(0, dim), basis(1, dim)]
         clips = [basis(0, dim), basis(3, dim), basis(1, dim)]
         pair = make_pair(caps, clips, [(0, 0, 1), (1, 1, 2)])
-        assert localization_recall(pair) == pytest.approx(0.5)
+        assert localization([pair]).recalls[1] == pytest.approx(0.5)
 
     def test_two_step_crafted_half_recall(self):
         # step 0 -> clip in its own segment; step 1 -> most similar clip sits
@@ -396,7 +406,25 @@ class TestLocalization:
         caps = [basis(0, dim), basis(1, dim)]
         clips = [basis(0, dim), basis(1, dim), basis(2, dim)]
         pair = make_pair(caps, clips, [(0, 0, 2), (1, 2, 3)])
-        assert localization_recall(pair) == pytest.approx(0.5)
+        assert localization([pair]).recalls[1] == pytest.approx(0.5)
+
+    def test_matches_per_pair_argmax_reference(self):
+        corpus = ragged_corpus()
+        for model in (None, twin_mlp(6)):
+            recall = []
+            for pair in corpus:
+                captions, clips = pair.anchor.units, pair.positive.units
+                if model is not None:
+                    captions, clips = model.transform_anchor(captions), model.transform_clips(clips)
+                pick = np.argmax(similarity_matrix(captions, clips), axis=1)
+                recall.append(np.mean([lo <= q < hi for q, (lo, hi) in zip(pick.tolist(), pair.segments.ranges())]))
+            report = localization(corpus, model)
+            assert report.recalls == {1: float(np.mean(recall))}
+            assert report.aux == {"n_videos": float(len(corpus))}
+
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(DataError, match="empty corpus"):
+            localization([])
 
 
 class TestPairMatch:
@@ -429,7 +457,7 @@ class TestPairMatch:
     def test_consistency_with_localization_on_singletons(self):
         corpus = self_identical_corpus(2, n_caps=4)
         for pair in corpus:
-            assert localization_recall(pair) == pytest.approx(1.0)
+            assert localization([pair]).recalls[1] == pytest.approx(1.0)
             assert corpus_pair_match([pair], measure="dtw") == pytest.approx(1.0)
 
     def test_corpus_average(self):
@@ -441,16 +469,19 @@ class TestPairMatch:
         # Reference: align each pair alone and check every path step's
         # original clip index against its caption's segment.
         corpus = ragged_corpus()
-        fractions = []
-        for pair in corpus:
-            sims = similarity_matrix(pair.anchor.units, pair.covered_units())
-            res = align.align_stack((1.0 - sims)[None], measure)
-            spans = {caption: (start, end) for caption, start, end in pair.segments}
-            clip_of = pair.covered_indices
-            correct = sum(spans[i][0] <= clip_of[q] < spans[i][1] for i, q in res.path(0).tolist())
-            fractions.append(correct / int(res.lengths[0]))
-            assert corpus_pair_match([pair], measure=measure) == fractions[-1]
-        assert corpus_pair_match(corpus, measure=measure) == float(np.mean(fractions))
+        for model in (None, twin_mlp(6)):
+            fractions = []
+            for pair in corpus:
+                captions, clips = pair.anchor.units, pair.covered_units()
+                if model is not None:
+                    captions, clips = model.transform_anchor(captions), model.transform_clips(clips)
+                res = align.align_stack((1.0 - similarity_matrix(captions, clips))[None], measure)
+                spans = {caption: (start, end) for caption, start, end in pair.segments}
+                clip_of = pair.covered_indices
+                correct = sum(spans[i][0] <= clip_of[q] < spans[i][1] for i, q in res.path(0).tolist())
+                fractions.append(correct / int(res.lengths[0]))
+                assert corpus_pair_match([pair], model, measure) == fractions[-1]
+            assert corpus_pair_match(corpus, model, measure) == float(np.mean(fractions))
 
     @pytest.mark.parametrize("measure", ["dtw", "otam"])
     def test_alignment_calls_are_bounded(self, monkeypatch, measure):
@@ -576,7 +607,7 @@ class TestFewshot:
         rows = [rng.normal(size=(int(rng.integers(1, 9)), 6)) for _ in range(9)]
         cols = [rng.normal(size=(int(rng.integers(1, 9)), 6)) for _ in range(70)]
         monkeypatch.setattr(align, "STACK_CELLS", 16384)
-        scores = _score_matrix(*_normalized(rows, cols), measure)
+        scores = _score_matrix(*normalized(rows, cols), measure)
         *_, (pairs, n, m) = stack_calls  # the last of several alignment calls holds fewer pairs than fit
         assert len(stack_calls) > 1 and (pairs + 1) * n * m <= align.STACK_CELLS
         assert np.array_equal(scores, reference_scores(rows, cols, measure))
@@ -623,7 +654,7 @@ class TestFewshot:
             return kernel(costs, measure, shapes)
 
         monkeypatch.setattr(align, "align_stack", counting)
-        (units,) = _normalized(videos)
+        (units,) = normalized(videos)
         assert len(units.blocks) >= 10
         scores = _score_matrix(units, units, "dtw")
         assert len(calls) >= 10 and sum(calls) == 31 * 32 // 2
@@ -636,7 +667,7 @@ class TestFewshot:
         videos = [np.eye(4)[rng.integers(0, 3, size=int(rng.integers(1, 7)))] for _ in range(30)]
         reference = reference_scores(videos, videos, "dtw")
         assert np.any(reference != reference.T)
-        (units,) = _normalized(videos)
+        (units,) = normalized(videos)
         scores = _score_matrix(units, units, "dtw")
         assert np.array_equal(scores, scores.T)
         earlier_as_rows = np.triu(reference) + np.triu(reference, 1).T

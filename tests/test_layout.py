@@ -10,6 +10,9 @@
 * The definitions that only a hook-table string reaches are exactly
   ``HOOK_ONLY``: the benchmark keeps them alive, and they go with their
   hooks (ROADMAP item 1a).
+* Every import kept only for a hook (``# noqa: F401  (hooked by
+  perfbench/layertrace.py)``) names a (module, attribute) pair of the hook
+  table, so it cannot outlive its hook.
 """
 
 import ast
@@ -31,10 +34,34 @@ HOOK_ONLY = {"dtw", "otam", "cosine_backward", "video_only_negatives", "unit_ter
 
 # a noqa comment for F401 with some reason after it
 NOQA_F401 = re.compile(r"#\s*noqa:\s*F401\b\W*\w")
+# the reason an import is kept only for a benchmark hook
+HOOKED = re.compile(r"#\s*noqa:\s*F401\s*\(hooked by perfbench/layertrace\.py\)")
 
 
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def hook_table() -> list[tuple[str, str]]:
+    """Every (module, attribute) pair of the benchmark's ``layertrace.HOOKS``."""
+    for node in parse(ROOT / "perfbench" / "layertrace.py").body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "HOOKS" for t in targets):
+                return [tuple(hook) for hooks in ast.literal_eval(node.value).values() for hook in hooks]
+    raise AssertionError("layertrace.py defines no HOOKS")
+
+
+def hooked_imports() -> list[tuple[str, str]]:
+    """(module, name) of each import whose line says a hook keeps it."""
+    out = []
+    for path in SRC:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for node in ast.walk(parse(path)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                out += [(f"tempalign.{path.stem}", alias.asname or alias.name)
+                        for alias in node.names if HOOKED.search(lines[alias.lineno - 1])]
+    return out
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -76,14 +103,9 @@ def references() -> dict[str, list[tuple[Path | None, int]]]:
             name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
             if name is not None:
                 refs.setdefault(name, []).append((path, node.lineno))
-    for node in parse(ROOT / "perfbench" / "layertrace.py").body:
-        if isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            if any(isinstance(t, ast.Name) and t.id == "HOOKS" for t in targets):
-                for hooks in ast.literal_eval(node.value).values():
-                    for _, attr in hooks:
-                        for part in attr.split("."):
-                            refs.setdefault(part, []).append((None, 0))
+    for _, attr in hook_table():
+        for part in attr.split("."):
+            refs.setdefault(part, []).append((None, 0))
     return refs
 
 
@@ -128,3 +150,7 @@ def test_allow_list_is_not_stale():
 
 def test_hook_only_definitions_are_listed():
     assert sorted(hook_only()) == sorted(HOOK_ONLY)
+
+
+def test_hooked_imports_name_a_hook():
+    assert sorted(set(hooked_imports()) - set(hook_table())) == []

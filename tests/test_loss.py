@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import basis, infonce_with_grad, make_pair, seq_infonce, split_perms, with_units
 from tempalign.loss import LossConfig, joint_loss
-from tempalign.negatives import STRATEGIES, Negatives, generate_negatives
+from tempalign.negatives import STRATEGIES, Negatives, PairPool, generate_negatives
 from tempalign.train import cosine_backward
 
 
@@ -164,7 +164,7 @@ class TestCoveredPositions:
             for i, segments in enumerate(BACKGROUND_SEGMENTS)
         ]
         pair = corpus[0]
-        negs = generate_negatives(pair, corpus, strategy, 6, rng)
+        negs = generate_negatives(pair, PairPool.of(corpus), strategy, 6, rng)
         assert len(negs) == 6
         n_covered = {p.id: p.covered_indices.size for p in corpus}
         for k, (tag, src) in enumerate(zip(negs.strategies, negs.sources)):

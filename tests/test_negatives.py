@@ -111,18 +111,18 @@ class TestPermuteAllUnits:
 class TestSampleUnpaired:
     def test_two_pair_corpus_always_other(self, rng):
         corpus = [two_segment_pair("p0"), two_segment_pair("p1")]
-        out = generate_negatives(corpus[0], corpus, "unpaired", 10, rng)
+        out = generate_negatives(corpus[0], PairPool.of(corpus), "unpaired", 10, rng)
         assert out.sources == ("p1",) * 10
         for perm in split_perms(out):
             np.testing.assert_array_equal(perm, np.arange(corpus[1].covered_indices.size))
 
     def test_source_never_anchor(self, rng):
         corpus = [two_segment_pair(f"p{i}") for i in range(5)]
-        assert "p2" not in generate_negatives(corpus[2], corpus, "unpaired", 100, rng).sources
+        assert "p2" not in generate_negatives(corpus[2], PairPool.of(corpus), "unpaired", 100, rng).sources
 
     def test_corpus_of_one_rejected(self, rng):
         with pytest.raises(DataError):
-            generate_negatives(two_segment_pair("p0"), [two_segment_pair("p0")], "unpaired", 1, rng)
+            generate_negatives(two_segment_pair("p0"), PairPool.of([two_segment_pair("p0")]), "unpaired", 1, rng)
 
 
 class TestGenerateNegatives:
@@ -152,7 +152,7 @@ class TestGenerateNegatives:
 
     def test_joint_split(self, rng):
         corpus = [equal_segment_pair(3, f"p{i}") for i in range(3)]
-        out = generate_negatives(corpus[0], corpus, "joint", 5, rng)
+        out = generate_negatives(corpus[0], PairPool.of(corpus), "joint", 5, rng)
         assert out.strategies == ("seg-unit",) * 3 + ("unpaired",) * 2
         assert set(out.sources[3:]) <= {"p1", "p2"}
 
@@ -258,29 +258,34 @@ class TestDrawsMatchPerDrawLoop:
         corpus = varied_corpus(rng)
         for seed, pair in enumerate(corpus):
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            out = generate_negatives(pair, corpus, strategy, 50, ours)
+            out = generate_negatives(pair, PairPool.of(corpus), strategy, 50, ours)
             assert_same_draws(out, ref_negatives(pair, corpus, strategy, 50, theirs))
             assert ours.bit_generator.state == theirs.bit_generator.state
 
-    @pytest.mark.parametrize("precomputed", [False, True])
-    def test_unpaired_skips_every_copy_of_the_id(self, precomputed, rng):
+    def test_unpaired_skips_the_own_id(self, rng):
         corpus = varied_corpus(rng)
-        corpus = [corpus[3], *corpus, corpus[3]]  # one id at three positions
-        pool = PairPool.of(corpus) if precomputed else None
+        pool = PairPool.of(corpus)
         for seed, pair in enumerate([*corpus, two_segment_pair("outside")]):
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            out = generate_negatives(pair, corpus, "unpaired", 50, ours, pool)
+            out = generate_negatives(pair, pool, "unpaired", 50, ours)
             assert_same_draws(out, ref_negatives(pair, corpus, "unpaired", 50, theirs))
             assert ours.bit_generator.state == theirs.bit_generator.state
 
-    def test_precomputed_pool_draws_the_same_joint(self, rng):
+    def test_pool_refuses_repeated_ids(self, rng):
+        corpus = varied_corpus(rng)
+        with pytest.raises(DataError, match="id 'v3' is taken by an earlier item"):
+            PairPool.of([*corpus, corpus[3]])
+
+    def test_joint_draws_seg_unit_then_unpaired(self, rng):
         corpus = varied_corpus(rng)
         pool = PairPool.of(corpus)
         for seed, pair in enumerate(corpus):
-            out = generate_negatives(pair, corpus, "joint", 9, np.random.default_rng(seed), pool)
-            ref = generate_negatives(pair, corpus, "joint", 9, np.random.default_rng(seed))
-            assert (out.strategies, out.sources) == (ref.strategies, ref.sources)
-            assert np.array_equal(out.perms, ref.perms) and np.array_equal(out.lengths, ref.lengths)
+            out = generate_negatives(pair, pool, "joint", 9, np.random.default_rng(seed))
+            theirs = np.random.default_rng(seed)
+            a, b = generate_negatives(pair, pool, "seg-unit", 5, theirs), generate_negatives(pair, pool, "unpaired", 4, theirs)
+            assert (out.strategies, out.sources) == (a.strategies + b.strategies, a.sources + b.sources)
+            assert np.array_equal(out.perms, np.concatenate((a.perms, b.perms)))
+            assert np.array_equal(out.lengths, np.concatenate((a.lengths, b.lengths)))
 
     def test_video_only_draws(self):
         videos, _ = gen_fewshot_corpus(FewshotSynthConfig(n_classes=2, videos_per_class=5, dim=8, seed=3))
@@ -371,7 +376,7 @@ class TestShuffleSupport:
     def test_every_draw_is_allowed(self, strategy, rng):
         corpus = varied_corpus(rng)
         for seed, pair in enumerate(corpus):
-            out = generate_negatives(pair, corpus, strategy, 2000, np.random.default_rng(seed))
+            out = generate_negatives(pair, PairPool.of(corpus), strategy, 2000, np.random.default_rng(seed))
             if pair.id in ("v0", "v1", "v5"):  # no strategy is degenerate on these
                 assert out.strategies == (strategy,) * 2000
             if not len(out):
@@ -394,7 +399,7 @@ class TestShuffleDistribution:
         # can be listed: each slot's values against those permutations' share
         corpus = varied_corpus(rng)[:4]
         for seed, pair in enumerate(corpus):
-            out = generate_negatives(pair, corpus, strategy, N_DRAWS, np.random.default_rng(100 + seed))
+            out = generate_negatives(pair, PairPool.of(corpus), strategy, N_DRAWS, np.random.default_rng(100 + seed))
             if not len(out):
                 continue
             draws = out.perms.reshape(N_DRAWS, -1)
@@ -412,7 +417,7 @@ class TestShuffleDistribution:
             spans = pair.covered_spans()
             if len(spans) < 2:
                 continue
-            out = generate_negatives(pair, corpus, strategy, N_DRAWS, np.random.default_rng(200 + seed))
+            out = generate_negatives(pair, PairPool.of(corpus), strategy, N_DRAWS, np.random.default_rng(200 + seed))
             blocks = np.repeat(np.arange(len(spans)), [hi - lo for lo, hi in spans])[out.perms.reshape(N_DRAWS, -1)]
             starts = np.ones_like(blocks, dtype=bool)
             starts[:, 1:] = blocks[:, 1:] != blocks[:, :-1]
@@ -452,6 +457,6 @@ def test_generator_calls_do_not_depend_on_count(strategy, rng):
     calls = set()
     for count in (1, 10, 1000, 10_000):
         counting = CountingGenerator(count)
-        assert len(generate_negatives(corpus[0], corpus, strategy, count, counting)) == count
+        assert len(generate_negatives(corpus[0], PairPool.of(corpus), strategy, count, counting)) == count
         calls.add(counting.calls)
     assert len(calls) == 1 and calls.pop() <= 3

@@ -9,7 +9,7 @@ from tempalign import train as train_module
 from tempalign.align import STACK_CELLS
 from tempalign.core import DataError, EmbeddingSequence, LabeledVideo, NumericalError, similarity_matrix
 from tempalign.loss import LossConfig, joint_loss
-from tempalign.negatives import STRATEGIES, generate_negatives
+from tempalign.negatives import STRATEGIES, PairPool, generate_negatives
 from tempalign.synth import SynthConfig, gen_corpus
 from tempalign.train import (
     AdamState,
@@ -250,7 +250,7 @@ class TestFit:
         relabelled = [first, dataclasses.replace(second, id=first.id), *train[2:]]
         cfg = TrainConfig(epochs=1, neg_count=4, neg_strategy="joint", seed=0)
         fit(train, ProjectionModel.identity(first.anchor.dim), cfg)
-        with pytest.raises(DataError, match=f"fit: id {first.id!r} is taken by an earlier item"):
+        with pytest.raises(DataError, match=f"id {first.id!r} is taken by an earlier item"):
             fit(relabelled, ProjectionModel.identity(first.anchor.dim), cfg)
         videos = base_videos()
         with pytest.raises(DataError, match="is taken by an earlier item"):
@@ -322,7 +322,7 @@ class TestEndToEndGradient:
         params["anchor.w_out"] += 0.01 * rng.normal(size=params["anchor.w_out"].shape)
 
         def run(m):
-            return evaluate_batch([0, 1, 2], corpus, m, cfg, np.random.default_rng(77))
+            return evaluate_batch([0, 1, 2], corpus, m, cfg, np.random.default_rng(77), PairPool.of(corpus))
 
         base_loss, grads, used, base_paths = run(model)
         assert used == 3
@@ -411,7 +411,7 @@ def reference_batch(batch, corpus, model, cfg, rng):
     unit_losses, seq_losses = [], []
     for idx in batch:
         item = corpus[idx]
-        negs = generate_negatives(item, corpus, cfg.neg_strategy, cfg.neg_count, rng)
+        negs = generate_negatives(item, PairPool.of(corpus), cfg.neg_strategy, cfg.neg_count, rng)
         if len(negs):
             unit_loss, seq_loss = reference_item(item, negs, units_of, model, cfg, grads)
             unit_losses.append(unit_loss)
@@ -427,7 +427,7 @@ def degenerate_pair(pid):
 
 
 def assert_matches_reference(corpus, batch, model, cfg):
-    loss, grads, used, _ = evaluate_batch(batch, corpus, model, cfg, np.random.default_rng(5))
+    loss, grads, used, _ = evaluate_batch(batch, corpus, model, cfg, np.random.default_rng(5), PairPool.of(corpus))
     ref_loss, ref_grads, ref_used = reference_batch(batch, corpus, model, cfg, np.random.default_rng(5))
     assert used == ref_used
     assert loss == pytest.approx(ref_loss, rel=0, abs=1e-12)
@@ -466,10 +466,26 @@ class TestBatchStepMatchesPerItemReference:
     def test_batch_with_skipped_degenerate_item(self):
         corpus = video_text_views() + [degenerate_pair("d0")]
         cfg = TrainConfig(neg_strategy="seg-unit", neg_count=5)
-        loss, _, used, paths = evaluate_batch([4, 0, 1], corpus, ProjectionModel.identity(24), cfg, np.random.default_rng(5))
+        pool = PairPool.of(corpus)
+        loss, _, used, paths = evaluate_batch([4, 0, 1], corpus, ProjectionModel.identity(24), cfg, np.random.default_rng(5), pool)
         assert used == 2 and paths.lengths.size == 2 * (5 + 1)
-        assert evaluate_batch([4], corpus, ProjectionModel.identity(24), cfg, np.random.default_rng(5))[2:] == (0, None)
+        assert evaluate_batch([4], corpus, ProjectionModel.identity(24), cfg, np.random.default_rng(5), pool)[2:] == (0, None)
         assert_matches_reference(corpus, [4, 0, 1], ProjectionModel.identity(24), cfg)
+
+    def test_step_reads_sources_through_the_pool(self):
+        # a step costs nothing in the corpus's size: it never walks the corpus
+        class Unwalkable(list):
+            def __iter__(self):
+                raise AssertionError("the step walked the corpus")
+
+        corpus = video_text_views()
+        cfg = TrainConfig(neg_strategy="joint", neg_count=5)
+        pool = PairPool.of(corpus)
+        model = ProjectionModel.identity(24)
+        loss, grads, used, _ = evaluate_batch([2, 0], Unwalkable(corpus), model, cfg, np.random.default_rng(5), pool)
+        ref_loss, ref_grads, ref_used, _ = evaluate_batch([2, 0], corpus, model, cfg, np.random.default_rng(5), pool)
+        assert used == ref_used == 2 and loss == ref_loss
+        assert all(np.array_equal(grads[name], ref_grads[name]) for name in grads)
 
     def test_joint_on_degenerate_pair(self):
         # the degenerate pair keeps only its unpaired half: 3 candidates, others 6
