@@ -262,10 +262,15 @@ class TestDrawsMatchPerDrawLoop:
             assert_same_draws(out, ref_negatives(pair, corpus, strategy, 50, theirs))
             assert ours.bit_generator.state == theirs.bit_generator.state
 
-    def test_unpaired_skips_the_own_id(self, rng):
+    @pytest.mark.parametrize("copied", [False, True])
+    def test_unpaired_skips_every_copy_of_the_id(self, copied, rng):
+        # the anchor's id is skipped whether the anchor is the pool's own
+        # pair or another pair carrying that id; an id outside the pool
+        # skips nothing
         corpus = varied_corpus(rng)
         pool = PairPool.of(corpus)
-        for seed, pair in enumerate([*corpus, two_segment_pair("outside")]):
+        anchors = [two_segment_pair(p.id) for p in corpus] if copied else corpus
+        for seed, pair in enumerate([*anchors, two_segment_pair("outside")]):
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
             out = generate_negatives(pair, pool, "unpaired", 50, ours)
             assert_same_draws(out, ref_negatives(pair, corpus, "unpaired", 50, theirs))
