@@ -538,6 +538,17 @@ def test_default_epoch_loss_is_pinned():
     assert report.loss_curve[0] == pytest.approx(2.946306680294649, rel=0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "strategy, pinned",
+    # joint reads other sources' columns; visual-anchor permutes anchor rows
+    [("joint", 2.937961359902631), ("visual-anchor", 2.9831725533470204)],
+)
+def test_gather_path_epoch_loss_is_pinned(strategy, pinned):
+    train, _, _ = gen_corpus(SynthConfig(seed=3, n_tasks=10))
+    report = fit(train, ProjectionModel.identity(train[0].anchor.dim), TrainConfig(epochs=1, seed=3, neg_strategy=strategy))
+    assert report.loss_curve[0] == pytest.approx(pinned, rel=0, abs=1e-12)
+
+
 def test_default_epoch_draw_counts(monkeypatch):
     # The benchmark's negatives layer counts these calls and their draws.
     drawn = []
