@@ -25,14 +25,13 @@ class NumericalError(RuntimeError):
 
 
 def _validate_units(units, *, what: str) -> np.ndarray:
-    arr = np.asarray(units, dtype=np.float64)
+    arr = np.array(units, dtype=np.float64)
     if arr.ndim != 2:
         raise DataError(f"{what}: units must be a (length, dim) array, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DataError(f"{what}: need at least one unit of dimension >= 1, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise DataError(f"{what}: units contain non-finite values")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -138,8 +137,11 @@ class SegmentedPair:
         return spans
 
     def covered_view(self) -> "SegmentedPair":
-        """Background-free copy: clips restricted to segment-covered ones,
-        segment ranges remapped to the compacted positions."""
+        """Background-free view: clips restricted to segment-covered ones,
+        segment ranges remapped to the compacted positions.  A pair without
+        background clips is its own view (a copy would be equal)."""
+        if not self.background_mask.any():
+            return self
         entries = [(i, lo, hi) for i, (lo, hi) in enumerate(self.covered_spans())]
         return SegmentedPair(
             id=self.id,

@@ -72,51 +72,54 @@ class SeqLossResult:
     candidates: list[str]
     #: the candidates' optimal paths, in the same order
     paths: align.Alignments
-    #: d(loss_b)/d(sims[b]) for each item b, in the shape of its similarity block
-    grads: list[np.ndarray]
+    #: d(sum of the losses)/d(sims), in the shape of the batch's similarity
+    #: matrix; item b's rows hold d(loss_b)/d(sims), nonzero only in the
+    #: columns of the sources b reads
+    grad: np.ndarray
 
 
-def seq_grad_core(sims: list[np.ndarray], spans: list[dict], negs: list[Negatives], cfg: LossConfig) -> SeqLossResult:
+def seq_grad_core(sims: np.ndarray, rows: list[tuple[int, int]], spans: dict, ids: list[str], negs: list[Negatives],
+                  cfg: LossConfig) -> SeqLossResult:
     """Loss and fixed-path gradient of every item of a batch against its
     positive and negatives.
 
-    ``sims[b]`` holds item b's anchor rows against the covered units of every
-    source it draws from, side by side, and ``spans[b]`` maps each source id
-    to its column range, own source first.  The positive is the own range; a
-    negative permutes its source's range (the anchor rows for visual-anchor).
-    All candidates are aligned in one padded stack (``align.align_chunked``),
-    and all path gradients scattered by one ``bincount``.
+    ``sims`` is the batch's one similarity matrix: every item's anchor rows,
+    item b's at ``rows[b]``, against the covered units of every source the
+    batch reads, side by side, at the column ranges ``spans`` maps each
+    source id to.  Item b's positive is its own source ``ids[b]``; a negative
+    permutes its source's columns (the item's anchor rows for visual-anchor).
+    Every candidate's costs are gathered with one index into ``sims``, all
+    candidates are aligned in one padded stack (``align.align_chunked``), and
+    all path gradients are scattered by one ``bincount``.
     """
-    rows, cols, n_rows, n_cols, candidates = [], [], [], [], []
-    for sim, span, neg in zip(sims, spans, negs):
-        n_anchor, k = sim.shape[0], len(neg)
-        self_id, (lo, hi) = next(iter(span.items()))
-        all_rows, own_cols = np.arange(n_anchor), np.arange(lo, hi)
+    row_idx, col_idx, n_rows, n_cols, candidates = [], [], [], [], []
+    for (r0, r1), own, neg in zip(rows, ids, negs):
+        n_anchor, k = r1 - r0, len(neg)
+        lo, hi = spans[own]
+        all_rows, own_cols = np.arange(r0, r1), np.arange(lo, hi)
         if neg.permutes_anchor:
-            rows += [all_rows, neg.perms]
+            row_idx += [all_rows, neg.perms + r0]
             n_rows += [[n_anchor], neg.lengths]
-            cols.append(np.tile(own_cols, k + 1))
+            col_idx.append(np.tile(own_cols, k + 1))
             n_cols.append(np.full(k + 1, hi - lo))
         else:
-            starts = np.array([span[src][0] for src in neg.sources], dtype=np.int64)
-            rows.append(np.tile(all_rows, k + 1))
+            starts = np.array([spans[src][0] for src in neg.sources], dtype=np.int64)
+            row_idx.append(np.tile(all_rows, k + 1))
             n_rows.append(np.full(k + 1, n_anchor))
-            cols += [own_cols, neg.perms + np.repeat(starts, neg.lengths)]
+            col_idx += [own_cols, neg.perms + np.repeat(starts, neg.lengths)]
             n_cols += [[hi - lo], neg.lengths]
-        candidates += [self_id, *neg.sources]
+        candidates += [own, *neg.sources]
     shapes = np.column_stack((np.concatenate(n_rows), np.concatenate(n_cols)))
     counts = np.array([len(neg) + 1 for neg in negs])
-    # Candidate c's (row, column) cell is sims[b][row_at[c, i], col_at[c, j]];
-    # padding points at an in-range entry, which align_stack never reads
-    # into the candidate's own result.
+    # Candidate c's (row, column) cell is sims[row_at[c, i], col_at[c, j]];
+    # padding points at entry (0, 0), which align_stack never reads into the
+    # candidate's own result.
     n, m = shapes.max(axis=0)
     row_at = np.zeros((len(shapes), n), dtype=np.int64)
-    row_at[np.arange(n) < shapes[:, :1]] = np.concatenate(rows)
+    row_at[np.arange(n) < shapes[:, :1]] = np.concatenate(row_idx)
     col_at = np.zeros((len(shapes), m), dtype=np.int64)
-    col_at[np.arange(m) < shapes[:, 1:]] = np.concatenate(cols)
-    costs = np.empty((len(shapes), n, m))
-    for sim, lo, k in zip(sims, np.cumsum(counts) - counts, counts):
-        costs[lo : lo + k] = sim[row_at[lo : lo + k, :, None], col_at[lo : lo + k, None, :]]
+    col_at[np.arange(m) < shapes[:, 1:]] = np.concatenate(col_idx)
+    costs = sims[row_at[:, :, None], col_at[:, None, :]]
     np.subtract(1.0, costs, out=costs)
     paths = align.align_chunked(costs, cfg.measure, shapes)
     del costs
@@ -130,17 +133,13 @@ def seq_grad_core(sims: list[np.ndarray], spans: list[dict], negs: list[Negative
     dscore = dz[mask] / cfg.tau
     if cfg.normalize_score:
         dscore = dscore / paths.lengths
-    # Every path cell as an offset into the items' blocks laid end to end,
-    # candidate by candidate so that each entry sums its candidates in order.
+    # Every path cell as a flat index into sims, candidate by candidate so
+    # that each entry sums its candidates in order.
     cells = paths.cells()
     owner = np.repeat(np.arange(len(shapes)), paths.lengths)
-    bounds = np.cumsum([0] + [sim.size for sim in sims])
-    base = np.repeat(bounds[:-1], counts)[owner]
-    width = np.repeat([sim.shape[1] for sim in sims], counts)[owner]
-    at = base + row_at[owner, cells[:, 0]] * width + col_at[owner, cells[:, 1]]
-    grad = np.bincount(at, weights=dscore[owner], minlength=bounds[-1])
-    grads = [grad[lo:hi].reshape(sim.shape) for sim, lo, hi in zip(sims, bounds[:-1], bounds[1:])]
-    return SeqLossResult(losses, scores, candidates, paths, grads)
+    at = row_at[owner, cells[:, 0]] * sims.shape[1] + col_at[owner, cells[:, 1]]
+    grad = np.bincount(at, weights=dscore[owner], minlength=sims.size).reshape(sims.shape)
+    return SeqLossResult(losses, scores, candidates, paths, grad)
 
 
 def unit_term_video_text(sims_covered: np.ndarray, segment_ranges: list[tuple[int, int]], tau: float) -> tuple[float, np.ndarray]:

@@ -3,11 +3,12 @@
 The projection is applied independently to every unit embedding before
 alignment.  Training has one mode: a labeled video trains as its two-view
 pair (``LabeledVideo.two_view``), a caption/clip pair as its background-free
-view, and every batch takes one batch-wide step (``evaluate_batch``): one
-forward and one backward per head, one alignment call and one gradient
-scatter.  Gradients flow from the InfoNCE losses through the fixed warping
-paths, the cosine normalization Jacobian, and the affine head; everything is
-plain numpy and deterministic given the config seed.
+view, and a batch is one step (``evaluate_batch``) over one similarity
+matrix, the batch's anchor rows against its source columns: one forward and
+one backward per head, one alignment call and one gradient scatter.
+Gradients flow from the InfoNCE losses through the fixed warping paths, the
+cosine normalization Jacobian, and the affine head; everything is plain
+numpy and deterministic given the config seed.
 Checkpoints are float32 containers written and read through ``io``, so a
 reloaded model holds the trained float64 weights rounded to float32 (relative
 error at most 2**-24), not the trained weights themselves.
@@ -229,7 +230,8 @@ class TrainReport:
 def _rows_backward(g: np.ndarray, sims: np.ndarray, other_hat: np.ndarray, own_hat: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Backprop d(loss)/d(sims), sims = own_hat @ other_hat.T, to the raw rows of norms
     ``norms``; zero-norm rows get zero gradient (their similarity is pinned to 0)."""
-    d = g @ other_hat - np.einsum("ij,ij->i", g, sims)[:, None] * own_hat
+    d = g @ other_hat
+    d -= np.einsum("ij,ij->i", g, sims)[:, None] * own_hat
     d /= np.where(norms > 0.0, norms, 1.0)[:, None]
     d[norms == 0.0] = 0.0
     return d
@@ -255,15 +257,18 @@ def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConf
     ``corpus`` is a list of canonical, background-free SegmentedPair, as
     :func:`fit` builds them (a labeled video as its two-view pair).  Items
     draw negatives in batch order under ``cfg.neg_strategy`` (none:
-    skipped).  Each item's similarity block spans the sources it reads, own
-    source first, all from one forward per head.  Returns (joint_loss, grads,
-    n_used, paths): grads averaged over the used items, and every
-    candidate's optimal path as :class:`align.Alignments` (None when no item
-    was used), so a gradient check can pin the negatives (by reseeding
-    ``rng``) and detect when a perturbation moved a path.  ``pool`` is the
-    corpus's :class:`PairPool`: the negative drawer samples from it, and the
-    step finds each source it reads at the pool's position of its id, so a
-    step's cost does not grow with the corpus.
+    skipped).  One forward per head gives one similarity matrix, every used
+    item's anchor rows against each source the batch reads (once, in order
+    of first read); every candidate and each item's unit term read it, and
+    their gradient, in its shape, goes back through one
+    :func:`_rows_backward` per side.  Returns (joint_loss, grads, n_used, paths): grads averaged over
+    the used items, and every candidate's optimal path as
+    :class:`align.Alignments` (None when no item was used), so a gradient
+    check can pin the negatives (by reseeding ``rng``) and detect when a
+    perturbation moved a path.  ``pool`` is the corpus's :class:`PairPool`:
+    the negative drawer samples from it, and the step finds each source it
+    reads at the pool's position of its id, so a step's cost does not grow
+    with the corpus.
     """
     items, drawn = [], []
     for idx in batch_indices:
@@ -276,12 +281,11 @@ def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConf
     if not items:
         return None, grads, 0, None
 
-    reads = [list(dict.fromkeys((item.id, *negs.sources))) for item, negs in zip(items, drawn)]
-    sources = list(dict.fromkeys(src for read in reads for src in read))
+    sources = list(dict.fromkeys(src for item, negs in zip(items, drawn) for src in (item.id, *negs.sources)))
     units_of = {src: corpus[pool.positions[src]].positive.units for src in sources}
-    rows_of = column_spans(sources, [len(units_of[src]) for src in sources])
+    spans = column_spans(sources, [len(units_of[src]) for src in sources])
     anchors = [item.anchor.units for item in items]
-    a_rows = [slice(*span) for span in column_spans(range(len(items)), [len(a) for a in anchors]).values()]
+    rows = list(column_spans(range(len(items)), [len(a) for a in anchors]).values())
     y_a, fwd_a = model.anchor_head.forward(np.concatenate(anchors))
     y_s, fwd_s = model._clip().forward(np.concatenate([units_of[src] for src in sources]))
     if not (np.all(np.isfinite(y_a)) and np.all(np.isfinite(y_s))):
@@ -289,30 +293,20 @@ def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConf
     u_hat, nu = unit_normalize(y_a)
     # the sources' projections, the batch's largest array, are normalized in place
     v_hat, nv = unit_normalize(y_s, out=y_s)
-    takes = [np.concatenate([np.arange(*rows_of[src]) for src in read]) for read in reads]
-    spans = [column_spans(read, [len(units_of[src]) for src in read]) for read in reads]
-    sims = [np.clip(u_hat[rows] @ v_hat[take].T, -1.0, 1.0) for rows, take in zip(a_rows, takes)]
-    seq = seq_grad_core(sims, spans, drawn, cfg.loss)
+    sims = u_hat @ v_hat.T
+    np.clip(sims, -1.0, 1.0, out=sims)
+    seq = seq_grad_core(sims, rows, spans, [item.id for item in items], drawn, cfg.loss)
 
-    # Each block's cosine Jacobian: anchor rows block by block; source rows,
-    # shared by blocks, as (sum_b g_b.T @ u_b - colsum * v_hat) / nv in v_hat.
     unit_losses = []
-    d_ya = np.empty_like(u_hat)
-    colsum = np.zeros(len(v_hat))
-    for item, rows, sim, g, take in zip(items, a_rows, sims, seq.grads, takes):
-        own = sim[:, : len(units_of[item.id])]
-        unit_loss, unit_grad = unit_term_video_text(own, item.segments.ranges(), cfg.loss.tau)
+    g = seq.grad
+    g *= cfg.loss.w_seq
+    for item, (lo, hi) in zip(items, rows):
+        own = slice(*spans[item.id])
+        unit_loss, unit_grad = unit_term_video_text(sims[lo:hi, own], item.segments.ranges(), cfg.loss.tau)
         unit_losses.append(unit_loss)
-        g *= cfg.loss.w_seq
-        g[:, : own.shape[1]] += cfg.loss.w_unit * unit_grad
-        d_ya[rows] = _rows_backward(g, sim, v_hat[take], u_hat[rows], nu[rows])
-        colsum[take] += np.einsum("ij,ij->j", g, sim)  # one block reads each source once
-    d_ys = v_hat
-    d_ys *= -colsum[:, None]
-    for rows, g, take in zip(a_rows, seq.grads, takes):
-        d_ys[take] += g.T @ u_hat[rows]
-    d_ys /= np.where(nv > 0.0, nv, 1.0)[:, None]
-    d_ys[nv == 0.0] = 0.0
+        g[lo:hi, own] += cfg.loss.w_unit * unit_grad
+    d_ya = _rows_backward(g, sims, v_hat, u_hat, nu)
+    d_ys = _rows_backward(g.T, sims.T, u_hat, v_hat, nv)
     model.anchor_head.backward(fwd_a, d_ya, grads, "anchor.")
     model._clip().backward(fwd_s, d_ys, grads, "clip." if model.twin else "anchor.")
     for name in grads:

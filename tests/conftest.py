@@ -142,8 +142,9 @@ def seq_infonce(pair: SegmentedPair, negs: Negatives, cfg: LossConfig, corpus=No
             raise ValueError(f"negative references unknown pair {src!r}; pass the corpus")
     units = [by_id[src].covered_units() for src in order]
     spans = column_spans(order, [len(u) for u in units])
-    res = seq_grad_core([similarity_matrix(pair.anchor.units, np.concatenate(units))], [spans], [negs], cfg)
-    by_source = {src: res.grads[0][:, lo:hi] for src, (lo, hi) in spans.items()}
+    sims = similarity_matrix(pair.anchor.units, np.concatenate(units))
+    res = seq_grad_core(sims, [(0, len(sims))], spans, [pair.id], [negs], cfg)
+    by_source = {src: res.grad[:, lo:hi] for src, (lo, hi) in spans.items()}
     return PairSeqLoss(float(res.losses[0]), res.scores, res.candidates, res.paths, by_source)
 
 

@@ -127,6 +127,10 @@ class TestCanonicalizePair:
         np.testing.assert_array_equal(view.positive.units, pair.covered_units())
         np.testing.assert_array_equal(view.positive.units, pair.positive.units[[1, 2, 4, 5, 6, 7]])
         assert [tuple(e) for e in view.segments] == [(0, 0, 2), (1, 2, 5), (2, 5, 6)]
+        # a background-free pair is its own view
+        assert view.covered_view() is view
+        free = make_pair([basis(0, 2), basis(1, 2)], [basis(0, 2)] * 3, [(0, 0, 1), (1, 1, 3)])
+        assert free.covered_view() is free
 
     @pytest.mark.parametrize("n, segments", [
         (1, [(0, 0, 1)]),
@@ -144,6 +148,13 @@ class TestCanonicalizePair:
 
 
 class TestValidation:
+    def test_sequence_owns_a_read_only_copy(self):
+        units = np.eye(3)
+        s = seq(units)
+        units[0, 0] = 5.0
+        assert not np.shares_memory(s.units, units) and not s.units.flags.writeable
+        assert s.units[0, 0] == 1.0
+
     def test_background_mask_consistency(self):
         pair = make_pair([basis(0, 4)], [basis(1, 4)] * 3, [(0, 0, 2)])
         np.testing.assert_array_equal(pair.background_mask, [False, False, True])

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import basis, infonce_with_grad, make_pair, seq_infonce, split_perms, with_units
-from tempalign.loss import LossConfig, joint_loss
+from tempalign.core import similarity_matrix
+from tempalign.loss import LossConfig, column_spans, joint_loss, seq_grad_core
 from tempalign.negatives import STRATEGIES, Negatives, PairPool, generate_negatives
 from tempalign.train import cosine_backward
 
@@ -278,6 +279,37 @@ class TestSeqGradFiniteDifference:
                 assert abs(numeric - analytic) / denom < 1e-4
                 checked += 1
         assert checked >= 20
+
+
+class TestBatchMatrix:
+    def test_grad_stays_in_each_items_rows_and_read_columns(self, rng):
+        # A joint batch over the whole corpus: every item's unpaired draws
+        # read the others' sources, so items share columns of the one matrix.
+        corpus = [random_pair(rng, n_captions=2 + i % 2, clips_per=2 + i, pid=f"p{i}") for i in range(4)]
+        pool = PairPool.of(corpus)
+        items = corpus[:3]
+        negs = [generate_negatives(item, pool, "joint", 5, rng) for item in items]
+        reads = [{item.id, *neg.sources} for item, neg in zip(items, negs)]
+        sources = list(dict.fromkeys(src for read in reads for src in sorted(read)))
+        by_id = {pair.id: pair for pair in corpus}
+        spans = column_spans(sources, [len(by_id[src].positive) for src in sources])
+        rows = list(column_spans(range(len(items)), [len(item.anchor) for item in items]).values())
+        sims = similarity_matrix(
+            np.concatenate([item.anchor.units for item in items]),
+            np.concatenate([by_id[src].positive.units for src in sources]),
+        )
+        cfg = LossConfig(tau=0.6)
+        res = seq_grad_core(sims, rows, spans, [item.id for item in items], negs, cfg)
+
+        assert any(len([read for read in reads if src in read]) > 1 for src in sources)
+        read = np.zeros(sims.shape, dtype=bool)
+        for item, neg, (lo, hi), sources_read in zip(items, negs, rows, reads):
+            alone = seq_infonce(item, neg, cfg, corpus=corpus)
+            for src in sources_read:
+                read[lo:hi, slice(*spans[src])] = True
+                np.testing.assert_allclose(res.grad[lo:hi, slice(*spans[src])], alone.grad_by_source[src], rtol=0, atol=1e-12)
+            assert np.any(res.grad[lo:hi] != 0.0)
+        assert np.any(~read) and np.all(res.grad[~read] == 0.0)
 
 
 class TestJointLoss:
