@@ -2,8 +2,8 @@
 
 Library layout:
 
-* :mod:`tempalign.core` -- domain types (canonical pairs), cosine kernels
-* :mod:`tempalign.align` -- one batched DTW / OTAM alignment kernel
+* :mod:`tempalign.core` -- domain types (canonical pairs), unit normalization
+* :mod:`tempalign.align` -- one batched DTW / OTAM alignment kernel, over 1 - cosine costs
 * :mod:`tempalign.negatives` -- temporal-shuffle negative sampling
 * :mod:`tempalign.loss` -- unit and sequence InfoNCE with analytic gradients
 * :mod:`tempalign.train` -- projection head, Adam, training loop, checkpoints

@@ -12,7 +12,8 @@ one of two measures:
   can be skipped while every anchor row is still matched.
 
 Alignment scores are summed cosine similarities along the minimum-cost path
-(cost = 1 - similarity), optionally divided by the path length.
+(cost = 1 - similarity), optionally divided by the path length.  Callers
+hand :func:`align_cosines` their cosines, and it alone makes those costs.
 
 Layout: the kernel keeps the accumulated costs and path sizes of three
 anti-diagonals only, each as an (n + 2, batch) buffer that holds cell (i, j)
@@ -38,8 +39,9 @@ from .core import DataError
 MEASURES = ("dtw", "otam")
 
 # Most padded cells (matrices x rows x columns) one align_stack call aligns,
-# for every caller (evaluation's all-pairs scorer, pair match and training,
-# the last two through align_chunked); a matrix larger than this goes alone.
+# for every caller (evaluation's all-pairs scorer, pair match, training and
+# the align command, all through align_cosines); a matrix larger than this
+# goes alone.
 # A call's per-diagonal Python work (about twenty array operations) is fixed,
 # so the more matrices per call the less it costs per matrix; its memory is
 # its costs and back-pointers (9 bytes per cell) plus O(n + m) per matrix.
@@ -213,14 +215,18 @@ def align_stack(costs: np.ndarray, measure: str = "dtw", shapes: np.ndarray | No
     return Alignments(distances, lengths, ((ptr, rows - 1, end),))
 
 
-def align_chunked(costs: np.ndarray, measure: str, shapes: np.ndarray) -> Alignments:
-    """:func:`align_stack` of a padded (batch, n, m) stack of any size as one
-    :class:`Alignments`, in calls of as many matrices as fit in STACK_CELLS
-    padded cells (one at least)."""
-    cap = max(1, STACK_CELLS // max(1, int(np.prod(np.shape(costs)[1:]))))
+def align_cosines(sims: np.ndarray, measure: str, shapes: np.ndarray) -> Alignments:
+    """:func:`align_stack` of a padded (batch, n, m) stack of cosines of any
+    size, as one :class:`Alignments`: each cosine is clipped to [-1, 1] and
+    becomes the cost ``1 - cos``, in place, so ``sims`` is consumed.  Aligns
+    in calls of as many matrices as fit in STACK_CELLS padded cells (one at
+    least)."""
+    np.clip(sims, -1.0, 1.0, out=sims)
+    np.subtract(1.0, sims, out=sims)
+    cap = max(1, STACK_CELLS // max(1, int(np.prod(sims.shape[1:]))))
     # an empty stack makes one call, which refuses it
-    calls = range(0, len(costs) or 1, cap)
-    return Alignments.concat([align_stack(costs[lo : lo + cap], measure, shapes[lo : lo + cap]) for lo in calls])
+    calls = range(0, len(sims) or 1, cap)
+    return Alignments.concat([align_stack(sims[lo : lo + cap], measure, shapes[lo : lo + cap]) for lo in calls])
 
 
 def _walk_back(ptr: np.ndarray, i: np.ndarray, j: np.ndarray, steps: int) -> np.ndarray:

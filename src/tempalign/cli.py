@@ -14,7 +14,7 @@ import numpy as np
 
 from . import align
 from . import evaluate as ev
-from .core import DataError, NumericalError, similarity_matrix
+from .core import DataError, NumericalError
 from .io import dump_json, fmt9, load_dataset, load_item, write_csv
 from .loss import LossConfig
 from .negatives import STRATEGIES
@@ -58,7 +58,9 @@ def _emit_report(report, out_csv: str | None, dump: str | None) -> None:
 
 def cmd_align(args) -> int:
     pair = load_item(args.pair, "pair")
-    result = align.align_stack((1.0 - similarity_matrix(pair.anchor.units, pair.positive.units))[None], args.measure)
+    anchors, clips = ev.pair_units([pair], None, "keep")
+    a, c = anchors.stacks[0], clips.stacks[0]
+    result = align.align_cosines((a @ c.T)[None], args.measure, np.array([(len(a), len(c))]))
     record = {"pair": pair.id, "measure": args.measure, "score": result.scores(args.normalize)[0],
               "distance": result.distances[0]}
     if args.emit_path:
@@ -262,16 +264,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
+    # LinAlgError is a ValueError, so the numerical clause comes first
+    except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # DataError is a ValueError
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

@@ -1,4 +1,4 @@
-"""Domain types and similarity kernels for embedding-sequence pairs.
+"""Domain types and unit normalization for embedding-sequence pairs.
 
 A paragraph, a video, or a frame sequence is an ordered list of d-dimensional
 unit embeddings.  A caption/clip pair additionally carries a segment map that
@@ -183,7 +183,8 @@ def unit_normalize(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.nda
 
 
 def similarity_matrix(a_units: np.ndarray, b_units: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarities of two unit stacks, clipped to [-1, 1]."""
+    """Pairwise cosine similarities of two unit stacks, clipped to [-1, 1].
+    Only the benchmark's core.sim hooks and the tests reach it."""
     a = np.asarray(a_units, dtype=np.float64)
     b = np.asarray(b_units, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:

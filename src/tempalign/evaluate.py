@@ -13,14 +13,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import align
-from .core import DataError, LabeledVideo, SegmentedPair, similarity_matrix, unit_normalize
+from .core import DataError, LabeledVideo, SegmentedPair, unit_normalize
+from .core import similarity_matrix  # noqa: F401  (hooked by perfbench/layertrace.py)
 
 RETRIEVAL_MEASURES = ("dtw", "otam", "capavg", "dtw+capavg", "otam+capavg")
 FEWSHOT_MEASURES = ("dtw", "otam", "bag")
 
 # Episodes fewshot_eval draws and scores at a time: its memory stays flat in the episode count.
 EPISODE_BLOCK = 200
-# Captions retrieval_clip ranks at a time against the whole clip pool.
+# Captions retrieval_clip scores and ranks at a time against the whole clip
+# pool, so its memory stays flat in the caption count.
 RANK_ROWS = 128
 # Largest block of normalized unit stacks (see _normalized).  Larger blocks
 # (one array per stack length) raised the few-shot benchmark's peak RSS by
@@ -129,13 +131,12 @@ def _normalized(*groups, lengths) -> tuple[_Units, ...]:
     """Row-normalized float64 copies of iterables of unit stacks, one
     :class:`_Units` each.
 
-    ``lengths`` holds each group's stack lengths.  Makes the checks
-    :func:`similarity_matrix` makes on each pair it is given, once for all
-    stacks: every stack is 2-d, finite and of its stated length, and all
-    share one dimension.  Each stack is copied into its block as the iterable
-    yields it, so no raw copy made by a generator accumulates, and each block
-    is then normalized once, in place (row by row, as :func:`unit_normalize`
-    normalizes one stack).
+    ``lengths`` holds each group's stack lengths.  Every stack must be 2-d
+    and of its stated length, and all must share one dimension.  Each stack
+    is copied into its block as the iterable yields it, so no raw copy made
+    by a generator accumulates.  Each filled block is then checked to be
+    finite and normalized once, in place (row by row, as
+    :func:`unit_normalize` normalizes one stack).
     """
     out = []
     ref = None
@@ -149,20 +150,20 @@ def _normalized(*groups, lengths) -> tuple[_Units, ...]:
                 raise DataError(f"similarity: dimension mismatch {ref} vs {u.shape}")
             if len(u) != sizes[k]:
                 raise DataError(f"similarity: a stack of {len(u)} units where {sizes[k]} were expected")
-            if not np.all(np.isfinite(u)):
-                raise DataError("similarity: non-finite input")
             if k == 0:
                 blocks, block, slot = _blocks(sizes, ref[1])
             view = blocks[block[k]][slot[k]]
             view[...] = u
             stacks.append(view)
         for b in blocks:
+            if not np.all(np.isfinite(b)):
+                raise DataError("similarity: non-finite input")
             unit_normalize(b, out=b)
         out.append(_Units(stacks, blocks, block, slot))
     return tuple(out)
 
 
-def _pair_units(corpus: list[SegmentedPair], model, background: str) -> tuple[_Units, _Units]:
+def pair_units(corpus: list[SegmentedPair], model, background: str) -> tuple[_Units, _Units]:
     """A corpus's anchors and clips, normalized (see :func:`_normalized`):
     each pair's covered clips, or all its clips when ``background`` is
     ``keep``."""
@@ -180,12 +181,12 @@ def _score_matrix(rows: _Units, cols: _Units, measure: str) -> np.ndarray:
     stack against every column stack, both row-normalized (see
     :func:`_normalized`).
 
-    Each cost matrix is ``1 - clip(row @ col.T)``, the product
-    :func:`similarity_matrix` forms for that pair, so the scores equal aligning
-    pair by pair.  The pairs are walked tile by tile in descending shape (see
-    :func:`_tile_grid`), in ``align.align_stack`` calls of as many pairs as
-    fit in align.STACK_CELLS cells, each padded to its first pair's shape
-    and by at most PAD_SHARE (see :func:`_chunks`).  Within a tile the pairs
+    Each pair's cosines are ``row @ col.T``, turned into costs by
+    ``align.align_cosines``, so the scores equal aligning pair by pair.  The
+    pairs are walked tile by tile in descending shape (see
+    :func:`_tile_grid`), in alignment calls of as many pairs as fit in
+    align.STACK_CELLS cells, each padded to its first pair's shape and by at
+    most PAD_SHARE (see :func:`_chunks`).  Within a tile the pairs
     come in row-slot then column-slot order, so each rectangle of pairs, the
     consecutive row slots of one block times one run of consecutive column
     slots of one block, is one broadcast ``np.matmul`` of two block slices,
@@ -230,9 +231,7 @@ def _score_matrix(rows: _Units, cols: _Units, measure: str) -> np.ndarray:
             lhs = rows.blocks[row_block[lo]][row_slot[lo] : row_slot[lo] + k]
             rhs = cols.blocks[col_block[lo]][col_slot[lo] : col_slot[lo] + w]
             np.matmul(lhs[:, None], rhs.transpose(0, 2, 1)[None], out=stack[lo : lo + k * w].reshape(k, w, *dims[1:])[:, :, :n, :m])
-        np.clip(stack, -1.0, 1.0, out=stack)
-        np.subtract(1.0, stack, out=stack)
-        scores[r, c] = align.align_stack(stack, measure, shapes).scores()
+        scores[r, c] = align.align_cosines(stack, measure, shapes).scores()
         if mirror:
             scores[c, r] = scores[r, c]
     return scores
@@ -311,7 +310,7 @@ def retrieval_full(
     if len(corpus) < 2:
         raise DataError("retrieval needs at least 2 videos")
     ks = _check_ks(ks, len(corpus))
-    anchors, clips = _pair_units(corpus, model, background)
+    anchors, clips = pair_units(corpus, model, background)
     n = len(corpus)
 
     scores, tiebreak = None, None
@@ -345,24 +344,23 @@ def retrieval_clip(corpus: list[SegmentedPair], model=None, ks=(1, 5, 10)) -> Ev
 
     A caption counts at K when any clip of its own segment ranks in the
     top K by cosine similarity, that is when its best such clip (the first
-    in pool order on ties) does.
+    in pool order on ties) does.  Captions are scored against the pool and
+    ranked RANK_ROWS at a time.
     """
     if len(corpus) < 2:
         raise DataError("retrieval needs at least 2 videos")
-    f_anchor, f_clips = _transforms(model)
-    clip_blocks = [f_clips(p.positive.units) for p in corpus]
-    pool = np.concatenate(clip_blocks, axis=0)
-    offsets = np.cumsum([0] + [len(b) for b in clip_blocks])
-    ks = _check_ks(ks, pool.shape[0])
-
+    offsets = np.cumsum([0] + [len(p.positive) for p in corpus])
+    ks = _check_ks(ks, offsets[-1])
+    queries, pool = (np.concatenate(units.stacks) for units in pair_units(corpus, model, "keep"))
     # caption i of a pair queries for its segment i
-    queries = np.concatenate([f_anchor(p.anchor.units) for p in corpus])
     truth = np.concatenate([np.array(p.segments.ranges()) + offset for p, offset in zip(corpus, offsets)])
-    sims = similarity_matrix(queries, pool)
 
-    target = np.array([lo + np.argmax(row[lo:hi]) for row, (lo, hi) in zip(sims, truth)])
-    # ranked RANK_ROWS captions at a time, so the comparison masks stay small
-    ranks = np.concatenate([_ranks(sims[lo : lo + RANK_ROWS], target[lo : lo + RANK_ROWS]) for lo in range(0, len(sims), RANK_ROWS)])
+    ranks = np.empty(len(queries), dtype=np.int64)
+    for lo in range(0, len(queries), RANK_ROWS):
+        sims = queries[lo : lo + RANK_ROWS] @ pool.T
+        np.clip(sims, -1.0, 1.0, out=sims)
+        target = np.array([start + np.argmax(row[start:end]) for row, (start, end) in zip(sims, truth[lo : lo + RANK_ROWS])])
+        ranks[lo : lo + RANK_ROWS] = _ranks(sims, target)
     recalls = {k: float(np.mean(ranks < k)) for k in ks}
     per_query = [{"query": q, "rank": int(r) + 1} for q, r in enumerate(ranks)]
     return EvalReport(task="retrieval-clip", measure="cosine", recalls=recalls,
@@ -375,7 +373,7 @@ def localization(corpus: list[SegmentedPair], model=None) -> EvalReport:
     range, averaged over videos."""
     if not corpus:
         raise DataError("empty corpus")
-    anchors, clips = _pair_units(corpus, model, "keep")
+    anchors, clips = pair_units(corpus, model, "keep")
     recall = np.empty(len(corpus))
     for b, (pair, a, c) in enumerate(zip(corpus, anchors.stacks, clips.stacks)):
         pick = np.argmax(np.clip(a @ c.T, -1.0, 1.0), axis=1)  # caption i's clip, against segment i
@@ -388,25 +386,21 @@ def localization(corpus: list[SegmentedPair], model=None) -> EvalReport:
 def corpus_pair_match(corpus: list[SegmentedPair], model=None, measure: str = "dtw") -> float:
     """Fraction of warping-path entries whose clip lies in the matched
     caption's ground-truth range (alignment restricted to covered clips),
-    averaged over all videos of a corpus."""
+    averaged over all videos of a corpus.
+
+    Aligns one zero-padded stack of the whole corpus's cosines, each pair's
+    product written straight into it, and makes one pass over every path
+    cell.
+    """
     if not corpus:
         raise DataError("empty corpus")
-    return float(np.mean(_pair_match(corpus, model, measure)))
-
-
-def _pair_match(corpus: list[SegmentedPair], model, measure: str) -> np.ndarray:
-    """Per-pair match fractions, from one zero-padded cost stack of the
-    whole corpus, each pair's product written straight into it, and one
-    pass over every path cell."""
-    anchors, clips = _pair_units(corpus, model, "remove")
+    anchors, clips = pair_units(corpus, model, "remove")
     shapes = np.array([(len(a), len(c)) for a, c in zip(anchors.stacks, clips.stacks)])
-    costs = np.zeros((len(corpus), *shapes.max(axis=0)))
-    for (n, m), a, c, out in zip(shapes.tolist(), anchors.stacks, clips.stacks, costs):
+    sims = np.zeros((len(corpus), *shapes.max(axis=0)))
+    for (n, m), a, c, out in zip(shapes.tolist(), anchors.stacks, clips.stacks, sims):
         np.matmul(a, c.T, out=out[:n, :m])
-    np.clip(costs, -1.0, 1.0, out=costs)
-    np.subtract(1.0, costs, out=costs)
-    res = align.align_chunked(costs, measure, shapes)
-    del costs
+    res = align.align_cosines(sims, measure, shapes)
+    del sims
     # each path cell's pair, and its caption's span among the pair's covered
     # clips (caption i owns segment i)
     owner = np.repeat(np.arange(len(corpus)), res.lengths)
@@ -414,7 +408,7 @@ def _pair_match(corpus: list[SegmentedPair], model, measure: str) -> np.ndarray:
     first = np.cumsum(shapes[:, 0]) - shapes[:, 0]
     lo, hi = np.concatenate([p.covered_spans() for p in corpus])[first[owner] + cells[:, 0]].T
     hits = (lo <= cells[:, 1]) & (cells[:, 1] < hi)
-    return np.bincount(owner[hits], minlength=len(corpus)) / res.lengths
+    return float(np.mean(np.bincount(owner[hits], minlength=len(corpus)) / res.lengths))
 
 
 def fewshot_eval(

@@ -88,8 +88,8 @@ def seq_grad_core(sims: np.ndarray, rows: list[tuple[int, int]], spans: dict, id
     batch reads, side by side, at the column ranges ``spans`` maps each
     source id to.  Item b's positive is its own source ``ids[b]``; a negative
     permutes its source's columns (the item's anchor rows for visual-anchor).
-    Every candidate's costs are gathered with one index into ``sims``, all
-    candidates are aligned in one padded stack (``align.align_chunked``), and
+    Every candidate's cosines are gathered with one index into ``sims``, all
+    candidates are aligned in one padded stack (``align.align_cosines``), and
     all path gradients are scattered by one ``bincount``.
     """
     row_idx, col_idx, n_rows, n_cols, candidates = [], [], [], [], []
@@ -119,10 +119,7 @@ def seq_grad_core(sims: np.ndarray, rows: list[tuple[int, int]], spans: dict, id
     row_at[np.arange(n) < shapes[:, :1]] = np.concatenate(row_idx)
     col_at = np.zeros((len(shapes), m), dtype=np.int64)
     col_at[np.arange(m) < shapes[:, 1:]] = np.concatenate(col_idx)
-    costs = sims[row_at[:, :, None], col_at[:, None, :]]
-    np.subtract(1.0, costs, out=costs)
-    paths = align.align_chunked(costs, cfg.measure, shapes)
-    del costs
+    paths = align.align_cosines(sims[row_at[:, :, None], col_at[:, None, :]], cfg.measure, shapes)
     scores = paths.scores(cfg.normalize_score)
 
     # InfoNCE per item over its candidates' scores, positive first

@@ -181,10 +181,8 @@ ADAM_BETAS = (0.9, 0.98)
 ADAM_EPS = 1e-8
 
 
-def adam_step(
-    params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState, lr: float
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update, applied in place."""
+def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of ``params`` and ``state``, in place."""
     b1, b2 = ADAM_BETAS
     state.t += 1
     t = state.t
@@ -197,7 +195,6 @@ def adam_step(
         m_hat = state.m[name] / (1.0 - b1**t)
         v_hat = state.v[name] / (1.0 - b2**t)
         p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return params, state
 
 
 @dataclass

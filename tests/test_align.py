@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import basis, brute_force_align, check_path, cost_matrix, pad_costs, seq
 from tempalign import align
-from tempalign.align import align_chunked, align_stack
+from tempalign.align import align_cosines, align_stack
 from tempalign.core import DataError, similarity_matrix
 
 
@@ -93,7 +93,7 @@ class TestDtw:
 
     def test_chunked_rejects_an_empty_stack(self):
         with pytest.raises(DataError, match="nonempty"):
-            align_chunked(np.zeros((0, 2, 3)), "dtw", np.zeros((0, 2), dtype=np.int64))
+            align_cosines(np.zeros((0, 2, 3)), "dtw", np.zeros((0, 2), dtype=np.int64))
 
 
 class TestOtam:
@@ -245,12 +245,17 @@ class TestStackKernels:
 
     @pytest.mark.parametrize("measure", ["dtw", "otam"])
     def test_chunked_matches_one_call(self, measure, rng, monkeypatch):
-        mats = [rng.integers(0, 3, size=(int(rng.integers(1, 6)), int(rng.integers(1, 7)))).astype(float)
-                for _ in range(11)]  # integer costs: many exact ties
-        stack, shapes = pad_costs(mats)
-        whole = align_stack(stack, measure, shapes)
-        monkeypatch.setattr(align, "STACK_CELLS", 4 * stack[0].size)
-        chunked = align_chunked(stack, measure, shapes)
+        # cosines in {-1, 0, 1}, the ones of size 1 nudged just outside
+        # [-1, 1], as rounding can leave them: clipped, their costs tie exactly
+        mats = [rng.integers(-1, 2, size=(int(rng.integers(1, 6)), int(rng.integers(1, 7)))).astype(float)
+                for _ in range(11)]
+        sims, shapes = pad_costs([np.where(np.abs(s) == 1, s * (1 + 4e-16), s) for s in mats])
+        assert sims.max() > 1.0 and sims.min() < -1.0
+        costs = 1.0 - np.clip(sims, -1.0, 1.0)
+        whole = align_stack(costs, measure, shapes)
+        monkeypatch.setattr(align, "STACK_CELLS", 4 * sims[0].size)
+        chunked = align_cosines(sims, measure, shapes)
+        assert np.array_equal(sims, costs)  # the cosines became the costs, in place
         assert len(chunked.trails) == 3  # calls of 4, 4 and 3 matrices
         assert np.array_equal(chunked.distances, whole.distances)
         assert np.array_equal(chunked.lengths, whole.lengths)

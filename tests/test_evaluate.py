@@ -385,6 +385,13 @@ class TestRetrievalClip:
         sigma10 = np.sqrt(p10 * (1 - p10) / n_queries)
         assert abs(report.recalls[10] - p10) <= 4 * sigma10
 
+    def test_memory_grows_with_the_corpus_not_its_square(self):
+        # Doubling the corpus doubles the units and the width of one
+        # RANK_ROWS block's product, so the traced peak doubles; forming the
+        # whole (captions x pooled clips) matrix grew it 3.5x here.
+        _, test, _ = gen_corpus(SynthConfig(n_tasks=100, seed=0))
+        assert traced_peak(retrieval_clip, test + test) < 2.5 * traced_peak(retrieval_clip, test)
+
 
 class TestLocalization:
     def test_perfect_localization(self):

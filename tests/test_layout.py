@@ -30,7 +30,7 @@ UNREFERENCED_OK = {
 }
 
 # Definitions that only layertrace.HOOKS strings reach: no program code calls them.
-HOOK_ONLY = {"dtw", "otam", "cosine_backward", "video_only_negatives", "unit_term_video_only"}
+HOOK_ONLY = {"dtw", "otam", "cosine_backward", "video_only_negatives", "unit_term_video_only", "similarity_matrix"}
 
 # a noqa comment for F401 with some reason after it
 NOQA_F401 = re.compile(r"#\s*noqa:\s*F401\b\W*\w")
