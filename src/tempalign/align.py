@@ -21,10 +21,13 @@ of diagonal d = i + j at row i + 1, and rolls them over the diagonals.  A
 diagonal's cells and each of their three predecessors are then contiguous
 slices, so every step of the wavefront reads and writes whole slices and
 gathers nothing but each item's last-row cell, which it records as it passes.
-The (n, m, batch) array of back-pointers is the one full-size array.
-Distances and path lengths come out of the forward pass; the path cells
-(:attr:`Alignments.walk`) are walked back from the stored back-pointers only
-when first read, so scoring never builds them.
+Each step writes its comparison flags and size arithmetic into buffers
+allocated once per call, so a diagonal allocates and casts nothing.  The
+(n, m, batch) int8 array of back-pointers is the one full-size array, and a
+call that only scores (``paths=False``) keeps none.  Distances and path
+lengths come out of the forward pass; the path cells (:attr:`Alignments.walk`)
+are walked back from the stored back-pointers only when first read, so
+scoring never builds them.
 """
 
 from __future__ import annotations
@@ -44,20 +47,28 @@ MEASURES = ("dtw", "otam")
 # goes alone.
 # A call's per-diagonal Python work (about twenty array operations) is fixed,
 # so the more matrices per call the less it costs per matrix; its memory is
-# its costs and back-pointers (9 bytes per cell) plus O(n + m) per matrix.
+# its costs and back-pointers (9 bytes per cell; 8, the costs alone, for a
+# call that keeps no paths) plus O(n + m) per matrix.
 # Measured on retrieval at n = 200 (5 x 10-20 cells a matrix, 2-vCPU VM),
-# 65,536 ran 5% faster than this but peaked 0.3 MB higher in RSS.  A call
-# pads every matrix to its largest one, so evaluate._score_matrix walks its
-# pairs tile by tile in descending shape (evaluate._tile_grid) and caps the
-# padding of each call (evaluate.PAD_SHARE).
+# 65,536 ran 5% faster than this but peaked 0.3 MB higher in RSS.  With
+# score-only calls that keep no back-pointers, 65,536 still peaked 0.13 MB
+# above 49,152 with back-pointers, and 0.25 MB above 49,152 without them.
+# A call pads every matrix to its largest one, so evaluate._score_matrix walks
+# its pairs tile by tile in descending shape (evaluate._tile_grid) and caps
+# the padding of each call (evaluate.PAD_SHARE).
 STACK_CELLS = 49_152
 
-# Back-pointer codes.  The order is the tie-break: on equal accumulated cost a
-# cell prefers its diagonal, then its vertical (previous row, same column),
-# then its horizontal (same row, previous column) predecessor.
-_DIAG, _VERT, _HORIZ, _START = 0, 1, 2, 3
-_DI = np.array([1, 1, 0, 0])
-_DJ = np.array([1, 0, 1, 0])
+# Back-pointer codes.  On equal accumulated cost a cell prefers its diagonal,
+# then its vertical (previous row, same column), then its horizontal (same row,
+# previous column) predecessor.  The kernel writes each code as vert + 2 * horiz
+# from two flags: vert is set when the vertical predecessor beats the diagonal
+# one, horiz when the horizontal one beats the better of those two.  So 0 is
+# diagonal, 1 vertical, and 2 and 3 horizontal (3: the vertical one beat the
+# diagonal but lost to the horizontal).  A path's first cell is 4.  _DI and _DJ
+# are each code's step back in rows and columns.
+_HORIZ, _START = 2, 4
+_DI = np.array([1, 1, 0, 0, 0])
+_DJ = np.array([1, 0, 1, 1, 0])
 
 
 @dataclass(frozen=True)
@@ -67,13 +78,15 @@ class Alignments:
     ``distances[b]`` is the summed cost over item b's path and ``lengths[b]``
     its number of cells.  ``path(b)`` is the (lengths[b], 2) int array of its
     (row, column) cells in increasing order; consecutive cells differ by
-    (1, 1), (1, 0) or (0, 1).
+    (1, 1), (1, 0) or (0, 1).  Alignments made with ``paths=False`` keep no
+    back-pointers: their ``trails`` are empty, and reading ``walk``,
+    ``path`` or ``cells`` raises ValueError.
     """
 
     distances: np.ndarray
     lengths: np.ndarray
     #: per kernel call, in item order: its back-pointers and each item's end
-    #: cell, as (ptr, end rows, end columns)
+    #: cell, as (ptr, end rows, end columns); empty when no paths were kept
     trails: tuple
 
     @staticmethod
@@ -86,9 +99,13 @@ class Alignments:
     def walk(self) -> np.ndarray:
         """(steps, batch, 2) read-only cells visited walking back from each
         path's end; an item that reached its start repeats that cell, so item
-        b's path is ``walk[lengths[b] - 1 :: -1, b]``.  Built on first use."""
+        b's path is ``walk[lengths[b] - 1 :: -1, b]``.  Built on first use;
+        raises ValueError when the alignments kept no paths."""
+        if not self.trails:
+            raise ValueError("alignment: no paths were kept (aligned with paths=False)")
         steps = int(self.lengths.max())
-        walk = np.concatenate([_walk_back(*trail, steps) for trail in self.trails], axis=1)
+        walks = [_walk_back(*trail, steps) for trail in self.trails]
+        walk = walks[0] if len(walks) == 1 else np.concatenate(walks, axis=1)
         walk.setflags(write=False)
         return walk
 
@@ -107,7 +124,7 @@ class Alignments:
         return raw / self.lengths if normalize else raw
 
 
-def align_stack(costs: np.ndarray, measure: str = "dtw", shapes: np.ndarray | None = None) -> Alignments:
+def align_stack(costs: np.ndarray, measure: str = "dtw", shapes: np.ndarray | None = None, paths: bool = True) -> Alignments:
     """Align every cost matrix of a (batch, n, m) stack in one wavefront pass.
 
     ``shapes`` gives each item's (rows, columns) when the stack holds ragged
@@ -117,8 +134,10 @@ def align_stack(costs: np.ndarray, measure: str = "dtw", shapes: np.ndarray | No
     first m_b columns of its row n_b - 1 (otam, the end going to the smallest
     column on ties).  The recursion runs along anti-diagonals, vectorized over
     the batch and the diagonal's cells as slices (see the module docstring).
-    It counts each cell's path size as it goes and stores a back-pointer per
-    cell, from which the result's ``walk`` reads the paths on demand.
+    It counts each cell's path size as it goes and, with ``paths``, stores a
+    back-pointer per cell, from which the result's ``walk`` reads the paths on
+    demand.  A caller that reads only distances, lengths or scores passes
+    ``paths=False``, and no back-pointer is allocated or written.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
@@ -146,14 +165,24 @@ def align_stack(costs: np.ndarray, measure: str = "dtw", shapes: np.ndarray | No
     # +inf past column m - 1, and the row below the diagonal's last cell is
     # +inf, so border cells see only real predecessors.
     size_type = np.min_scalar_type(n + m)
+    # A diagonal's vertical and horizontal flags and its size temporary are
+    # slices of these; the flags enter the size arithmetic as size_type when
+    # that is one byte, so nothing is cast.  (Allocated before cum and size:
+    # after them, perfbench's fewshot-videoonly read 0.1-0.25 MB higher peak
+    # RSS, through heap placement alone.)
+    flags = np.empty((2, n, batch), dtype=bool)
+    size_flags = flags.view(np.uint8) if size_type == np.uint8 else flags
+    spare = np.empty((n, batch), dtype=size_type)
     cum = np.full((3, n + 2, batch), np.inf)
     size = np.zeros((3, n + 2, batch), dtype=size_type)
-    ptr = np.empty((n, m, batch), dtype=np.int8)
-    if measure == "dtw":
-        ptr[0] = _HORIZ
-        ptr[0, 0] = _START
-    else:
-        ptr[0] = _START
+    if paths:
+        ptr = np.empty((n, m, batch), dtype=np.int8)
+        if measure == "dtw":
+            ptr[0] = _HORIZ
+            ptr[0, 0] = _START
+        else:
+            ptr[0] = _START
+        ptr_rows = ptr.reshape(-1, batch)
     # Item b's last-row cell (rows[b] - 1, j) lies on diagonal rows[b] - 1 + j;
     # each is recorded as the wavefront passes it, from the first diagonal
     # that holds a result (the item's end under dtw, any last-row cell under
@@ -164,7 +193,7 @@ def align_stack(costs: np.ndarray, measure: str = "dtw", shapes: np.ndarray | No
     at = rows * batch + items  # each item's last row, flat in a diagonal buffer
     # Cell (i, j) is row i * (m - 1) + d of ptr and cost viewed as one row per
     # cell, so a diagonal's cells are one strided slice.
-    ptr_rows, cost_rows = ptr.reshape(-1, batch), costs.reshape(batch, n * m).T
+    cost_rows = costs.reshape(batch, n * m).T
     step = max(m - 1, 1)
     for d in range(n + m - 1):
         own_cum, own_size = cum[d % 3], size[d % 3]
@@ -182,22 +211,26 @@ def align_stack(costs: np.ndarray, measure: str = "dtw", shapes: np.ndarray | No
         if lo <= hi:
             diag, up, left = cum[(d - 2) % 3][lo : hi + 1], prev_cum[lo : hi + 1], prev_cum[lo + 1 : hi + 2]
             cell = slice(lo * (m - 1) + d, hi * (m - 1) + d + 1, step)
-            acc = own_cum[lo + 1 : hi + 2]
-            vert = up < diag  # strict comparisons keep the earlier step on ties
+            acc, k = own_cum[lo + 1 : hi + 2], hi + 1 - lo
+            vert, horiz, tmp = flags[0, :k], flags[1, :k], spare[:k]
+            np.less(up, diag, out=vert)  # strict comparisons keep the earlier step on ties
             np.minimum(diag, up, out=acc)
-            horiz = left < acc
+            np.less(left, acc, out=horiz)
             np.minimum(acc, left, out=acc)
             acc += cost_rows[cell]
-            marks = ptr_rows[cell]
-            np.copyto(marks, vert)  # _VERT (1) or _DIAG (0)
-            marks[horiz] = _HORIZ
+            if paths:
+                marks = ptr_rows[cell]
+                np.add(vert.view(np.int8), horiz.view(np.int8), out=marks)
+                marks += horiz.view(np.int8)  # vert + 2 * horiz
             # the chosen predecessor's size plus one, selected by the 0/1 flags
             # in unsigned arithmetic (differences wrap, the selected size does not)
             grown, size_diag = own_size[lo + 1 : hi + 2], size[(d - 2) % 3][lo : hi + 1]
             np.subtract(prev_size[lo : hi + 1], size_diag, out=grown)
-            grown *= vert
+            grown *= size_flags[0, :k]
             grown += size_diag
-            grown += (prev_size[lo + 1 : hi + 2] - grown) * horiz
+            np.subtract(prev_size[lo + 1 : hi + 2], grown, out=tmp)
+            tmp *= size_flags[1, :k]
+            grown += tmp
             grown += 1
         if d >= first:
             np.take(own_cum.reshape(-1), at, out=last_cum[d - first])
@@ -212,34 +245,40 @@ def align_stack(costs: np.ndarray, measure: str = "dtw", shapes: np.ndarray | No
         end = np.argmin(last, axis=1)
         distances = last[items, end]
     lengths = last_size[rows - 1 + end - first, items].astype(np.int64)
-    return Alignments(distances, lengths, ((ptr, rows - 1, end),))
+    return Alignments(distances, lengths, ((ptr, rows - 1, end),) if paths else ())
 
 
-def align_cosines(sims: np.ndarray, measure: str, shapes: np.ndarray) -> Alignments:
+def align_cosines(sims: np.ndarray, measure: str, shapes: np.ndarray, paths: bool = True) -> Alignments:
     """:func:`align_stack` of a padded (batch, n, m) stack of cosines of any
     size, as one :class:`Alignments`: each cosine is clipped to [-1, 1] and
     becomes the cost ``1 - cos``, in place, so ``sims`` is consumed.  Aligns
     in calls of as many matrices as fit in STACK_CELLS padded cells (one at
-    least)."""
+    least), keeping back-pointers only with ``paths``."""
     np.clip(sims, -1.0, 1.0, out=sims)
     np.subtract(1.0, sims, out=sims)
     cap = max(1, STACK_CELLS // max(1, int(np.prod(sims.shape[1:]))))
     # an empty stack makes one call, which refuses it
     calls = range(0, len(sims) or 1, cap)
-    return Alignments.concat([align_stack(sims[lo : lo + cap], measure, shapes[lo : lo + cap]) for lo in calls])
+    return Alignments.concat([align_stack(sims[lo : lo + cap], measure, shapes[lo : lo + cap], paths=paths) for lo in calls])
 
 
 def _walk_back(ptr: np.ndarray, i: np.ndarray, j: np.ndarray, steps: int) -> np.ndarray:
     """(steps, batch, 2) cells visited following back-pointers from each
-    item's end cell (i[b], j[b]); an item that reached its start repeats it."""
-    items = np.arange(len(i))
-    walk = np.empty((steps, len(i), 2), dtype=np.int64)
-    walk[0, :, 0], walk[0, :, 1] = i, j
+    item's end cell (i[b], j[b]); an item that reached its start repeats it.
+    The walk moves flat indices into ``ptr``, each code's step being a fixed
+    offset, and splits them into (row, column) pairs once at the end."""
+    _, m, batch = ptr.shape
+    flat = ptr.reshape(-1)
+    delta = (_DI * m + _DJ) * batch
+    walk = np.empty((steps, batch, 2), dtype=np.int64)
+    idx = walk[:, :, 1]  # the flat indices, split in place at the end
+    idx[0] = (i * m + j) * batch + np.arange(batch)
     for s in range(1, steps):
-        step = ptr[i, j, items]
-        i = i - _DI[step]
-        j = j - _DJ[step]
-        walk[s, :, 0], walk[s, :, 1] = i, j
+        np.subtract(idx[s - 1], delta[flat[idx[s - 1]]], out=idx[s])
+    # divmod, not //: a process's first integer floor_divide took 128 KB more
+    # resident memory, and nothing else in the program floor-divides arrays
+    np.divmod(idx, batch, out=(idx, walk[:, :, 0]))  # cell i * m + j, and the item
+    np.divmod(idx, m, out=(walk[:, :, 0], idx))
     return walk
 
 

@@ -231,7 +231,7 @@ def _score_matrix(rows: _Units, cols: _Units, measure: str) -> np.ndarray:
             lhs = rows.blocks[row_block[lo]][row_slot[lo] : row_slot[lo] + k]
             rhs = cols.blocks[col_block[lo]][col_slot[lo] : col_slot[lo] + w]
             np.matmul(lhs[:, None], rhs.transpose(0, 2, 1)[None], out=stack[lo : lo + k * w].reshape(k, w, *dims[1:])[:, :, :n, :m])
-        scores[r, c] = align.align_cosines(stack, measure, shapes).scores()
+        scores[r, c] = align.align_cosines(stack, measure, shapes, paths=False).scores()
         if mirror:
             scores[c, r] = scores[r, c]
     return scores

@@ -316,6 +316,22 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert peak <= n * m * batch + 64 * (n + m) * batch
 
+    @pytest.mark.parametrize("measure", ["dtw", "otam"])
+    def test_score_only_call_holds_no_back_pointers(self, measure, rng):
+        batch, n, m = 20, 60, 50
+        costs = rng.random((batch, n, m))
+        peaks = {}
+        for paths in (True, False):
+            tracemalloc.start()
+            try:
+                align_stack(costs, measure, paths=paths)
+                peaks[paths] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the n * m * batch bytes of back-pointers, give or take a few diagonals
+        assert abs(peaks[True] - peaks[False] - n * m * batch) <= 8 * (n + m) * batch
+        assert peaks[False] <= 64 * (n + m) * batch
+
 
 class TestAgainstPerCellRecursion:
     @settings(max_examples=200, deadline=None)
@@ -336,6 +352,39 @@ class TestAgainstPerCellRecursion:
         res = align_stack(stack, measure, shapes)
         expected = np.concatenate([res.path(b)[::-1] for b in range(len(mats))])
         assert np.array_equal(res.cells(), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cost_batches(), st.sampled_from(["dtw", "otam"]))
+    def test_score_only_call_matches_path_call(self, mats, measure):
+        stack, shapes = pad_costs(mats)
+        kept, scored = align_stack(stack, measure, shapes), align_stack(stack, measure, shapes, paths=False)
+        assert np.array_equal(scored.distances, kept.distances)
+        assert np.array_equal(scored.lengths, kept.lengths)
+        assert np.array_equal(scored.scores(), kept.scores())
+        assert scored.trails == ()
+
+    @pytest.mark.parametrize("measure", ["dtw", "otam"])
+    def test_score_only_call_matches_on_integer_costs(self, measure, rng):
+        # costs in {0, 1, 2} tie at most cells; at 130 x 140 path sizes no
+        # longer fit in one byte
+        mats = [rng.integers(0, 3, size=shape).astype(float) for shape in ((130, 140), (1, 7), (6, 1), (40, 60), (2, 2))]
+        stack, shapes = pad_costs(mats)
+        kept, scored = align_stack(stack, measure, shapes), align_stack(stack, measure, shapes, paths=False)
+        assert np.array_equal(scored.distances, kept.distances)
+        assert np.array_equal(scored.lengths, kept.lengths)
+        for b, d in enumerate(mats):
+            distance, path = per_cell_alignment(d.tolist(), measure)
+            assert kept.distances[b] == distance
+            assert cells(kept, b) == path
+
+    def test_score_only_call_refuses_to_read_paths(self, rng, monkeypatch):
+        stack, shapes = pad_costs([rng.random((3, 5)), rng.random((1, 1)), rng.random((4, 2))])
+        monkeypatch.setattr(align, "STACK_CELLS", stack[0].size)
+        for res in (align_stack(stack, "dtw", shapes, paths=False), align_cosines(stack, "otam", shapes, paths=False)):
+            assert len(res.lengths) == 3
+            for read in (lambda: res.walk, lambda: res.path(0), res.cells):
+                with pytest.raises(ValueError, match="no paths"):
+                    read()
 
     def test_scores_leave_the_walk_unbuilt(self, rng):
         stack, shapes = pad_costs([rng.random((3, 5)), rng.random((1, 1)), rng.random((4, 2))])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import basis, make_pair, reference_scores, with_units
-from tempalign import align, evaluate
+from tempalign import align, cli, evaluate
 from tempalign.align import STACK_CELLS
 from tempalign.core import DataError, EmbeddingSequence, LabeledVideo, similarity_matrix, unit_normalize
 from tempalign.evaluate import (
@@ -23,6 +23,7 @@ from tempalign.evaluate import (
     retrieval_clip,
     retrieval_full,
 )
+from tempalign.io import save_item
 from tempalign.loss import LossConfig
 from tempalign.synth import FewshotSynthConfig, SynthConfig, gen_corpus, gen_fewshot_corpus
 from tempalign.train import ProjectionModel, TrainConfig, fit
@@ -284,6 +285,35 @@ def test_every_alignment_call_fits_the_cell_budget(measure, stack_calls):
     assert min(cells for name, cells in largest.items() if name != "corpus_pair_match") > STACK_CELLS // 2, largest
 
 
+@pytest.mark.parametrize("measure", ["dtw", "otam"])
+def test_only_the_all_pairs_scorer_aligns_without_paths(measure, monkeypatch, tmp_path, capsys):
+    train, test, _ = gen_corpus(SynthConfig(n_tasks=6, seed=3))
+    novel = novel_videos(FewshotSynthConfig(seed=3))
+    save_item(test[0], tmp_path / "pair.json")
+    callers = {
+        "retrieval_full": lambda: retrieval_full(test, measure=measure, ks=(1,)),
+        "fewshot_eval": lambda: fewshot_eval(None, novel, episodes=2, measure=measure),
+        "corpus_pair_match": lambda: corpus_pair_match(test, measure=measure),
+        "fit": lambda: fit(train, ProjectionModel.identity(64), TrainConfig(epochs=1, neg_count=4, loss=LossConfig(measure=measure))),
+        "cmd_align": lambda: cli.main(["align", "--pair", str(tmp_path / "pair.json"), "--measure", measure]),
+    }
+    kept = {}
+    kernel = align.align_stack
+
+    def recording(costs, *args, paths=True, **kwargs):
+        kept[name].add(paths)
+        return kernel(costs, *args, paths=paths, **kwargs)
+
+    monkeypatch.setattr(align, "align_stack", recording)
+    for name, call in callers.items():
+        kept[name] = set()
+        call()
+    capsys.readouterr()
+    # the all-pairs scorer reads only scores; every other caller reads paths
+    assert kept == {"retrieval_full": {False}, "fewshot_eval": {False}, "corpus_pair_match": {True}, "fit": {True},
+                    "cmd_align": {True}}
+
+
 class TestScoreMatrix:
     @pytest.mark.parametrize("measure", ["dtw", "otam"])
     def test_many_blocks_match_per_pair_reference(self, rng, monkeypatch, stack_calls, measure):
@@ -318,9 +348,9 @@ class TestScoreMatrix:
         calls = []
         kernel = align.align_stack
 
-        def recording(costs, measure, shapes=None):
+        def recording(costs, measure, shapes=None, **kwargs):
             calls.append((costs.size, int(np.prod(shapes, axis=1).sum()), costs[0].size))
-            return kernel(costs, measure, shapes)
+            return kernel(costs, measure, shapes, **kwargs)
 
         monkeypatch.setattr(align, "align_stack", recording)
         retrieval_full(corpus, measure="dtw", ks=(1,))
@@ -497,9 +527,9 @@ class TestPairMatch:
         calls = []
         kernel = align.align_stack
 
-        def recording(costs, measure, shapes=None):
+        def recording(costs, *args, **kwargs):
             calls.append(len(costs))
-            return kernel(costs, measure, shapes)
+            return kernel(costs, *args, **kwargs)
 
         cells = max(len(p.anchor) for p in corpus) * max(p.covered_indices.size for p in corpus)
         monkeypatch.setattr(align, "STACK_CELLS", 3 * cells)
@@ -638,9 +668,9 @@ class TestFewshot:
         aligned = []
         kernel = align.align_stack
 
-        def counting(costs, measure, shapes=None):
+        def counting(costs, *args, **kwargs):
             aligned.append(len(costs))
-            return kernel(costs, measure, shapes)
+            return kernel(costs, *args, **kwargs)
 
         monkeypatch.setattr(align, "align_stack", counting)
         for measure, matrices in (("dtw", n * (n + 1) // 2), ("otam", n * n)):
@@ -656,9 +686,9 @@ class TestFewshot:
         calls = []
         kernel = align.align_stack
 
-        def counting(costs, measure, shapes=None):
+        def counting(costs, *args, **kwargs):
             calls.append(len(costs))
-            return kernel(costs, measure, shapes)
+            return kernel(costs, *args, **kwargs)
 
         monkeypatch.setattr(align, "align_stack", counting)
         (units,) = normalized(videos)
