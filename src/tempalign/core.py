@@ -129,26 +129,12 @@ class SegmentedPair:
 
     def covered_spans(self) -> list[tuple[int, int]]:
         """Start and end of each segment among the covered clips, i.e. its
-        range in :meth:`covered_view`."""
+        range among the columns a training batch gives the pair."""
         spans, cursor = [], 0
         for _, start, end in self.segments:
             spans.append((cursor, cursor + end - start))
             cursor += end - start
         return spans
-
-    def covered_view(self) -> "SegmentedPair":
-        """Background-free view: clips restricted to segment-covered ones,
-        segment ranges remapped to the compacted positions.  A pair without
-        background clips is its own view (a copy would be equal)."""
-        if not self.background_mask.any():
-            return self
-        entries = [(i, lo, hi) for i, (lo, hi) in enumerate(self.covered_spans())]
-        return SegmentedPair(
-            id=self.id,
-            anchor=self.anchor,
-            positive=EmbeddingSequence(self.positive.id, self.covered_units()),
-            segments=SegmentMap(tuple(entries)),
-        )
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,13 @@ enter a training sequence, so these positions are the columns the sequence
 loss aligns.  The shuffle strategies permute the pair's own covered
 positions, unpaired sampling takes another pair's covered positions in
 order, and the visual-anchor strategy permutes the anchor captions instead.
-On a background-free pair, such as every pair ``fit`` trains on (a labeled
-video's two-view pair included), covered positions are the clip indices
-themselves.  Identity permutations of the positive are never returned: a
-negative that equals the positive would contradict the contrastive
-objective, so draws are rejected and retried.  A shuffle strategy draws all
-of a call's negatives at once, as one ``(count, n)`` array.
+``fit`` trains on the pairs as loaded, background clips included; on a
+background-free pair (a labeled video's two-view pair included) covered
+positions are the clip indices themselves.  Identity permutations of the
+positive are never returned: a negative that equals the positive would
+contradict the contrastive objective, so draws are rejected and retried.  A
+shuffle strategy draws all of a call's negatives at once, as one
+``(count, n)`` array.
 """
 
 from __future__ import annotations
@@ -119,11 +120,13 @@ def _shuffle_draws(pair: SegmentedPair, strategy: str, count: int, rng: np.rando
 @dataclass(frozen=True)
 class PairPool:
     """What unpaired sampling and a training batch read of a pair corpus,
-    gathered once: each pair's id and covered clip count, in corpus order,
-    and each id's corpus position."""
+    gathered once: each pair's id, covered clip count and covered clip rows
+    (``covered_indices``, or None when the pair has no background clip), in
+    corpus order, and each id's corpus position."""
 
     ids: tuple[str, ...]
     sizes: np.ndarray
+    covered: tuple[np.ndarray | None, ...]
     positions: dict[str, int]
 
     @staticmethod
@@ -134,7 +137,8 @@ class PairPool:
             if positions.setdefault(p.id, k) != k:
                 raise DataError(f"id {p.id!r} is taken by an earlier item")
         sizes = np.array([len(p.positive) - np.count_nonzero(p.background_mask) for p in corpus], dtype=np.int64)
-        return PairPool(tuple(positions), sizes, positions)
+        covered = tuple(p.covered_indices if p.background_mask.any() else None for p in corpus)
+        return PairPool(tuple(positions), sizes, covered, positions)
 
 
 def _unpaired(pair: SegmentedPair, pool: PairPool, count: int, rng: np.random.Generator) -> Negatives:

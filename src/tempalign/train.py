@@ -2,10 +2,11 @@
 
 The projection is applied independently to every unit embedding before
 alignment.  Training has one mode: a labeled video trains as its two-view
-pair (``LabeledVideo.two_view``), a caption/clip pair as its background-free
-view, and a batch is one step (``evaluate_batch``) over one similarity
-matrix, the batch's anchor rows against its source columns: one forward and
-one backward per head, one alignment call and one gradient scatter.
+pair (``LabeledVideo.two_view``), a caption/clip pair as loaded, and a batch
+is one step (``evaluate_batch``) over one similarity matrix, the batch's
+anchor rows against its sources' covered clips: one forward and one
+backward per head, one alignment call, one unit-term call and one gradient
+scatter.
 Gradients flow from the InfoNCE losses through the fixed warping paths, the
 cosine normalization Jacobian, and the affine head; everything is plain
 numpy and deterministic given the config seed.
@@ -251,21 +252,22 @@ def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConf
                    pool: PairPool):
     """Loss and mean parameter gradients over one batch.
 
-    ``corpus`` is a list of canonical, background-free SegmentedPair, as
-    :func:`fit` builds them (a labeled video as its two-view pair).  Items
-    draw negatives in batch order under ``cfg.neg_strategy`` (none:
-    skipped).  One forward per head gives one similarity matrix, every used
-    item's anchor rows against each source the batch reads (once, in order
-    of first read); every candidate and each item's unit term read it, and
-    their gradient, in its shape, goes back through one
-    :func:`_rows_backward` per side.  Returns (joint_loss, grads, n_used, paths): grads averaged over
-    the used items, and every candidate's optimal path as
-    :class:`align.Alignments` (None when no item was used), so a gradient
-    check can pin the negatives (by reseeding ``rng``) and detect when a
-    perturbation moved a path.  ``pool`` is the corpus's :class:`PairPool`:
-    the negative drawer samples from it, and the step finds each source it
-    reads at the pool's position of its id, so a step's cost does not grow
-    with the corpus.
+    ``corpus`` is a list of SegmentedPair, as :func:`fit` builds them (a
+    labeled video as its two-view pair).  Items draw negatives in batch
+    order under ``cfg.neg_strategy`` (none: skipped).  One forward per head
+    gives one similarity matrix, every used item's anchor rows against the
+    covered clips of each source the batch reads (once, in order of first
+    read; background clips never enter it); every candidate and one
+    batch-wide unit-term call read it, and their gradient, in its shape,
+    goes back through one :func:`_rows_backward` per side.  Returns
+    (joint_loss, grads, n_used, paths): grads averaged over the used items,
+    and every candidate's optimal path as :class:`align.Alignments` (None
+    when no item was used), so a gradient check can pin the negatives (by
+    reseeding ``rng``) and detect when a perturbation moved a path.
+    ``pool`` is the corpus's :class:`PairPool`: the negative drawer samples
+    from it, and the step finds each source it reads, and that source's
+    covered clip rows, at the pool's position of its id, so a step's cost
+    does not grow with the corpus.
     """
     items, drawn = [], []
     for idx in batch_indices:
@@ -279,12 +281,16 @@ def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConf
         return None, grads, 0, None
 
     sources = list(dict.fromkeys(src for item, negs in zip(items, drawn) for src in (item.id, *negs.sources)))
-    units_of = {src: corpus[pool.positions[src]].positive.units for src in sources}
-    spans = column_spans(sources, [len(units_of[src]) for src in sources])
+    at = [pool.positions[src] for src in sources]
+    spans = column_spans(sources, pool.sizes[at])
+    clips = []  # each source's covered clips, gathered only when it has background clips
+    for k in at:
+        units, covered = corpus[k].positive.units, pool.covered[k]
+        clips.append(units if covered is None else units.take(covered, axis=0))
     anchors = [item.anchor.units for item in items]
     rows = list(column_spans(range(len(items)), [len(a) for a in anchors]).values())
     y_a, fwd_a = model.anchor_head.forward(np.concatenate(anchors))
-    y_s, fwd_s = model._clip().forward(np.concatenate([units_of[src] for src in sources]))
+    y_s, fwd_s = model._clip().forward(np.concatenate(clips))
     if not (np.all(np.isfinite(y_a)) and np.all(np.isfinite(y_s))):
         raise DataError("similarity: non-finite input")
     u_hat, nu = unit_normalize(y_a)
@@ -294,14 +300,10 @@ def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConf
     np.clip(sims, -1.0, 1.0, out=sims)
     seq = seq_grad_core(sims, rows, spans, [item.id for item in items], drawn, cfg.loss)
 
-    unit_losses = []
     g = seq.grad
     g *= cfg.loss.w_seq
-    for item, (lo, hi) in zip(items, rows):
-        own = slice(*spans[item.id])
-        unit_loss, unit_grad = unit_term_video_text(sims[lo:hi, own], item.segments.ranges(), cfg.loss.tau)
-        unit_losses.append(unit_loss)
-        g[lo:hi, own] += cfg.loss.w_unit * unit_grad
+    unit_losses = unit_term_video_text(sims, rows, [spans[item.id] for item in items],
+                                       [item.covered_spans() for item in items], cfg.loss.tau, g, cfg.loss.w_unit)
     d_ya = _rows_backward(g, sims, v_hat, u_hat, nu)
     d_ys = _rows_backward(g.T, sims.T, u_hat, v_hat, nv)
     model.anchor_head.backward(fwd_a, d_ya, grads, "anchor.")
@@ -314,8 +316,8 @@ def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConf
 def fit(corpus, model: ProjectionModel, cfg: TrainConfig) -> TrainReport:
     """Train the projection on caption/clip pairs, labeled videos, or both.
 
-    Each item first becomes a canonical, background-free pair: a pair its
-    :meth:`~core.SegmentedPair.covered_view`, a video its
+    A pair trains as it is, its background clips left out of every batch
+    and nothing of its clips copied; a video trains as its
     :meth:`~core.LabeledVideo.two_view` (anchor frames ``0::2`` against all
     frames; a one-frame video draws no negatives and is skipped).  Pairs are
     shuffled each epoch with the seeded generator, negatives are drawn per
@@ -326,7 +328,7 @@ def fit(corpus, model: ProjectionModel, cfg: TrainConfig) -> TrainReport:
     """
     if not corpus:
         raise DataError("fit: empty corpus")
-    corpus = [item.two_view() if isinstance(item, LabeledVideo) else item.covered_view() for item in corpus]
+    corpus = [item.two_view() if isinstance(item, LabeledVideo) else item for item in corpus]
     dims = {p.anchor.dim for p in corpus}
     if dims != {model.in_dim}:
         raise DataError(f"fit: corpus dims {sorted(dims)} do not match model input dim {model.in_dim}")

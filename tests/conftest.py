@@ -39,6 +39,21 @@ def with_units(pair: SegmentedPair, anchor_units: np.ndarray, positive_units: np
     )
 
 
+def covered_view(pair: SegmentedPair) -> SegmentedPair:
+    """Background-free view: clips restricted to segment-covered ones,
+    segment ranges remapped to the compacted positions.  A pair without
+    background clips is its own view (a copy would be equal)."""
+    if not pair.background_mask.any():
+        return pair
+    entries = [(i, lo, hi) for i, (lo, hi) in enumerate(pair.covered_spans())]
+    return SegmentedPair(
+        id=pair.id,
+        anchor=pair.anchor,
+        positive=EmbeddingSequence(pair.positive.id, pair.covered_units()),
+        segments=SegmentMap(tuple(entries)),
+    )
+
+
 def cost_matrix(a: EmbeddingSequence, b: EmbeddingSequence) -> np.ndarray:
     """Pairwise matching costs, cost(i, j) = 1 - cosine(a_i, b_j), in [0, 2]."""
     return 1.0 - similarity_matrix(a.units, b.units)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import basis, cost_matrix, make_pair, seq
+from conftest import basis, cost_matrix, covered_view, make_pair, seq
 from tempalign.core import DataError, LabeledVideo, SegmentedPair, similarity_matrix
 from tempalign.evaluate import corpus_pair_match, localization
 from tempalign.negatives import STRATEGIES, PairPool, generate_negatives
@@ -122,15 +122,15 @@ class TestCanonicalizePair:
 
     def test_covered_view_remaps_segments(self):
         pair = _pair_with_background()
-        view = pair.covered_view()
+        view = covered_view(pair)
         assert not view.background_mask.any()
         np.testing.assert_array_equal(view.positive.units, pair.covered_units())
         np.testing.assert_array_equal(view.positive.units, pair.positive.units[[1, 2, 4, 5, 6, 7]])
         assert [tuple(e) for e in view.segments] == [(0, 0, 2), (1, 2, 5), (2, 5, 6)]
         # a background-free pair is its own view
-        assert view.covered_view() is view
+        assert covered_view(view) is view
         free = make_pair([basis(0, 2), basis(1, 2)], [basis(0, 2)] * 3, [(0, 0, 1), (1, 1, 3)])
-        assert free.covered_view() is free
+        assert covered_view(free) is free
 
     @pytest.mark.parametrize("n, segments", [
         (1, [(0, 0, 1)]),
@@ -235,7 +235,7 @@ class TestPairInvariant:
             assert not _is_canonical(n_captions, n_clips, segments)
             return
         assert _is_canonical(n_captions, n_clips, segments)
-        view = pair.covered_view()
+        view = covered_view(pair)
         assert len(view.positive) == int(np.count_nonzero(~pair.background_mask))
         other = make_pair(rng.normal(size=(1, 4)), rng.normal(size=(2, 4)), [(0, 0, 2)], pid="other")
         for strategy in STRATEGIES:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import basis, infonce_with_grad, make_pair, seq_infonce, split_perms, with_units
+from conftest import basis, covered_view, infonce_with_grad, make_pair, seq_infonce, split_perms, with_units
 from tempalign.core import similarity_matrix
 from tempalign.loss import LossConfig, column_spans, joint_loss, seq_grad_core
 from tempalign.negatives import STRATEGIES, Negatives, PairPool, generate_negatives
@@ -173,7 +173,7 @@ class TestCoveredPositions:
             assert sorted(split_perms(negs)[k].tolist()) == list(range(n))
         cfg = LossConfig(tau=0.7, measure=measure)
         res = seq_infonce(pair, negs, cfg, corpus=corpus)
-        view = seq_infonce(pair.covered_view(), negs, cfg, corpus=[p.covered_view() for p in corpus])
+        view = seq_infonce(covered_view(pair), negs, cfg, corpus=[covered_view(p) for p in corpus])
         assert res.loss == view.loss
         np.testing.assert_array_equal(res.scores, view.scores)
         assert list(res.grad_by_source) == list(view.grad_by_source)

@@ -1,14 +1,15 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import infonce_with_grad, make_pair, split_perms
+from conftest import covered_view, infonce_with_grad, make_pair, split_perms
 from tempalign import align
 from tempalign import train as train_module
 from tempalign.align import STACK_CELLS
 from tempalign.core import DataError, EmbeddingSequence, LabeledVideo, NumericalError, similarity_matrix
-from tempalign.loss import LossConfig, joint_loss
+from tempalign.loss import LossConfig, joint_loss, unit_term_video_text
 from tempalign.negatives import STRATEGIES, PairPool, generate_negatives
 from tempalign.synth import SynthConfig, gen_corpus
 from tempalign.train import (
@@ -269,7 +270,7 @@ class TestFit:
 
 def video_text_views():
     train, _, _ = small_corpus()
-    return [p.covered_view() for p in train[:4]]
+    return [covered_view(p) for p in train[:4]]
 
 
 def base_videos():
@@ -423,7 +424,7 @@ def reference_batch(batch, corpus, model, cfg, rng):
 
 def degenerate_pair(pid):
     # one caption over one clip: no shuffle strategy can draw from it
-    return make_pair([np.eye(24)[0]], [np.eye(24)[1]], [(0, 0, 1)], pid=pid).covered_view()
+    return make_pair([np.eye(24)[0]], [np.eye(24)[1]], [(0, 0, 1)], pid=pid)
 
 
 def assert_matches_reference(corpus, batch, model, cfg):
@@ -447,7 +448,7 @@ class TestBatchStepMatchesPerItemReference:
     @pytest.mark.parametrize("measure", ["dtw", "otam"])
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_video_text(self, strategy, measure, head):
-        corpus = [p.covered_view() for p in small_corpus()[0][:7]]
+        corpus = [covered_view(p) for p in small_corpus()[0][:7]]
         cfg = TrainConfig(neg_strategy=strategy, neg_count=6, loss=LossConfig(tau=0.7, measure=measure))
         assert_matches_reference(corpus, [0, 5, 2, 6, 1], HEADS[head](24), cfg)
 
@@ -494,12 +495,120 @@ class TestBatchStepMatchesPerItemReference:
         assert_matches_reference(corpus, [1, 4, 2], ProjectionModel.mlp(24, 16, 24, seed=4), cfg)
 
     def test_batch_past_stack_cap(self, monkeypatch, stack_calls):
-        corpus = [p.covered_view() for p in small_corpus(n_tasks=3)[0]]
+        corpus = [covered_view(p) for p in small_corpus(n_tasks=3)[0]]
         cfg = TrainConfig(neg_strategy="joint", neg_count=40)
         monkeypatch.setattr(align, "STACK_CELLS", 4096)
         assert_matches_reference(corpus, list(range(10)), ProjectionModel.identity(24), cfg)
         # the batch spans several calls; the reference aligns one candidate per call
         assert len([shape for shape in stack_calls if shape[0] > 1]) > 1
+
+
+class TestBackgroundPairs:
+    """fit trains on the loaded pairs: a pair with background clips must
+    train exactly like its covered view."""
+
+    @staticmethod
+    def mixed_corpus():
+        corpus = small_corpus()[0][:7]
+        # unpaired and joint read other pairs' covered rows, of both kinds
+        assert 0 < sum(p.background_mask.any() for p in corpus) < len(corpus)
+        return corpus, [covered_view(p) for p in corpus]
+
+    @pytest.mark.parametrize("measure", ["dtw", "otam"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_step_matches_covered_views(self, strategy, measure):
+        corpus, views = self.mixed_corpus()
+        cfg = TrainConfig(neg_strategy=strategy, neg_count=6, loss=LossConfig(tau=0.7, measure=measure))
+        model = HEADS["twin-mlp"](24)
+        loss, grads, used, paths = evaluate_batch([0, 5, 2, 6, 1], corpus, model, cfg, np.random.default_rng(5),
+                                                  PairPool.of(corpus))
+        view_loss, view_grads, view_used, view_paths = evaluate_batch(
+            [0, 5, 2, 6, 1], views, model, cfg, np.random.default_rng(5), PairPool.of(views))
+        assert used == view_used == 5 and loss == view_loss
+        assert all(np.array_equal(grads[name], view_grads[name]) for name in view_grads)
+        np.testing.assert_array_equal(paths.walk, view_paths.walk)
+
+    def test_fit_matches_covered_views(self):
+        corpus, views = self.mixed_corpus()
+        cfg = TrainConfig(epochs=2, neg_strategy="joint", neg_count=6, batch_pairs=3, lr=0.01, seed=4)
+        report = fit(corpus, ProjectionModel.linear(24, 24), cfg)
+        view_report = fit(views, ProjectionModel.linear(24, 24), cfg)
+        assert report.loss_curve == view_report.loss_curve
+        for name, value in report.final_model.params().items():
+            np.testing.assert_array_equal(value, view_report.final_model.params()[name])
+
+
+# A ragged batch for the unit term: caption counts 3, 1, 2, 4 and clip
+# counts 6, 1, 2, 9, with one-clip segments; the one-caption item's only
+# logit is its positive.
+UNIT_SEGMENTS = (
+    [(0, 0, 2), (1, 2, 3), (2, 3, 6)],
+    [(0, 0, 1)],
+    [(0, 0, 1), (1, 1, 2)],
+    [(0, 0, 3), (1, 3, 4), (2, 4, 5), (3, 5, 9)],
+)
+
+
+class TestBatchUnitTerm:
+    @pytest.mark.parametrize("tau", [0.07, 1.0])
+    def test_matches_per_item_reference(self, tau, rng):
+        items = [
+            make_pair(rng.normal(size=(len(segments), 4)), rng.normal(size=(segments[-1][2], 4)), segments, pid=f"u{b}")
+            for b, segments in enumerate(UNIT_SEGMENTS)
+        ]
+        rows = [(0, 3), (3, 4), (4, 6), (6, 10)]
+        # each item's own columns, with other sources' columns between them
+        cols = [(2, 8), (11, 12), (12, 14), (15, 24)]
+        sims = rng.uniform(-1.0, 1.0, size=(10, 26))
+        before = rng.normal(size=sims.shape)
+        grad = before.copy()
+        losses = unit_term_video_text(sims, rows, cols, [p.covered_spans() for p in items], tau, grad, 0.3)
+        assert losses.shape == (4,)
+        own = np.zeros(sims.shape, dtype=bool)
+        for item, (r0, r1), (c0, c1), loss in zip(items, rows, cols, losses):
+            ref_loss, ref_grad = reference_unit_term(sims[r0:r1, c0:c1], item, tau)
+            assert loss == pytest.approx(ref_loss, rel=0, abs=1e-12)
+            np.testing.assert_allclose(grad[r0:r1, c0:c1] - before[r0:r1, c0:c1], 0.3 * ref_grad, rtol=0, atol=1e-12)
+            own[r0:r1, c0:c1] = True
+        assert losses[1] == 0.0 and grad[3, 11] == before[3, 11]
+        # the gradient is exactly 0 outside each item's rows x own columns
+        np.testing.assert_array_equal(grad[~own], before[~own])
+
+    def test_one_call_per_used_step(self, monkeypatch):
+        calls, steps = [], []
+        term, step = train_module.unit_term_video_text, train_module.adam_step
+
+        def counted_term(*args):
+            calls.append(len(args[1]))  # the items of the call
+            return term(*args)
+
+        def counted_step(*args):
+            steps.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(train_module, "unit_term_video_text", counted_term)
+        monkeypatch.setattr(train_module, "adam_step", counted_step)
+        corpus = video_text_views() + [degenerate_pair(f"d{i}") for i in range(4)]
+        cfg = TrainConfig(epochs=3, neg_count=3, batch_pairs=2, seed=3)
+        report = fit(corpus, ProjectionModel.identity(24), cfg)
+        # 4 of the 12 batches hold degenerate pairs only: no step, no unit term
+        assert len(calls) == len(steps) == 8
+        assert sum(calls) == 3 * len(corpus) - report.skipped_pairs == 12
+
+
+def test_fit_memory_follows_the_batch_not_the_corpus():
+    # fit keeps no copy of the corpus's clips: 0.83 -> 0.86 MB over 40 ->
+    # 160 pairs, where covered views of the pairs read 0.95 -> 1.59 MB
+    def peak(n_tasks):
+        train, _, _ = gen_corpus(SynthConfig(seed=3, n_tasks=n_tasks))
+        tracemalloc.start()
+        try:
+            fit(train, ProjectionModel.identity(train[0].anchor.dim), TrainConfig(epochs=1, neg_count=4, seed=3))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40) < 1.25 * peak(10)
 
 
 class TestBatchStepAlignmentCalls:
