@@ -53,9 +53,9 @@ MEASURES = ("dtw", "otam")
 # 65,536 ran 5% faster than this but peaked 0.3 MB higher in RSS.  With
 # score-only calls that keep no back-pointers, 65,536 still peaked 0.13 MB
 # above 49,152 with back-pointers, and 0.25 MB above 49,152 without them.
-# A call pads every matrix to its largest one, so evaluate._score_matrix walks
-# its pairs tile by tile in descending shape (evaluate._tile_grid) and caps
-# the padding of each call (evaluate.PAD_SHARE).
+# A call pads every matrix to its largest one, so evaluate._plan fills its calls
+# band by band from tiles of pairs in descending shape, and caps the
+# share of padding in each call (evaluate.PAD_SHARE).
 STACK_CELLS = 49_152
 
 # Back-pointer codes.  On equal accumulated cost a cell prefers its diagonal,

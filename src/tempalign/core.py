@@ -124,9 +124,6 @@ class SegmentedPair:
         """Original clip indices covered by some segment, in temporal order."""
         return np.flatnonzero(~self.background_mask)
 
-    def covered_units(self) -> np.ndarray:
-        return self.positive.units[self.covered_indices]
-
     def covered_spans(self) -> list[tuple[int, int]]:
         """Start and end of each segment among the covered clips, i.e. its
         range among the columns a training batch gives the pair."""

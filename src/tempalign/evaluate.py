@@ -29,10 +29,10 @@ RANK_ROWS = 128
 # 0.1-0.8 MB: allocations that large get fresh pages from the system instead
 # of reusing the heap memory that training freed.
 BLOCK_BYTES = 64 * 1024
-# Most padding an alignment call of _score_matrix adds, as a share of its
-# matrices' own cells.  A call of align.STACK_CELLS cells spans several
-# matrix shapes; without this cap, the widest padded the others by 8% overall
-# on a corpus of 3- and 5-caption paragraphs.
+# Most padding an alignment call that _plan fills adds, as a share of its
+# matrices' own cells.  A call of align.STACK_CELLS cells spans several tiles
+# of pairs; without this cap, the widest padded the others by 8% overall on
+# a corpus of 3- and 5-caption paragraphs.
 PAD_SHARE = 0.05
 
 
@@ -131,7 +131,8 @@ def _normalized(*groups, lengths) -> tuple[_Units, ...]:
     """Row-normalized float64 copies of iterables of unit stacks, one
     :class:`_Units` each.
 
-    ``lengths`` holds each group's stack lengths.  Every stack must be 2-d
+    ``lengths`` holds each group's stack lengths.  A stack is an array, or
+    ``(units, rows)`` for those rows of ``units``.  Every stack must be 2-d
     and of its stated length, and all must share one dimension.  Each stack
     is copied into its block as the iterable yields it, so no raw copy made
     by a generator accumulates.  Each filled block is then checked to be
@@ -144,16 +145,21 @@ def _normalized(*groups, lengths) -> tuple[_Units, ...]:
         sizes = np.asarray(sizes, dtype=np.int64)
         stacks, (blocks, block, slot) = [], _blocks(sizes[:0], 0)  # kept if the group is empty
         for k, u in enumerate(group):
+            u, rows = u if isinstance(u, tuple) else (u, None)
             u = np.asarray(u, dtype=np.float64)
             ref = u.shape if ref is None else ref
             if u.ndim != 2 or u.shape[1] != ref[1]:
                 raise DataError(f"similarity: dimension mismatch {ref} vs {u.shape}")
-            if len(u) != sizes[k]:
-                raise DataError(f"similarity: a stack of {len(u)} units where {sizes[k]} were expected")
+            count = len(u) if rows is None else len(rows)
+            if count != sizes[k]:
+                raise DataError(f"similarity: a stack of {count} units where {sizes[k]} were expected")
             if k == 0:
                 blocks, block, slot = _blocks(sizes, ref[1])
             view = blocks[block[k]][slot[k]]
-            view[...] = u
+            if rows is None:
+                view[...] = u
+            else:  # rows are in range; mode "raise" would copy through a buffer
+                np.take(u, rows, axis=0, out=view, mode="clip")
             stacks.append(view)
         for b in blocks:
             if not np.all(np.isfinite(b)):
@@ -165,14 +171,15 @@ def _normalized(*groups, lengths) -> tuple[_Units, ...]:
 
 def pair_units(corpus: list[SegmentedPair], model, background: str) -> tuple[_Units, _Units]:
     """A corpus's anchors and clips, normalized (see :func:`_normalized`):
-    each pair's covered clips, or all its clips when ``background`` is
-    ``keep``."""
+    each pair's covered clips (taken straight into their blocks when there is
+    no model), or all its clips when ``background`` is ``keep``."""
     f_anchor, f_clips = _transforms(model)
-    keep = background == "keep"
+    covered = [None if background == "keep" else p.covered_indices for p in corpus]
     return _normalized(
         (f_anchor(p.anchor.units) for p in corpus),
-        (f_clips(p.positive.units if keep else p.covered_units()) for p in corpus),
-        lengths=([len(p.anchor) for p in corpus], [len(p.positive) if keep else p.covered_indices.size for p in corpus]),
+        ((p.positive.units, rows) if model is None else f_clips(p.positive.units if rows is None else p.positive.units[rows])
+         for p, rows in zip(corpus, covered)),
+        lengths=([len(p.anchor) for p in corpus], [len(p.positive) if rows is None else rows.size for p, rows in zip(corpus, covered)]),
     )
 
 
@@ -183,16 +190,13 @@ def _score_matrix(rows: _Units, cols: _Units, measure: str) -> np.ndarray:
 
     Each pair's cosines are ``row @ col.T``, turned into costs by
     ``align.align_cosines``, so the scores equal aligning pair by pair.  The
-    pairs are walked tile by tile in descending shape (see
-    :func:`_tile_grid`), in alignment calls of as many pairs as fit in
-    align.STACK_CELLS cells, each padded to its first pair's shape and by at
-    most PAD_SHARE (see :func:`_chunks`).  Within a tile the pairs
-    come in row-slot then column-slot order, so each rectangle of pairs, the
-    consecutive row slots of one block times one run of consecutive column
-    slots of one block, is one broadcast ``np.matmul`` of two block slices,
-    written into the stack.  A broadcast product makes the same per-matrix
-    BLAS call as ``row @ col.T``, so it rounds identically; products are
-    never padded, since a padded GEMM shape can round differently.
+    alignment calls and their bands come from :func:`_plan`.  Each band, some
+    row slots of one block against some column slots of one block, is one
+    broadcast ``np.matmul`` of two block slices, written into the call's
+    stack, and its scores go back as one block of the matrix.  A broadcast
+    product makes the same per-matrix BLAS call as ``row @ col.T``, so it
+    rounds identically; products are never padded, since a padded GEMM shape
+    can round differently.
 
     A set scored against itself (``rows is cols``) under ``dtw`` aligns only
     the pairs whose row index is at most their column index and mirrors each
@@ -204,88 +208,85 @@ def _score_matrix(rows: _Units, cols: _Units, measure: str) -> np.ndarray:
     walk paths of different lengths, so the later stack as rows could score
     differently.  otam is not symmetric and aligns every pair.
     """
-    n_rows = np.array([len(u) for u in rows.stacks])
-    n_cols = np.array([len(u) for u in cols.stacks])
-    grid = _tile_grid(rows, cols)
     mirror = rows is cols and measure == "dtw"
-    if mirror:
-        grid = grid[grid[:, 0] <= grid[:, 1]]
-    scores = np.empty((len(n_rows), len(n_cols)))
-    chunks = _chunks(grid, n_rows, n_cols)
+    calls = _plan(rows, cols, mirror)
+    # each block's stack indices, in slot order
+    index = [[np.flatnonzero(u.block == b) for b in range(len(u.blocks))] for u in (rows, cols)]
+    scores = np.empty((len(rows.stacks), len(cols.stacks)))
     # One buffer for every call's stack: allocating a fresh one per call costs
     # page faults and, through heap fragmentation, peak memory.
-    buffer = np.empty(max((np.prod(dims) for _, _, dims in chunks), default=0))
-    for start, stop, dims in chunks:
-        r, c = grid[start:stop].T
-        row_block, row_slot, col_block, col_slot = rows.block[r], rows.slot[r], cols.block[c], cols.slot[c]
-        shapes = np.column_stack((n_rows[r], n_cols[c]))
+    buffer = np.empty(max((np.prod(dims) for dims, _ in calls), default=0))
+    for dims, bands in calls:
         stack = buffer[: np.prod(dims)].reshape(dims)
         stack.fill(0.0)
-        # runs of one row against consecutive column slots of one block, and
-        # rectangles of runs over the same columns by consecutive row slots
-        runs = _breaks((row_block, row_slot, col_block), col_slot)
-        width = np.diff(runs, append=len(r))
-        rects = _breaks((row_block[runs], col_block[runs], col_slot[runs], width), row_slot[runs])
-        for lo, k, w in zip(runs[rects].tolist(), np.diff(rects, append=len(runs)).tolist(), width[rects].tolist()):
-            n, m = shapes[lo].tolist()
-            lhs = rows.blocks[row_block[lo]][row_slot[lo] : row_slot[lo] + k]
-            rhs = cols.blocks[col_block[lo]][col_slot[lo] : col_slot[lo] + w]
-            np.matmul(lhs[:, None], rhs.transpose(0, 2, 1)[None], out=stack[lo : lo + k * w].reshape(k, w, *dims[1:])[:, :, :n, :m])
-        scores[r, c] = align.align_cosines(stack, measure, shapes, paths=False).scores()
-        if mirror:
-            scores[c, r] = scores[r, c]
+        sizes = [k * w for _, _, k, _, _, w in bands]
+        ends = np.cumsum(sizes).tolist()
+        shapes = [(rows.blocks[i].shape[1], cols.blocks[j].shape[1]) for i, _, _, j, _, _ in bands]
+        for (i, s, k, j, c, w), (n, m), end in zip(bands, shapes, ends):
+            out = stack[end - k * w : end].reshape(k, w, *dims[1:])[:, :, :n, :m]
+            np.matmul(rows.blocks[i][s : s + k, None], cols.blocks[j][c : c + w].transpose(0, 2, 1)[None], out=out)
+        done = align.align_cosines(stack, measure, np.repeat(shapes, sizes, axis=0), paths=False).scores()
+        for (i, s, k, j, c, w), end in zip(bands, ends):
+            scores[index[0][i][s : s + k, None], index[1][j][c : c + w]] = done[end - k * w : end].reshape(k, w)
+    if mirror:  # row r's scores below the diagonal are column r's above it
+        for r in range(1, len(scores)):
+            scores[r, :r] = scores[:r, r]
     return scores
 
 
-def _chunks(grid: np.ndarray, n_rows: np.ndarray, n_cols: np.ndarray) -> list[tuple[int, int, tuple[int, int, int]]]:
-    """(start, stop, padded stack shape) of consecutive runs of ``grid``'s
-    (row, column) pairs, one ``align.align_stack`` call each.
+def _plan(rows: _Units, cols: _Units, mirror: bool) -> list[tuple[tuple[int, int, int], list[tuple[int, ...]]]]:
+    """The alignment calls of :func:`_score_matrix`, each as its padded stack
+    shape (pairs, n, m) and its bands in stack order.  Band (i, s, k, j, c, w)
+    is row slots s .. s + k - 1 of row block i against column slots
+    c .. c + w - 1 of column block j, row by row; no per-pair index is formed.
 
-    A run is padded to its first pair's shape and holds one pair at least.
-    It ends before the pair that would widen that padding (in a descending
-    grid, where a row length ends), pass align.STACK_CELLS padded cells or
-    make padding more than PAD_SHARE of the run's own cells.
+    Tiles, every pair of one row block and one column block, come in
+    descending (row length, column length), so a call holds pairs of one or
+    two adjacent shapes.  A tile's rows each take all its columns or, with
+    ``mirror``, those of index at least their own (consecutive rows that
+    start at one column form one band).  A call is padded to its first pair's
+    shape and holds one pair at least.  It ends before the pair that would
+    widen that padding, pass align.STACK_CELLS padded cells or make padding
+    more than PAD_SHARE of its pairs' own cells, so a call may end inside a
+    band, between its rows or inside one.
     """
-    chunks, start = [], 0
-    while start < len(grid):
-        n, m = int(n_rows[grid[start, 0]]), int(n_cols[grid[start, 1]])
-        r, c = grid[start : start + max(1, align.STACK_CELLS // (n * m))].T
-        rows, cols = n_rows[r], n_cols[c]
-        padded = np.arange(1, len(r) + 1) * (n * m)
-        fits = (rows <= n) & (cols <= m) & (padded <= (1 + PAD_SHARE) * np.cumsum(rows * cols))
-        count = len(fits) if fits.all() else int(np.argmin(fits))
-        chunks.append((start, start + count, (count, n, m)))
-        start += count
-    return chunks
-
-
-def _breaks(same, step) -> np.ndarray:
-    """Indices where a run starts: the first, and each where an array of
-    ``same`` changes or ``step`` does not grow by 1."""
-    change = step[1:] != step[:-1] + 1
-    for a in same:
-        change |= a[1:] != a[:-1]
-    return np.flatnonzero(np.concatenate(([True], change)))
-
-
-def _tile_grid(rows: _Units, cols: _Units) -> np.ndarray:
-    """(R * C, 2) int32 array of every (row index, column index) pair, tile by
-    tile: a tile is every pair of one row block and one column block, in
-    row-slot then column-slot order.  Tiles come in descending (row length,
-    column length) of their blocks, so the chunks :func:`_score_matrix`
-    aligns together hold pairs of one or two adjacent shapes and pad little.
-    """
-    # each block's stack indices, in slot order
-    row_members, col_members = ([np.flatnonzero(u.block == b) for b in range(len(u.blocks))] for u in (rows, cols))
+    index = [[np.flatnonzero(u.block == b) for b in range(len(u.blocks))] for u in (rows, cols)]
     tiles = sorted(((-rb.shape[1], -cb.shape[1]), i, j) for i, rb in enumerate(rows.blocks) for j, cb in enumerate(cols.blocks))
-    grid = np.empty((len(rows.stacks) * len(cols.stacks), 2), dtype=np.int32)
-    start = 0
-    for _, i, j in tiles:
-        tile_rows, tile_cols = row_members[i], col_members[j]
-        tile = grid[start : start + tile_rows.size * tile_cols.size].reshape(tile_rows.size, tile_cols.size, 2)
-        tile[..., 0], tile[..., 1] = tile_rows[:, None], tile_cols
-        start += tile_rows.size * tile_cols.size
-    return grid
+    calls, bands, count, real = [], [], 0, 0
+    for (a, b), i, j in tiles:
+        a, b, tile_rows, tile_cols = -a, -b, index[0][i], index[1][j]
+        if not mirror or tile_rows[-1] < tile_cols[0]:
+            groups = [(0, len(tile_rows), 0)]  # (first row slot, end row slot, first column slot)
+        elif tile_rows[0] > tile_cols[-1]:
+            continue
+        else:
+            first = np.searchsorted(tile_cols, tile_rows)
+            cuts = [0, *(np.flatnonzero(np.diff(first)) + 1).tolist(), len(first)]
+            groups = [(lo, hi, int(first[lo])) for lo, hi in zip(cuts, cuts[1:])]
+        for r0, r1, c0 in groups:
+            w = len(tile_cols) - c0
+            p, total = 0, (r1 - r0) * w  # p: pairs of the group planned so far
+            while p < total:
+                if not count:
+                    n, m, cap = a, b, max(1, align.STACK_CELLS // (a * b))
+                t = min(total - p, cap - count)
+                if (a, b) != (n, m):
+                    more = np.arange(1, t + 1)
+                    fits = (a <= n) & (b <= m) & ((count + more) * (n * m) <= (1 + PAD_SHARE) * (real + more * (a * b)))
+                    t = t if fits.all() else int(np.argmin(fits))
+                count, real, stop = count + t, real + t * a * b, p + t
+                while p < stop:  # the rest of a row, whole rows, then the start of a row
+                    y, x = divmod(p, w)
+                    k = max(1, (stop - p) // w) if x == 0 else 1
+                    span = w if k > 1 else min(w - x, stop - p)
+                    bands.append((i, r0 + y, k, j, c0 + x, span))
+                    p += k * span
+                if t == 0 or count == cap:
+                    calls.append(((count, n, m), bands))
+                    bands, count, real = [], 0, 0
+    if count:
+        calls.append(((count, n, m), bands))
+    return calls
 
 
 def retrieval_full(
@@ -461,9 +462,11 @@ def fewshot_eval(
         scores = np.empty((n, n))
         for q in range(n):  # row by row, so no (n, n, dim) product is formed
             scores[q] = np.sum(means[q] * means, axis=1)
+        del means  # the episodes read only the scores
     else:
         (units,) = _normalized((f_clips(v.frames.units) for v in novel), lengths=[[len(v.frames.units) for v in novel]])
         scores = _score_matrix(units, units, measure)
+        del units  # the episodes read only the scores, and reuse its memory
     accuracies = np.empty(episodes)
     for start in range(0, episodes, EPISODE_BLOCK):
         block = range(start, min(start + EPISODE_BLOCK, episodes))

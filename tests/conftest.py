@@ -39,6 +39,11 @@ def with_units(pair: SegmentedPair, anchor_units: np.ndarray, positive_units: np
     )
 
 
+def covered_units(pair: SegmentedPair) -> np.ndarray:
+    """The pair's clips that some segment covers, in temporal order."""
+    return pair.positive.units[pair.covered_indices]
+
+
 def covered_view(pair: SegmentedPair) -> SegmentedPair:
     """Background-free view: clips restricted to segment-covered ones,
     segment ranges remapped to the compacted positions.  A pair without
@@ -49,7 +54,7 @@ def covered_view(pair: SegmentedPair) -> SegmentedPair:
     return SegmentedPair(
         id=pair.id,
         anchor=pair.anchor,
-        positive=EmbeddingSequence(pair.positive.id, pair.covered_units()),
+        positive=EmbeddingSequence(pair.positive.id, covered_units(pair)),
         segments=SegmentMap(tuple(entries)),
     )
 
@@ -77,15 +82,27 @@ def reference_scores(rows, cols, measure: str) -> np.ndarray:
     return align.align_stack(stack, measure, shapes).scores().reshape(len(rows), len(cols))
 
 
+class StackCall(tuple):
+    """The (batch, n, m) shape of one align.align_stack call's stack, with the
+    item ``shapes`` it aligned (a (batch, 2) array) and its ``paths`` flag."""
+
+    def __new__(cls, costs, shapes, paths):
+        call = super().__new__(cls, np.shape(costs))
+        batch, n, m = call
+        call.shapes = np.tile((n, m), (batch, 1)) if shapes is None else np.array(shapes)
+        call.paths = paths
+        return call
+
+
 @pytest.fixture
 def stack_calls(monkeypatch):
-    """The (batch, n, m) shape of every align.align_stack call, in order."""
+    """A :class:`StackCall` for every align.align_stack call, in order."""
     calls = []
     kernel = align.align_stack
 
-    def recording(costs, *args, **kwargs):
-        calls.append(np.shape(costs))
-        return kernel(costs, *args, **kwargs)
+    def recording(costs, measure="dtw", shapes=None, paths=True):
+        calls.append(StackCall(costs, shapes, paths))
+        return kernel(costs, measure, shapes, paths=paths)
 
     monkeypatch.setattr(align, "align_stack", recording)
     return calls
@@ -155,7 +172,7 @@ def seq_infonce(pair: SegmentedPair, negs: Negatives, cfg: LossConfig, corpus=No
     for src in order:
         if src not in by_id:
             raise ValueError(f"negative references unknown pair {src!r}; pass the corpus")
-    units = [by_id[src].covered_units() for src in order]
+    units = [covered_units(by_id[src]) for src in order]
     spans = column_spans(order, [len(u) for u in units])
     sims = similarity_matrix(pair.anchor.units, np.concatenate(units))
     res = seq_grad_core(sims, [(0, len(sims))], spans, [pair.id], [negs], cfg)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import basis, cost_matrix, covered_view, make_pair, seq
+from conftest import basis, cost_matrix, covered_units, covered_view, make_pair, seq
 from tempalign.core import DataError, LabeledVideo, SegmentedPair, similarity_matrix
 from tempalign.evaluate import corpus_pair_match, localization
 from tempalign.negatives import STRATEGIES, PairPool, generate_negatives
@@ -124,7 +124,7 @@ class TestCanonicalizePair:
         pair = _pair_with_background()
         view = covered_view(pair)
         assert not view.background_mask.any()
-        np.testing.assert_array_equal(view.positive.units, pair.covered_units())
+        np.testing.assert_array_equal(view.positive.units, covered_units(pair))
         np.testing.assert_array_equal(view.positive.units, pair.positive.units[[1, 2, 4, 5, 6, 7]])
         assert [tuple(e) for e in view.segments] == [(0, 0, 2), (1, 2, 5), (2, 5, 6)]
         # a background-free pair is its own view

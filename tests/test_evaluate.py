@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import basis, make_pair, reference_scores, with_units
+from conftest import basis, covered_units, make_pair, reference_scores, with_units
 from tempalign import align, cli, evaluate
 from tempalign.align import STACK_CELLS
 from tempalign.core import DataError, EmbeddingSequence, LabeledVideo, similarity_matrix, unit_normalize
@@ -15,8 +15,8 @@ from tempalign.evaluate import (
     EvalReport,
     _normalized,
     _ranks,
+    _plan,
     _score_matrix,
-    _tile_grid,
     corpus_pair_match,
     fewshot_eval,
     localization,
@@ -41,6 +41,21 @@ def self_identical_corpus(n_videos=4, n_caps=3, dim=16):
 def normalized(*groups):
     """_normalized of lists of unit stacks, their lengths read from them."""
     return _normalized(*groups, lengths=[[len(u) for u in group] for group in groups])
+
+
+def planned_pairs(rows, cols, calls):
+    """The (row index, column index) pairs of each of _plan's calls, in stack
+    order, read from its bands."""
+    index = [[np.flatnonzero(u.block == b).tolist() for b in range(len(u.blocks))] for u in (rows, cols)]
+    return [[(r, c) for i, s, k, j, c0, w in bands for r in index[0][i][s : s + k] for c in index[1][j][c0 : c0 + w]]
+            for _, bands in calls]
+
+
+def split_tiles(calls):
+    """The tiles (row block, column block) that two consecutive calls of
+    _plan share."""
+    tiles = [{(i, j) for i, _, _, j, _, _ in bands} for _, bands in calls]
+    return set().union(*(a & b for a, b in zip(tiles, tiles[1:])))
 
 
 def twin_mlp(dim):
@@ -97,7 +112,7 @@ def per_pair_ranks(corpus, measure, background):
     """1-based rank of each paragraph's own video, scoring one query/candidate
     pair at a time through similarity_matrix (see reference_scores)."""
     anchors = [p.anchor.units for p in corpus]
-    clips = [p.positive.units if background == "keep" else p.covered_units() for p in corpus]
+    clips = [p.positive.units if background == "keep" else covered_units(p) for p in corpus]
     n = len(corpus)
     pool = np.concatenate(clips)
     owner = np.concatenate([np.full(len(c), v) for v, c in enumerate(clips)])
@@ -229,9 +244,24 @@ class TestRetrievalFull:
         _, test, _ = gen_corpus(SynthConfig(n_tasks=200, seed=0))
         wide = [with_units(p, np.hstack((p.anchor.units,) * 2), np.hstack((p.positive.units,) * 2)) for p in test]
         anchors = sum(p.anchor.units.nbytes for p in test)
-        columns = sum(p.covered_units().nbytes for p in test)
+        columns = sum(covered_units(p).nbytes for p in test)
         growth = traced_peak(retrieval_full, wide) - traced_peak(retrieval_full, test)
         assert growth < anchors + 1.5 * columns
+
+    def test_scoring_memory_grows_by_one_score_matrix(self, monkeypatch):
+        # Doubling the corpus doubles the units and quadruples the (n, n)
+        # scores, which ranking's comparisons top up by 3 bytes a pair, so
+        # the traced peak grows by the units and 1.375 times the scores.  An
+        # index array of every pair, as large again as the scores, grew it
+        # by the units and twice the scores here.  A four-times call budget
+        # keeps the traced runs short; their calls fill it at both sizes.
+        monkeypatch.setattr(align, "STACK_CELLS", 4 * STACK_CELLS)
+        _, test, _ = gen_corpus(SynthConfig(n_tasks=400, seed=0))
+        half = test[:200]
+        units = sum(p.anchor.units.nbytes + covered_units(p).nbytes for p in test[200:])
+        scores = 8 * (len(test) ** 2 - len(half) ** 2)
+        growth = traced_peak(retrieval_full, test) - traced_peak(retrieval_full, half)
+        assert growth < units + 1.5 * scores
 
 
 def per_caption_ranks(corpus):
@@ -286,7 +316,7 @@ def test_every_alignment_call_fits_the_cell_budget(measure, stack_calls):
 
 
 @pytest.mark.parametrize("measure", ["dtw", "otam"])
-def test_only_the_all_pairs_scorer_aligns_without_paths(measure, monkeypatch, tmp_path, capsys):
+def test_only_the_all_pairs_scorer_aligns_without_paths(measure, tmp_path, capsys, stack_calls):
     train, test, _ = gen_corpus(SynthConfig(n_tasks=6, seed=3))
     novel = novel_videos(FewshotSynthConfig(seed=3))
     save_item(test[0], tmp_path / "pair.json")
@@ -298,16 +328,10 @@ def test_only_the_all_pairs_scorer_aligns_without_paths(measure, monkeypatch, tm
         "cmd_align": lambda: cli.main(["align", "--pair", str(tmp_path / "pair.json"), "--measure", measure]),
     }
     kept = {}
-    kernel = align.align_stack
-
-    def recording(costs, *args, paths=True, **kwargs):
-        kept[name].add(paths)
-        return kernel(costs, *args, paths=paths, **kwargs)
-
-    monkeypatch.setattr(align, "align_stack", recording)
     for name, call in callers.items():
-        kept[name] = set()
+        stack_calls.clear()
         call()
+        kept[name] = {c.paths for c in stack_calls}
     capsys.readouterr()
     # the all-pairs scorer reads only scores; every other caller reads paths
     assert kept == {"retrieval_full": {False}, "fewshot_eval": {False}, "corpus_pair_match": {True}, "fit": {True},
@@ -323,37 +347,44 @@ class TestScoreMatrix:
         monkeypatch.setattr(align, "STACK_CELLS", 7 * 4 * 5)
         units = normalized(rows, cols)
         assert min(len(u.blocks) for u in units) >= 6
-        pairs = _tile_grid(*units)
-        tile = units[0].block[pairs[:, 0]] * len(units[1].blocks) + units[1].block[pairs[:, 1]]
+        calls = _plan(*units, False)
         scores = _score_matrix(*units, measure)
-        cuts = np.cumsum([len(costs) for costs in stack_calls])[:-1]
-        assert np.any(tile[cuts - 1] == tile[cuts])  # some alignment call ends inside a tile
+        assert [dims for dims, _ in calls] == stack_calls  # the plan is what is aligned
+        assert split_tiles(calls)  # some alignment call ends inside a tile
         assert np.array_equal(scores, reference_scores(rows, cols, measure))
 
-    def test_tile_grid_holds_every_pair_once_by_descending_shape(self, rng, monkeypatch):
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_plan_aligns_every_pair_once_by_descending_shape(self, rng, monkeypatch, mirror):
         monkeypatch.setattr(evaluate, "BLOCK_BYTES", 2 * 5 * 2 * 8)
+        monkeypatch.setattr(align, "STACK_CELLS", 6 * 5 * 5)
         rows = [rng.normal(size=(int(rng.integers(1, 6)), 2)) for _ in range(11)]
-        cols = [rng.normal(size=(int(rng.integers(1, 6)), 2)) for _ in range(9)]
-        grid = _tile_grid(*normalized(rows, cols))
-        assert grid.dtype == np.int32
-        assert sorted(map(tuple, grid.tolist())) == [(r, c) for r in range(11) for c in range(9)]
-        shapes = [(len(rows[r]), len(cols[c])) for r, c in grid]
+        cols = rows if mirror else [rng.normal(size=(int(rng.integers(1, 6)), 2)) for _ in range(9)]
+        units = normalized(rows) * 2 if mirror else normalized(rows, cols)
+        calls = _plan(*units, mirror)
+        pairs = [pair for call in planned_pairs(*units, calls) for pair in call]
+        # each pair once; under mirroring each unordered pair once, the earlier stack as rows
+        assert sorted(pairs) == [(r, c) for r in range(len(rows)) for c in range(len(cols)) if not mirror or r <= c]
+        shapes = [(len(rows[r]), len(cols[c])) for r, c in pairs]
         assert shapes == sorted(shapes, reverse=True)
+        padded = [(n, m) for (_, n, m), _ in calls]
+        assert padded == sorted(padded, reverse=True)
+        start = 0
+        for (count, n, m), _ in calls:  # padded to its first pair's shape, within both budgets
+            mine = shapes[start : start + count]
+            assert mine[0] == (n, m) and all(a <= n and b <= m for a, b in mine)
+            assert count == 1 or count * n * m <= align.STACK_CELLS
+            assert count * n * m <= (1 + evaluate.PAD_SHARE) * sum(a * b for a, b in mine)
+            start += count
+        assert start == len(pairs)
+        assert split_tiles(calls)  # some alignment call ends inside a tile
 
-    def test_retrieval_calls_pad_little(self, monkeypatch):
+    def test_retrieval_calls_pad_little(self, stack_calls):
         corpus = []
         for captions in (3, 5):  # ragged in both axes
             _, test, _ = gen_corpus(SynthConfig(n_tasks=60, segments_per_video=captions, seed=captions))
             corpus += [dataclasses.replace(p, id=f"{captions}-{p.id}") for p in test]
-        calls = []
-        kernel = align.align_stack
-
-        def recording(costs, measure, shapes=None, **kwargs):
-            calls.append((costs.size, int(np.prod(shapes, axis=1).sum()), costs[0].size))
-            return kernel(costs, measure, shapes, **kwargs)
-
-        monkeypatch.setattr(align, "align_stack", recording)
         retrieval_full(corpus, measure="dtw", ks=(1,))
+        calls = [(int(np.prod(c)), int(np.prod(c.shapes, axis=1).sum()), c[1] * c[2]) for c in stack_calls]
         classes = len({len(p.anchor) for p in corpus}) * len({p.covered_indices.size for p in corpus})
         padded, real, _ = np.sum(calls, axis=0)
         assert real == sum(len(p.anchor) for p in corpus) * sum(p.covered_indices.size for p in corpus)
@@ -509,7 +540,7 @@ class TestPairMatch:
         for model in (None, twin_mlp(6)):
             fractions = []
             for pair in corpus:
-                captions, clips = pair.anchor.units, pair.covered_units()
+                captions, clips = pair.anchor.units, covered_units(pair)
                 if model is not None:
                     captions, clips = model.transform_anchor(captions), model.transform_clips(clips)
                 res = align.align_stack((1.0 - similarity_matrix(captions, clips))[None], measure)
@@ -521,20 +552,14 @@ class TestPairMatch:
             assert corpus_pair_match(corpus, model, measure) == float(np.mean(fractions))
 
     @pytest.mark.parametrize("measure", ["dtw", "otam"])
-    def test_alignment_calls_are_bounded(self, monkeypatch, measure):
+    def test_alignment_calls_are_bounded(self, monkeypatch, measure, stack_calls):
         corpus = ragged_corpus()
         whole = corpus_pair_match(corpus, measure=measure)
-        calls = []
-        kernel = align.align_stack
-
-        def recording(costs, *args, **kwargs):
-            calls.append(len(costs))
-            return kernel(costs, *args, **kwargs)
-
         cells = max(len(p.anchor) for p in corpus) * max(p.covered_indices.size for p in corpus)
         monkeypatch.setattr(align, "STACK_CELLS", 3 * cells)
-        monkeypatch.setattr(align, "align_stack", recording)
+        stack_calls.clear()
         assert corpus_pair_match(corpus, measure=measure) == whole
+        calls = [batch for batch, _, _ in stack_calls]
         assert sum(calls) == len(corpus) and max(calls) <= 3
 
 
@@ -659,41 +684,27 @@ class TestFewshot:
         assert (report.aux["accuracy"], report.aux["ci95"]) == (accuracy, ci95)
         assert 0.3 < accuracy < 1.0  # neither chance nor saturated
 
-    def test_aligns_every_pair_once(self, monkeypatch):
+    def test_aligns_every_pair_once(self, stack_calls):
         # the score matrix is formed before any episode is drawn, so one
         # episode aligns as many matrices as twenty; dtw aligns each
         # unordered pair once, otam each ordered pair
         videos = class_corpus(noise=0.2)
         n = len(videos)
-        aligned = []
-        kernel = align.align_stack
-
-        def counting(costs, *args, **kwargs):
-            aligned.append(len(costs))
-            return kernel(costs, *args, **kwargs)
-
-        monkeypatch.setattr(align, "align_stack", counting)
         for measure, matrices in (("dtw", n * (n + 1) // 2), ("otam", n * n)):
             for episodes in (1, 20):
-                aligned.clear()
+                stack_calls.clear()
                 fewshot_eval(None, videos, way=5, shot=1, queries_per_class=5, episodes=episodes, measure=measure)
+                aligned = [batch for batch, _, _ in stack_calls]
                 assert sum(aligned) == matrices
 
-    def test_dtw_self_scores_match_per_pair_reference(self, rng, monkeypatch):
+    def test_dtw_self_scores_match_per_pair_reference(self, rng, monkeypatch, stack_calls):
         videos = [rng.normal(size=(int(rng.integers(1, 9)), 5)) for _ in range(31)]
         monkeypatch.setattr(evaluate, "BLOCK_BYTES", 3 * 4 * 5 * 8)  # three 4-unit stacks
         monkeypatch.setattr(align, "STACK_CELLS", 23 * 16)
-        calls = []
-        kernel = align.align_stack
-
-        def counting(costs, *args, **kwargs):
-            calls.append(len(costs))
-            return kernel(costs, *args, **kwargs)
-
-        monkeypatch.setattr(align, "align_stack", counting)
         (units,) = normalized(videos)
         assert len(units.blocks) >= 10
         scores = _score_matrix(units, units, "dtw")
+        calls = [batch for batch, _, _ in stack_calls]
         assert len(calls) >= 10 and sum(calls) == 31 * 32 // 2
         assert np.array_equal(scores, reference_scores(videos, videos, "dtw"))
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import basis, covered_view, infonce_with_grad, make_pair, seq_infonce, split_perms, with_units
+from conftest import basis, covered_units, covered_view, infonce_with_grad, make_pair, seq_infonce, split_perms, with_units
 from tempalign.core import similarity_matrix
 from tempalign.loss import LossConfig, column_spans, joint_loss, seq_grad_core
 from tempalign.negatives import STRATEGIES, Negatives, PairPool, generate_negatives
@@ -252,7 +252,7 @@ class TestSeqGradFiniteDifference:
             negs = generate_negatives(pair, None, "seg-unit", 4, rng)
             base = seq_infonce(pair, negs, cfg)
             g_anchor, g_clips = cosine_backward(
-                pair.anchor.units, pair.covered_units(), base.grad_by_source[pair.id]
+                pair.anchor.units, covered_units(pair), base.grad_by_source[pair.id]
             )
             base_paths = candidate_paths(pair, negs, cfg)
             for _ in range(4):
