@@ -161,8 +161,8 @@ def align_stack(costs: np.ndarray, measure: str = "dtw", shapes: np.ndarray | No
 
     # Cell (i, j) of anti-diagonal d = i + j sits at row i + 1 of diagonal d's
     # (n + 2, batch) buffer of accumulated costs and of path sizes; three
-    # buffers roll over the diagonals.  Row 1 holds the top row (cell (0, d)),
-    # +inf past column m - 1, and the row below the diagonal's last cell is
+    # buffers roll over the diagonals.  Row 1 holds the top row (cell (0, d))
+    # while d < m, and every row a border cell reads outside the matrix is
     # +inf, so border cells see only real predecessors.
     size_type = np.min_scalar_type(n + m)
     # A diagonal's vertical and horizontal flags and its size temporary are
@@ -198,16 +198,19 @@ def align_stack(costs: np.ndarray, measure: str = "dtw", shapes: np.ndarray | No
     for d in range(n + m - 1):
         own_cum, own_size = cum[d % 3], size[d % 3]
         prev_cum, prev_size = cum[(d - 1) % 3], size[(d - 1) % 3]
-        if d >= m:
-            own_cum[1] = np.inf
-        elif measure == "dtw" and d:
-            np.add(prev_cum[1], cost_rows[d], out=own_cum[1])
-            own_size[1] = d + 1
-        else:
-            own_cum[1] = cost_rows[d]
-            own_size[1] = 1
+        # Two borders stay as they are, with no write.  Row 1 past column
+        # m - 1 (d >= m): later diagonals read from row d - m + 2 >= 2 down,
+        # and what a one-row item records there lies past its last column,
+        # which its result never reads.  Row hi + 2 is still +inf from the
+        # fill: hi never shrinks, so no earlier diagonal wrote below row hi + 1.
+        if d < m:
+            if measure == "dtw" and d:
+                np.add(prev_cum[1], cost_rows[d], out=own_cum[1])
+                own_size[1] = d + 1
+            else:
+                own_cum[1] = cost_rows[d]
+                own_size[1] = 1
         lo, hi = max(1, d - m + 1), min(d, n - 1)
-        own_cum[hi + 2] = np.inf
         if lo <= hi:
             diag, up, left = cum[(d - 2) % 3][lo : hi + 1], prev_cum[lo : hi + 1], prev_cum[lo + 1 : hi + 2]
             cell = slice(lo * (m - 1) + d, hi * (m - 1) + d + 1, step)

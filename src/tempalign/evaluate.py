@@ -8,6 +8,10 @@ embeddings everywhere.
 
 from __future__ import annotations
 
+import gc
+import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +38,12 @@ BLOCK_BYTES = 64 * 1024
 # of pairs; without this cap, the widest padded the others by 8% overall on
 # a corpus of 3- and 5-caption paragraphs.
 PAD_SHARE = 0.05
+# Fewest padded cells of _plan's calls per process that aligns them (see
+# _shares).  On a 2-vCPU VM a worker took 0.7-1.4 ms to fork and 2.1-2.6 ms
+# to reap, and each page either process writes after the fork is copied
+# first: two shares of few-shot's 1.14 M-cell plan ran no faster than one,
+# and two of retrieval's 3.0 M cells at n = 200 ran about 30% faster.
+WORKER_CELLS = 1_000_000
 
 
 @dataclass
@@ -198,6 +208,13 @@ def _score_matrix(rows: _Units, cols: _Units, measure: str) -> np.ndarray:
     rounds identically; products are never padded, since a padded GEMM shape
     can round differently.
 
+    The calls are split into :func:`_shares`.  This process aligns the
+    first share, and a worker forked for each other share aligns it with the
+    same code and writes its scores to a pipe.  This process reads them call
+    by call into the matrix, as it writes its own, and aligns a share itself
+    when its worker failed or sent too little, so an error is raised as if no
+    worker had run.  No worker outlives the call.
+
     A set scored against itself (``rows is cols``) under ``dtw`` aligns only
     the pairs whose row index is at most their column index and mirrors each
     score to ``[c, r]``: the entry of two stacks is the score with the
@@ -214,9 +231,12 @@ def _score_matrix(rows: _Units, cols: _Units, measure: str) -> np.ndarray:
     index = [[np.flatnonzero(u.block == b) for b in range(len(u.blocks))] for u in (rows, cols)]
     scores = np.empty((len(rows.stacks), len(cols.stacks)))
     # One buffer for every call's stack: allocating a fresh one per call costs
-    # page faults and, through heap fragmentation, peak memory.
+    # page faults and, through heap fragmentation, peak memory.  It also takes
+    # a worker's scores of one call, which are fewer than its stack's cells.
     buffer = np.empty(max((np.prod(dims) for dims, _ in calls), default=0))
-    for dims, bands in calls:
+
+    def aligned(dims, bands) -> np.ndarray:
+        """One call's scores, in stack order."""
         stack = buffer[: np.prod(dims)].reshape(dims)
         stack.fill(0.0)
         sizes = [k * w for _, _, k, _, _, w in bands]
@@ -225,13 +245,101 @@ def _score_matrix(rows: _Units, cols: _Units, measure: str) -> np.ndarray:
         for (i, s, k, j, c, w), (n, m), end in zip(bands, shapes, ends):
             out = stack[end - k * w : end].reshape(k, w, *dims[1:])[:, :, :n, :m]
             np.matmul(rows.blocks[i][s : s + k, None], cols.blocks[j][c : c + w].transpose(0, 2, 1)[None], out=out)
-        done = align.align_cosines(stack, measure, np.repeat(shapes, sizes, axis=0), paths=False).scores()
-        for (i, s, k, j, c, w), end in zip(bands, ends):
-            scores[index[0][i][s : s + k, None], index[1][j][c : c + w]] = done[end - k * w : end].reshape(k, w)
+        return align.align_cosines(stack, measure, np.repeat(shapes, sizes, axis=0), paths=False).scores()
+
+    def scatter(bands, done: np.ndarray) -> None:
+        end = 0
+        for i, s, k, j, c, w in bands:
+            scores[index[0][i][s : s + k, None], index[1][j][c : c + w]] = done[end : end + k * w].reshape(k, w)
+            end += k * w
+
+    own, *shares = _shares(calls)
+    workers = []  # (share, pid, pipe) of each worker not yet reaped
+    try:
+        for share in shares:
+            worker = _fork(share, aligned)
+            if worker is None:  # no process could be started
+                own = own + share
+            else:
+                workers.append((share, *worker))
+        for dims, bands in own:
+            scatter(bands, aligned(dims, bands))
+        while workers:
+            share, pid, pipe = workers[0]
+            sent = _receive(pipe, share, buffer, scatter)
+            failed = os.waitpid(pid, 0)[1] != 0
+            workers.pop(0)
+            if failed or not sent:
+                for dims, bands in share:
+                    scatter(bands, aligned(dims, bands))
+    finally:
+        if workers:  # this process raised
+            import signal  # here, not at the top: the module adds 0.1 MB to the benchmark's peak RSS
+        for _, pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     if mirror:  # row r's scores below the diagonal are column r's above it
         for r in range(1, len(scores)):
             scores[r, :r] = scores[:r, r]
     return scores
+
+
+def _shares(calls: list) -> list[list]:
+    """:func:`_plan`'s calls in W contiguous shares of about equal padded
+    cells, W = min(CPUs this process may run on, cells // WORKER_CELLS), or
+    all in one share when W < 2, when the platform cannot fork, or when other
+    threads run (a forked child holds only the thread that forked it)."""
+    total = sum(math.prod(dims) for dims, _ in calls)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    count = min(cpus, total // WORKER_CELLS)
+    if count < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [calls]
+    shares, filled = [[]], 0
+    for call in calls:  # in plain Python: np.cumsum and np.searchsorted here took 128 KB more resident memory
+        if filled >= total * len(shares) / count:
+            shares.append([])
+        shares[-1].append(call)
+        filled += math.prod(call[0])
+    return shares
+
+
+def _fork(share: list, aligned) -> tuple | None:
+    """Fork a worker that writes the scores of ``share``'s calls, in order,
+    to a pipe as raw float64 bytes; returns its pid and the pipe's read end,
+    or None when no process could be started.  The worker leaves through
+    ``os._exit``, with status 0 once it has written every score."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            gc.disable()  # garbage made before the fork is not finalized twice
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pipe.write(np.concatenate([aligned(dims, bands) for dims, bands in share]))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _receive(pipe, share: list, buffer: np.ndarray, scatter) -> bool:
+    """Read a worker's scores of ``share`` call by call into ``buffer`` and
+    scatter each call's; closes the pipe.  False when the worker sent fewer."""
+    with pipe:
+        for dims, bands in share:
+            done = buffer[: dims[0]]
+            if pipe.readinto(done) != done.nbytes:
+                return False
+            scatter(bands, done)
+    return True
 
 
 def _plan(rows: _Units, cols: _Units, mirror: bool) -> list[tuple[tuple[int, int, int], list[tuple[int, ...]]]]:

@@ -1,9 +1,11 @@
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from tempalign import align
+from tempalign import align, evaluate
 from tempalign.align import MEASURES
 from tempalign.core import DataError, EmbeddingSequence, SegmentMap, SegmentedPair, similarity_matrix
 from tempalign.loss import LossConfig, _masked_infonce, column_spans, seq_grad_core
@@ -96,9 +98,12 @@ class StackCall(tuple):
 
 @pytest.fixture
 def stack_calls(monkeypatch):
-    """A :class:`StackCall` for every align.align_stack call, in order."""
+    """A :class:`StackCall` for every align.align_stack call, in order.  The
+    all-pairs scorer aligns in this process alone, since a forked worker's
+    calls are recorded only in the worker."""
     calls = []
     kernel = align.align_stack
+    monkeypatch.setattr(evaluate, "WORKER_CELLS", sys.maxsize)
 
     def recording(costs, measure="dtw", shapes=None, paths=True):
         calls.append(StackCall(costs, shapes, paths))
@@ -106,6 +111,17 @@ def stack_calls(monkeypatch):
 
     monkeypatch.setattr(align, "align_stack", recording)
     return calls
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test that leaves a child process unreaped."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"the test left a child process (waitpid: {left})")
 
 
 def split_perms(negs) -> list[np.ndarray]:

@@ -1,5 +1,11 @@
 import dataclasses
+import errno
 import math
+import os
+import re
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -20,6 +26,7 @@ from tempalign.evaluate import (
     corpus_pair_match,
     fewshot_eval,
     localization,
+    pair_units,
     retrieval_clip,
     retrieval_full,
 )
@@ -395,6 +402,153 @@ class TestScoreMatrix:
         # most once per shape class)
         widest = max(cells for *_, cells in calls)
         assert len(calls) <= math.ceil(padded / (STACK_CELLS - widest)) + classes
+
+
+def score_units(kind, measure):
+    """Arguments of _score_matrix: a ragged corpus's retrieval units (``kind``
+    the background mode), or ragged videos scored against themselves."""
+    if kind == "self":
+        rng = np.random.default_rng(7)
+        (units,) = normalized([rng.normal(size=(int(rng.integers(1, 9)), 5)) for _ in range(40)])
+        return units, units, measure
+    return (*pair_units(ragged_corpus(), None, kind), measure)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The all-pairs scorer forks two workers on small inputs (three CPUs,
+    one padded cell a share, small calls); the pids forked, in order."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(align, "STACK_CELLS", 2048)
+    monkeypatch.setattr(evaluate, "WORKER_CELLS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def serial_scores(monkeypatch, *args):
+    """_score_matrix of ``args`` aligned in this process alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluate, "WORKER_CELLS", sys.maxsize)
+        return _score_matrix(*args)
+
+
+def failing_kernel(monkeypatch, fails):
+    """Make align.align_stack raise DataError on the calls where
+    ``fails(costs)`` holds; returns the stack shapes this process aligns."""
+    kernel = align.align_stack
+    shapes = []
+
+    def failing(costs, *args, **kwargs):
+        if fails(costs):
+            raise DataError(f"failed on a {costs.shape} stack")
+        shapes.append(costs.shape)
+        return kernel(costs, *args, **kwargs)
+
+    monkeypatch.setattr(align, "align_stack", failing)
+    return shapes
+
+
+class TestScoreMatrixWorkers:
+    def test_shares_split_the_plan_by_padded_cells(self, monkeypatch, forks):
+        calls = _plan(*pair_units(ragged_corpus(), None, "keep"), False)
+        cells = [math.prod(dims) for dims, _ in calls]
+        for worker_cells, count in ((1, 3), (sum(cells) // 2, 2), (sum(cells) // 2 + 1, 1)):
+            monkeypatch.setattr(evaluate, "WORKER_CELLS", worker_cells)
+            shares = evaluate._shares(calls)
+            assert len(shares) == count and sum(shares, []) == calls
+            for share in shares:  # each about 1 / count of the cells, give or take one call
+                assert abs(sum(math.prod(dims) for dims, _ in share) - sum(cells) / count) <= max(cells)
+
+    @pytest.mark.parametrize("kind, measure", [(b, m) for b in ("keep", "remove") for m in ("dtw", "otam")]
+                             + [("self", "dtw"), ("self", "otam")])
+    def test_scores_match_serial(self, monkeypatch, forks, kind, measure):
+        args = score_units(kind, measure)
+        serial = serial_scores(monkeypatch, *args)
+        assert np.array_equal(_score_matrix(*args), serial)
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("failure", ["raises", "exits 1 after sending"])
+    def test_failed_worker_share_is_aligned_here(self, monkeypatch, forks, failure):
+        args = score_units("remove", "dtw")
+        serial = serial_scores(monkeypatch, *args)
+        parent = os.getpid()
+        if failure == "raises":
+            here = failing_kernel(monkeypatch, lambda costs: os.getpid() != parent)
+        else:
+            here = failing_kernel(monkeypatch, lambda costs: False)
+            leave = os._exit
+            monkeypatch.setattr(os, "_exit", lambda status: leave(1))
+        assert np.array_equal(_score_matrix(*args), serial)
+        assert len(forks) == 2
+        assert here == [dims for dims, _ in _plan(*args[:2], False)]  # every share, in order
+
+    def test_error_in_a_worker_share_is_raised_as_serially(self, monkeypatch, forks):
+        args = score_units("remove", "otam")
+        own, *shares = evaluate._shares(_plan(*args[:2], False))
+        last, _ = shares[-1][-1]
+        assert last not in [dims for dims, _ in own]
+        failing_kernel(monkeypatch, lambda costs: costs.shape == last)
+        with pytest.raises(DataError) as serial:
+            serial_scores(monkeypatch, *args)
+        with pytest.raises(DataError, match=re.escape(str(serial.value))):
+            _score_matrix(*args)
+        assert len(forks) == 2
+
+    def test_error_here_stops_every_worker(self, monkeypatch, forks):
+        args = score_units("keep", "dtw")
+        parent = os.getpid()
+        kernel = align.align_stack
+
+        def failing(costs, *args, **kwargs):
+            if os.getpid() == parent:
+                raise DataError("failed here")
+            time.sleep(30)  # the workers are still busy when this process raises
+            return kernel(costs, *args, **kwargs)
+
+        monkeypatch.setattr(align, "align_stack", failing)
+        start = time.monotonic()
+        with pytest.raises(DataError, match="failed here"):
+            _score_matrix(*args)
+        assert time.monotonic() - start < 10
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_serial_while_another_thread_runs(self, monkeypatch, forks):
+        args = score_units("remove", "dtw")
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            scores = _score_matrix(*args)
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == [] and np.array_equal(scores, serial_scores(monkeypatch, *args))
+
+    @pytest.mark.parametrize("fork", ["missing", "failing"])
+    def test_serial_without_fork(self, monkeypatch, forks, fork):
+        args = score_units("remove", "otam")
+        serial = serial_scores(monkeypatch, *args)
+
+        def failing():
+            raise BlockingIOError(errno.EAGAIN, "no process")
+
+        if fork == "missing":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork", failing)
+        assert np.array_equal(_score_matrix(*args), serial)
 
 
 class TestRetrievalClip:
