@@ -39,10 +39,11 @@ BLOCK_BYTES = 64 * 1024
 # a corpus of 3- and 5-caption paragraphs.
 PAD_SHARE = 0.05
 # Fewest padded cells of _plan's calls per process that aligns them (see
-# _shares).  On a 2-vCPU VM a worker took 0.7-1.4 ms to fork and 2.1-2.6 ms
-# to reap, and each page either process writes after the fork is copied
-# first: two shares of few-shot's 1.14 M-cell plan ran no faster than one,
-# and two of retrieval's 3.0 M cells at n = 200 ran about 30% faster.
+# _shares).  A worker costs a fork, a reap and a copy of each private page
+# either process writes after the fork; its scores go straight into the
+# shared matrix.  On a 2-vCPU VM a fork took 0.7-1.4 ms and a reap 2.1-2.6 ms:
+# two shares of few-shot's 1.14 M-cell plan ran no faster than one, and two
+# of retrieval's 3.0 M cells at n = 200 ran about 30% faster.
 WORKER_CELLS = 1_000_000
 
 
@@ -113,13 +114,13 @@ def _ranks(scores: np.ndarray, target: np.ndarray, tiebreak: np.ndarray | None =
 @dataclass(frozen=True)
 class _Units:
     """Row-normalized float64 unit stacks stored in blocks: a block is one
-    (count, length, dim) array of stacks of one length, in input order, and
-    ``stacks[k]`` is the view ``blocks[block[k]][slot[k]]``."""
+    (count, length, dim) array of stacks of one length, in input order,
+    ``index[b]`` holds block b's stack indices in slot order, and
+    ``stacks[index[b][s]]`` is the view ``blocks[b][s]``."""
 
     stacks: list[np.ndarray]
     blocks: list[np.ndarray]
-    block: np.ndarray
-    slot: np.ndarray
+    index: list[np.ndarray]
 
 
 def _blocks(lengths: np.ndarray, dim: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
@@ -175,7 +176,7 @@ def _normalized(*groups, lengths) -> tuple[_Units, ...]:
             if not np.all(np.isfinite(b)):
                 raise DataError("similarity: non-finite input")
             unit_normalize(b, out=b)
-        out.append(_Units(stacks, blocks, block, slot))
+        out.append(_Units(stacks, blocks, [np.flatnonzero(block == b) for b in range(len(blocks))]))
     return tuple(out)
 
 
@@ -208,12 +209,15 @@ def _score_matrix(rows: _Units, cols: _Units, measure: str) -> np.ndarray:
     rounds identically; products are never padded, since a padded GEMM shape
     can round differently.
 
-    The calls are split into :func:`_shares`.  This process aligns the
-    first share, and a worker forked for each other share aligns it with the
-    same code and writes its scores to a pipe.  This process reads them call
-    by call into the matrix, as it writes its own, and aligns a share itself
-    when its worker failed or sent too little, so an error is raised as if no
-    worker had run.  No worker outlives the call.
+    The calls are split into :func:`_shares`, and every share runs the same
+    loop: align a call, write its scores into the matrix.  This process
+    aligns the first share, and a worker forked for each other share aligns
+    that one.  With workers the matrix lies in a shared anonymous mapping,
+    which every process writes straight into (and tracemalloc does not see).
+    This process then waits for each worker and aligns again the whole share
+    of one that failed or could not be started, overwriting whatever it
+    wrote, so an error is raised as if no worker had run.  No worker
+    outlives the call.
 
     A set scored against itself (``rows is cols``) under ``dtw`` aligns only
     the pairs whose row index is at most their column index and mirrors each
@@ -227,56 +231,52 @@ def _score_matrix(rows: _Units, cols: _Units, measure: str) -> np.ndarray:
     """
     mirror = rows is cols and measure == "dtw"
     calls = _plan(rows, cols, mirror)
-    # each block's stack indices, in slot order
-    index = [[np.flatnonzero(u.block == b) for b in range(len(u.blocks))] for u in (rows, cols)]
-    scores = np.empty((len(rows.stacks), len(cols.stacks)))
-    # One buffer for every call's stack: allocating a fresh one per call costs
-    # page faults and, through heap fragmentation, peak memory.  It also takes
-    # a worker's scores of one call, which are fewer than its stack's cells.
-    buffer = np.empty(max((np.prod(dims) for dims, _ in calls), default=0))
-
-    def aligned(dims, bands) -> np.ndarray:
-        """One call's scores, in stack order."""
-        stack = buffer[: np.prod(dims)].reshape(dims)
-        stack.fill(0.0)
-        sizes = [k * w for _, _, k, _, _, w in bands]
-        ends = np.cumsum(sizes).tolist()
-        shapes = [(rows.blocks[i].shape[1], cols.blocks[j].shape[1]) for i, _, _, j, _, _ in bands]
-        for (i, s, k, j, c, w), (n, m), end in zip(bands, shapes, ends):
-            out = stack[end - k * w : end].reshape(k, w, *dims[1:])[:, :, :n, :m]
-            np.matmul(rows.blocks[i][s : s + k, None], cols.blocks[j][c : c + w].transpose(0, 2, 1)[None], out=out)
-        return align.align_cosines(stack, measure, np.repeat(shapes, sizes, axis=0), paths=False).scores()
-
-    def scatter(bands, done: np.ndarray) -> None:
-        end = 0
-        for i, s, k, j, c, w in bands:
-            scores[index[0][i][s : s + k, None], index[1][j][c : c + w]] = done[end : end + k * w].reshape(k, w)
-            end += k * w
-
     own, *shares = _shares(calls)
-    workers = []  # (share, pid, pipe) of each worker not yet reaped
+    shape = (len(rows.stacks), len(cols.stacks))
+    if shares:
+        import mmap  # here, not at the top, as signal below
+        scores = np.ndarray(shape, buffer=mmap.mmap(-1, 8 * math.prod(shape)))
+    else:
+        scores = np.empty(shape)
+    # One buffer for every call's stack: allocating a fresh one per call costs
+    # page faults and, through heap fragmentation, peak memory.  It is zeroed
+    # once, as padding only needs finite values: an earlier call leaves costs
+    # in [0, 2] there, and no matrix's score reads its padding.
+    buffer = np.zeros(max((np.prod(dims) for dims, _ in calls), default=0))
+
+    def fill(share) -> None:
+        """Align each call of ``share`` and write its scores into the matrix."""
+        for dims, bands in share:
+            stack = buffer[: np.prod(dims)].reshape(dims)
+            sizes = [k * w for _, _, k, _, _, w in bands]
+            ends = np.cumsum(sizes).tolist()
+            shapes = [(rows.blocks[i].shape[1], cols.blocks[j].shape[1]) for i, _, _, j, _, _ in bands]
+            for (i, s, k, j, c, w), (n, m), end in zip(bands, shapes, ends):
+                out = stack[end - k * w : end].reshape(k, w, *dims[1:])[:, :, :n, :m]
+                np.matmul(rows.blocks[i][s : s + k, None], cols.blocks[j][c : c + w].transpose(0, 2, 1)[None], out=out)
+            done = align.align_cosines(stack, measure, np.repeat(shapes, sizes, axis=0), paths=False).scores()
+            for (i, s, k, j, c, w), end in zip(bands, ends):
+                scores[rows.index[i][s : s + k, None], cols.index[j][c : c + w]] = done[end - k * w : end].reshape(k, w)
+
+    workers = []  # (share, pid) of each worker not yet reaped
     try:
         for share in shares:
-            worker = _fork(share, aligned)
-            if worker is None:  # no process could be started
+            pid = _fork(fill, share)
+            if pid is None:  # no process could be started
                 own = own + share
             else:
-                workers.append((share, *worker))
-        for dims, bands in own:
-            scatter(bands, aligned(dims, bands))
+                workers.append((share, pid))
+        fill(own)
         while workers:
-            share, pid, pipe = workers[0]
-            sent = _receive(pipe, share, buffer, scatter)
+            share, pid = workers[0]
             failed = os.waitpid(pid, 0)[1] != 0
             workers.pop(0)
-            if failed or not sent:
-                for dims, bands in share:
-                    scatter(bands, aligned(dims, bands))
+            if failed:
+                fill(share)
     finally:
         if workers:  # this process raised
             import signal  # here, not at the top: the module adds 0.1 MB to the benchmark's peak RSS
-        for _, pid, pipe in workers:
-            pipe.close()
+        for _, pid in workers:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     if mirror:  # row r's scores below the diagonal are column r's above it
@@ -304,42 +304,23 @@ def _shares(calls: list) -> list[list]:
     return shares
 
 
-def _fork(share: list, aligned) -> tuple | None:
-    """Fork a worker that writes the scores of ``share``'s calls, in order,
-    to a pipe as raw float64 bytes; returns its pid and the pipe's read end,
-    or None when no process could be started.  The worker leaves through
-    ``os._exit``, with status 0 once it has written every score."""
-    read, write = os.pipe()
+def _fork(work, *args) -> int | None:
+    """Fork a worker that runs ``work(*args)`` and leaves through
+    ``os._exit``, with status 0 once it returned and 1 on any exception;
+    returns its pid, or None when no process could be started."""
     try:
         pid = os.fork()
     except OSError:
-        os.close(read)
-        os.close(write)
         return None
     if pid == 0:
         status = 1
         try:
             gc.disable()  # garbage made before the fork is not finalized twice
-            os.close(read)
-            with open(write, "wb") as pipe:
-                pipe.write(np.concatenate([aligned(dims, bands) for dims, bands in share]))
+            work(*args)
             status = 0
         finally:
             os._exit(status)
-    os.close(write)
-    return pid, open(read, "rb")
-
-
-def _receive(pipe, share: list, buffer: np.ndarray, scatter) -> bool:
-    """Read a worker's scores of ``share`` call by call into ``buffer`` and
-    scatter each call's; closes the pipe.  False when the worker sent fewer."""
-    with pipe:
-        for dims, bands in share:
-            done = buffer[: dims[0]]
-            if pipe.readinto(done) != done.nbytes:
-                return False
-            scatter(bands, done)
-    return True
+    return pid
 
 
 def _plan(rows: _Units, cols: _Units, mirror: bool) -> list[tuple[tuple[int, int, int], list[tuple[int, ...]]]]:
@@ -358,11 +339,10 @@ def _plan(rows: _Units, cols: _Units, mirror: bool) -> list[tuple[tuple[int, int
     more than PAD_SHARE of its pairs' own cells, so a call may end inside a
     band, between its rows or inside one.
     """
-    index = [[np.flatnonzero(u.block == b) for b in range(len(u.blocks))] for u in (rows, cols)]
     tiles = sorted(((-rb.shape[1], -cb.shape[1]), i, j) for i, rb in enumerate(rows.blocks) for j, cb in enumerate(cols.blocks))
     calls, bands, count, real = [], [], 0, 0
     for (a, b), i, j in tiles:
-        a, b, tile_rows, tile_cols = -a, -b, index[0][i], index[1][j]
+        a, b, tile_rows, tile_cols = -a, -b, rows.index[i], cols.index[j]
         if not mirror or tile_rows[-1] < tile_cols[0]:
             groups = [(0, len(tile_rows), 0)]  # (first row slot, end row slot, first column slot)
         elif tile_rows[0] > tile_cols[-1]:

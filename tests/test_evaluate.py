@@ -53,8 +53,7 @@ def normalized(*groups):
 def planned_pairs(rows, cols, calls):
     """The (row index, column index) pairs of each of _plan's calls, in stack
     order, read from its bands."""
-    index = [[np.flatnonzero(u.block == b).tolist() for b in range(len(u.blocks))] for u in (rows, cols)]
-    return [[(r, c) for i, s, k, j, c0, w in bands for r in index[0][i][s : s + k] for c in index[1][j][c0 : c0 + w]]
+    return [[(int(r), int(c)) for i, s, k, j, c0, w in bands for r in rows.index[i][s : s + k] for c in cols.index[j][c0 : c0 + w]]
             for _, bands in calls]
 
 
@@ -243,11 +242,13 @@ class TestRetrievalFull:
         with pytest.raises(DataError, match="non-finite"):
             retrieval_full(self_identical_corpus(3), NonFiniteProjection(side), measure=measure, ks=(1,))
 
-    def test_scoring_holds_one_copy_of_the_units(self):
+    def test_scoring_holds_one_copy_of_the_units(self, monkeypatch):
         # Doubling the embedding dimension doubles the units and nothing else
         # the scoring holds (pairs, scores, one alignment call's stack), so
         # the traced peak grows by one copy of the units; a second copy of
-        # the column units would add 1.5 MB more.
+        # the column units would add 1.5 MB more.  Scored in this process
+        # alone: tracemalloc does not see the matrix that workers share.
+        monkeypatch.setattr(evaluate, "WORKER_CELLS", sys.maxsize)
         _, test, _ = gen_corpus(SynthConfig(n_tasks=200, seed=0))
         wide = [with_units(p, np.hstack((p.anchor.units,) * 2), np.hstack((p.positive.units,) * 2)) for p in test]
         anchors = sum(p.anchor.units.nbytes for p in test)
@@ -262,7 +263,9 @@ class TestRetrievalFull:
         # index array of every pair, as large again as the scores, grew it
         # by the units and twice the scores here.  A four-times call budget
         # keeps the traced runs short; their calls fill it at both sizes.
+        # Scored in this process alone, as above.
         monkeypatch.setattr(align, "STACK_CELLS", 4 * STACK_CELLS)
+        monkeypatch.setattr(evaluate, "WORKER_CELLS", sys.maxsize)
         _, test, _ = gen_corpus(SynthConfig(n_tasks=400, seed=0))
         half = test[:200]
         units = sum(p.anchor.units.nbytes + covered_units(p).nbytes for p in test[200:])
@@ -476,7 +479,7 @@ class TestScoreMatrixWorkers:
         assert np.array_equal(_score_matrix(*args), serial)
         assert len(forks) == 2
 
-    @pytest.mark.parametrize("failure", ["raises", "exits 1 after sending"])
+    @pytest.mark.parametrize("failure", ["raises", "writes NaN, exits 1"])
     def test_failed_worker_share_is_aligned_here(self, monkeypatch, forks, failure):
         args = score_units("remove", "dtw")
         serial = serial_scores(monkeypatch, *args)
@@ -485,11 +488,33 @@ class TestScoreMatrixWorkers:
             here = failing_kernel(monkeypatch, lambda costs: os.getpid() != parent)
         else:
             here = failing_kernel(monkeypatch, lambda costs: False)
-            leave = os._exit
+            kernel, leave = align.align_stack, os._exit
+
+            def nan_in_workers(costs, *args, **kwargs):
+                done = kernel(costs, *args, **kwargs)
+                if os.getpid() == parent:
+                    return done
+                return dataclasses.replace(done, distances=np.full(len(costs), np.nan))  # every score NaN
+
+            monkeypatch.setattr(align, "align_stack", nan_in_workers)
             monkeypatch.setattr(os, "_exit", lambda status: leave(1))
         assert np.array_equal(_score_matrix(*args), serial)
         assert len(forks) == 2
         assert here == [dims for dims, _ in _plan(*args[:2], False)]  # every share, in order
+
+    def test_workers_share_the_matrix_uncopied(self, monkeypatch, forks):
+        # Stacks of one length make every call alike, so the traced peak is
+        # one call's memory, plus the matrix when it is private: tracemalloc
+        # does not see the matrix that workers share, and would see a copy.
+        rng = np.random.default_rng(7)
+        (units,) = normalized([rng.normal(size=(3, 5)) for _ in range(200)])
+        args = (units, units, "otam")
+        serial = serial_scores(monkeypatch, *args)
+        assert np.array_equal(_score_matrix(*args), serial) and len(forks) == 2  # and mmap is imported
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluate, "WORKER_CELLS", sys.maxsize)
+            alone = traced_peak(_score_matrix, *args)
+        assert traced_peak(_score_matrix, *args) <= alone - serial.nbytes / 2
 
     def test_error_in_a_worker_share_is_raised_as_serially(self, monkeypatch, forks):
         args = score_units("remove", "otam")
