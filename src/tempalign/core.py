@@ -1,12 +1,12 @@
 """Domain types and unit normalization for embedding-sequence pairs.
 
 A paragraph, a video, or a frame sequence is an ordered list of d-dimensional
-unit embeddings.  A caption/clip pair additionally carries a segment map that
-links each caption to a consecutive, end-exclusive clip range.  A pair is
-canonical by construction: its constructor refuses any other layout than one
-segment per caption, in caption order, disjoint and in temporal order, so
-downstream modules rely on that layout without checking it again.  Everything
-here is immutable and pure.
+unit embeddings.  A caption/clip pair additionally carries one consecutive,
+end-exclusive clip range per caption, in caption order, so a range's position
+is its caption.  A pair is canonical by construction: its constructor refuses
+ranges that are empty, outside the clips, or not disjoint and in temporal
+order, so downstream modules rely on that layout without checking it again.
+Everything here is immutable and pure.
 """
 
 from __future__ import annotations
@@ -55,68 +55,45 @@ class EmbeddingSequence:
 
 
 @dataclass(frozen=True)
-class SegmentMap:
-    """(caption_index, start, end) triples, end exclusive; a pair accepts
-    them only in its canonical layout (see :meth:`validate`)."""
-
-    entries: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple((int(c), int(s), int(e)) for c, s, e in self.entries))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def validate(self, n_anchor: int, n_clips: int, where: str) -> None:
-        """Raise DataError, its message prefixed by ``where``, unless segment i
-        belongs to caption i for each of the ``n_anchor`` captions, and the
-        segments are nonempty, disjoint, in temporal order and within
-        ``n_clips`` clips."""
-        if len(self.entries) != n_anchor:
-            raise DataError(f"{where}: {n_anchor} captions but {len(self.entries)} segments")
-        prev_end = 0
-        for i, (caption, start, end) in enumerate(self.entries):
-            if caption != i:
-                raise DataError(f"{where}: segment {i} has caption_index {caption}, not {i}")
-            if not (0 <= start < end <= n_clips):
-                raise DataError(f"{where}: segment range [{start}, {end}) invalid for {n_clips} clips")
-            if start < prev_end:
-                raise DataError(f"{where}: segment {i} starts at clip {start}, inside or before segment {i - 1}")
-            prev_end = end
-
-    def ranges(self) -> list[tuple[int, int]]:
-        return [(s, e) for _, s, e in self.entries]
-
-
-@dataclass(frozen=True)
 class SegmentedPair:
-    """Anchor caption sequence + positive clip sequence + segment map.
+    """Anchor caption sequence + positive clip sequence + one clip range per
+    caption.
 
-    Canonical by construction: segment i is caption i's clip range, and the
-    ranges are disjoint and in temporal order (see :meth:`SegmentMap.validate`).
-    Clips outside every range are background; ``background_mask[j]`` is True
-    iff clip j is one.
+    ``segments[i]`` is caption i's ``(start, end)`` clip range, end exclusive.
+    Canonical by construction: the constructor raises DataError, its message
+    prefixed by the pair id, unless there is one range per caption and the
+    ranges are nonempty, within the clips, and each starts at or after the
+    previous end.  Clips outside every range are background;
+    ``background_mask[j]`` is True iff clip j is one.
     """
 
     id: str
     anchor: EmbeddingSequence
     positive: EmbeddingSequence
-    segments: SegmentMap
+    segments: tuple[tuple[int, int], ...]
     background_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        where = f"pair {self.id!r}"
         if self.anchor.dim != self.positive.dim:
-            raise DataError(f"pair {self.id!r}: anchor dim {self.anchor.dim} != positive dim {self.positive.dim}")
-        if len(self.segments) == 0:
-            raise DataError(f"pair {self.id!r}: empty pair")
-        self.segments.validate(len(self.anchor), len(self.positive), f"pair {self.id!r}")
-        mask = np.ones(len(self.positive), dtype=bool)
-        for start, end in self.segments.ranges():
+            raise DataError(f"{where}: anchor dim {self.anchor.dim} != positive dim {self.positive.dim}")
+        segments = tuple((int(start), int(end)) for start, end in self.segments)
+        if not segments:
+            raise DataError(f"{where}: empty pair")
+        if len(segments) != len(self.anchor):
+            raise DataError(f"{where}: {len(self.anchor)} captions but {len(segments)} segments")
+        n_clips = len(self.positive)
+        mask = np.ones(n_clips, dtype=bool)
+        prev_end = 0
+        for i, (start, end) in enumerate(segments):
+            if not (0 <= start < end <= n_clips):
+                raise DataError(f"{where}: segment range [{start}, {end}) invalid for {n_clips} clips")
+            if start < prev_end:
+                raise DataError(f"{where}: segment {i} starts at clip {start}, inside or before segment {i - 1}")
             mask[start:end] = False
+            prev_end = end
         mask.setflags(write=False)
+        object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "background_mask", mask)
 
     @property
@@ -128,7 +105,7 @@ class SegmentedPair:
         """Start and end of each segment among the covered clips, i.e. its
         range among the columns a training batch gives the pair."""
         spans, cursor = [], 0
-        for _, start, end in self.segments:
+        for start, end in self.segments:
             spans.append((cursor, cursor + end - start))
             cursor += end - start
         return spans
@@ -152,7 +129,7 @@ class LabeledVideo:
             id=self.id,
             anchor=EmbeddingSequence(f"{self.id}-even", self.frames.units[0::2]),
             positive=self.frames,
-            segments=SegmentMap(tuple((i, 2 * i, min(2 * i + 2, n)) for i in range((n + 1) // 2))),
+            segments=tuple((2 * i, min(2 * i + 2, n)) for i in range((n + 1) // 2)),
         )
 
 

@@ -442,7 +442,7 @@ def retrieval_clip(corpus: list[SegmentedPair], model=None, ks=(1, 5, 10)) -> Ev
     ks = _check_ks(ks, offsets[-1])
     queries, pool = (np.concatenate(units.stacks) for units in pair_units(corpus, model, "keep"))
     # caption i of a pair queries for its segment i
-    truth = np.concatenate([np.array(p.segments.ranges()) + offset for p, offset in zip(corpus, offsets)])
+    truth = np.concatenate([np.array(p.segments) + offset for p, offset in zip(corpus, offsets)])
 
     ranks = np.empty(len(queries), dtype=np.int64)
     for lo in range(0, len(queries), RANK_ROWS):
@@ -466,7 +466,7 @@ def localization(corpus: list[SegmentedPair], model=None) -> EvalReport:
     recall = np.empty(len(corpus))
     for b, (pair, a, c) in enumerate(zip(corpus, anchors.stacks, clips.stacks)):
         pick = np.argmax(np.clip(a @ c.T, -1.0, 1.0), axis=1)  # caption i's clip, against segment i
-        lo, hi = np.array(pair.segments.ranges()).T
+        lo, hi = np.array(pair.segments).T
         recall[b] = np.mean((lo <= pick) & (pick < hi))
     return EvalReport(task="localize", measure="cosine", recalls={1: float(np.mean(recall))},
                       aux={"n_videos": float(len(corpus))})

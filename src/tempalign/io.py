@@ -7,6 +7,11 @@ printed to 9 significant digits, which is diff-friendly and idempotent under
 write -> load -> write.  A packed binary variant (little-endian float32
 blocks behind a JSON header) is selected by the ``.bin`` extension for
 larger corpora.
+
+Both formats store a pair's segments as (caption_index, start, end).  The
+caption index exists only in the files: a loaded pair holds each caption's
+clip range at the caption's position, so :func:`load_item` refuses a segment
+whose index is not its position.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, EmbeddingSequence, LabeledVideo, NumericalError, SegmentMap, SegmentedPair
+from .core import DataError, EmbeddingSequence, LabeledVideo, NumericalError, SegmentedPair
 
 FORMAT_VERSION = 1
 _BIN_MAGIC = b"TALNBIN1"
@@ -54,11 +59,12 @@ def dump_json(obj) -> str:
 
 
 def read_json(path):
-    """The JSON value a text file holds; DataError if it is not valid JSON."""
+    """The JSON value a text file holds; DataError if it is not valid JSON
+    or nests too deeply to parse."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DataError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -117,8 +123,8 @@ def read_float32_container(path, magic: bytes, header_fmt: str, shapes_key: str)
     list), and nothing after.
 
     Returns (the header fields before the length, metadata, float64 blocks).
-    Every malformed or truncated header and every block holding a non-finite
-    value raises DataError.
+    Every malformed, too deeply nested or truncated header and every block
+    holding a non-finite value raises DataError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -133,7 +139,7 @@ def read_float32_container(path, magic: bytes, header_fmt: str, shapes_key: str)
         raise DataError(f"{path}: truncated metadata")
     try:
         meta = json.loads(data[meta_start:offset].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"{path}: invalid metadata: {exc}") from exc
     if not isinstance(meta, dict) or not isinstance(meta.get(shapes_key), list):
         raise DataError(f"{path}: metadata is not an object with a {shapes_key!r} list")
@@ -166,10 +172,11 @@ _SEGMENT_KEYS = ("caption_index", "start", "end")
 
 
 def _fields(item) -> tuple[str, dict, list[np.ndarray]]:
-    """(kind, fields in JSON order with segments as triples, unit blocks in
-    file order) of a SegmentedPair or a LabeledVideo."""
+    """(kind, fields in JSON order with segments as (caption_index, start,
+    end) triples, unit blocks in file order) of a SegmentedPair or a
+    LabeledVideo."""
     if isinstance(item, SegmentedPair):
-        fields = {"id": item.id, "dim": item.anchor.dim, "segments": [list(e) for e in item.segments]}
+        fields = {"id": item.id, "dim": item.anchor.dim, "segments": [[i, *r] for i, r in enumerate(item.segments)]}
         return "pair", fields, [item.anchor.units, item.positive.units]
     return "video", {"id": item.id, "label": item.label, "dim": item.frames.dim}, [item.frames.units]
 
@@ -197,7 +204,8 @@ def save_item(item, path) -> None:
 def load_item(path, kind: str):
     """Read the ``kind`` ("pair" or "video") record :func:`save_item` writes
     to ``path``.  Every malformed record raises DataError, and so does a unit
-    block whose width is not the record's ``dim``, in either format."""
+    block whose width is not the record's ``dim``, in either format, or a
+    segment whose ``caption_index`` is not its position."""
     path = str(path)
     binary = path.endswith(".bin")
     fields, names = _KINDS[kind]
@@ -235,11 +243,14 @@ def load_item(path, kind: str):
         isinstance(e, list) and len(e) == 3 and all(type(x) is int for x in e) for e in entries
     ):
         raise DataError(f"{path}: field 'segments' is not a list of (caption_index, start, end) integer triples")
+    for i, (caption, _, _) in enumerate(entries):
+        if caption != i:
+            raise DataError(f"pair {rid!r}: segment {i} has caption_index {caption}, not {i}")
     return SegmentedPair(
         id=rid,
         anchor=EmbeddingSequence(f"{rid}-captions", blocks[0]),
         positive=EmbeddingSequence(f"{rid}-clips", blocks[1]),
-        segments=SegmentMap(tuple(map(tuple, entries))),
+        segments=tuple((start, end) for _, start, end in entries),
     )
 
 

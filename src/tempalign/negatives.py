@@ -99,7 +99,7 @@ def _shuffle_draws(pair: SegmentedPair, strategy: str, count: int, rng: np.rando
     order, seg-unit "block rank + uniform" and within-seg "block index +
     uniform".
     """
-    sizes = np.array([hi - lo for lo, hi in pair.covered_spans()])
+    sizes = np.array([end - start for start, end in pair.segments])
     block_of = np.repeat(np.arange(sizes.size), sizes)
     n = len(pair.anchor) if strategy == "visual-anchor" else block_of.size
     # the number of things the strategy reorders, which must reach 2

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import DataError, EmbeddingSequence, LabeledVideo, SegmentMap, SegmentedPair
+from .core import DataError, EmbeddingSequence, LabeledVideo, SegmentedPair
 
 
 @dataclass
@@ -134,7 +134,7 @@ def gen_corpus(cfg: SynthConfig):
                 gaps[gap].append(proto + noise(cfg.clip_noise))
 
             blocks: list[np.ndarray] = []
-            entries: list[tuple[int, int, int]] = []
+            ranges: list[tuple[int, int]] = []
             confusers: list[int] = []
             cursor = 0
             for i in range(k):
@@ -144,7 +144,7 @@ def gen_corpus(cfg: SynthConfig):
                 start = cursor
                 blocks.append(seg_clips[i])
                 cursor += len(seg_clips[i])
-                entries.append((i, start, cursor))
+                ranges.append((start, cursor))
                 confusers.extend(start + np.flatnonzero(confuser_flags[i]))
             for bg in gaps[k]:
                 blocks.append(bg[None, :])
@@ -154,7 +154,7 @@ def gen_corpus(cfg: SynthConfig):
                 id=pair_id,
                 anchor=EmbeddingSequence(f"{pair_id}-captions", captions),
                 positive=EmbeddingSequence(f"{pair_id}-clips", np.concatenate(blocks, axis=0)),
-                segments=SegmentMap(tuple(entries)),
+                segments=tuple(ranges),
             )
             split = "train" if v < n_train else "test"
             (train if split == "train" else test).append(pair)
@@ -162,7 +162,7 @@ def gen_corpus(cfg: SynthConfig):
                 "task": t,
                 "video": v,
                 "split": split,
-                "segments": [list(e) for e in entries],
+                "segments": [[i, start, end] for i, (start, end) in enumerate(ranges)],
                 "confusers": [int(c) for c in confusers],
             }
 

@@ -1,5 +1,6 @@
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,9 +8,16 @@ import pytest
 
 from tempalign import align, evaluate
 from tempalign.align import MEASURES
-from tempalign.core import DataError, EmbeddingSequence, SegmentMap, SegmentedPair, similarity_matrix
+from tempalign.core import DataError, EmbeddingSequence, SegmentedPair, similarity_matrix
 from tempalign.loss import LossConfig, _masked_infonce, column_spans, seq_grad_core
 from tempalign.negatives import Negatives
+
+# hypothesis's pytest plugin imports this module (and libcst) only to report a
+# failing example, and the import warns.  filterwarnings = ["error"] would turn
+# that into an INTERNALERROR that stops the whole run, so import it once here.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def basis(i: int, dim: int) -> np.ndarray:
@@ -27,7 +35,7 @@ def make_pair(captions, clips, segments, pid="p0") -> SegmentedPair:
         id=pid,
         anchor=seq(captions, f"{pid}-captions"),
         positive=seq(clips, f"{pid}-clips"),
-        segments=SegmentMap(tuple(segments)),
+        segments=segments,
     )
 
 
@@ -52,12 +60,11 @@ def covered_view(pair: SegmentedPair) -> SegmentedPair:
     background clips is its own view (a copy would be equal)."""
     if not pair.background_mask.any():
         return pair
-    entries = [(i, lo, hi) for i, (lo, hi) in enumerate(pair.covered_spans())]
     return SegmentedPair(
         id=pair.id,
         anchor=pair.anchor,
         positive=EmbeddingSequence(pair.positive.id, covered_units(pair)),
-        segments=SegmentMap(tuple(entries)),
+        segments=pair.covered_spans(),
     )
 
 

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_pair, seq
 from tempalign import cli
@@ -15,7 +17,7 @@ from tempalign.train import ProjectionModel, load_checkpoint, save_checkpoint
 CAPTIONS = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 CLIPS = [[0.5, 0.5, 1.0], [1.0, 0.25, 0.0], [0.0, 1.0, 0.5], [0.25, 0.0, 1.0], [1.0, 1.0, 1.0]]
 # One segment per caption; clip 0 is background.
-SEGMENTS = [(0, 1, 2), (1, 2, 3), (2, 3, 4)]
+SEGMENTS = [(1, 2), (2, 3), (3, 4)]
 
 DTW_PATH = ', "path": [[0, 0], [0, 1], [1, 2], [2, 3], [2, 4]]}'
 OTAM_PATH = ', "path": [[0, 1], [1, 2], [2, 3]]}'
@@ -104,6 +106,129 @@ def test_truncated_or_extended_binary_is_a_data_error(capsys, tmp_path, kind):
         target.write_bytes(damaged)
         assert cli.main(argv) == 3, f"{len(damaged)} of {len(intact)} bytes"
         assert capsys.readouterr().err.startswith("data error:")
+
+
+def _fuzz_input(root, target):
+    """(file, argv that reads it, offset of its JSON header's length field or
+    None for a JSON file) for one intact file of one kind and format."""
+    kind, _, fmt = target.partition("-")
+    if kind == "pair":
+        path = root / f"toy.{fmt}"
+        save_item(make_pair(CAPTIONS, CLIPS, SEGMENTS, pid="toy"), path)
+        return path, ["align", "--pair", str(path)], 8 if fmt == "bin" else None
+    if kind == "video":
+        videos = [LabeledVideo(f"v{i}", label, seq(CLIPS, f"v{i}")) for i, label in enumerate(["walk", "walk", "run", "run"])]
+        save_dataset(root, [(v, "novel") for v in videos], kind="videos", fmt=fmt)
+        argv = ["eval", "fewshot", "--data", str(root), "--way", "2", "--queries", "1", "--episodes", "2"]
+        return root / "videos" / f"v0.{fmt}", argv, 8 if fmt == "bin" else None
+    argv = ["eval", "localize", "--data", _toy_pairs(root / "data")]
+    if kind == "checkpoint":
+        path = root / "model.ckpt"
+        save_checkpoint(ProjectionModel.identity(3), path)
+        return path, [*argv, "--model", str(path)], 12
+    return root / "data" / "manifest.json", argv, None
+
+
+_REMOVE = object()
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2**40), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(-1, 6), max_size=3), st.dictionaries(st.sampled_from(["shape", "name", "embedding"]), st.integers(0, 3)),
+)
+
+
+def _json_paths(value, prefix=()):
+    """The key path of every value nested in a parsed JSON value."""
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+@st.composite
+def _edited(draw, intact: bytes, length_at):
+    """``intact`` with one value of its JSON (the whole file, or the header
+    whose length field is at ``length_at``) replaced by another or removed."""
+    if length_at is None:
+        head, text, tail = b"", intact, b""
+    else:
+        (size,) = struct.unpack_from("<I", intact, length_at)
+        start = length_at + 4
+        head, text, tail = intact[:length_at], intact[start : start + size], intact[start + size :]
+    value = json.loads(text)
+    *parents, key = draw(st.sampled_from(list(_json_paths(value))))
+    node = value
+    for step in parents:
+        node = node[step]
+    replacement = draw(st.one_of(st.just(_REMOVE), _JSON_VALUES))
+    if replacement is _REMOVE:
+        del node[key]
+    else:
+        node[key] = replacement
+    text = json.dumps(value).encode("utf-8")
+    return head + (b"" if length_at is None else struct.pack("<I", len(text))) + text + tail
+
+
+def _damaged(intact: bytes, length_at):
+    """``intact`` cut short, with one byte overwritten, with bytes inserted,
+    or with one JSON value edited."""
+    n = len(intact)
+    return st.one_of(
+        st.integers(0, n - 1).map(lambda k: intact[:k]),
+        st.tuples(st.integers(0, n - 1), st.integers(0, 255)).map(lambda kb: intact[: kb[0]] + bytes([kb[1]]) + intact[kb[0] + 1 :]),
+        st.tuples(st.integers(0, n), st.binary(min_size=1, max_size=8)).map(lambda kb: intact[: kb[0]] + kb[1] + intact[kb[0] :]),
+        _edited(intact, length_at),
+    )
+
+
+@pytest.mark.parametrize("target", ["pair-json", "pair-bin", "video-json", "video-bin", "checkpoint", "manifest"])
+def test_damaged_input_keeps_the_exit_code_contract(capsys, tmp_path, target):
+    path, argv, length_at = _fuzz_input(tmp_path, target)
+    assert cli.main(argv) == 0
+    intact = path.read_bytes()
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(_damaged(intact, length_at))
+    def check(damaged):
+        path.write_bytes(damaged)
+        assert cli.main(argv) in (0, 2, 3, 4)
+
+    check()
+    capsys.readouterr()
+
+
+def _nested_json_input(tmp_path, target):
+    """(file, argv that reads it, the file with its JSON nested 100,000 deep)
+    for one file the CLI parses as JSON."""
+    deep = "[" * 100_000
+    if target == "synth-config":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_tasks": 2, "videos_per_task": 2, "dim": 8, "proto_subspace_dim": 6}))
+        return path, ["synth", "--config", str(path), "--out", str(tmp_path / "data")], deep.encode()
+    if target == "align-pair":
+        path = tmp_path / "toy.json"
+        save_item(make_pair(CAPTIONS, CLIPS, SEGMENTS, pid="toy"), path)
+        return path, ["align", "--pair", str(path)], deep.encode()
+    data = _toy_pairs(tmp_path / "data", fmt="bin" if target == "bin-record" else "json")
+    argv = ["eval", "localize", "--data", data]
+    if target == "checkpoint":
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ProjectionModel.identity(3), path)
+        header = b"TALNPROJ" + struct.pack("<II", 1, len(deep)) + deep.encode()
+        return path, [*argv, "--model", str(path)], header + path.read_bytes()[len(header) :]
+    if target == "bin-record":
+        return tmp_path / "data" / "pairs" / "p0.bin", argv, _container(deep)
+    return tmp_path / "data" / ("manifest.json" if target == "manifest" else "pairs/p0.json"), argv, deep.encode()
+
+
+@pytest.mark.parametrize("target", ["manifest", "json-record", "bin-record", "checkpoint", "synth-config", "align-pair"])
+def test_too_deeply_nested_json_is_a_data_error(capsys, tmp_path, target):
+    # json raises RecursionError, not JSONDecodeError, on this input
+    path, argv, nested = _nested_json_input(tmp_path, target)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    path.write_bytes(nested)
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {path}: invalid ")
 
 
 GOOD_HEADER = {"kind": "pair", "id": "g", "dim": 3, "segments": [[0, 0, 2]], "shapes": [[1, 3], [2, 3]]}
@@ -227,7 +352,7 @@ def test_segment_that_is_not_three_integers_is_a_data_error(capsys, tmp_path, fm
     path = tmp_path / f"toy.{fmt}"
     save_item(make_pair(CAPTIONS, CLIPS, SEGMENTS, pid="toy"), path)
     assert run_align(capsys, "--pair", str(path))[0] == 0
-    segments = [list(e) for e in SEGMENTS]
+    segments = [[i, *e] for i, e in enumerate(SEGMENTS)]
     segments[1] = segment
     if fmt == "bin":
         _edit_header(path, segments=segments)
@@ -378,9 +503,11 @@ def test_protocol_on_the_wrong_dataset_kind_is_a_data_error(capsys, tmp_path, pr
     assert capsys.readouterr().err == f"data error: eval {protocol} needs a {expected} dataset, got {kind}\n"
 
 
-def _toy_pairs(root, split="test"):
-    """Two canonical toy pairs, p0 and p1, as a JSON pairs dataset under ``root``."""
-    save_dataset(root, [(make_pair(CAPTIONS, CLIPS, SEGMENTS, pid=f"p{i}"), split) for i in range(2)], kind="pairs")
+def _toy_pairs(root, split="test", fmt="json"):
+    """Two canonical toy pairs, p0 and p1, as a pairs dataset of ``fmt``
+    records under ``root``."""
+    items = [(make_pair(CAPTIONS, CLIPS, SEGMENTS, pid=f"p{i}"), split) for i in range(2)]
+    save_dataset(root, items, kind="pairs", fmt=fmt)
     return str(root)
 
 
@@ -395,13 +522,18 @@ def _edit_record(path, **fields):
     [[0, 1, 2], [2, 2, 3], [1, 3, 4]],  # caption_index out of caption order
 ])
 def test_non_canonical_pair_is_a_data_error(capsys, tmp_path, protocol, segments):
-    data = _toy_pairs(tmp_path)
-    argv = ["eval", protocol, "--data", data] + (["--ks", "1"] if protocol.startswith("retrieval") else [])
-    assert cli.main(argv) == 0
-    capsys.readouterr()
-    _edit_record(tmp_path / "pairs" / "p1.json", segments=[dict(zip(("caption_index", "start", "end"), s)) for s in segments])
-    assert cli.main(argv) == 3
-    assert capsys.readouterr().err.startswith("data error: pair 'p1': ")
+    for fmt in ("json", "bin"):
+        data = _toy_pairs(tmp_path / fmt, fmt=fmt)
+        argv = ["eval", protocol, "--data", data] + (["--ks", "1"] if protocol.startswith("retrieval") else [])
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        record = tmp_path / fmt / "pairs" / f"p1.{fmt}"
+        if fmt == "bin":
+            _edit_header(record, segments=segments)
+        else:
+            _edit_record(record, segments=[dict(zip(("caption_index", "start", "end"), s)) for s in segments])
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err.startswith("data error: pair 'p1': ")
 
 
 @pytest.mark.parametrize("command", [["train", "--epochs", "1", "--negatives", "2"], ["eval", "localize"]])

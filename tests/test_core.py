@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import basis, cost_matrix, covered_units, covered_view, make_pair, seq
 from tempalign.core import DataError, LabeledVideo, SegmentedPair, similarity_matrix
 from tempalign.evaluate import corpus_pair_match, localization
+from tempalign.io import load_item, save_item
 from tempalign.negatives import STRATEGIES, PairPool, generate_negatives
 
 
@@ -92,27 +94,27 @@ def _overlapping_pair():
     dim = 8
     captions = [basis(i, dim) for i in range(3)]
     clips = [basis(3 + (j % 5), dim) for j in range(8)]
-    return make_pair(captions, clips, [(0, 0, 4), (1, 2, 6), (2, 6, 8)])
+    return make_pair(captions, clips, [(0, 4), (2, 6), (6, 8)])
 
 
 def _pair_with_background():
     """Three captions over nine clips; clips 0, 3 and 8 are background."""
     dim = 12
     return make_pair([basis(i, dim) for i in range(3)], [basis(3 + j, dim) for j in range(9)],
-                     [(0, 1, 3), (1, 4, 7), (2, 7, 8)])
+                     [(1, 3), (4, 7), (7, 8)])
 
 
 class TestCanonicalizePair:
     """The canonical form every pair has: one disjoint segment per caption."""
 
     def test_single_covering_segment(self):
-        pair = make_pair([basis(0, 4)], [basis(1, 4)] * 3, [(0, 0, 3)])
+        pair = make_pair([basis(0, 4)], [basis(1, 4)] * 3, [(0, 3)])
         assert not pair.background_mask.any()
-        assert [tuple(e) for e in pair.segments] == [(0, 0, 3)]
+        assert [tuple(e) for e in pair.segments] == [(0, 3)]
 
     def test_coverage_accounting(self):
         pair = _pair_with_background()
-        seg_total = sum(e - s for _, s, e in pair.segments)
+        seg_total = sum(e - s for s, e in pair.segments)
         assert seg_total + int(pair.background_mask.sum()) == len(pair.positive)
         np.testing.assert_array_equal(np.flatnonzero(pair.background_mask), [0, 3, 8])
 
@@ -126,17 +128,17 @@ class TestCanonicalizePair:
         assert not view.background_mask.any()
         np.testing.assert_array_equal(view.positive.units, covered_units(pair))
         np.testing.assert_array_equal(view.positive.units, pair.positive.units[[1, 2, 4, 5, 6, 7]])
-        assert [tuple(e) for e in view.segments] == [(0, 0, 2), (1, 2, 5), (2, 5, 6)]
+        assert [tuple(e) for e in view.segments] == [(0, 2), (2, 5), (5, 6)]
         # a background-free pair is its own view
         assert covered_view(view) is view
-        free = make_pair([basis(0, 2), basis(1, 2)], [basis(0, 2)] * 3, [(0, 0, 1), (1, 1, 3)])
+        free = make_pair([basis(0, 2), basis(1, 2)], [basis(0, 2)] * 3, [(0, 1), (1, 3)])
         assert covered_view(free) is free
 
     @pytest.mark.parametrize("n, segments", [
-        (1, [(0, 0, 1)]),
-        (2, [(0, 0, 2)]),
-        (5, [(0, 0, 2), (1, 2, 4), (2, 4, 5)]),
-        (6, [(0, 0, 2), (1, 2, 4), (2, 4, 6)]),
+        (1, [(0, 1)]),
+        (2, [(0, 2)]),
+        (5, [(0, 2), (2, 4), (4, 5)]),
+        (6, [(0, 2), (2, 4), (4, 6)]),
     ])
     def test_two_view_pairs_even_frames_with_all_frames(self, n, segments):
         frames = seq(np.arange(2.0 * n).reshape(n, 2) + 1.0, "v")
@@ -156,11 +158,11 @@ class TestValidation:
         assert s.units[0, 0] == 1.0
 
     def test_background_mask_consistency(self):
-        pair = make_pair([basis(0, 4)], [basis(1, 4)] * 3, [(0, 0, 2)])
+        pair = make_pair([basis(0, 4)], [basis(1, 4)] * 3, [(0, 2)])
         np.testing.assert_array_equal(pair.background_mask, [False, False, True])
 
     def test_background_mask_is_computed_not_passed(self):
-        pair = make_pair([basis(0, 4)], [basis(1, 4)] * 3, [(0, 0, 2)])
+        pair = make_pair([basis(0, 4)], [basis(1, 4)] * 3, [(0, 2)])
         with pytest.raises(TypeError):
             SegmentedPair(pair.id, pair.anchor, pair.positive, pair.segments, background_mask=pair.background_mask)
 
@@ -168,54 +170,66 @@ class TestValidation:
         with pytest.raises(DataError, match="segment 1 starts at clip 2, inside or before segment 0"):
             _overlapping_pair()
 
-    @pytest.mark.parametrize("segments", [[(0, 0, 2), (1, 2, 4)], [(0, 0, 4)]])
+    @pytest.mark.parametrize("segments", [[(0, 2), (2, 4)], [(0, 4)]])
     def test_caption_without_segment_rejected(self, segments):
         with pytest.raises(DataError, match=f"3 captions but {len(segments)} segments"):
             make_pair([basis(i, 4) for i in range(3)], [basis(3, 4)] * 4, segments)
 
     @pytest.mark.parametrize("segments", [[(1, 0, 2), (0, 2, 4)], [(0, 0, 2), (2, 2, 4)], [(-1, 0, 2), (1, 2, 4)]])
-    def test_caption_index_other_than_position_rejected(self, segments):
+    def test_caption_index_other_than_position_rejected(self, tmp_path, segments):
+        # a caption index exists only in records, so a record round trip checks it
+        path = tmp_path / "p.json"
+        save_item(make_pair([basis(0, 4), basis(1, 4)], [basis(2, 4)] * 4, [(0, 2), (2, 4)]), path)
+        _write_segments(path, segments)
         with pytest.raises(DataError, match="has caption_index"):
-            make_pair([basis(0, 4), basis(1, 4)], [basis(2, 4)] * 4, segments)
+            load_item(path, "pair")
 
     def test_empty_segment_rejected(self):
         with pytest.raises(DataError, match=r"range \[2, 2\) invalid"):
-            make_pair([basis(0, 4), basis(1, 4)], [basis(2, 4)] * 4, [(0, 0, 2), (1, 2, 2)])
+            make_pair([basis(0, 4), basis(1, 4)], [basis(2, 4)] * 4, [(0, 2), (2, 2)])
 
     def test_unsorted_segments_rejected(self):
         with pytest.raises(DataError):
-            make_pair([basis(0, 4), basis(1, 4)], [basis(2, 4)] * 4, [(0, 2, 4), (1, 0, 2)])
+            make_pair([basis(0, 4), basis(1, 4)], [basis(2, 4)] * 4, [(2, 4), (0, 2)])
 
     def test_segment_out_of_range_rejected(self):
         with pytest.raises(DataError):
-            make_pair([basis(0, 4)], [basis(1, 4)] * 3, [(0, 0, 5)])
+            make_pair([basis(0, 4)], [basis(1, 4)] * 3, [(0, 5)])
 
     def test_nonfinite_units_rejected(self):
         with pytest.raises(DataError):
             seq([[np.inf, 0.0]])
 
 
+def _write_segments(path, triples) -> None:
+    """Replace the segments of the JSON pair record at ``path``."""
+    record = json.loads(path.read_text())
+    record["segments"] = [dict(zip(("caption_index", "start", "end"), t)) for t in triples]
+    path.write_text(json.dumps(record))
+
+
 def _is_canonical(n_captions: int, n_clips: int, segments) -> bool:
-    """The pair invariant, restated: segment i is caption i's nonempty,
-    in-range clip range, and each range starts at or after the previous end."""
-    ends = [0] + [e for _, _, e in segments]
-    return len(segments) == n_captions and all(
-        c == i and ends[i] <= s < e <= n_clips for i, (c, s, e) in enumerate(segments)
-    )
+    """The pair invariant, restated: one nonempty, in-range (start, end)
+    clip range per caption, each starting at or after the previous end."""
+    ends = [0] + [e for _, e in segments]
+    return len(segments) == n_captions and all(ends[i] <= s < e <= n_clips for i, (s, e) in enumerate(segments))
 
 
 @st.composite
-def segment_layouts(draw):
+def segment_layouts(draw, columns=2):
     """(captions, clips, segments): a canonical layout (gaps of background
-    between segments of 1-3 clips), then random edits that may break it."""
+    between segments of 1-3 clips) of (start, end) ranges, or with
+    ``columns=3`` of a record's (caption_index, start, end) triples, then
+    random edits that may break it."""
     n_captions = draw(st.integers(1, 4))
     segments, cursor = [], 0
     for i in range(n_captions):
         start = cursor + draw(st.integers(0, 1))
         cursor = start + draw(st.integers(1, 3))
-        segments.append([i, start, cursor])
+        segments.append([i, start, cursor][3 - columns :])
     n_clips = cursor + draw(st.integers(0, 1))
-    for row, col, delta in draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(-2, 2)), max_size=2)):
+    edits = st.tuples(st.integers(0, 4), st.integers(0, columns - 1), st.integers(-2, 2))
+    for row, col, delta in draw(st.lists(edits, max_size=2)):
         if row < len(segments):
             segments[row][col] += delta
     if draw(st.integers(0, 3)) == 0:
@@ -237,8 +251,26 @@ class TestPairInvariant:
         assert _is_canonical(n_captions, n_clips, segments)
         view = covered_view(pair)
         assert len(view.positive) == int(np.count_nonzero(~pair.background_mask))
-        other = make_pair(rng.normal(size=(1, 4)), rng.normal(size=(2, 4)), [(0, 0, 2)], pid="other")
+        other = make_pair(rng.normal(size=(1, 4)), rng.normal(size=(2, 4)), [(0, 2)], pid="other")
         for strategy in STRATEGIES:
             generate_negatives(pair, PairPool.of([pair, other]), strategy, 3, np.random.default_rng(seed))
         assert 0.0 <= corpus_pair_match([pair]) <= 1.0
         assert 0.0 <= localization([pair]).recalls[1] <= 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(segment_layouts(columns=3))
+    def test_record_loads_exactly_the_canonical_layouts(self, tmp_path_factory, layout):
+        n_captions, n_clips, triples = layout
+        path = tmp_path_factory.mktemp("record") / "p.json"
+        ranges = [(i, i + 1) for i in range(n_captions - 1)] + [(n_captions - 1, n_clips)]
+        save_item(make_pair(np.eye(n_captions, 4), np.ones((n_clips, 4)), ranges), path)
+        _write_segments(path, triples)
+        canonical = [c for c, _, _ in triples] == list(range(len(triples))) and _is_canonical(
+            n_captions, n_clips, [(s, e) for _, s, e in triples]
+        )
+        try:
+            pair = load_item(path, "pair")
+        except DataError:
+            assert not canonical
+            return
+        assert canonical and pair.segments == tuple((s, e) for _, s, e in triples)

@@ -41,7 +41,7 @@ def self_identical_corpus(n_videos=4, n_caps=3, dim=16):
     corpus = []
     for v in range(n_videos):
         caps = [basis(v * n_caps + i, dim) for i in range(n_caps)]
-        corpus.append(make_pair(caps, caps, [(i, i, i + 1) for i in range(n_caps)], pid=f"v{v}"))
+        corpus.append(make_pair(caps, caps, [(i, i + 1) for i in range(n_caps)], pid=f"v{v}"))
     return corpus
 
 
@@ -81,11 +81,11 @@ def ragged_corpus(n_videos=23, dim=6, seed=5):
     for v in range(n_videos):
         captions = rng.normal(size=(int(rng.integers(1, 12)), dim))
         clips, segments = [], []
-        for i, caption in enumerate(captions):
+        for caption in captions:
             clips.extend(rng.normal(size=(int(rng.integers(0, 2)), dim)))
             start = len(clips)
             clips.extend(caption + rng.normal(scale=1.5, size=(int(rng.integers(1, 3)), dim)))
-            segments.append((i, start, len(clips)))
+            segments.append((start, len(clips)))
         clips.extend(rng.normal(size=(int(rng.integers(0, 2)), dim)))
         corpus.append(make_pair(captions, clips, segments, pid=f"g{v}"))
     return corpus
@@ -105,7 +105,7 @@ def equal_votes_corpus():
     the first clip of video i, so each query gives every video one vote and
     one unit of summed best-clip similarity."""
     caps = [basis(i, 9) for i in range(3)]
-    return [make_pair(caps, [basis(v, 9), basis(3 + v, 9), basis(6 + v, 9)], [(0, 0, 1), (1, 1, 2), (2, 2, 3)],
+    return [make_pair(caps, [basis(v, 9), basis(3 + v, 9), basis(6 + v, 9)], [(0, 1), (1, 2), (2, 3)],
                       pid=f"e{v}") for v in range(3)]
 
 
@@ -165,17 +165,17 @@ class TestRetrievalFull:
         # other video's every clip
         right = make_pair([basis(0, 8), basis(1, 8)],
                           [basis(0, 8) + 0.2 * basis(1, 8), basis(1, 8)],
-                          [(0, 0, 1), (1, 1, 2)], pid="right")
+                          [(0, 1), (1, 2)], pid="right")
         wrong = make_pair([basis(4, 8), basis(5, 8)],
                           [basis(4, 8), basis(5, 8) + 0.2 * basis(4, 8)],
-                          [(0, 0, 1), (1, 1, 2)], pid="wrong")
+                          [(0, 1), (1, 2)], pid="wrong")
         report = retrieval_full([right, wrong], measure="dtw", ks=(1,))
         assert report.recalls[1] == pytest.approx(1.0)
 
     def test_recall_nondecreasing_in_k(self, rng):
         corpus = [
             make_pair(rng.normal(size=(3, 8)), rng.normal(size=(5, 8)),
-                      [(0, 0, 2), (1, 2, 3), (2, 3, 5)], pid=f"r{v}")
+                      [(0, 2), (2, 3), (3, 5)], pid=f"r{v}")
             for v in range(6)
         ]
         report = retrieval_full(corpus, measure="dtw", ks=(1, 3, 6))
@@ -185,7 +185,7 @@ class TestRetrievalFull:
     def test_scale_invariance(self, rng):
         corpus = [
             make_pair(rng.normal(size=(3, 8)), rng.normal(size=(5, 8)),
-                      [(0, 0, 2), (1, 2, 3), (2, 3, 5)], pid=f"r{v}")
+                      [(0, 2), (2, 3), (3, 5)], pid=f"r{v}")
             for v in range(5)
         ]
         for measure in ("dtw", "capavg", "otam+capavg"):
@@ -281,7 +281,7 @@ def per_caption_ranks(corpus):
     offsets = np.cumsum([0] + [len(p.positive) for p in corpus])
     queries, truth = [], []
     for pair, offset in zip(corpus, offsets):
-        for caption, start, end in pair.segments:
+        for caption, (start, end) in enumerate(pair.segments):
             queries.append(pair.anchor.units[caption])
             truth.append(set(range(start + offset, end + offset)))
     sims = similarity_matrix(np.asarray(queries), pool)
@@ -595,7 +595,7 @@ class TestRetrievalClip:
         # clips, so only captions of the first video's clips can hit
         dim = 4
         corpus = [
-            make_pair([basis(0, dim)], [basis(0, dim), basis(0, dim)], [(0, 0, 2)], pid=f"t{v}")
+            make_pair([basis(0, dim)], [basis(0, dim), basis(0, dim)], [(0, 2)], pid=f"t{v}")
             for v in range(3)
         ]
         report = retrieval_clip(corpus, ks=(1, 2, 6))
@@ -610,7 +610,7 @@ class TestRetrievalClip:
             make_pair(
                 rng.normal(size=(n_caps, 12)),
                 rng.normal(size=(8, 12)),
-                [(i, i, i + 1) for i in range(n_caps)],
+                [(i, i + 1) for i in range(n_caps)],
                 pid=f"c{v}",
             )
             for v in range(n_videos)
@@ -643,7 +643,7 @@ class TestLocalization:
         dim = 6
         caps = [basis(0, dim), basis(1, dim)]
         clips = [basis(0, dim), basis(3, dim), basis(1, dim)]
-        pair = make_pair(caps, clips, [(0, 0, 1), (1, 1, 2)])
+        pair = make_pair(caps, clips, [(0, 1), (1, 2)])
         assert localization([pair]).recalls[1] == pytest.approx(0.5)
 
     def test_two_step_crafted_half_recall(self):
@@ -652,7 +652,7 @@ class TestLocalization:
         dim = 6
         caps = [basis(0, dim), basis(1, dim)]
         clips = [basis(0, dim), basis(1, dim), basis(2, dim)]
-        pair = make_pair(caps, clips, [(0, 0, 2), (1, 2, 3)])
+        pair = make_pair(caps, clips, [(0, 2), (2, 3)])
         assert localization([pair]).recalls[1] == pytest.approx(0.5)
 
     def test_matches_per_pair_argmax_reference(self):
@@ -664,7 +664,7 @@ class TestLocalization:
                 if model is not None:
                     captions, clips = model.transform_anchor(captions), model.transform_clips(clips)
                 pick = np.argmax(similarity_matrix(captions, clips), axis=1)
-                recall.append(np.mean([lo <= q < hi for q, (lo, hi) in zip(pick.tolist(), pair.segments.ranges())]))
+                recall.append(np.mean([lo <= q < hi for q, (lo, hi) in zip(pick.tolist(), pair.segments)]))
             report = localization(corpus, model)
             assert report.recalls == {1: float(np.mean(recall))}
             assert report.aux == {"n_videos": float(len(corpus))}
@@ -680,7 +680,7 @@ class TestPairMatch:
         assert corpus_pair_match([pair], measure="dtw") == pytest.approx(1.0)
 
     def test_single_segment_always_correct(self, rng):
-        pair = make_pair(rng.normal(size=(1, 6)), rng.normal(size=(4, 6)), [(0, 0, 4)])
+        pair = make_pair(rng.normal(size=(1, 6)), rng.normal(size=(4, 6)), [(0, 4)])
         assert corpus_pair_match([pair], measure="dtw") == pytest.approx(1.0)
 
     def test_reversed_content_is_path_based_not_semantic(self):
@@ -690,14 +690,14 @@ class TestPairMatch:
         # The metric reports path/range consistency, not semantic truth.
         caps = [basis(0, 4), basis(1, 4)]
         clips = [basis(1, 4), basis(0, 4)]
-        pair = make_pair(caps, clips, [(0, 0, 1), (1, 1, 2)])
+        pair = make_pair(caps, clips, [(0, 1), (1, 2)])
         assert corpus_pair_match([pair], measure="dtw") == pytest.approx(1.0)
 
     def test_floor_first_entry_always_correct(self, rng):
         for trial in range(10):
             pair = make_pair(
                 rng.normal(size=(3, 6)), rng.normal(size=(6, 6)),
-                [(0, 0, 2), (1, 2, 4), (2, 4, 6)], pid=f"f{trial}",
+                [(0, 2), (2, 4), (4, 6)], pid=f"f{trial}",
             )
             assert corpus_pair_match([pair], measure="dtw") > 0.0
 
@@ -723,7 +723,7 @@ class TestPairMatch:
                 if model is not None:
                     captions, clips = model.transform_anchor(captions), model.transform_clips(clips)
                 res = align.align_stack((1.0 - similarity_matrix(captions, clips))[None], measure)
-                spans = {caption: (start, end) for caption, start, end in pair.segments}
+                spans = pair.segments
                 clip_of = pair.covered_indices
                 correct = sum(spans[i][0] <= clip_of[q] < spans[i][1] for i, q in res.path(0).tolist())
                 fractions.append(correct / int(res.lengths[0]))

@@ -83,7 +83,7 @@ def toy_pair(s11, s12, s21, s22):
         [s11, s21, c1, 0.0],
         [s12, s22, 0.0, c2],
     ]
-    return make_pair(captions, clips, [(0, 0, 1), (1, 1, 2)], pid="toy")
+    return make_pair(captions, clips, [(0, 1), (1, 2)], pid="toy")
 
 
 def swap_negative():
@@ -112,7 +112,7 @@ class TestSeqInfonce:
         k = 4
         captions = [basis(i, 2 * k) for i in range(k)]
         clips = [basis(0, 2 * k) for _ in range(k)]  # all clips identical
-        pair = make_pair(captions, clips, [(i, i, i + 1) for i in range(k)])
+        pair = make_pair(captions, clips, [(i, i + 1) for i in range(k)])
         negs = generate_negatives(pair, None, "all-unit", 32, rng)
         loss = seq_infonce(pair, negs, LossConfig(tau=1.0)).loss
         assert loss == pytest.approx(math.log(33.0), abs=1e-9)
@@ -138,7 +138,7 @@ class TestSeqInfonce:
 
     def test_other_source_is_read_from_the_corpus(self):
         pair = toy_pair(1.0, 0.0, 0.0, 1.0)
-        other = make_pair([basis(0, 4), basis(1, 4)], [basis(1, 4), basis(0, 4)], [(0, 0, 1), (1, 1, 2)], pid="other")
+        other = make_pair([basis(0, 4), basis(1, 4)], [basis(1, 4), basis(0, 4)], [(0, 1), (1, 2)], pid="other")
         neg = one_negative("unpaired", np.arange(2), "other")
         with pytest.raises(ValueError, match="unknown pair 'other'"):
             seq_infonce(pair, neg, RAW_CFG)
@@ -150,9 +150,9 @@ class TestSeqInfonce:
 # Three 9-clip pairs whose background clips (0, 3, 6 / 2, 8 / 0, 1) sit
 # before, between and after their segments.
 BACKGROUND_SEGMENTS = (
-    [(0, 1, 3), (1, 4, 6), (2, 7, 9)],
-    [(0, 0, 2), (1, 3, 5), (2, 5, 8)],
-    [(0, 2, 4), (1, 4, 7), (2, 7, 9)],
+    [(1, 3), (4, 6), (7, 9)],
+    [(0, 2), (3, 5), (5, 8)],
+    [(2, 4), (4, 7), (7, 9)],
 )
 
 
@@ -233,7 +233,7 @@ class TestSeqGradOracle:
 def random_pair(rng, n_captions=3, clips_per=2, dim=6, pid="fd"):
     captions = rng.normal(size=(n_captions, dim))
     clips = rng.normal(size=(n_captions * clips_per, dim))
-    segs = [(i, i * clips_per, (i + 1) * clips_per) for i in range(n_captions)]
+    segs = [(i * clips_per, (i + 1) * clips_per) for i in range(n_captions)]
     return make_pair(captions, clips, segs, pid=pid)
 
 

@@ -16,7 +16,7 @@ def two_segment_pair(pid="p0"):
     return make_pair(
         [basis(0, 6), basis(1, 6)],
         [basis(2, 6), basis(3, 6), basis(4, 6)],
-        [(0, 0, 2), (1, 2, 3)],
+        [(0, 2), (2, 3)],
         pid=pid,
     )
 
@@ -24,7 +24,7 @@ def two_segment_pair(pid="p0"):
 def equal_segment_pair(k=3, pid="p0"):
     captions = [basis(i, 2 * k) for i in range(k)]
     clips = [basis(k + i, 2 * k) for i in range(k)]
-    return make_pair(captions, clips, [(i, i, i + 1) for i in range(k)], pid=pid)
+    return make_pair(captions, clips, [(i, i + 1) for i in range(k)], pid=pid)
 
 
 class TestPermuteSegments:
@@ -50,7 +50,7 @@ class TestPermuteSegments:
         pair = make_pair(
             [basis(0, 8), basis(1, 8)],
             [basis(2, 8)] * 6,
-            [(0, 0, 3), (1, 3, 6)],
+            [(0, 3), (3, 6)],
         )
         for perm in split_perms(generate_negatives(pair, None, "seg-only", 20, rng)):
             perm = list(perm)
@@ -62,13 +62,13 @@ class TestPermuteSegments:
 
     def test_single_segment_degenerate(self, rng):
         # no second block to reorder: the draw falls back to all-unit
-        pair = make_pair([basis(0, 4)], [basis(1, 4)] * 3, [(0, 0, 3)])
+        pair = make_pair([basis(0, 4)], [basis(1, 4)] * 3, [(0, 3)])
         assert set(generate_negatives(pair, None, "seg-only", 4, rng).strategies) == {"all-unit"}
 
 
 class TestPermuteWithinSegments:
     def test_single_segment_inplace_shuffle(self, rng):
-        pair = make_pair([basis(0, 4)], [basis(1, 4)] * 3, [(0, 0, 3)])
+        pair = make_pair([basis(0, 4)], [basis(1, 4)] * 3, [(0, 3)])
         out = generate_negatives(pair, None, "within-seg", 1, rng)
         assert sorted(split_perms(out)[0]) == [0, 1, 2]
         assert not np.array_equal(split_perms(out)[0], np.arange(3))
@@ -77,7 +77,7 @@ class TestPermuteWithinSegments:
         pair = make_pair(
             [basis(0, 8), basis(1, 8)],
             [basis(2, 8)] * 4,
-            [(0, 0, 2), (1, 2, 4)],
+            [(0, 2), (2, 4)],
         )
         for perm in split_perms(generate_negatives(pair, None, "within-seg", 50, rng)):
             assert set(perm[:2]) == {0, 1}
@@ -89,22 +89,22 @@ class TestPermuteWithinSegments:
 
 class TestPermuteAllUnits:
     def test_two_clips_always_swap(self, rng):
-        pair = make_pair([basis(0, 4)], [basis(1, 4), basis(2, 4)], [(0, 0, 2)])
+        pair = make_pair([basis(0, 4)], [basis(1, 4), basis(2, 4)], [(0, 2)])
         for perm in split_perms(generate_negatives(pair, None, "all-unit", 10, rng)):
             np.testing.assert_array_equal(perm, [1, 0])
 
     def test_identity_excluded(self, rng):
-        pair = make_pair([basis(0, 12)], [basis(i, 12) for i in range(1, 6)], [(0, 0, 5)])
+        pair = make_pair([basis(0, 12)], [basis(i, 12) for i in range(1, 6)], [(0, 5)])
         for perm in split_perms(generate_negatives(pair, None, "all-unit", 1000, rng)):
             assert not np.array_equal(perm, np.arange(5))
 
     def test_multiset_preserved(self, rng):
-        pair = make_pair([basis(0, 12)], [basis(i, 12) for i in range(1, 6)], [(0, 0, 5)])
+        pair = make_pair([basis(0, 12)], [basis(i, 12) for i in range(1, 6)], [(0, 5)])
         out = generate_negatives(pair, None, "all-unit", 1, rng)
         assert sorted(split_perms(out)[0]) == list(range(5))
 
     def test_single_clip_degenerate(self, rng):
-        pair = make_pair([basis(0, 4)], [basis(1, 4)], [(0, 0, 1)])
+        pair = make_pair([basis(0, 4)], [basis(1, 4)], [(0, 1)])
         assert len(generate_negatives(pair, None, "all-unit", 4, rng)) == 0
 
 
@@ -142,11 +142,11 @@ class TestGenerateNegatives:
             np.testing.assert_array_equal(perm, [2, 0, 1])
 
     def test_fallback_chain_exhausted(self, rng):
-        pair = make_pair([basis(0, 4)], [basis(1, 4)], [(0, 0, 1)])
+        pair = make_pair([basis(0, 4)], [basis(1, 4)], [(0, 1)])
         assert len(generate_negatives(pair, None, "seg-unit", 8, rng)) == 0
 
     def test_fallback_to_all_unit(self, rng):
-        pair = make_pair([basis(0, 4)], [basis(1, 4), basis(2, 4)], [(0, 0, 2)])
+        pair = make_pair([basis(0, 4)], [basis(1, 4), basis(2, 4)], [(0, 2)])
         out = generate_negatives(pair, None, "seg-unit", 3, rng)
         assert out.strategies == ("all-unit",) * 3
 
@@ -181,7 +181,7 @@ class TestGenerateNegatives:
         pair = make_pair(
             [basis(0, 8), basis(1, 8)],
             [basis(2, 8)] * 5,
-            [(0, 0, 2), (1, 2, 5)],
+            [(0, 2), (2, 5)],
         )
         out = generate_negatives(pair, None, "within-seg", 10, rng)
         for perm in split_perms(out):
@@ -239,15 +239,15 @@ def varied_corpus(rng):
     """Pairs with background clips, singleton and single segments, one
     single-clip pair and one with a single caption."""
     segment_sets = (
-        [(0, 1, 3), (1, 4, 6), (2, 7, 9)],
-        [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 7)],
-        [(0, 0, 1), (1, 1, 2), (2, 2, 3)],
-        [(0, 0, 4)],
-        [(0, 0, 1)],
-        [(0, 0, 2), (1, 2, 5), (2, 5, 6), (3, 6, 9), (4, 9, 10)],
+        [(1, 3), (4, 6), (7, 9)],
+        [(0, 1), (1, 2), (2, 3), (3, 7)],
+        [(0, 1), (1, 2), (2, 3)],
+        [(0, 4)],
+        [(0, 1)],
+        [(0, 2), (2, 5), (5, 6), (6, 9), (9, 10)],
     )
     return [
-        make_pair(rng.normal(size=(len(segs), 6)), rng.normal(size=(segs[-1][2] + 1, 6)), segs, pid=f"v{i}")
+        make_pair(rng.normal(size=(len(segs), 6)), rng.normal(size=(segs[-1][1] + 1, 6)), segs, pid=f"v{i}")
         for i, segs in enumerate(segment_sets)
     ]
 
@@ -456,7 +456,7 @@ def test_generator_calls_do_not_depend_on_count(strategy, rng):
     # 12 segments of 3 clips: a draw is the identity with probability at most
     # 6**-12 under every strategy, so no call here needs a redraw round
     corpus = [
-        make_pair(rng.normal(size=(12, 6)), rng.normal(size=(36, 6)), [(i, 3 * i, 3 * i + 3) for i in range(12)], pid=f"w{k}")
+        make_pair(rng.normal(size=(12, 6)), rng.normal(size=(36, 6)), [(3 * i, 3 * i + 3) for i in range(12)], pid=f"w{k}")
         for k in range(2)
     ]
     calls = set()

@@ -229,7 +229,7 @@ class TestFit:
     def test_all_degenerate_corpus_rejected(self):
         # single-caption single-clip pairs cannot produce shuffle negatives
         pairs = [
-            make_pair([np.eye(4)[0]], [np.eye(4)[1]], [(0, 0, 1)], pid=f"d{i}")
+            make_pair([np.eye(4)[0]], [np.eye(4)[1]], [(0, 1)], pid=f"d{i}")
             for i in range(3)
         ]
         with pytest.raises(DataError, match="no trainable pairs"):
@@ -363,7 +363,7 @@ class TestEndToEndGradient:
 
 def reference_unit_term(sims, item, tau):
     terms = []
-    for i, (lo, hi) in enumerate(item.segments.ranges()):
+    for i, (lo, hi) in enumerate(item.segments):
         out = np.r_[0:lo, hi : sims.shape[1]]
         terms += [(i, q, out) for q in range(lo, hi)]
     grad = np.zeros_like(sims)
@@ -424,7 +424,7 @@ def reference_batch(batch, corpus, model, cfg, rng):
 
 def degenerate_pair(pid):
     # one caption over one clip: no shuffle strategy can draw from it
-    return make_pair([np.eye(24)[0]], [np.eye(24)[1]], [(0, 0, 1)], pid=pid)
+    return make_pair([np.eye(24)[0]], [np.eye(24)[1]], [(0, 1)], pid=pid)
 
 
 def assert_matches_reference(corpus, batch, model, cfg):
@@ -542,10 +542,10 @@ class TestBackgroundPairs:
 # counts 6, 1, 2, 9, with one-clip segments; the one-caption item's only
 # logit is its positive.
 UNIT_SEGMENTS = (
-    [(0, 0, 2), (1, 2, 3), (2, 3, 6)],
-    [(0, 0, 1)],
-    [(0, 0, 1), (1, 1, 2)],
-    [(0, 0, 3), (1, 3, 4), (2, 4, 5), (3, 5, 9)],
+    [(0, 2), (2, 3), (3, 6)],
+    [(0, 1)],
+    [(0, 1), (1, 2)],
+    [(0, 3), (3, 4), (4, 5), (5, 9)],
 )
 
 
@@ -553,7 +553,7 @@ class TestBatchUnitTerm:
     @pytest.mark.parametrize("tau", [0.07, 1.0])
     def test_matches_per_item_reference(self, tau, rng):
         items = [
-            make_pair(rng.normal(size=(len(segments), 4)), rng.normal(size=(segments[-1][2], 4)), segments, pid=f"u{b}")
+            make_pair(rng.normal(size=(len(segments), 4)), rng.normal(size=(segments[-1][1], 4)), segments, pid=f"u{b}")
             for b, segments in enumerate(UNIT_SEGMENTS)
         ]
         rows = [(0, 3), (3, 4), (4, 6), (6, 10)]
