@@ -135,9 +135,18 @@ class LabeledVideo:
 
 def unit_normalize(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Row-normalize, into ``out`` when given (it may be ``x``); zero rows
-    stay zero (their similarities read as 0)."""
+    stay zero (their similarities read as 0).  A finite row whose squares
+    under- or overflow has its norm taken at the scale of its largest
+    magnitude; every other row's norm is the plain one."""
     x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=-1)
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(x, axis=-1)
+    redo = (norms < 1e-150) | np.isinf(norms)
+    if redo.any():
+        norms = np.array(norms)  # writable, 0-d for a single row
+        big = np.abs(x[redo]).max(axis=-1, keepdims=True)
+        big[big == 0.0] = 1.0  # a zero row keeps norm 0
+        norms[redo] = big[:, 0] * np.linalg.norm(x[redo] / big, axis=-1)
     safe = np.where(norms > 0.0, norms, 1.0)
     return np.divide(x, safe[..., None], out=out), norms
 

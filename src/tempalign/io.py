@@ -59,12 +59,12 @@ def dump_json(obj) -> str:
 
 
 def read_json(path):
-    """The JSON value a text file holds; DataError if it is not valid JSON
-    or nests too deeply to parse."""
+    """The JSON value a text file holds; DataError if it is not valid UTF-8
+    JSON or nests too deeply to parse."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise DataError(f"{path}: invalid JSON: {exc}") from exc
 
 

@@ -1,9 +1,10 @@
 """Trainable per-unit projection head, optimized with Adam on the joint loss.
 
 The projection is applied independently to every unit embedding before
-alignment.  Training has one mode: a labeled video trains as its two-view
-pair (``LabeledVideo.two_view``), a caption/clip pair as loaded, and a batch
-is one step (``evaluate_batch``) over one similarity matrix, the batch's
+alignment: one affine layer, or two with a ReLU hidden layer between them.
+Training has one mode: a labeled video trains as its two-view pair
+(``LabeledVideo.two_view``), a caption/clip pair as loaded, and a batch is
+one step (``evaluate_batch``) over one similarity matrix, the batch's
 anchor rows against its sources' covered clips: one forward and one
 backward per head, one alignment call, one unit-term call and one gradient
 scatter.
@@ -30,22 +31,18 @@ from .loss import unit_term_video_only  # noqa: F401  (hooked by perfbench/layer
 from .negatives import PairPool, check_strategy, generate_negatives
 from .negatives import video_only_negatives  # noqa: F401  (hooked by perfbench/layertrace.py)
 
-_ACTIVATIONS = ("identity", "relu")
-
 
 @dataclass
 class AffineHead:
-    """y = act(x @ w_in + b_in) @ w_out + b_out, or a single affine layer."""
+    """y = relu(x @ w_in + b_in) @ w_out + b_out, or x @ w_out + b_out
+    without ``w_in``."""
 
     w_out: np.ndarray
     b_out: np.ndarray
     w_in: np.ndarray | None = None
     b_in: np.ndarray | None = None
-    activation: str = "identity"
 
     def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
         for name in ("w_out", "b_out", "w_in", "b_in"):
             arr = getattr(self, name)
             if arr is not None:
@@ -59,16 +56,12 @@ class AffineHead:
     def out_dim(self) -> int:
         return self.w_out.shape[1]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        y, _ = self.forward(x)
-        return y
-
     def forward(self, x: np.ndarray):
         x = np.asarray(x, dtype=np.float64)
         if self.w_in is None:
             return x @ self.w_out + self.b_out, (x, None)
         pre = x @ self.w_in + self.b_in
-        hidden = np.maximum(pre, 0.0) if self.activation == "relu" else pre
+        hidden = np.maximum(pre, 0.0)
         return hidden @ self.w_out + self.b_out, (x, (pre, hidden))
 
     def backward(self, cache, d_out: np.ndarray, grads: dict[str, np.ndarray], prefix: str) -> None:
@@ -81,9 +74,7 @@ class AffineHead:
         pre, hidden = hidden_cache
         grads[prefix + "w_out"] += hidden.T @ d_out
         grads[prefix + "b_out"] += d_out.sum(axis=0)
-        d_hidden = d_out @ self.w_out.T
-        if self.activation == "relu":
-            d_hidden = d_hidden * (pre > 0.0)
+        d_hidden = d_out @ self.w_out.T * (pre > 0.0)
         grads[prefix + "w_in"] += x.T @ d_hidden
         grads[prefix + "b_in"] += d_hidden.sum(axis=0)
 
@@ -107,18 +98,7 @@ class ProjectionModel:
         return cls(AffineHead(w_out=np.eye(dim), b_out=np.zeros(dim)))
 
     @classmethod
-    def linear(cls, d_in: int, d_out: int, seed: int = 0, twin: bool = False) -> "ProjectionModel":
-        def head():
-            if d_in == d_out:
-                w = np.eye(d_in)
-            else:
-                w = np.random.default_rng(seed).normal(scale=1.0 / np.sqrt(d_in), size=(d_in, d_out))
-            return AffineHead(w_out=w, b_out=np.zeros(d_out))
-
-        return cls(head(), head() if twin else None)
-
-    @classmethod
-    def mlp(cls, d_in: int, d_hidden: int, d_out: int, seed: int = 0, activation: str = "relu", twin: bool = False) -> "ProjectionModel":
+    def mlp(cls, d_in: int, d_hidden: int, d_out: int, seed: int = 0, twin: bool = False) -> "ProjectionModel":
         rng = np.random.default_rng(seed)
 
         def head():
@@ -127,7 +107,6 @@ class ProjectionModel:
                 b_in=np.zeros(d_hidden),
                 w_out=rng.normal(scale=1.0 / np.sqrt(d_hidden), size=(d_hidden, d_out)),
                 b_out=np.zeros(d_out),
-                activation=activation,
             )
 
         return cls(head(), head() if twin else None)
@@ -144,10 +123,10 @@ class ProjectionModel:
         return self.clip_head if self.clip_head is not None else self.anchor_head
 
     def transform_anchor(self, units: np.ndarray) -> np.ndarray:
-        return self.anchor_head.apply(units)
+        return self.anchor_head.forward(units)[0]
 
     def transform_clips(self, units: np.ndarray) -> np.ndarray:
-        return self._clip().apply(units)
+        return self._clip().forward(units)[0]
 
     def params(self) -> dict[str, np.ndarray]:
         out = dict(self.anchor_head.param_items("anchor."))
@@ -373,13 +352,18 @@ _CKPT_MAGIC = b"TALNPROJ"
 _CKPT_VERSION = 1
 
 
+def _activation(blocks) -> str:
+    """A checkpoint's ``activation`` field: "relu" when a head has a hidden layer."""
+    return "relu" if "anchor.w_in" in blocks or "clip.w_in" in blocks else "identity"
+
+
 def save_checkpoint(model: ProjectionModel, path, *, seed: int = 0) -> None:
     """Write every parameter as float32: :func:`load_checkpoint` returns each
     weight rounded to float32, at most 2**-24 from it relative to its size."""
     params = model.params()
     meta = {
         "version": _CKPT_VERSION,
-        "activation": model.anchor_head.activation,
+        "activation": _activation(params),
         "twin": model.twin,
         "dims": {"in": model.in_dim, "out": model.anchor_head.out_dim},
         "hidden": None if model.anchor_head.w_in is None else int(model.anchor_head.w_in.shape[1]),
@@ -390,6 +374,8 @@ def save_checkpoint(model: ProjectionModel, path, *, seed: int = 0) -> None:
 
 
 def load_checkpoint(path) -> ProjectionModel:
+    """The model a checkpoint holds; DataError unless its ``activation`` is
+    the one its blocks imply (a head with a hidden layer applies ReLU)."""
     (version,), meta, arrays = read_float32_container(path, _CKPT_MAGIC, "<II", "blocks")
     if version != _CKPT_VERSION:
         raise DataError(f"checkpoint {path}: unsupported version {version}")
@@ -400,11 +386,12 @@ def load_checkpoint(path) -> ProjectionModel:
             b_out=blocks[prefix + "b_out"],
             w_in=blocks.get(prefix + "w_in"),
             b_in=blocks.get(prefix + "b_in"),
-            activation=meta["activation"],
         )
 
     try:
         blocks = {block["name"]: arr for block, arr in zip(meta["blocks"], arrays)}
+        if meta["activation"] != _activation(blocks):
+            raise DataError(f"checkpoint {path}: activation {meta['activation']!r} does not match its blocks")
         return ProjectionModel(head("anchor."), head("clip.") if meta["twin"] else None)
     except (KeyError, TypeError) as exc:
         raise DataError(f"checkpoint {path}: malformed metadata: {exc!r}") from exc

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tempalign import align, evaluate
 from tempalign.align import MEASURES
@@ -18,6 +19,11 @@ from tempalign.negatives import Negatives
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401
+
+# Every run draws the same examples, and none is saved to or replayed from
+# .hypothesis/: a failing example fails every run, and only while it fails.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def basis(i: int, dim: int) -> np.ndarray:

@@ -57,6 +57,15 @@ def test_align_without_emit_path_omits_path(capsys, pair_file):
     assert out == EXPECTED[("dtw", False)].split(', "path"')[0] + "}\n"
 
 
+@pytest.mark.parametrize("value", [3.57e-162, 1e300])
+def test_align_scores_a_row_whose_squares_under_or_overflow(capsys, tmp_path, value):
+    # the caption's squares underflow (or overflow), so its plain norm is wrong
+    path = tmp_path / "tiny.json"
+    save_item(make_pair([[0.0, value, 0.0]], [[0.0, 1.0, 0.0]], [(0, 1)], pid="tiny"), path)
+    code, out, _ = run_align(capsys, "--pair", str(path))
+    assert (code, out) == (0, '{"pair": "tiny", "measure": "dtw", "score": 1, "distance": 0}\n')
+
+
 def test_missing_file_is_a_data_error(capsys, tmp_path):
     code, out, err = run_align(capsys, "--pair", str(tmp_path / "absent.json"))
     assert code == 3
@@ -231,6 +240,16 @@ def test_too_deeply_nested_json_is_a_data_error(capsys, tmp_path, target):
     assert capsys.readouterr().err.startswith(f"data error: {path}: invalid ")
 
 
+@pytest.mark.parametrize("target", ["manifest", "json-record", "synth-config", "align-pair"])
+def test_invalid_utf8_json_is_a_data_error(capsys, tmp_path, target):
+    path, argv, _ = _nested_json_input(tmp_path, target)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    path.write_bytes(path.read_bytes().replace(b'"', b'"\xff', 1))
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {path}: invalid JSON: 'utf-8' codec can't decode byte 0xff")
+
+
 GOOD_HEADER = {"kind": "pair", "id": "g", "dim": 3, "segments": [[0, 0, 2]], "shapes": [[1, 3], [2, 3]]}
 
 
@@ -295,6 +314,22 @@ def test_malformed_manifest_is_a_data_error(capsys, tmp_path, change):
     manifest.write_text(json.dumps(record))
     assert cli.main(["eval", "localize", "--data", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("data error:")
+
+
+@pytest.mark.parametrize("fmt", ["json", "bin"])
+def test_manifest_version_or_dim_it_does_not_hold_is_a_data_error(capsys, tmp_path, fmt):
+    data = _toy_pairs(tmp_path / "data", fmt=fmt)
+    argv = ["eval", "localize", "--data", data]
+    manifest = tmp_path / "data" / "manifest.json"
+    intact = json.loads(manifest.read_text())
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    manifest.write_text(json.dumps({**intact, "format_version": 2}))
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == f"data error: {manifest}: unsupported format_version 2\n"
+    manifest.write_text(json.dumps({**intact, "dim": 4}))
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == f"data error: pairs/p0.{fmt}: dim 3 != manifest dim 4\n"
 
 
 def _edit_header(path, **fields):
@@ -486,6 +521,33 @@ def test_checkpoint_with_an_infinite_block_is_a_data_error(capsys, tmp_path):
     assert "non-finite" in capsys.readouterr().err
 
 
+def _edit_checkpoint(path, version=1, **meta):
+    """Rewrite a checkpoint's version and metadata fields, keeping its blocks."""
+    data = path.read_bytes()
+    _, size = struct.unpack_from("<II", data, 8)
+    header = json.dumps({**json.loads(data[16 : 16 + size]), **meta}).encode()
+    path.write_bytes(data[:8] + struct.pack("<II", version, len(header)) + header + data[16 + size :])
+
+
+@pytest.mark.parametrize("model, edit, message", [
+    ("identity", {"version": 2}, "unsupported version 2"),
+    ("identity", {"activation": "relu"}, "activation 'relu' does not match its blocks"),
+    ("mlp", {"activation": "identity"}, "activation 'identity' does not match its blocks"),
+    ("twin-mlp", {"activation": "tanh"}, "activation 'tanh' does not match its blocks"),
+])
+def test_checkpoint_it_cannot_load_is_a_data_error(capsys, tmp_path, model, edit, message):
+    save_dataset(tmp_path / "pairs", [(make_pair(CAPTIONS, CLIPS, SEGMENTS), "test")], kind="pairs")
+    target = tmp_path / "model.ckpt"
+    head = ProjectionModel.identity(3) if model == "identity" else ProjectionModel.mlp(3, 4, 3, twin=model == "twin-mlp")
+    save_checkpoint(head, target)
+    argv = ["eval", "localize", "--data", str(tmp_path / "pairs"), "--model", str(target)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    _edit_checkpoint(target, **edit)
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == f"data error: checkpoint {target}: {message}\n"
+
+
 @pytest.mark.parametrize("protocol, kind, split", [
     ("fewshot", "pairs", "test"),
     ("retrieval-full", "videos", "novel"),
@@ -545,6 +607,24 @@ def test_duplicate_item_id_is_a_data_error(capsys, tmp_path, command):
     _edit_record(tmp_path / "data" / "pairs" / "p1.json", id="p0")
     assert cli.main(argv) == 3
     assert capsys.readouterr().err == "data error: pairs/p1.json: id 'p0' is taken by an earlier entry\n"
+
+
+def test_data_dir_falls_back_to_the_environment(capsys, monkeypatch, tmp_path):
+    data = _toy_pairs(tmp_path / "data")
+    monkeypatch.setenv(cli.DATA_ENV, data)
+    assert cli.main(["eval", "localize"]) == 0
+    capsys.readouterr()
+    monkeypatch.delenv(cli.DATA_ENV)
+    assert cli.main(["eval", "localize"]) == 3
+    assert capsys.readouterr().err == f"data error: --data not given and {cli.DATA_ENV} is unset\n"
+
+
+def test_ks_that_are_not_integers_are_a_data_error(capsys, tmp_path):
+    argv = ["eval", "retrieval-full", "--data", _toy_pairs(tmp_path / "data")]
+    assert cli.main([*argv, "--ks", "1,2"]) == 0
+    capsys.readouterr()
+    assert cli.main([*argv, "--ks", "1,two"]) == 3
+    assert capsys.readouterr().err == "data error: --ks must be comma-separated integers, got '1,two'\n"
 
 
 def test_save_dataset_refuses_duplicate_ids(tmp_path):
@@ -608,6 +688,48 @@ def test_synth_config_that_is_not_an_object_is_a_data_error(capsys, tmp_path, co
     assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "data")]) == 3
     assert "config must be a JSON object" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+SMALL_PAIRS = {"n_tasks": 2, "videos_per_task": 2, "dim": 8, "proto_subspace_dim": 6}
+SMALL_VIDEOS = {"kind": "fewshot", "n_classes": 2, "videos_per_class": 2, "steps_per_class": 3, "dim": 8}
+
+
+@pytest.mark.parametrize("config, message", [
+    ({**SMALL_PAIRS, "kind": "clips"}, "{config}: unknown kind 'clips'"),
+    ({**SMALL_PAIRS, "n_taskz": 2}, "{config}: bad config field: "),
+    ({**SMALL_VIDEOS, "frames": 2}, "{config}: bad config field: "),
+    ({**SMALL_PAIRS, "videos_per_task": 0}, "counts must be >= 1"),
+    ({**SMALL_PAIRS, "confuser_prob": 1.0}, "confuser_prob must be in [0, 1), got 1.0"),
+    ({**SMALL_PAIRS, "clip_noise": -0.1}, "noise levels must be >= 0"),
+    ({**SMALL_PAIRS, "clips_per_segment": [3, 2]}, "clips_per_segment range invalid: (3, 2)"),
+    ({**SMALL_PAIRS, "background_per_video": [-1, 2]}, "background_per_video range invalid: (-1, 2)"),
+    ({**SMALL_PAIRS, "dim": 4, "proto_subspace_dim": None}, "dim 4 < segments_per_video 5"),
+    ({**SMALL_PAIRS, "proto_subspace_dim": 4}, "proto_subspace_dim must be >= segments_per_video"),
+    ({**SMALL_PAIRS, "proto_subspace_dim": 9}, "proto_subspace_dim must be <= dim"),
+    ({**SMALL_VIDEOS, "n_classes": 0}, "counts must be >= 1"),
+    ({**SMALL_VIDEOS, "proto_overlap": -1.0}, "noise and overlap must be >= 0"),
+    ({**SMALL_VIDEOS, "dim": 3}, "dim 3 < steps_per_class + 1"),
+    ({**SMALL_VIDEOS, "patterns": [[0, 1, 2]]}, "patterns must supply one order per class"),
+    ({**SMALL_VIDEOS, "patterns": [[0, 1, 2], [0, 1, 1]]}, "pattern (0, 1, 1) is not a permutation of the steps"),
+])
+def test_synth_config_it_refuses_is_a_data_error(capsys, tmp_path, config, message):
+    path = tmp_path / "config.json"
+    intact = SMALL_VIDEOS if config.get("kind") == "fewshot" else SMALL_PAIRS
+    path.write_text(json.dumps(intact))
+    assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "data")]) == 0
+    capsys.readouterr()
+    path.write_text(json.dumps(config))
+    assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "other")]) == 3
+    assert capsys.readouterr().err.startswith("data error: " + message.format(config=path))
+    assert not (tmp_path / "other").exists()
+
+
+def test_synth_fewshot_patterns_set_each_class_order(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**SMALL_VIDEOS, "patterns": [[2, 0, 1], [0, 1, 2]]}))
+    assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "data")]) == 0
+    truth = json.loads((tmp_path / "data" / "truth.json").read_text())
+    assert truth["config"]["patterns"] == [[2, 0, 1], [0, 1, 2]]
 
 
 PINNED_PAIRS = {"n_tasks": 12, "videos_per_task": 5, "dim": 16, "proto_subspace_dim": 6, "caption_noise": 0.3,

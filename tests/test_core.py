@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import basis, cost_matrix, covered_units, covered_view, make_pair, seq
-from tempalign.core import DataError, LabeledVideo, SegmentedPair, similarity_matrix
+from tempalign.core import DataError, LabeledVideo, SegmentedPair, similarity_matrix, unit_normalize
 from tempalign.evaluate import corpus_pair_match, localization
 from tempalign.io import load_item, save_item
 from tempalign.negatives import STRATEGIES, PairPool, generate_negatives
@@ -50,12 +50,47 @@ class TestCosineSimilarity:
         st.lists(st.floats(-5, 5), min_size=3, max_size=3),
         st.floats(0.01, 100.0),
     )
+    # rows whose squares underflow and overflow
+    @example([0.0, 3.57e-162, 0.0], [0.0, 1.0, 0.0], 0.5)
+    @example([0.0, 1e300, 0.0], [0.0, 1.0, 0.0], 100.0)
     def test_symmetry_and_scale_invariance(self, u, v, alpha):
         u, v = np.array(u), np.array(v)
         s_uv = sim_entry(u, v)
         assert s_uv == pytest.approx(sim_entry(v, u), abs=1e-12)
         assert sim_entry(alpha * u, v) == pytest.approx(s_uv, abs=1e-9)
         assert -1.0 <= s_uv <= 1.0
+
+
+class TestUnitNormalize:
+    def test_rows_whose_squares_under_or_overflow(self):
+        x = np.array([
+            [0.0, 3.57e-162, 0.0],
+            [1e-170, -1e-170, 0.0],
+            [5e-324, 0.0, 0.0],
+            [0.0, 1e300, 0.0],
+            [1e200, 1e200, -1e200],
+            [0.0, 0.0, 0.0],
+            [3.0, 4.0, 0.0],
+            [1e-140, 0.0, 2e-140],
+        ])
+        scale = np.abs(x).max(axis=1)
+        rows, norms = unit_normalize(x)
+        expected = scale * np.linalg.norm(x / np.where(scale > 0, scale, 1.0)[:, None], axis=1)
+        np.testing.assert_allclose(norms, expected, rtol=1e-15)
+        assert norms[5] == 0.0 and not rows[5].any()
+        np.testing.assert_allclose(np.linalg.norm(np.delete(rows, 5, axis=0), axis=1), 1.0, rtol=1e-15)
+        # rows whose norm is at least 1e-150 keep the plain norm, bit for bit
+        assert np.array_equal(norms[6:], np.linalg.norm(x[6:], axis=1))
+        assert np.array_equal(rows[6:], x[6:] / norms[6:, None])
+
+    def test_single_row_and_in_place(self):
+        row, norm = unit_normalize(np.array([0.0, 1e300, 0.0]))
+        assert (row.tolist(), float(norm)) == ([0.0, 1.0, 0.0], 1e300)
+        x = np.array([[0.0, 0.0], [4e-200, 3e-200]])
+        out, norms = unit_normalize(x, out=x)
+        assert out is x
+        np.testing.assert_allclose(x, [[0.0, 0.0], [0.8, 0.6]], rtol=1e-15)
+        np.testing.assert_allclose(norms, [0.0, 5e-200], rtol=1e-15)
 
 
 class TestCostMatrix:

@@ -25,7 +25,6 @@ BENCH = sorted(p for p in (ROOT / "perfbench").glob("*.py") if p.name != "test_p
 
 # Definitions that only tests reach today, each with the reason it stays.
 UNREFERENCED_OK = {
-    "ProjectionModel.linear": "ROADMAP item 4 makes heads reachable",
     "ProjectionModel.mlp": "ROADMAP item 4 makes heads reachable",
 }
 

@@ -235,6 +235,15 @@ class TestFit:
         with pytest.raises(DataError, match="no trainable pairs"):
             fit(pairs, ProjectionModel.identity(4), TrainConfig(epochs=1, neg_count=4, neg_strategy="seg-unit"))
 
+    def test_model_of_another_dim_is_a_data_error(self):
+        train, _, _ = small_corpus()
+        cfg = TrainConfig(epochs=1, neg_count=2, seed=0)
+        fit(train[:2], ProjectionModel.identity(24), cfg)
+        with pytest.raises(DataError, match=r"^fit: corpus dims \[24\] do not match model input dim 16$"):
+            fit(train[:2], ProjectionModel.identity(16), cfg)
+        with pytest.raises(DataError, match=r"^fit: corpus dims \[16, 24\] do not match model input dim 24$"):
+            fit([*train[:2], *base_videos()[:1]], ProjectionModel.identity(24), cfg)
+
     def test_seg_unit_decreases_loss_at_least_as_much_as_unpaired(self):
         train, _, _ = small_corpus()
         base = dict(epochs=5, neg_count=8, batch_pairs=8, lr=0.01, seed=0)
@@ -294,12 +303,12 @@ def ragged_two_view_pairs():
 
 # corpus, model, negative strategy, checked parameters, draws per parameter
 GRADIENT_CASES = {
-    "video-text-linear-seg-unit": (video_text_views, lambda: ProjectionModel.linear(24, 24), "seg-unit", ["anchor.w_out"], 12),
+    "video-text-linear-seg-unit": (video_text_views, lambda: ProjectionModel.identity(24), "seg-unit", ["anchor.w_out"], 12),
     "video-text-twin-mlp-joint": (
         video_text_views, lambda: ProjectionModel.mlp(24, 16, 24, twin=True), "joint",
         ["anchor.w_in", "anchor.b_out", "clip.w_in", "clip.w_out"], 12,
     ),
-    "video-only-linear": (ragged_two_view_pairs, lambda: ProjectionModel.linear(16, 16), "seg-unit", ["anchor.w_out"], 24),
+    "video-only-linear": (ragged_two_view_pairs, lambda: ProjectionModel.identity(16), "seg-unit", ["anchor.w_out"], 24),
 }
 
 
@@ -462,7 +471,7 @@ class TestBatchStepMatchesPerItemReference:
     def test_ragged_video_only_batch(self):
         # joint: the one-frame video still serves the others as an unpaired negative
         cfg = TrainConfig(neg_strategy="joint", neg_count=9, loss=LossConfig(measure="otam"))
-        assert_matches_reference(ragged_two_view_pairs(), [2, 5, 0, 7, 3], ProjectionModel.linear(16, 16, seed=2), cfg)
+        assert_matches_reference(ragged_two_view_pairs(), [2, 5, 0, 7, 3], ProjectionModel.identity(16), cfg)
 
     def test_batch_with_skipped_degenerate_item(self):
         corpus = video_text_views() + [degenerate_pair("d0")]
@@ -531,8 +540,8 @@ class TestBackgroundPairs:
     def test_fit_matches_covered_views(self):
         corpus, views = self.mixed_corpus()
         cfg = TrainConfig(epochs=2, neg_strategy="joint", neg_count=6, batch_pairs=3, lr=0.01, seed=4)
-        report = fit(corpus, ProjectionModel.linear(24, 24), cfg)
-        view_report = fit(views, ProjectionModel.linear(24, 24), cfg)
+        report = fit(corpus, ProjectionModel.identity(24), cfg)
+        view_report = fit(views, ProjectionModel.identity(24), cfg)
         assert report.loss_curve == view_report.loss_curve
         for name, value in report.final_model.params().items():
             np.testing.assert_array_equal(value, view_report.final_model.params()[name])
