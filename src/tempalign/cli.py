@@ -19,7 +19,7 @@ from .io import dump_json, fmt9, load_dataset, load_item, write_csv
 from .loss import LossConfig
 from .negatives import STRATEGIES
 from .synth import FewshotSynthConfig, SynthConfig, gen_corpus, gen_fewshot_corpus
-from .train import ProjectionModel, TrainConfig, fit, load_checkpoint, save_checkpoint
+from .train import ProjectionModel, TrainConfig, check_input_dim, fit, load_checkpoint, save_checkpoint
 from . import io as tio
 
 DATA_ENV = "TEMPALIGN_DATA"
@@ -32,10 +32,6 @@ def _data_dir(args) -> str:
     if env:
         return env
     raise DataError(f"--data not given and {DATA_ENV} is unset")
-
-
-def _model(args) -> ProjectionModel | None:
-    return load_checkpoint(args.model) if getattr(args, "model", None) else None
 
 
 def _parse_ks(text: str) -> tuple[int, ...]:
@@ -142,9 +138,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_items(args, kind: str) -> list:
-    """The items of ``--split`` (of every split for ``all``) of a ``kind`` dataset."""
-    manifest, by_split = load_dataset(_data_dir(args))
+def _eval_inputs(args, kind: str) -> tuple[list, ProjectionModel | None]:
+    """The items of ``--split`` (of every split for ``all``) of a ``kind``
+    dataset, and the ``--model`` checkpoint (None without one), which must
+    take the dataset's dim."""
+    data = _data_dir(args)
+    manifest, by_split = load_dataset(data)
     if manifest.kind != kind:
         raise DataError(f"eval {args.protocol} needs a {kind} dataset, got {manifest.kind}")
     if args.split == "all":
@@ -153,30 +152,35 @@ def _eval_items(args, kind: str) -> list:
         items = by_split.get(args.split, [])
     if not items:
         raise DataError(f"no items in split {args.split!r}")
-    return items
+    if not args.model:
+        return items, None
+    model = load_checkpoint(args.model)
+    check_input_dim(model, {manifest.dim}, f"eval {args.protocol}: dataset {data}", f"checkpoint {args.model}")
+    return items, model
 
 
 def cmd_eval_retrieval_full(args) -> int:
-    report = ev.retrieval_full(_eval_items(args, "pairs"), _model(args), measure=args.measure,
+    report = ev.retrieval_full(*_eval_inputs(args, "pairs"), measure=args.measure,
                                background=args.background, ks=_parse_ks(args.ks))
     _emit_report(report, args.out_csv, args.dump)
     return 0
 
 
 def cmd_eval_retrieval_clip(args) -> int:
-    report = ev.retrieval_clip(_eval_items(args, "pairs"), _model(args), ks=_parse_ks(args.ks))
+    report = ev.retrieval_clip(*_eval_inputs(args, "pairs"), ks=_parse_ks(args.ks))
     _emit_report(report, args.out_csv, args.dump)
     return 0
 
 
 def cmd_eval_localize(args) -> int:
-    _emit_report(ev.localization(_eval_items(args, "pairs"), _model(args)), args.out_csv, None)
+    _emit_report(ev.localization(*_eval_inputs(args, "pairs")), args.out_csv, None)
     return 0
 
 
 def cmd_eval_fewshot(args) -> int:
+    videos, model = _eval_inputs(args, "videos")
     report = ev.fewshot_eval(
-        _model(args), _eval_items(args, "videos"), way=args.way, shot=args.shot,
+        model, videos, way=args.way, shot=args.shot,
         queries_per_class=args.queries, episodes=args.episodes,
         measure=args.measure, seed=args.seed,
     )

@@ -8,6 +8,7 @@ embeddings everywhere.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import math
 import os
@@ -43,7 +44,8 @@ PAD_SHARE = 0.05
 # either process writes after the fork; its scores go straight into the
 # shared matrix.  On a 2-vCPU VM a fork took 0.7-1.4 ms and a reap 2.1-2.6 ms:
 # two shares of few-shot's 1.14 M-cell plan ran no faster than one, and two
-# of retrieval's 3.0 M cells at n = 200 ran about 30% faster.
+# of retrieval's 3.0 M cells at n = 200 ran about 30% faster.  These were
+# timed with unpinned workers; pinned, 500,000 cells ran few-shot no faster.
 WORKER_CELLS = 1_000_000
 
 
@@ -214,6 +216,8 @@ def _score_matrix(rows: _Units, cols: _Units, measure: str) -> np.ndarray:
     aligns the first share, and a worker forked for each other share aligns
     that one.  With workers the matrix lies in a shared anonymous mapping,
     which every process writes straight into (and tracemalloc does not see).
+    Share k's process is pinned, best-effort, to the k-th CPU this process
+    may run on; this process's own mask is restored after the call.
     This process then waits for each worker and aligns again the whole share
     of one that failed or could not be started, overwriting whatever it
     wrote, so an error is raised as if no worker had run.  No worker
@@ -236,16 +240,20 @@ def _score_matrix(rows: _Units, cols: _Units, measure: str) -> np.ndarray:
     if shares:
         import mmap  # here, not at the top, as signal below
         scores = np.ndarray(shape, buffer=mmap.mmap(-1, 8 * math.prod(shape)))
+        cpus = sorted(os.sched_getaffinity(0))  # the CPUs _shares counted
     else:
-        scores = np.empty(shape)
+        scores, cpus = np.empty(shape), [None]
     # One buffer for every call's stack: allocating a fresh one per call costs
     # page faults and, through heap fragmentation, peak memory.  It is zeroed
     # once, as padding only needs finite values: an earlier call leaves costs
     # in [0, 2] there, and no matrix's score reads its padding.
     buffer = np.zeros(max((np.prod(dims) for dims, _ in calls), default=0))
 
-    def fill(share) -> None:
-        """Align each call of ``share`` and write its scores into the matrix."""
+    def fill(share, cpu=None) -> None:
+        """Align each call of ``share`` (on ``cpu`` alone, if given) and write its scores into the matrix."""
+        if cpu is not None:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, {cpu})
         for dims, bands in share:
             stack = buffer[: np.prod(dims)].reshape(dims)
             sizes = [k * w for _, _, k, _, _, w in bands]
@@ -260,13 +268,13 @@ def _score_matrix(rows: _Units, cols: _Units, measure: str) -> np.ndarray:
 
     workers = []  # (share, pid) of each worker not yet reaped
     try:
-        for share in shares:
-            pid = _fork(fill, share)
+        for k, share in enumerate(shares, 1):
+            pid = _fork(fill, share, cpus[k % len(cpus)])  # % as the mask may have shrunk since _shares
             if pid is None:  # no process could be started
                 own = own + share
             else:
                 workers.append((share, pid))
-        fill(own)
+        fill(own, cpus[0])
         while workers:
             share, pid = workers[0]
             failed = os.waitpid(pid, 0)[1] != 0
@@ -279,6 +287,9 @@ def _score_matrix(rows: _Units, cols: _Units, measure: str) -> np.ndarray:
         for _, pid in workers:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if shares:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, cpus)
     if mirror:  # row r's scores below the diagonal are column r's above it
         for r in range(1, len(scores)):
             scores[r, :r] = scores[:r, r]

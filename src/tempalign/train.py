@@ -292,6 +292,13 @@ def evaluate_batch(batch_indices, corpus, model: ProjectionModel, cfg: TrainConf
     return joint_loss(unit_losses, seq.losses, cfg.loss), grads, len(items), seq.paths
 
 
+def check_input_dim(model: ProjectionModel, dims, data: str, source: str = "model") -> None:
+    """DataError unless ``dims``, the dims of the data that ``data`` names, are
+    all ``model``'s input dim; ``source`` names the model."""
+    if set(dims) != {model.in_dim}:
+        raise DataError(f"{data} dims {sorted(dims)} do not match {source} input dim {model.in_dim}")
+
+
 def fit(corpus, model: ProjectionModel, cfg: TrainConfig) -> TrainReport:
     """Train the projection on caption/clip pairs, labeled videos, or both.
 
@@ -308,9 +315,7 @@ def fit(corpus, model: ProjectionModel, cfg: TrainConfig) -> TrainReport:
     if not corpus:
         raise DataError("fit: empty corpus")
     corpus = [item.two_view() if isinstance(item, LabeledVideo) else item for item in corpus]
-    dims = {p.anchor.dim for p in corpus}
-    if dims != {model.in_dim}:
-        raise DataError(f"fit: corpus dims {sorted(dims)} do not match model input dim {model.in_dim}")
+    check_input_dim(model, {p.anchor.dim for p in corpus}, "fit: corpus")
     pool = PairPool.of(corpus)  # batches key their sources by id, which it keeps unique
 
     model = model.copy()
@@ -359,8 +364,14 @@ def _activation(blocks) -> str:
 
 def save_checkpoint(model: ProjectionModel, path, *, seed: int = 0) -> None:
     """Write every parameter as float32: :func:`load_checkpoint` returns each
-    weight rounded to float32, at most 2**-24 from it relative to its size."""
+    weight rounded to float32, at most 2**-24 from it relative to its size.
+
+    Raises DataError, before the file is opened, for twin heads whose blocks
+    differ in shape: the checkpoint's ``dims`` and ``hidden`` describe one."""
     params = model.params()
+    anchor, clip = ([p.shape for _, p in head.param_items("")] for head in (model.anchor_head, model._clip()))
+    if anchor != clip:
+        raise DataError(f"save_checkpoint: twin heads whose blocks differ in shape, {anchor} and {clip}")
     meta = {
         "version": _CKPT_VERSION,
         "activation": _activation(params),
@@ -373,25 +384,49 @@ def save_checkpoint(model: ProjectionModel, path, *, seed: int = 0) -> None:
     write_float32_container(path, _CKPT_MAGIC, "<II", (_CKPT_VERSION,), meta, list(params.values()))
 
 
+def _head(path, blocks: dict, prefix: str) -> AffineHead:
+    """Head ``prefix`` of a checkpoint; DataError, naming the block, unless
+    ``w_in`` -> ``b_in`` -> ``w_out`` -> ``b_out`` chain (the first two both
+    or neither): each weight a matrix taking the width before it, each bias
+    a vector of the width before it."""
+    names = ("w_in", "b_in", "w_out", "b_out")[0 if prefix + "w_in" in blocks or prefix + "b_in" in blocks else 2 :]
+    width = None  # the width the next block takes, None for any
+    for name in names:
+        block = blocks.get(prefix + name)
+        want = ["m" if width is None else str(width), "n"][: 2 if name[0] == "w" else 1]
+        if block is None or block.ndim != len(want) or width is not None and block.shape[0] != width:
+            has = "is missing" if block is None else f"has shape {list(block.shape)}"
+            raise DataError(f"checkpoint {path}: block {prefix}{name} {has}, expected [{', '.join(want)}]")
+        width = block.shape[-1]
+    return AffineHead(*(blocks.get(prefix + name) for name in ("w_out", "b_out", "w_in", "b_in")))
+
+
 def load_checkpoint(path) -> ProjectionModel:
-    """The model a checkpoint holds; DataError unless its ``activation`` is
-    the one its blocks imply (a head with a hidden layer applies ReLU)."""
+    """The model a checkpoint holds.  DataError, naming the file, unless it
+    holds each block it reads once and nothing else, each head's blocks
+    chain (see :func:`_head`), and its ``activation``, ``dims`` and
+    ``hidden`` are the ones each head's blocks imply (a head with a hidden
+    layer applies ReLU)."""
     (version,), meta, arrays = read_float32_container(path, _CKPT_MAGIC, "<II", "blocks")
     if version != _CKPT_VERSION:
         raise DataError(f"checkpoint {path}: unsupported version {version}")
 
-    def head(prefix: str) -> AffineHead:
-        return AffineHead(
-            w_out=blocks[prefix + "w_out"],
-            b_out=blocks[prefix + "b_out"],
-            w_in=blocks.get(prefix + "w_in"),
-            b_in=blocks.get(prefix + "b_in"),
-        )
-
     try:
-        blocks = {block["name"]: arr for block, arr in zip(meta["blocks"], arrays)}
+        names = [block["name"] for block in meta["blocks"]]
+        prefixes = ("anchor.", "clip.") if meta["twin"] else ("anchor.",)
+        reads = [p + k for p in prefixes for k in ("w_in", "b_in", "w_out", "b_out")]
+        for k, name in enumerate(names):
+            if name not in reads or name in names[:k]:
+                raise DataError(f"checkpoint {path}: block {name!r} is not one it reads once ({', '.join(reads)})")
+        blocks = dict(zip(names, arrays))
         if meta["activation"] != _activation(blocks):
             raise DataError(f"checkpoint {path}: activation {meta['activation']!r} does not match its blocks")
-        return ProjectionModel(head("anchor."), head("clip.") if meta["twin"] else None)
+        heads = [_head(path, blocks, p) for p in prefixes]
+        for p, head in zip(prefixes, heads):  # so twin heads map one dim to one dim
+            hidden = None if head.w_in is None else head.w_in.shape[1]
+            if meta["dims"] != {"in": head.in_dim, "out": head.out_dim} or meta["hidden"] != hidden:
+                raise DataError(f"checkpoint {path}: dims {meta['dims']} and hidden {meta['hidden']} do not match head "
+                                f"{p[:-1]}'s blocks (in {head.in_dim}, hidden {hidden}, out {head.out_dim})")
+        return ProjectionModel(*heads)
     except (KeyError, TypeError) as exc:
         raise DataError(f"checkpoint {path}: malformed metadata: {exc!r}") from exc

@@ -137,6 +137,21 @@ def no_child_left():
     pytest.fail(f"the test left a child process (waitpid: {left})")
 
 
+AFFINITY = getattr(os, "sched_getaffinity", None)  # taken before any test replaces it
+
+
+@pytest.fixture(autouse=True)
+def no_affinity_left():
+    """Fails a test that leaves this process's CPU affinity changed, and
+    restores it, so later tests start from the same mask."""
+    before = AFFINITY and AFFINITY(0)
+    yield
+    if AFFINITY and AFFINITY(0) != before:
+        left = AFFINITY(0)
+        os.sched_setaffinity(0, before)
+        pytest.fail(f"the test left this process's CPU affinity {left}, not {before}")
+
+
 def split_perms(negs) -> list[np.ndarray]:
     """Each drawn negative's permutation, in draw order."""
     return np.split(negs.perms, np.cumsum(negs.lengths)[:-1])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import make_pair, seq
 from tempalign import cli
 from tempalign.core import DataError, LabeledVideo
-from tempalign.io import load_dataset, save_dataset, save_item
+from tempalign.io import load_dataset, read_float32_container, save_dataset, save_item, write_float32_container
 from tempalign.synth import FewshotSynthConfig, SynthConfig, gen_corpus, gen_fewshot_corpus
 from tempalign.train import ProjectionModel, load_checkpoint, save_checkpoint
 
@@ -546,6 +546,85 @@ def test_checkpoint_it_cannot_load_is_a_data_error(capsys, tmp_path, model, edit
     _edit_checkpoint(target, **edit)
     assert cli.main(argv) == 3
     assert capsys.readouterr().err == f"data error: checkpoint {target}: {message}\n"
+
+
+def _with_blocks(path, blocks):
+    """Rewrite a checkpoint with ``blocks`` ((name, array) pairs) in place of
+    its own, keeping its other fields."""
+    (version,), meta, _ = read_float32_container(path, b"TALNPROJ", "<II", "blocks")
+    meta["blocks"] = [{"name": name, "shape": list(np.shape(block))} for name, block in blocks]
+    write_float32_container(path, b"TALNPROJ", "<II", (version,), meta, [block for _, block in blocks])
+
+
+def _reshaped(**shapes):
+    """A blocks edit for _with_blocks: each named block replaced by zeros of
+    the given shape (None drops it), in the checkpoint's order."""
+    def edit(params):
+        return [(name, np.zeros(shapes.get(name, np.shape(block))))
+                for name, block in params.items() if shapes.get(name, ()) is not None]
+    return edit
+
+
+@pytest.mark.parametrize("model, blocks, meta, message", [
+    # blocks that do not chain, or are missing
+    ("identity", _reshaped(**{"anchor.w_out": (3, 2)}), {"dims": {"in": 3, "out": 2}},
+     "block anchor.b_out has shape [3], expected [2]"),
+    ("identity", _reshaped(**{"anchor.w_out": (3,)}), {}, "block anchor.w_out has shape [3], expected [m, n]"),
+    ("mlp", _reshaped(**{"anchor.w_out": (5, 3)}), {}, "block anchor.w_out has shape [5, 3], expected [4, n]"),
+    ("mlp", _reshaped(**{"anchor.b_in": (3,)}), {}, "block anchor.b_in has shape [3], expected [4]"),
+    ("mlp", _reshaped(**{"anchor.b_in": None}), {}, "block anchor.b_in is missing, expected [4]"),
+    ("twin-mlp", _reshaped(**{"clip.w_in": None}), {}, "block clip.w_in is missing, expected [m, n]"),
+    # dims or hidden that disagree with the blocks
+    ("identity", None, {"dims": {"in": 4, "out": 3}},
+     "dims {'in': 4, 'out': 3} and hidden None do not match head anchor's blocks (in 3, hidden None, out 3)"),
+    ("mlp", None, {"hidden": 5}, "dims {'in': 3, 'out': 3} and hidden 5 do not match head anchor's blocks (in 3, hidden 4, out 3)"),
+    ("identity", None, {"hidden": 3}, "dims {'in': 3, 'out': 3} and hidden 3 do not match head anchor's blocks (in 3, hidden None, out 3)"),
+    # twin heads of different dims
+    ("twin-mlp", _reshaped(**{"clip.w_out": (4, 2), "clip.b_out": (2,)}), {},
+     "dims {'in': 3, 'out': 3} and hidden 4 do not match head clip's blocks (in 3, hidden 4, out 2)"),
+    ("twin-mlp", _reshaped(**{"clip.w_in": (5, 4)}), {},
+     "dims {'in': 3, 'out': 3} and hidden 4 do not match head clip's blocks (in 5, hidden 4, out 3)"),
+    # blocks it does not read
+    ("identity", lambda params: [*params.items(), ("clip.w_out", np.eye(3))], {},
+     "block 'clip.w_out' is not one it reads once (anchor.w_in, anchor.b_in, anchor.w_out, anchor.b_out)"),
+    ("identity", lambda params: [*params.items(), ("anchor.scale", np.ones(3))], {},
+     "block 'anchor.scale' is not one it reads once (anchor.w_in, anchor.b_in, anchor.w_out, anchor.b_out)"),
+    ("identity", lambda params: [*params.items(), ("anchor.b_out", np.ones(3))], {},
+     "block 'anchor.b_out' is not one it reads once (anchor.w_in, anchor.b_in, anchor.w_out, anchor.b_out)"),
+], ids=["b_out-after-w_out", "w_out-not-a-matrix", "w_out-after-w_in", "b_in-after-w_in", "no-b_in", "no-clip-w_in",
+        "dims", "hidden", "hidden-without-w_in", "twin-out-dim", "twin-in-dim", "unread-clip-head", "unread-name",
+        "read-twice"])
+def test_checkpoint_whose_blocks_do_not_fit_is_a_data_error(capsys, tmp_path, model, blocks, meta, message):
+    data = _toy_pairs(tmp_path / "pairs")
+    target = tmp_path / "model.ckpt"
+    head = ProjectionModel.identity(3) if model == "identity" else ProjectionModel.mlp(3, 4, 3, twin=model == "twin-mlp")
+    save_checkpoint(head, target)
+    argv = ["eval", "localize", "--data", data, "--model", str(target)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    if blocks is not None:
+        _with_blocks(target, blocks(head.params()))
+    _edit_checkpoint(target, **meta)
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == f"data error: checkpoint {target}: {message}\n"
+
+
+@pytest.mark.parametrize("protocol", ["retrieval-full", "retrieval-clip", "localize", "fewshot"])
+def test_model_of_another_dim_than_the_data_is_a_data_error(capsys, tmp_path, protocol):
+    if protocol == "fewshot":
+        videos = [LabeledVideo(f"v{i}", label, seq(CLIPS, f"v{i}")) for i, label in enumerate(["walk", "walk", "run", "run"])]
+        save_dataset(tmp_path / "data", [(v, "novel") for v in videos], kind="videos")
+        argv = ["eval", "fewshot", "--data", str(tmp_path / "data"), "--way", "2", "--queries", "1", "--episodes", "1"]
+    else:
+        argv = ["eval", protocol, "--data", _toy_pairs(tmp_path / "data"), *(["--ks", "1"] if "retrieval" in protocol else [])]
+    target = tmp_path / "model.ckpt"
+    save_checkpoint(ProjectionModel.identity(3), target)
+    assert cli.main([*argv, "--model", str(target)]) == 0
+    capsys.readouterr()
+    save_checkpoint(ProjectionModel.identity(4), target)
+    assert cli.main([*argv, "--model", str(target)]) == 3
+    assert capsys.readouterr().err == (f"data error: eval {protocol}: dataset {tmp_path / 'data'} dims [3] "
+                                       f"do not match checkpoint {target} input dim 4\n")
 
 
 @pytest.mark.parametrize("protocol, kind, split", [

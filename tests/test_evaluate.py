@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import math
+import mmap
 import os
 import re
 import sys
@@ -11,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import basis, covered_units, make_pair, reference_scores, with_units
+from conftest import AFFINITY, basis, covered_units, make_pair, reference_scores, with_units
 from tempalign import align, cli, evaluate
 from tempalign.align import STACK_CELLS
 from tempalign.core import DataError, EmbeddingSequence, LabeledVideo, similarity_matrix, unit_normalize
@@ -433,6 +434,7 @@ def forks(monkeypatch):
     monkeypatch.setattr(align, "STACK_CELLS", 2048)
     monkeypatch.setattr(evaluate, "WORKER_CELLS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None, raising=False)  # nothing pins to a fake CPU
     monkeypatch.setattr(os, "fork", recording)
     return pids
 
@@ -574,6 +576,95 @@ class TestScoreMatrixWorkers:
         else:
             monkeypatch.setattr(os, "fork", failing)
         assert np.array_equal(_score_matrix(*args), serial)
+
+
+TWO_CPUS = pytest.mark.skipif(AFFINITY is not None and len(AFFINITY(0)) < 2, reason="needs 2 CPUs")
+
+
+@pytest.mark.skipif(AFFINITY is None, reason="no CPU affinity on this platform")
+class TestScoreMatrixPlacement:
+    @TWO_CPUS
+    def test_each_share_runs_on_a_cpu_of_its_own(self, monkeypatch):
+        args = score_units("keep", "dtw")
+        cpus = sorted(AFFINITY(0))
+        monkeypatch.setattr(align, "STACK_CELLS", 2048)
+        plan = _plan(*args[:2], False)
+        monkeypatch.setattr(evaluate, "WORKER_CELLS", sum(math.prod(dims) for dims, _ in plan) // min(len(cpus), 3))
+        count = len(evaluate._shares(plan))
+        serial = serial_scores(monkeypatch, *args)
+        # seen[k, c]: share k aligned a call while CPU c was in its process's
+        # mask, in memory every process shares
+        seen = np.ndarray((count, cpus[-1] + 1), dtype=bool, buffer=mmap.mmap(-1, count * (cpus[-1] + 1)))
+        share, pids, fork, kernel = [0], [], os.fork, align.align_stack
+
+        def forking():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            else:
+                share[0] = len(pids) + 1
+            return pid
+
+        def recording(costs, *args, **kwargs):
+            seen[share[0], sorted(AFFINITY(0))] = True
+            return kernel(costs, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fork", forking)
+        monkeypatch.setattr(align, "align_stack", recording)
+        assert 2 <= count and np.array_equal(_score_matrix(*args), serial)
+        assert len(pids) == count - 1
+        assert [np.flatnonzero(row).tolist() for row in seen] == [[cpu] for cpu in cpus[:count]]
+        assert AFFINITY(0) == set(cpus)
+
+    @TWO_CPUS
+    @pytest.mark.parametrize("path", ["succeeds", "a worker exits 1", "this process raises", "fork fails"])
+    def test_mask_is_restored_after_the_call(self, monkeypatch, path):
+        before = AFFINITY(0)
+        args = score_units("remove", "dtw")
+        monkeypatch.setattr(align, "STACK_CELLS", 2048)
+        monkeypatch.setattr(evaluate, "WORKER_CELLS", sum(math.prod(dims) for dims, _ in _plan(*args[:2], False)) // 2)
+        serial = serial_scores(monkeypatch, *args)
+        parent, kernel, leave = os.getpid(), align.align_stack, os._exit
+        masks = []  # this process's mask at each call it aligns
+
+        def recording(costs, *args, **kwargs):
+            if os.getpid() == parent:
+                masks.append(AFFINITY(0))
+                if path == "this process raises":
+                    raise DataError("failed here")
+            return kernel(costs, *args, **kwargs)
+
+        def failing():
+            raise BlockingIOError(errno.EAGAIN, "no process")
+
+        monkeypatch.setattr(align, "align_stack", recording)
+        if path == "a worker exits 1":
+            monkeypatch.setattr(os, "_exit", lambda status: leave(1))
+        if path == "fork fails":
+            monkeypatch.setattr(os, "fork", failing)
+        if path == "this process raises":
+            with pytest.raises(DataError, match="failed here"):
+                _score_matrix(*args)
+        else:
+            assert np.array_equal(_score_matrix(*args), serial)
+        assert AFFINITY(0) == before
+        assert masks and all(mask == {min(before)} for mask in masks)
+
+    def test_refused_pin_changes_nothing_else(self, monkeypatch, forks):
+        args = score_units("keep", "otam")
+        serial = serial_scores(monkeypatch, *args)
+        own, *_ = evaluate._shares(_plan(*args[:2], False))
+
+        def refusing(pid, mask):
+            raise OSError(errno.EINVAL, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refusing)
+        here = failing_kernel(monkeypatch, lambda costs: False)
+        assert np.array_equal(_score_matrix(*args), serial)
+        assert len(forks) == 2
+        assert here == [dims for dims, _ in own]  # no worker's share was aligned again here
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestRetrievalClip:

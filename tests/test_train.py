@@ -14,6 +14,7 @@ from tempalign.negatives import STRATEGIES, PairPool, generate_negatives
 from tempalign.synth import SynthConfig, gen_corpus
 from tempalign.train import (
     AdamState,
+    AffineHead,
     ProjectionModel,
     TrainConfig,
     adam_step,
@@ -126,6 +127,30 @@ class TestProjectionModel:
         save_checkpoint(model, p1)
         save_checkpoint(model.copy(), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("model", ["identity", "mlp", "twin-mlp"])
+    def test_checkpoint_reloads_and_resaves_bit_identically(self, tmp_path, model):
+        head = ProjectionModel.identity(3) if model == "identity" else ProjectionModel.mlp(3, 4, 2, seed=1, twin=model == "twin-mlp")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(head, path)
+        loaded = load_checkpoint(path)
+        assert loaded.twin == head.twin and list(loaded.params()) == list(head.params())
+        for name, block in head.params().items():
+            assert np.array_equal(loaded.params()[name], block.astype(np.float32))
+        save_checkpoint(loaded, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+    def test_twin_heads_of_different_shapes_are_not_written(self, tmp_path):
+        def head(hidden):
+            if hidden is None:
+                return AffineHead(w_out=np.eye(3), b_out=np.zeros(3))
+            return AffineHead(w_in=np.ones((3, hidden)), b_in=np.zeros(hidden), w_out=np.ones((hidden, 3)), b_out=np.zeros(3))
+
+        path = tmp_path / "model.ckpt"
+        for anchor, clip in ((4, 5), (None, 4), (4, None)):
+            with pytest.raises(DataError, match="^save_checkpoint: twin heads whose blocks differ in shape"):
+                save_checkpoint(ProjectionModel(head(anchor), head(clip)), path)
+            assert not path.exists()
 
     def test_weights_outside_float32_range_are_not_written(self, tmp_path):
         model = ProjectionModel.identity(4)
