@@ -54,8 +54,7 @@ MEASURES = ("dtw", "otam")
 # score-only calls that keep no back-pointers, 65,536 still peaked 0.13 MB
 # above 49,152 with back-pointers, and 0.25 MB above 49,152 without them.
 # A call pads every matrix to its largest one, so evaluate._plan fills its calls
-# band by band from tiles of pairs in descending shape, and caps the
-# share of padding in each call (evaluate.PAD_SHARE).
+# band by band from tiles of pairs in descending shape.
 STACK_CELLS = 49_152
 
 # Back-pointer codes.  On equal accumulated cost a cell prefers its diagonal,

@@ -34,11 +34,6 @@ RANK_ROWS = 128
 # 0.1-0.8 MB: allocations that large get fresh pages from the system instead
 # of reusing the heap memory that training freed.
 BLOCK_BYTES = 64 * 1024
-# Most padding an alignment call that _plan fills adds, as a share of its
-# matrices' own cells.  A call of align.STACK_CELLS cells spans several tiles
-# of pairs; without this cap, the widest padded the others by 8% overall on
-# a corpus of 3- and 5-caption paragraphs.
-PAD_SHARE = 0.05
 # Fewest padded cells of _plan's calls per process that aligns them (see
 # _shares).  A worker costs a fork, a reap and a copy of each private page
 # either process writes after the fork; its scores go straight into the
@@ -341,17 +336,17 @@ def _plan(rows: _Units, cols: _Units, mirror: bool) -> list[tuple[tuple[int, int
     c .. c + w - 1 of column block j, row by row; no per-pair index is formed.
 
     Tiles, every pair of one row block and one column block, come in
-    descending (row length, column length), so a call holds pairs of one or
-    two adjacent shapes.  A tile's rows each take all its columns or, with
-    ``mirror``, those of index at least their own (consecutive rows that
-    start at one column form one band).  A call is padded to its first pair's
-    shape and holds one pair at least.  It ends before the pair that would
-    widen that padding, pass align.STACK_CELLS padded cells or make padding
-    more than PAD_SHARE of its pairs' own cells, so a call may end inside a
-    band, between its rows or inside one.
+    descending (row length, column length).  A tile's rows each take all its
+    columns or, with ``mirror``, those of index at least their own
+    (consecutive rows that start at one column form one band).  A call is
+    padded to its first pair's shape and holds one pair at least.  It ends
+    for one of two reasons: it holds as many pairs as align.STACK_CELLS
+    padded cells allow, or the next tile would widen its padding.  Row
+    lengths only descend, so that is a tile of more columns than the call's.
+    A call may thus end inside a band, between its rows or inside one.
     """
     tiles = sorted(((-rb.shape[1], -cb.shape[1]), i, j) for i, rb in enumerate(rows.blocks) for j, cb in enumerate(cols.blocks))
-    calls, bands, count, real = [], [], 0, 0
+    calls, bands, count, cap = [], [], 0, 0
     for (a, b), i, j in tiles:
         a, b, tile_rows, tile_cols = -a, -b, rows.index[i], cols.index[j]
         if not mirror or tile_rows[-1] < tile_cols[0]:
@@ -366,23 +361,18 @@ def _plan(rows: _Units, cols: _Units, mirror: bool) -> list[tuple[tuple[int, int
             w = len(tile_cols) - c0
             p, total = 0, (r1 - r0) * w  # p: pairs of the group planned so far
             while p < total:
-                if not count:
-                    n, m, cap = a, b, max(1, align.STACK_CELLS // (a * b))
+                if count == cap or b > m:  # the call is full, or this tile would widen its padding
+                    if count:
+                        calls.append(((count, n, m), bands))
+                    n, m, cap, bands, count = a, b, max(1, align.STACK_CELLS // (a * b)), [], 0
                 t = min(total - p, cap - count)
-                if (a, b) != (n, m):
-                    more = np.arange(1, t + 1)
-                    fits = (a <= n) & (b <= m) & ((count + more) * (n * m) <= (1 + PAD_SHARE) * (real + more * (a * b)))
-                    t = t if fits.all() else int(np.argmin(fits))
-                count, real, stop = count + t, real + t * a * b, p + t
+                count, stop = count + t, p + t
                 while p < stop:  # the rest of a row, whole rows, then the start of a row
                     y, x = divmod(p, w)
                     k = max(1, (stop - p) // w) if x == 0 else 1
                     span = w if k > 1 else min(w - x, stop - p)
                     bands.append((i, r0 + y, k, j, c0 + x, span))
                     p += k * span
-                if t == 0 or count == cap:
-                    calls.append(((count, n, m), bands))
-                    bands, count, real = [], 0, 0
     if count:
         calls.append(((count, n, m), bands))
     return calls

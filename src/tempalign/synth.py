@@ -20,6 +20,13 @@ import numpy as np
 from .core import DataError, EmbeddingSequence, LabeledVideo, SegmentedPair
 
 
+def _require_integers(name: str, value) -> None:
+    """DataError naming field ``name`` unless ``value`` (each entry of a tuple or list) is an int or numpy integer, not a bool."""
+    items = value if isinstance(value, (tuple, list)) else [value]
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in items):
+        raise DataError(f"{name} must hold integers, got {value!r}")
+
+
 @dataclass
 class SynthConfig:
     n_tasks: int = 50
@@ -36,6 +43,10 @@ class SynthConfig:
     proto_subspace_dim: int | None = 8
 
     def __post_init__(self):
+        optional = () if self.proto_subspace_dim is None else ("proto_subspace_dim",)
+        for name in ("n_tasks", "videos_per_task", "segments_per_video", "clips_per_segment", "dim", "background_per_video",
+                     "seed", *optional):
+            _require_integers(name, getattr(self, name))
         if min(self.n_tasks, self.videos_per_task, self.segments_per_video) < 1:
             raise DataError("counts must be >= 1")
         if not (0 <= self.confuser_prob < 1):
@@ -84,9 +95,7 @@ def gen_corpus(cfg: SynthConfig):
     def noise(scale: float) -> np.ndarray:
         return scale * rng.normal(size=d)
 
-    n_train = max(1, (cfg.videos_per_task * 4) // 5)
-    if n_train == cfg.videos_per_task:
-        n_train = cfg.videos_per_task - 1 if cfg.videos_per_task > 1 else 1
+    n_train = max(1, (cfg.videos_per_task * 4) // 5)  # leaves a test video from 2 videos on
 
     # one global progress direction: every clip is shifted along it by how far
     # through its segment it sits, which captions never are
@@ -187,6 +196,8 @@ class FewshotSynthConfig:
     patterns: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
+        for name in ("n_classes", "videos_per_class", "steps_per_class", "frames_per_step", "dim", "seed"):
+            _require_integers(name, getattr(self, name))
         if min(self.n_classes, self.videos_per_class, self.steps_per_class, self.frames_per_step) < 1:
             raise DataError("counts must be >= 1")
         if self.frame_noise < 0 or self.proto_overlap < 0:
@@ -197,6 +208,7 @@ class FewshotSynthConfig:
             if len(self.patterns) != self.n_classes:
                 raise DataError("patterns must supply one order per class")
             for pat in self.patterns:
+                _require_integers("patterns", pat)
                 if sorted(pat) != list(range(self.steps_per_class)):
                     raise DataError(f"pattern {pat} is not a permutation of the steps")
 
@@ -217,17 +229,13 @@ def gen_fewshot_corpus(cfg: FewshotSynthConfig):
     if cfg.patterns is not None:
         patterns = [tuple(p) for p in cfg.patterns]
     else:
-        patterns = []
-        seen = set()
-        guard = 0
-        while len(patterns) < cfg.n_classes:
-            pat = tuple(int(x) for x in rng.permutation(k))
-            guard += 1
-            if pat not in seen:
-                seen.add(pat)
-                patterns.append(pat)
-            if guard > 100000:
-                raise DataError(f"cannot draw {cfg.n_classes} distinct orders over {k} steps")
+        patterns = {}  # the distinct orders drawn, in draw order
+        for _ in range(100_000):
+            if len(patterns) == cfg.n_classes:
+                break
+            patterns[tuple(int(x) for x in rng.permutation(k))] = None
+        if len(patterns) < cfg.n_classes:
+            raise DataError(f"cannot draw {cfg.n_classes} distinct orders over {k} steps")
 
     videos: list[LabeledVideo] = []
     for c, pat in enumerate(patterns):

@@ -133,7 +133,7 @@ def _fuzz_input(root, target):
     argv = ["eval", "localize", "--data", _toy_pairs(root / "data")]
     if kind == "checkpoint":
         path = root / "model.ckpt"
-        save_checkpoint(ProjectionModel.identity(3), path)
+        save_checkpoint(ProjectionModel.mlp(3, 4, 3, twin=True) if fmt == "twin-mlp" else ProjectionModel.identity(3), path)
         return path, [*argv, "--model", str(path)], 12
     return root / "data" / "manifest.json", argv, None
 
@@ -189,20 +189,25 @@ def _damaged(intact: bytes, length_at):
     )
 
 
-@pytest.mark.parametrize("target", ["pair-json", "pair-bin", "video-json", "video-bin", "checkpoint", "manifest"])
+@pytest.mark.parametrize("target", ["pair-json", "pair-bin", "video-json", "video-bin", "checkpoint", "checkpoint-twin-mlp",
+                                    "manifest"])
 def test_damaged_input_keeps_the_exit_code_contract(capsys, tmp_path, target):
     path, argv, length_at = _fuzz_input(tmp_path, target)
     assert cli.main(argv) == 0
     intact = path.read_bytes()
+    capsys.readouterr()
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(_damaged(intact, length_at))
     def check(damaged):
         path.write_bytes(damaged)
-        assert cli.main(argv) in (0, 2, 3, 4)
+        code = cli.main(argv)
+        assert code in (0, 2, 3, 4)
+        err = capsys.readouterr().err
+        if target == "checkpoint-twin-mlp" and code == 3:  # the hidden-layer and twin checks name the file
+            assert str(path) in err
 
     check()
-    capsys.readouterr()
 
 
 def _nested_json_input(tmp_path, target):
@@ -790,6 +795,16 @@ SMALL_VIDEOS = {"kind": "fewshot", "n_classes": 2, "videos_per_class": 2, "steps
     ({**SMALL_VIDEOS, "dim": 3}, "dim 3 < steps_per_class + 1"),
     ({**SMALL_VIDEOS, "patterns": [[0, 1, 2]]}, "patterns must supply one order per class"),
     ({**SMALL_VIDEOS, "patterns": [[0, 1, 2], [0, 1, 1]]}, "pattern (0, 1, 1) is not a permutation of the steps"),
+    ({**SMALL_VIDEOS, "patterns": [[0.0, 1.0, 2.0], [2, 1, 0]]}, "patterns must hold integers, got (0.0, 1.0, 2.0)"),
+    ({**SMALL_PAIRS, "clips_per_segment": [2.5, 4]}, "clips_per_segment must hold integers, got (2.5, 4)"),
+    ({**SMALL_PAIRS, "background_per_video": [0.5, 1.5]}, "background_per_video must hold integers, got (0.5, 1.5)"),
+    ({**SMALL_PAIRS, "background_per_video": [True, True]}, "background_per_video must hold integers, got (True, True)"),
+    ({**SMALL_PAIRS, "n_tasks": 2.0}, "n_tasks must hold integers, got 2.0"),
+    ({**SMALL_PAIRS, "seed": True}, "seed must hold integers, got True"),
+    ({**SMALL_PAIRS, "proto_subspace_dim": 6.0}, "proto_subspace_dim must hold integers, got 6.0"),
+    ({**SMALL_VIDEOS, "frames_per_step": 1.5}, "frames_per_step must hold integers, got 1.5"),
+    ({**SMALL_VIDEOS, "dim": False}, "dim must hold integers, got False"),
+    ({**SMALL_VIDEOS, "n_classes": 7}, "cannot draw 7 distinct orders over 3 steps"),
 ])
 def test_synth_config_it_refuses_is_a_data_error(capsys, tmp_path, config, message):
     path = tmp_path / "config.json"
@@ -801,6 +816,14 @@ def test_synth_config_it_refuses_is_a_data_error(capsys, tmp_path, config, messa
     assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "other")]) == 3
     assert capsys.readouterr().err.startswith("data error: " + message.format(config=path))
     assert not (tmp_path / "other").exists()
+
+
+def test_synth_configs_take_numpy_integers():
+    pairs = SynthConfig(**{**SMALL_PAIRS, "n_tasks": np.int64(2), "clips_per_segment": (np.int32(2), 4)})
+    assert len(gen_corpus(pairs)[0]) == 2
+    fields = {k: v for k, v in SMALL_VIDEOS.items() if k != "kind"}
+    videos = FewshotSynthConfig(**fields, seed=np.uint8(1), patterns=((np.int64(2), 0, 1), (0, 1, 2)))
+    assert len(gen_fewshot_corpus(videos)[0]) == 4
 
 
 def test_synth_fewshot_patterns_set_each_class_order(capsys, tmp_path):

@@ -2,11 +2,12 @@
 
 * No module imports a name it does not use, unless the import's line says
   why, as ``# noqa: F401`` followed by a reason.
-* Every top-level function or class and every method is referenced
-  somewhere other than its own definition: as a name or attribute in
-  ``src/``, in the benchmark's modules other than its tests, or as a string
-  in the benchmark's hook table (``layertrace.HOOKS``).  Dunder methods are
-  reached by the language and are not checked.
+* Every top-level function or class, every method and every module-level
+  assigned name is referenced somewhere other than its own definition or
+  assignment: as a name or attribute in ``src/``, in the benchmark's modules
+  other than its tests, or as a string in the benchmark's hook table
+  (``layertrace.HOOKS``).  So no retired knob outlives its last reader.
+  Dunder names are reached by the language and are not checked.
 * The definitions that only a hook-table string reaches are exactly
   ``HOOK_ONLY``: the benchmark keeps them alive, and they go with their
   hooks (ROADMAP item 1a).
@@ -79,17 +80,24 @@ def unused_imports(path: Path) -> list[str]:
     return out
 
 
+def dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(path: Path):
-    """(qualified name, bare name, node) of each top-level function or class
-    and each non-dunder method of the module."""
+    """(qualified name, bare name, node) of each top-level function or class,
+    each non-dunder method and each non-dunder name a module-level
+    assignment binds (its node the assignment) of the module."""
     for node in parse(path).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.name, node
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in sorted({n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name) and not dunder(n.id)}):
+                yield name, name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
-                    item.name.startswith("__") and item.name.endswith("__")
-                ):
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not dunder(item.name):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
