@@ -73,23 +73,17 @@ def cmd_synth(args) -> int:
     fmt = raw.pop("format", "json")
     try:
         if kind == "video-text":
-            cfg = SynthConfig(**{**raw, "clips_per_segment": tuple(raw.get("clips_per_segment", (2, 4))),
-                                 "background_per_video": tuple(raw.get("background_per_video", (0, 2)))})
-            train, test, metadata = gen_corpus(cfg)
+            train, test, metadata = gen_corpus(SynthConfig(**raw))
             items = [(p, "train") for p in train] + [(p, "test") for p in test]
-            manifest = tio.save_dataset(args.out, items, kind="pairs", fmt=fmt)
         elif kind == "fewshot":
-            if "patterns" in raw and raw["patterns"] is not None:
-                raw["patterns"] = tuple(tuple(p) for p in raw["patterns"])
-            cfg = FewshotSynthConfig(**raw)
-            videos, metadata = gen_fewshot_corpus(cfg)
+            videos, metadata = gen_fewshot_corpus(FewshotSynthConfig(**raw))
             base = set(metadata["base_labels"])
             items = [(v, "base" if v.label in base else "novel") for v in videos]
-            manifest = tio.save_dataset(args.out, items, kind="videos", fmt=fmt)
         else:
             raise DataError(f"{args.config}: unknown kind {kind!r}")
     except TypeError as exc:
         raise DataError(f"{args.config}: bad config field: {exc}") from exc
+    manifest = tio.save_dataset(args.out, items, kind="pairs" if kind == "video-text" else "videos", fmt=fmt)
     tio.write_json(os.path.join(args.out, "truth.json"), metadata)
     print(f"wrote {len(manifest.entries)} {manifest.kind} (dim={manifest.dim}) to {args.out}")
     return 0

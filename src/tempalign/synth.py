@@ -13,6 +13,7 @@ suppress it.  ``None`` draws each task's prototypes in the full space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -20,21 +21,43 @@ import numpy as np
 from .core import DataError, EmbeddingSequence, LabeledVideo, SegmentedPair
 
 
-def _require_integers(name: str, value) -> None:
-    """DataError naming field ``name`` unless ``value`` (each entry of a tuple or list) is an int or numpy integer, not a bool."""
+def _require(name: str, value, numbers: bool = False) -> None:
+    """DataError naming field ``name`` unless ``value`` (each entry of a tuple or list) is an integer,
+    or with ``numbers`` a finite int or float; numpy's types count, a bool does not."""
+    kinds = (int, np.integer, float, np.floating) if numbers else (int, np.integer)
     items = value if isinstance(value, (tuple, list)) else [value]
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in items):
-        raise DataError(f"{name} must hold integers, got {value!r}")
+    if not all(isinstance(v, kinds) and not isinstance(v, bool) and -np.inf < v < np.inf for v in items):
+        raise DataError(f"{name} must hold {'finite numbers' if numbers else 'integers'}, got {value!r}")
+
+
+def _range(name: str, value, least: int) -> tuple[int, int]:
+    """Field ``name`` as a tuple; DataError unless it is two integers ``lo, hi`` with ``least <= lo <= hi``."""
+    value = tuple(value) if isinstance(value, (tuple, list)) else value
+    _require(name, value)
+    if not isinstance(value, tuple) or len(value) != 2 or not least <= value[0] <= value[1]:
+        raise DataError(f"{name} range invalid: {value}")
+    return value
 
 
 @dataclass
 class SynthConfig:
+    """``n_tasks`` tasks of ``videos_per_task`` videos (counts are integers >= 1).  A video
+    has ``segments_per_video`` captions over as many segments of ``clips_per_segment`` clips
+    and ``background_per_video`` background clips in the gaps around the segments; a range
+    is ``[lo, hi]`` with both ends drawn, 1 <= lo <= hi for clips, 0 <= lo <= hi for background.
+    ``dim``, the embedding width, is an integer >= ``segments_per_video`` (and above
+    ``proto_subspace_dim`` if there is background); ``seed`` is an integer >= 0.  Finite
+    numbers: the per-component noise stds ``caption_noise`` and ``clip_noise`` (>= 0),
+    ``confuser_prob`` (in [0, 1)), and ``progress_drift``, which puts clip ``pos`` of ``L``
+    ``progress_drift * (pos + 1) / (L + 1)`` along the progress direction (either sign).
+    ``proto_subspace_dim`` is None or an integer from ``segments_per_video`` to ``dim``."""
+
     n_tasks: int = 50
     videos_per_task: int = 5
     segments_per_video: int = 5
     clips_per_segment: tuple[int, int] = (2, 4)
     dim: int = 64
-    caption_noise: float = 0.09  # per-component std over the noise directions
+    caption_noise: float = 0.09
     clip_noise: float = 0.07
     confuser_prob: float = 0.3
     background_per_video: tuple[int, int] = (0, 2)
@@ -43,22 +66,20 @@ class SynthConfig:
     proto_subspace_dim: int | None = 8
 
     def __post_init__(self):
+        floats = ("caption_noise", "clip_noise", "confuser_prob", "progress_drift")
         optional = () if self.proto_subspace_dim is None else ("proto_subspace_dim",)
-        for name in ("n_tasks", "videos_per_task", "segments_per_video", "clips_per_segment", "dim", "background_per_video",
-                     "seed", *optional):
-            _require_integers(name, getattr(self, name))
+        for name in ("n_tasks", "videos_per_task", "segments_per_video", "dim", "seed", *optional, *floats):
+            _require(name, getattr(self, name), numbers=name in floats)
+        self.clips_per_segment = _range("clips_per_segment", self.clips_per_segment, 1)
+        self.background_per_video = _range("background_per_video", self.background_per_video, 0)
         if min(self.n_tasks, self.videos_per_task, self.segments_per_video) < 1:
             raise DataError("counts must be >= 1")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if not (0 <= self.confuser_prob < 1):
             raise DataError(f"confuser_prob must be in [0, 1), got {self.confuser_prob}")
         if self.caption_noise < 0 or self.clip_noise < 0:
             raise DataError("noise levels must be >= 0")
-        lo, hi = self.clips_per_segment
-        if not (1 <= lo <= hi):
-            raise DataError(f"clips_per_segment range invalid: {self.clips_per_segment}")
-        blo, bhi = self.background_per_video
-        if not (0 <= blo <= bhi):
-            raise DataError(f"background_per_video range invalid: {self.background_per_video}")
         if self.dim < self.segments_per_video:
             raise DataError(f"dim {self.dim} < segments_per_video {self.segments_per_video}: prototype orthogonalization infeasible")
         if self.proto_subspace_dim is not None:
@@ -76,114 +97,73 @@ def _orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 def gen_corpus(cfg: SynthConfig):
     """Deterministic corpus -> (train pairs, test pairs, truth metadata).
 
-    The split is per task: the last fifth of each task's videos (at least
-    one) is held out for testing.
+    The split is per task: the last ``ceil(videos_per_task / 5)`` of each
+    task's videos are held out for testing, except that a task of one video
+    keeps it for training.
     """
     rng = np.random.default_rng(cfg.seed)
     k = cfg.segments_per_video
-    d = cfg.dim
     m = cfg.proto_subspace_dim
-
-    basis = _orthonormal(rng, d, d)
+    basis = _orthonormal(rng, cfg.dim, cfg.dim)
     used = 0 if m is None else m
-    sub = basis[:, :used]
-    n_bg = min(4, d - used)
-    if cfg.background_per_video[1] > 0 and n_bg == 0:
+    bg_pool = basis[:, used : used + 4].T  # up to 4 background directions beside the prototypes
+    if cfg.background_per_video[1] > 0 and len(bg_pool) == 0:
         raise DataError("dim too small to host a background pool beside the prototypes")
-    bg_pool = basis[:, used : used + n_bg].T if n_bg else np.empty((0, d))
-
-    def noise(scale: float) -> np.ndarray:
-        return scale * rng.normal(size=d)
-
-    n_train = max(1, (cfg.videos_per_task * 4) // 5)  # leaves a test video from 2 videos on
-
     # one global progress direction: every clip is shifted along it by how far
     # through its segment it sits, which captions never are
-    drift_dir = rng.normal(size=d)
+    drift_dir = rng.normal(size=cfg.dim)
     drift_dir /= np.linalg.norm(drift_dir)
-
-    train: list[SegmentedPair] = []
-    test: list[SegmentedPair] = []
-    meta_pairs: dict[str, dict] = {}
-
+    splits: dict[str, list[SegmentedPair]] = {"train": [], "test": []}
+    metadata = {"config": asdict(cfg), "pairs": {}}
     for t in range(cfg.n_tasks):
         if m is not None:
-            protos = (sub @ _orthonormal(rng, m, k)).T  # (k, d), orthonormal, inside the subspace
+            protos = (basis[:, :m] @ _orthonormal(rng, m, k)).T  # (k, d), orthonormal, inside the subspace
         else:
-            protos = _orthonormal(rng, d, k).T
-
+            protos = _orthonormal(rng, cfg.dim, k).T
         for v in range(cfg.videos_per_task):
             pair_id = f"task{t:03d}-vid{v:02d}"
-            captions = protos + np.stack([noise(cfg.caption_noise) for _ in range(k)])
-
-            seg_clips: list[np.ndarray] = []
-            confuser_flags: list[np.ndarray] = []
+            captions = protos + cfg.caption_noise * rng.normal(size=(k, cfg.dim))
+            segments = []  # each segment's clip rows and the positions of its confusers among them
             for i in range(k):
                 length = int(rng.integers(cfg.clips_per_segment[0], cfg.clips_per_segment[1] + 1))
-                clips = np.empty((length, d))
-                flags = np.zeros(length, dtype=bool)
+                clips, confused = [], []
                 for pos in range(length):
+                    base = protos[i]
                     if k > 1 and rng.random() < cfg.confuser_prob:
                         j = int(rng.integers(k - 1))
-                        j = j if j < i else j + 1
-                        base = protos[j]
-                        flags[pos] = True
-                    else:
-                        base = protos[i]
+                        base = protos[j if j < i else j + 1]
+                        confused.append(pos)
                     drift = cfg.progress_drift * ((pos + 1) / (length + 1)) * drift_dir
-                    clips[pos] = base + drift + noise(cfg.clip_noise)
-                seg_clips.append(clips)
-                confuser_flags.append(flags)
-
-            n_bg_clips = int(rng.integers(cfg.background_per_video[0], cfg.background_per_video[1] + 1))
-            gaps: list[list[np.ndarray]] = [[] for _ in range(k + 1)]
-            for _ in range(n_bg_clips):
+                    clips.append(base + drift + cfg.clip_noise * rng.normal(size=cfg.dim))
+                segments.append((clips, confused))
+            gaps = [[] for _ in range(k + 1)]  # the background rows before each segment, then after the last
+            for _ in range(int(rng.integers(cfg.background_per_video[0], cfg.background_per_video[1] + 1))):
                 gap = int(rng.integers(k + 1))
-                proto = bg_pool[int(rng.integers(len(bg_pool)))]
-                gaps[gap].append(proto + noise(cfg.clip_noise))
+                gaps[gap].append(bg_pool[int(rng.integers(len(bg_pool)))] + cfg.clip_noise * rng.normal(size=cfg.dim))
+            rows, ranges, confusers = gaps[0], [], []
+            for (clips, confused), gap in zip(segments, gaps[1:]):
+                ranges.append((len(rows), len(rows) + len(clips)))
+                confusers += [len(rows) + pos for pos in confused]
+                rows += clips + gap
 
-            blocks: list[np.ndarray] = []
-            ranges: list[tuple[int, int]] = []
-            confusers: list[int] = []
-            cursor = 0
-            for i in range(k):
-                for bg in gaps[i]:
-                    blocks.append(bg[None, :])
-                    cursor += 1
-                start = cursor
-                blocks.append(seg_clips[i])
-                cursor += len(seg_clips[i])
-                ranges.append((start, cursor))
-                confusers.extend(start + np.flatnonzero(confuser_flags[i]))
-            for bg in gaps[k]:
-                blocks.append(bg[None, :])
-                cursor += 1
-
-            pair = SegmentedPair(
-                id=pair_id,
-                anchor=EmbeddingSequence(f"{pair_id}-captions", captions),
-                positive=EmbeddingSequence(f"{pair_id}-clips", np.concatenate(blocks, axis=0)),
-                segments=tuple(ranges),
-            )
-            split = "train" if v < n_train else "test"
-            (train if split == "train" else test).append(pair)
-            meta_pairs[pair_id] = {
-                "task": t,
-                "video": v,
-                "split": split,
-                "segments": [[i, start, end] for i, (start, end) in enumerate(ranges)],
-                "confusers": [int(c) for c in confusers],
-            }
-
-    metadata = {"config": asdict(cfg), "pairs": meta_pairs}
-    return train, test, metadata
+            split = "train" if v < max(1, (cfg.videos_per_task * 4) // 5) else "test"
+            splits[split].append(SegmentedPair(pair_id, EmbeddingSequence(f"{pair_id}-captions", captions),
+                                               EmbeddingSequence(f"{pair_id}-clips", np.stack(rows)), tuple(ranges)))
+            metadata["pairs"][pair_id] = {"task": t, "video": v, "split": split,
+                                          "segments": [[i, *span] for i, span in enumerate(ranges)], "confusers": confusers}
+    return splits["train"], splits["test"], metadata
 
 
 @dataclass
 class FewshotSynthConfig:
     """Classes are temporal orders over one shared prototype set, so the frame
-    multiset carries no class signal; ``proto_overlap`` blends a common
-    direction into every prototype to raise their pairwise similarity."""
+    multiset carries no class signal.  ``n_classes`` classes of ``videos_per_class``
+    videos, each ``steps_per_class`` steps of ``frames_per_step`` frames (counts are
+    integers >= 1); ``dim`` is an integer >= ``steps_per_class + 1``, ``seed`` one >= 0.
+    ``frame_noise`` (per-component std) and ``proto_overlap`` (the weight of a common
+    direction blended into every prototype) are finite numbers >= 0.  ``patterns`` holds
+    each class's order, a permutation of the steps, used as given (repeats too); None
+    draws distinct orders."""
 
     n_classes: int = 10
     videos_per_class: int = 20
@@ -196,19 +176,23 @@ class FewshotSynthConfig:
     patterns: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        for name in ("n_classes", "videos_per_class", "steps_per_class", "frames_per_step", "dim", "seed"):
-            _require_integers(name, getattr(self, name))
+        floats = ("frame_noise", "proto_overlap")
+        for name in ("n_classes", "videos_per_class", "steps_per_class", "frames_per_step", "dim", "seed", *floats):
+            _require(name, getattr(self, name), numbers=name in floats)
         if min(self.n_classes, self.videos_per_class, self.steps_per_class, self.frames_per_step) < 1:
             raise DataError("counts must be >= 1")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if self.frame_noise < 0 or self.proto_overlap < 0:
             raise DataError("noise and overlap must be >= 0")
         if self.dim < self.steps_per_class + 1:
             raise DataError(f"dim {self.dim} < steps_per_class + 1: prototype orthogonalization infeasible")
         if self.patterns is not None:
+            self.patterns = tuple(tuple(p) for p in self.patterns)
             if len(self.patterns) != self.n_classes:
                 raise DataError("patterns must supply one order per class")
             for pat in self.patterns:
-                _require_integers("patterns", pat)
+                _require("patterns", pat)
                 if sorted(pat) != list(range(self.steps_per_class)):
                     raise DataError(f"pattern {pat} is not a permutation of the steps")
 
@@ -222,36 +206,27 @@ def gen_fewshot_corpus(cfg: FewshotSynthConfig):
     rng = np.random.default_rng(cfg.seed)
     k = cfg.steps_per_class
     basis = _orthonormal(rng, cfg.dim, k + 1)
-    common = basis[:, k]
-    protos = basis[:, :k].T + cfg.proto_overlap * common[None, :]
+    protos = basis[:, :k].T + cfg.proto_overlap * basis[:, k][None, :]
     protos /= np.linalg.norm(protos, axis=1, keepdims=True)
 
-    if cfg.patterns is not None:
-        patterns = [tuple(p) for p in cfg.patterns]
-    else:
-        patterns = {}  # the distinct orders drawn, in draw order
-        for _ in range(100_000):
-            if len(patterns) == cfg.n_classes:
-                break
-            patterns[tuple(int(x) for x in rng.permutation(k))] = None
-        if len(patterns) < cfg.n_classes:
+    patterns = cfg.patterns
+    if patterns is None:
+        if math.factorial(k) < cfg.n_classes:
             raise DataError(f"cannot draw {cfg.n_classes} distinct orders over {k} steps")
+        patterns = {}  # the distinct orders drawn, in draw order
+        while len(patterns) < cfg.n_classes:
+            patterns[tuple(int(x) for x in rng.permutation(k))] = None
 
+    labels = [f"class{c:02d}" for c in range(cfg.n_classes)]
     videos: list[LabeledVideo] = []
-    for c, pat in enumerate(patterns):
-        label = f"class{c:02d}"
+    for c, (label, pat) in enumerate(zip(labels, patterns)):
         for v in range(cfg.videos_per_class):
-            frames = np.empty((k * cfg.frames_per_step, cfg.dim))
-            row = 0
-            for step in pat:
-                for _ in range(cfg.frames_per_step):
-                    frames[row] = protos[step] + cfg.frame_noise * rng.normal(size=cfg.dim)
-                    row += 1
+            frames = protos[np.repeat(pat, cfg.frames_per_step)]
+            frames += cfg.frame_noise * rng.normal(size=frames.shape)
             vid_id = f"cls{c:02d}-vid{v:03d}"
             videos.append(LabeledVideo(id=vid_id, label=label, frames=EmbeddingSequence(vid_id, frames)))
 
     n_base = cfg.n_classes // 2 if cfg.n_classes > 1 else 1
-    labels = [f"class{c:02d}" for c in range(cfg.n_classes)]
     metadata = {
         "config": {**asdict(cfg), "patterns": [list(p) for p in patterns]},
         "base_labels": labels[:n_base],

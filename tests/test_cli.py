@@ -805,6 +805,18 @@ SMALL_VIDEOS = {"kind": "fewshot", "n_classes": 2, "videos_per_class": 2, "steps
     ({**SMALL_VIDEOS, "frames_per_step": 1.5}, "frames_per_step must hold integers, got 1.5"),
     ({**SMALL_VIDEOS, "dim": False}, "dim must hold integers, got False"),
     ({**SMALL_VIDEOS, "n_classes": 7}, "cannot draw 7 distinct orders over 3 steps"),
+    ({**SMALL_PAIRS, "seed": -1}, "seed must be >= 0, got -1"),
+    ({**SMALL_VIDEOS, "seed": -1}, "seed must be >= 0, got -1"),
+    ({**SMALL_PAIRS, "clips_per_segment": [1, 2, 3]}, "clips_per_segment range invalid: (1, 2, 3)"),
+    ({**SMALL_PAIRS, "clips_per_segment": 3}, "clips_per_segment range invalid: 3"),
+    ({**SMALL_PAIRS, "background_per_video": [0, 1, 2]}, "background_per_video range invalid: (0, 1, 2)"),
+    ({**SMALL_PAIRS, "background_per_video": 3}, "background_per_video range invalid: 3"),
+    ({**SMALL_PAIRS, "clips_per_segment": None}, "clips_per_segment must hold integers, got None"),
+    *[({**intact, name: bad}, f"{name} must hold finite numbers, got {bad!r}")
+      for intact, names in ((SMALL_PAIRS, ("caption_noise", "clip_noise", "confuser_prob", "progress_drift")),
+                            (SMALL_VIDEOS, ("frame_noise", "proto_overlap")))
+      for name in names for bad in ("0.1", None, True)],
+    ({**SMALL_PAIRS, "progress_drift": float("nan")}, "progress_drift must hold finite numbers, got nan"),
 ])
 def test_synth_config_it_refuses_is_a_data_error(capsys, tmp_path, config, message):
     path = tmp_path / "config.json"

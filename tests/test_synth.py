@@ -92,3 +92,11 @@ def test_corpus_branches_are_pinned(cfg, digest):
 @pytest.mark.parametrize("cfg, digest", FEWSHOT_DIGESTS, ids=["drawn-patterns", "given-patterns"])
 def test_fewshot_branches_are_pinned(cfg, digest):
     assert fewshot_digest(cfg) == digest
+
+
+@pytest.mark.parametrize("videos_per_task, held_out", [(1, 0), (2, 1), (5, 1), (6, 2)])
+def test_each_task_holds_out_a_fifth_of_its_videos_rounded_up_from_two_videos_on(videos_per_task, held_out):
+    train, test, metadata = gen_corpus(SynthConfig(n_tasks=2, videos_per_task=videos_per_task, dim=8, proto_subspace_dim=6))
+    assert len(train) == 2 * (videos_per_task - held_out) and len(test) == 2 * held_out
+    for meta in metadata["pairs"].values():
+        assert meta["split"] == ("test" if meta["video"] >= videos_per_task - held_out else "train")
